@@ -9,6 +9,7 @@ sites.  See the README for the governing formulation and usage.
 from .analysis import (
     ConvergenceTable,
     ErrorReport,
+    Level,
     ManufacturedCase,
     RateEstimate,
     TailReport,

@@ -9,11 +9,14 @@ with boundary data g0 = u0 observed at noisy sites and exact multiplier
 the edge-midpoint rule (exact for quadratics), multiplier errors with a
 3-point Gauss rule along each boundary element.
 
-`run_case` solves one configuration; `run_study` sweeps mesh sizes and
-seeds, reusing the mesh, stiffness and coupling blocks across seeds
-(only the observed data changes), which is bit-identical to calling
-`run_case` per seed.  `tail_study` estimates the error tail over many
-noise draws.
+A noise draw changes only the noise part of the data vector G, so a
+:class:`Level` holds everything else of one (domain, k, n): the mesh,
+the placement, A, F, B, the clean data vector G0 and, from its first
+solve on, the saddle LU and the ker B^T basis.  A trial forms
+G = G0 + G_noise block by block, back-solves and integrates the errors.
+`run_case`, `run_study` and `tail_study` loop over `Level.trial`; a pool
+task is one level and a contiguous chunk of seeds, so pooled reports
+equal serial ones.
 """
 
 from __future__ import annotations
@@ -21,29 +24,28 @@ from __future__ import annotations
 import logging
 import math
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Callable, Optional, Sequence
 
 import numpy as np
 
 from .assembly import (
+    _GAUSS_T,
+    _GAUSS_W,
     FieldSpace,
     MultiplierSpace,
     SaddleSystem,
     assemble_coupling_matrix,
     assemble_data_vector,
     assemble_load,
+    assemble_noise_vector,
     assemble_stiffness,
-    trace_like,
 )
-from .mesh import TriMesh, boundary_point, build_disk_mesh, build_square_mesh, triangle_areas
+from .mesh import TriMesh, boundary_points, build_disk_mesh, build_square_mesh, triangle_areas
 from .observations import NoiseModel, observe, place_points
 from .solver import SaddleSolution, SingularSystemError, solve_saddle
 
 logger = logging.getLogger(__name__)
-
-_GAUSS_T = np.array([0.5 - math.sqrt(0.15), 0.5, 0.5 + math.sqrt(0.15)])
-_GAUSS_W = np.array([5.0 / 18.0, 8.0 / 18.0, 5.0 / 18.0])
 
 
 @dataclass(frozen=True)
@@ -159,17 +161,14 @@ def compute_errors(
     dy = gy - uh_grad[:, None, 1]
     semi_sq = float(np.sum(areas[:, None] / 3.0 * (dx**2 + dy**2)))
 
-    space_q = MultiplierSpace(mesh)
+    h_e = mesh.boundary_lengths
+    pts = boundary_points(mesh, _GAUSS_T)
+    exact = case.lambda_exact(pts[..., 0], pts[..., 1])
     lam = solution.lam
-    lam_l2_sq = lam_half_sq = 0.0
-    for e in range(space_q.ndof):
-        h_e = mesh.boundary[e].length
-        pts, _ = boundary_point(mesh, e, _GAUSS_T)
-        exact = case.lambda_exact(pts[:, 0], pts[:, 1])
-        approx = trace_like(space_q, lam, e, _GAUSS_T)
-        l2e = h_e * float(np.dot(_GAUSS_W, (exact - approx) ** 2))
-        lam_l2_sq += l2e
-        lam_half_sq += h_e * l2e
+    approx = np.outer(lam, 1.0 - _GAUSS_T) + np.outer(np.roll(lam, -1), _GAUSS_T)
+    lam_l2_e = h_e * (((exact - approx) ** 2) @ _GAUSS_W)
+    lam_l2_sq = float(lam_l2_e.sum())
+    lam_half_sq = float(h_e @ lam_l2_e)
 
     return ErrorReport(
         h=h_nominal,
@@ -199,6 +198,68 @@ def points_for(k: int, i: Optional[int], n: Optional[int]) -> int:
     return int(round(float(k) ** i))
 
 
+class Level:
+    """What the noise trials of one (domain, k, n) level share.
+
+    Trial systems are derived from the clean system (A, B, F, G0) with
+    `dataclasses.replace`, so they share its solver `factors`.  No per-site
+    array is kept beyond the placement's t and alpha.
+    """
+
+    def __init__(self, domain: str, k: int, i: Optional[int] = None, n: Optional[int] = None,
+                 case: Optional[ManufacturedCase] = None):
+        self.mesh = build_mesh(domain, k)
+        self.case = case if case is not None else sine_case(domain)
+        self.h = 1.0 / k
+        self.placement = place_points(self.mesh, points_for(k, i, n))
+        space_v, space_q = FieldSpace(self.mesh), MultiplierSpace(self.mesh)
+        self.clean = SaddleSystem(
+            assemble_stiffness(space_v),
+            assemble_coupling_matrix(space_v, space_q, self.placement),
+            assemble_load(space_v, self.case.f),
+            assemble_data_vector(space_q, observe(self.placement, self.case.g0, None, 0)),
+            space_v, space_q)
+
+    def data_vector(self, model: Optional[NoiseModel], seed: int) -> np.ndarray:
+        """G = G0 + G_noise for one noise draw."""
+        return self.clean.G + assemble_noise_vector(self.clean.space_q, self.placement, model, seed)
+
+    def trial(self, model: Optional[NoiseModel], seed: int) -> ErrorReport:
+        """Solve with one noise draw and measure the errors."""
+        system = replace(self.clean, G=self.data_vector(model, seed))
+        try:
+            solution = solve_saddle(system)
+        except SingularSystemError as exc:
+            raise SingularSystemError(
+                f"h={self.h:g} n={self.placement.n}: {exc}", estimate=exc.estimate
+            ) from exc
+        return compute_errors(self.mesh, self.case, solution, self.h, self.placement.n, seed)
+
+
+def _level_trials(spec: tuple, model: Optional[NoiseModel], seeds: range) -> list:
+    """Reports of one level, (domain, k, i, n, case), over `seeds`."""
+    level = Level(*spec)
+    return [level.trial(model, s) for s in seeds]
+
+
+def _run_levels(specs: list, model: Optional[NoiseModel], seeds: range, workers: int) -> list:
+    """Reports per level spec, in seed order.
+
+    A task is one level and a contiguous chunk of the seeds; with
+    workers > 1 the chunks go to a process pool, so a worker builds a
+    level once per chunk and runs the same trials as the serial loop.
+    """
+    size = -(-len(seeds) // max(workers, 1))
+    chunks = [seeds[j : j + size] for j in range(0, len(seeds), size)]
+    tasks = [(spec, model, chunk) for spec in specs for chunk in chunks]
+    if workers > 1 and tasks:
+        with ProcessPoolExecutor(max_workers=min(workers, len(tasks))) as pool:
+            done = list(pool.map(_level_trials, *zip(*tasks)))
+    else:
+        done = [_level_trials(*task) for task in tasks]
+    return [sum(done[j : j + len(chunks)], []) for j in range(0, len(done), len(chunks))]
+
+
 def run_case(
     domain: str,
     k: int,
@@ -209,41 +270,7 @@ def run_case(
     case: Optional[ManufacturedCase] = None,
 ) -> ErrorReport:
     """Build, solve and measure one configuration."""
-    mesh = build_mesh(domain, k)
-    if case is None:
-        case = sine_case(domain)
-    npts = points_for(k, i, n)
-    placement = place_points(mesh, npts)
-    return _trial(mesh, case, placement, model, seed, 1.0 / k)
-
-
-def _trial(
-    mesh: TriMesh,
-    case: ManufacturedCase,
-    placement,
-    model: Optional[NoiseModel],
-    seed: int,
-    h_nominal: float,
-    blocks: Optional[tuple] = None,
-) -> ErrorReport:
-    space_v = FieldSpace(mesh)
-    space_q = MultiplierSpace(mesh)
-    obs = observe(placement, case.g0, model, seed)
-    if blocks is None:
-        A = assemble_stiffness(space_v)
-        F = assemble_load(space_v, case.f)
-        B = assemble_coupling_matrix(space_v, space_q, placement)
-    else:
-        A, F, B = blocks
-    G = assemble_data_vector(space_q, obs)
-    system = SaddleSystem(A, B, F, G, space_v, space_q)
-    try:
-        solution = solve_saddle(system)
-    except SingularSystemError as exc:
-        raise SingularSystemError(
-            f"h={h_nominal:g} n={placement.n}: {exc}", estimate=exc.estimate
-        ) from exc
-    return compute_errors(mesh, case, solution, h_nominal, placement.n, seed)
+    return Level(domain, k, i, n, case).trial(model, seed)
 
 
 @dataclass
@@ -310,44 +337,15 @@ def run_study(
 ) -> ConvergenceTable:
     """Sweep mesh sizes, averaging errors over `trials` noise seeds.
 
-    Seeds are seed, seed+1, ...  With workers > 1 the (k, seed) grid is
-    solved by a process pool; results are reduced in deterministic
-    order and match the serial run exactly.
+    Seeds are seed, seed+1, ...  With workers > 1 the levels and chunks
+    of seeds are solved by a process pool; the reports match the serial
+    run exactly.
     """
     if trials < 1:
         raise ValueError("trials must be positive")
-    rows = []
-    if workers > 1:
-        grid = [(domain, k, i, n, model, seed + t, case) for k in ks for t in range(trials)]
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            flat = list(pool.map(_run_case_tuple, grid, chunksize=1))
-        by_k = {k: [] for k in ks}
-        for (d, k, *_), rep in zip(grid, flat):
-            by_k[k].append(rep)
-        for k in ks:
-            rows.append(_reduce_row(k, by_k[k]))
-    else:
-        for k in ks:
-            mesh = build_mesh(domain, k)
-            the_case = case if case is not None else sine_case(domain)
-            npts = points_for(k, i, n)
-            placement = place_points(mesh, npts)
-            space_v = FieldSpace(mesh)
-            space_q = MultiplierSpace(mesh)
-            A = assemble_stiffness(space_v)
-            F = assemble_load(space_v, the_case.f)
-            B = assemble_coupling_matrix(space_v, space_q, placement)
-            reports = [
-                _trial(mesh, the_case, placement, model, seed + t, 1.0 / k, blocks=(A, F, B))
-                for t in range(trials)
-            ]
-            rows.append(_reduce_row(k, reports))
-    return ConvergenceTable(domain, i, rows)
-
-
-def _run_case_tuple(args) -> ErrorReport:
-    domain, k, i, n, model, seed, case = args
-    return run_case(domain, k, i=i, n=n, model=model, seed=seed, case=case)
+    specs = [(domain, k, i, n, case) for k in ks]
+    reports = _run_levels(specs, model, range(seed, seed + trials), workers)
+    return ConvergenceTable(domain, i, [_reduce_row(k, r) for k, r in zip(ks, reports)])
 
 
 def _reduce_row(k: int, reports: list) -> TableRow:
@@ -404,24 +402,7 @@ def tail_study(
     """
     if trials < 100:
         raise ValueError("tail study needs at least 100 trials")
-    mesh = build_mesh(domain, k)
-    case = sine_case(domain)
-    npts = points_for(k, i, n)
-    placement = place_points(mesh, npts)
-    space_v = FieldSpace(mesh)
-    space_q = MultiplierSpace(mesh)
-    A = assemble_stiffness(space_v)
-    F = assemble_load(space_v, case.f)
-    B = assemble_coupling_matrix(space_v, space_q, placement)
-    if workers > 1:
-        grid = [(domain, k, i, n, model, seed + t, None) for t in range(trials)]
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            reports = list(pool.map(_run_case_tuple, grid, chunksize=1))
-    else:
-        reports = [
-            _trial(mesh, case, placement, model, seed + t, 1.0 / k, blocks=(A, F, B))
-            for t in range(trials)
-        ]
+    [reports] = _run_levels([(domain, k, i, n, None)], model, range(seed, seed + trials), workers)
     errors = np.array([r.l2 for r in reports])
 
     med = float(np.median(errors))

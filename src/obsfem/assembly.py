@@ -18,14 +18,14 @@ every observation site contributes a 2 x 2 block.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 import scipy.io
 import scipy.sparse as sp
 
 from .mesh import TriMesh, triangle_areas
-from .observations import ObservationSet, Placement
+from .observations import _NOISE_BLOCK, NoiseModel, ObservationSet, Placement, _noise_block
 
 # 3-point Gauss rule on [0, 1]; exact through degree 5.
 _GAUSS_T = np.array([0.5 - math.sqrt(0.15), 0.5, 0.5 + math.sqrt(0.15)])
@@ -111,54 +111,61 @@ def trace_evaluate(space: MultiplierSpace, u: np.ndarray, e: int, t) -> np.ndarr
     return (1.0 - t) * u[elem.v0] + t * u[elem.v1]
 
 
+def _hat_moments(placement: Placement, values) -> tuple[np.ndarray, np.ndarray]:
+    """Per-element sums of (1 - t) alpha v and t alpha v: what the sites
+    add to the first and second hat of their element.  `values(lo, hi)`
+    gives v at sites [lo, hi), one noise block at a time."""
+    nb = len(placement.offsets) - 1
+    left, right = np.zeros(nb), np.zeros(nb)
+    for lo in range(0, placement.n, _NOISE_BLOCK):
+        hi = min(placement.n, lo + _NOISE_BLOCK)
+        off = np.clip(placement.offsets, lo, hi) - lo
+        owners = np.flatnonzero(off[1:] > off[:-1])  # elements with sites in the block
+        w = placement.alpha[lo:hi] * values(lo, hi)
+        total = np.add.reduceat(w, off[owners])
+        w *= placement.t[lo:hi]
+        moment = np.add.reduceat(w, off[owners])
+        left[owners] += total - moment
+        right[owners] += moment
+        del w  # so that two blocks never coexist
+    return left, right
+
+
 def assemble_coupling_matrix(
     space_v: FieldSpace, space_q: MultiplierSpace, placement: Placement
 ) -> sp.csr_matrix:
     """Empirical coupling matrix B (independent of the observed data).
 
-    Streams element by element; every site only touches the two hat
-    functions of its element on each side, so B has at most three
-    nonzeros per row and the work per site is a 2 x 2 outer product.
+    Every site only touches the two hat functions of its element on each
+    side, so B has at most three nonzeros per row and each element
+    contributes a 2 x 2 block.
     """
-    nq = space_q.ndof
-    rows = np.empty(4 * nq)
-    cols = np.empty(4 * nq)
-    vals = np.empty(4 * nq)
-    k = 0
-    for e in range(nq):
-        sl = placement.element_slice(e)
-        if sl.stop == sl.start:
-            continue
-        t = placement.t[sl]
-        a = placement.alpha[sl]
-        q0, q1 = space_q.element_dofs(e)
-        elem = space_q.mesh.boundary[e]
-        w0 = 1.0 - t
-        b00 = np.dot(a, w0 * w0)
-        b01 = np.dot(a, w0 * t)
-        b11 = np.dot(a, t * t)
-        rows[k : k + 4] = (q0, q0, q1, q1)
-        cols[k : k + 4] = (elem.v0, elem.v1, elem.v0, elem.v1)
-        vals[k : k + 4] = (b00, b01, b01, b11)
-        k += 4
-    B = sp.coo_matrix((vals[:k], (rows[:k], cols[:k])), shape=(nq, space_v.ndof))
-    return B.tocsr()
+    b00, b01 = _hat_moments(placement, lambda lo, hi: 1.0 - placement.t[lo:hi])
+    _, b11 = _hat_moments(placement, lambda lo, hi: placement.t[lo:hi])
+    e = np.flatnonzero(np.diff(placement.offsets))  # elements with sites
+    q1 = (e + 1) % space_q.ndof
+    v0, v1 = space_q.vertex_ids[e], space_q.vertex_ids[q1]
+    rows = np.concatenate([e, e, q1, q1])
+    cols = np.concatenate([v0, v1, v0, v1])
+    vals = np.concatenate([b00[e], b01[e], b01[e], b11[e]])
+    return sp.coo_matrix((vals, (rows, cols)), shape=(space_q.ndof, space_v.ndof)).tocsr()
 
 
 def assemble_data_vector(space_q: MultiplierSpace, obs: ObservationSet) -> np.ndarray:
     """Right-hand side G[k] = sum_i alpha_i psi_k(x_i) g_i."""
-    nq = space_q.ndof
-    G = np.zeros(nq)
-    for e in range(nq):
-        sl = obs.placement.element_slice(e)
-        if sl.stop == sl.start:
-            continue
-        t = obs.t[sl]
-        ag = obs.alpha[sl] * obs.g[sl]
-        q0, q1 = space_q.element_dofs(e)
-        G[q0] += np.dot(1.0 - t, ag)
-        G[q1] += np.dot(t, ag)
-    return G
+    left, right = _hat_moments(obs.placement, lambda lo, hi: obs.g[lo:hi])
+    return left + np.roll(right, 1)
+
+
+def assemble_noise_vector(space_q: MultiplierSpace, placement: Placement,
+                          model: NoiseModel | None, seed: int) -> np.ndarray:
+    """Noise part sum_i alpha_i psi_k(x_i) e_i of G, with the draws of
+    `observe(placement, g0, model, seed)` but no length-n noise array."""
+    if model is None or model.kind == "none":
+        return np.zeros(space_q.ndof)
+    left, right = _hat_moments(
+        placement, lambda lo, hi: _noise_block(model, seed, lo // _NOISE_BLOCK, hi - lo))
+    return left + np.roll(right, 1)
 
 
 def assemble_coupling(
@@ -233,12 +240,8 @@ def mesh_dependent_norms(space_q: MultiplierSpace, values) -> tuple[float, float
 
 def multiplier_at_sites(space_q: MultiplierSpace, mu: np.ndarray, placement: Placement) -> np.ndarray:
     """Values of a multiplier dof vector at every observation site."""
-    out = np.empty(placement.n)
-    for e in range(space_q.ndof):
-        sl = placement.element_slice(e)
-        if sl.stop > sl.start:
-            out[sl] = trace_like(space_q, mu, e, placement.t[sl])
-    return out
+    e = np.repeat(np.arange(space_q.ndof), np.diff(placement.offsets))
+    return (1.0 - placement.t) * mu[e] + placement.t * mu[(e + 1) % space_q.ndof]
 
 
 def vh_gram(space_v: FieldSpace, space_q: MultiplierSpace, A: sp.csr_matrix | None = None) -> sp.csr_matrix:
@@ -255,7 +258,8 @@ class SaddleSystem:
     [[A, B^T], [B, 0]] [u, lam] = [F, G].
 
     The space references are optional; when present the solver can build
-    its norm-based preconditioner from them.
+    its norm-based preconditioner from them.  `factors` caches solver
+    state of (A, B); systems derived with dataclasses.replace share it.
     """
 
     A: sp.csr_matrix
@@ -264,6 +268,7 @@ class SaddleSystem:
     G: np.ndarray
     space_v: FieldSpace | None = None
     space_q: MultiplierSpace | None = None
+    factors: dict = field(default_factory=dict, repr=False, compare=False)
 
     @property
     def n_field(self) -> int:

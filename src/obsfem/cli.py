@@ -48,8 +48,6 @@ def _noise_from_args(args) -> NoiseModel | None:
     if args.noise == "none":
         return None
     if args.noise == "gaussian":
-        if args.sigma < 0:
-            raise ValueError("sigma must be nonnegative")
         return NoiseModel.gaussian(args.sigma)
     return NoiseModel.mixture(args.sigma1, args.sigma2, args.p)
 

@@ -311,6 +311,22 @@ def boundary_point(mesh: TriMesh, e: int, t):
     return pts, speed
 
 
+def boundary_points(mesh: TriMesh, t) -> np.ndarray:
+    """F_E(t) of every boundary element E, shape (NB, len(t), 2)."""
+    t = np.asarray(t, dtype=float)
+    p0 = mesh.vertices[[e.v0 for e in mesh.boundary]]
+    p1 = mesh.vertices[[e.v1 for e in mesh.boundary]]
+    pts = p0[:, None] + t[:, None] * (p1 - p0)[:, None]
+    arcs = [(e, el.geometry) for e, el in enumerate(mesh.boundary) if el.geometry is not None]
+    if arcs:
+        idx, geometry = zip(*arcs)
+        arc = np.array([(*a.center, a.radius, a.theta0, a.theta1) for a in geometry])
+        cx, cy, r, th0, th1 = arc.T[..., None]
+        th = th0 + t * (th1 - th0)
+        pts[list(idx)] = np.stack([cx + r * np.cos(th), cy + r * np.sin(th)], axis=-1)
+    return pts
+
+
 def mesh_quality(mesh: TriMesh) -> QualityReport:
     """Diameter and shape statistics of the triangulation."""
     diam = triangle_diameters(mesh)

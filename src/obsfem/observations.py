@@ -49,8 +49,10 @@ class NoiseModel:
     def __post_init__(self):
         if self.kind not in ("none", "gaussian", "mixture"):
             raise ValueError(f"unknown noise kind {self.kind!r}")
-        if self.kind == "gaussian" and self.sigma < 0:
-            raise ValueError("sigma must be nonnegative")
+        for name in ("sigma", "sigma1", "sigma2"):
+            value = getattr(self, name)
+            if not (math.isfinite(value) and value >= 0.0):
+                raise ValueError(f"{name} must be finite and nonnegative, got {value}")
         if self.kind == "mixture" and not (0.0 <= self.p <= 1.0):
             raise ValueError("mixture probability must lie in [0, 1]")
 
@@ -307,25 +309,24 @@ def observe(placement: Placement, g0: Callable, model: Optional[NoiseModel], see
     one RNG block at a time so each block is generated exactly once.
     """
     n = placement.n
-    g = np.empty(n)
-    nb = len(placement.mesh.boundary)
-    for e in range(nb):
+    obs = ObservationSet(placement, np.empty(n), g0, model, seed)
+    for e in range(len(placement.mesh.boundary)):
         sl = placement.element_slice(e)
-        cnt = sl.stop - sl.start
-        if cnt == 0:
+        if sl.stop == sl.start:
             continue
-        pts = placement.positions(e)
-        vals = np.asarray(g0(pts[:, 0], pts[:, 1]), dtype=float)
-        if vals.ndim == 0:
-            vals = np.full(cnt, float(vals))
-        elif vals.shape != (cnt,):
+        vals = obs.clean_values(e)
+        if vals.shape != (sl.stop - sl.start,):
             raise ValueError("g0 must map coordinate arrays to a value array")
-        g[sl] = vals
+        if not np.all(np.isfinite(vals)):
+            j = int(np.flatnonzero(~np.isfinite(vals))[0])
+            x = tuple(placement.positions(e)[j].tolist())
+            raise ValueError(f"g0 is not finite at site {sl.start + j} {x}")
+        obs.g[sl] = vals
     if model is not None and model.kind != "none":
         for lo in range(0, n, _NOISE_BLOCK):
             hi = min(n, lo + _NOISE_BLOCK)
-            g[lo:hi] += _noise_block(model, seed, lo // _NOISE_BLOCK, hi - lo)
-    return ObservationSet(placement, g, g0, model, seed)
+            obs.g[lo:hi] += _noise_block(model, seed, lo // _NOISE_BLOCK, hi - lo)
+    return obs
 
 
 def build_observation_set(

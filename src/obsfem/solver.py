@@ -85,6 +85,19 @@ def _kernel_basis(system: SaddleSystem) -> Optional[np.ndarray]:
     return null if null.shape[1] else None
 
 
+def _factors(system: SaddleSystem) -> tuple:
+    """(sparse LU of the saddle matrix or why it failed, ker B^T basis),
+    once per (A, B); the entry holds A and B, so its key ids stay unique."""
+    key = (id(system.A), id(system.B))
+    if key not in system.factors:
+        try:
+            lu = spla.splu(_assemble_full(system))
+        except (RuntimeError, ValueError) as exc:
+            lu = f"sparse factorization failed ({exc})"
+        system.factors[key] = (system.A, system.B, lu, _kernel_basis(system))
+    return system.factors[key][2:]
+
+
 def _minres_solve(system: SaddleSystem, rtol: float) -> tuple[np.ndarray, int]:
     K = _assemble_full(system)
     rhs = np.concatenate([system.F, system.G])
@@ -131,19 +144,26 @@ def solve_saddle(system: SaddleSystem, method: str = "auto", rtol: float = 1e-13
     """Solve the saddle system for (u, lam).
 
     method: "auto" tries sparse LU and falls back to MINRES; "direct"
-    and "minres" force one path.  Residuals above 1e-10 (relative to
-    max(1, |rhs|) blockwise) raise :class:`SingularSystemError`.
+    and "minres" force one path; LU and ker(B^T) come from
+    `system.factors`.  Non-finite F or G raise ValueError.  Residuals
+    above 1e-10 (relative to max(1, |rhs|) blockwise) raise
+    :class:`SingularSystemError`.
     """
     if method not in ("auto", "direct", "minres"):
         raise ValueError(f"unknown method {method!r}")
+    for name in ("F", "G"):
+        bad = np.flatnonzero(~np.isfinite(getattr(system, name)))
+        if bad.size:
+            raise ValueError(f"saddle system data {name} is not finite at entry {int(bad[0])}")
     nv = system.n_field
 
+    lu, kernel = _factors(system)
     if method in ("auto", "direct"):
-        try:
-            lu = spla.splu(_assemble_full(system))
+        if isinstance(lu, str):
+            reason = lu
+        else:
             x = lu.solve(np.concatenate([system.F, system.G]))
             u, lam = x[:nv], x[nv:]
-            kernel = _kernel_basis(system)
             if kernel is not None:
                 # Canonical multiplier: factorization of a singular but
                 # consistent system leaves arbitrary ker(B^T) content in
@@ -153,8 +173,6 @@ def solve_saddle(system: SaddleSystem, method: str = "auto", rtol: float = 1e-13
             if np.isfinite(rp) and np.isfinite(rc) and rp <= RESIDUAL_LIMIT and rc <= RESIDUAL_LIMIT:
                 return SaddleSolution(u, lam, rp, rc, "direct")
             reason = f"direct solve left residuals ({rp:.2e}, {rc:.2e})"
-        except (RuntimeError, ValueError) as exc:
-            reason = f"sparse factorization failed ({exc})"
         if method == "direct":
             raise SingularSystemError(
                 f"{reason}; the coupling block is singular or nearly so. "
@@ -164,7 +182,6 @@ def solve_saddle(system: SaddleSystem, method: str = "auto", rtol: float = 1e-13
 
     x, iters = _minres_solve(system, rtol)
     u, lam = x[:nv], x[nv:]
-    kernel = _kernel_basis(system)
     if kernel is not None:
         # Multiplier only determined up to ker(B^T): return the
         # canonical representative orthogonal to the kernel.

@@ -5,14 +5,17 @@ import pytest
 
 from obsfem import (
     FieldSpace,
+    Level,
     MultiplierSpace,
     NoiseModel,
     SaddleSolution,
     build_mesh,
     build_observation_set,
     build_saddle_system,
+    assemble_data_vector,
     compute_errors,
     estimate_rates,
+    observe,
     run_case,
     run_study,
     sine_case,
@@ -272,6 +275,35 @@ class TestRunCase:
             run_case("square", 4, i=2)
 
 
+class TestLevel:
+    @pytest.mark.parametrize("model", [NoiseModel.gaussian(1.5), NoiseModel.mixture(1.0, 10.0, 0.3)])
+    @pytest.mark.parametrize("domain, k, n", [("disk", 10, 10), ("square", 4, 2**20 + 5000)])
+    def test_streamed_data_vector_matches_site_wise(self, domain, k, n, model):
+        # disk k=10 with n=10 leaves most elements without a site; n > 2^20
+        # makes elements straddle a noise-block boundary
+        level = Level(domain, k, n=n)
+        counts = np.diff(level.placement.offsets)
+        if n < len(counts):
+            assert (counts == 0).any()
+        obs = observe(level.placement, level.case.g0, model, 17)
+        expected = assemble_data_vector(MultiplierSpace(level.mesh), obs)
+        np.testing.assert_allclose(level.data_vector(model, 17), expected, rtol=1e-13,
+                                   atol=1e-13 * np.abs(expected).max())
+
+    def test_run_case_equals_study_report(self):
+        model = NoiseModel.mixture(1.0, 10.0, 0.5)
+        tab = run_study("disk", [6, 8], i=2, model=model, trials=3, seed=4)
+        for row in tab.rows:
+            for t, rep in enumerate(row.reports):
+                assert run_case("disk", row.k, i=2, model=model, seed=4 + t) == rep
+
+    def test_non_finite_g0_fails_at_level_build(self):
+        case = sine_case("square")
+        bad = ManufacturedCase("square", lambda x, y: np.where(x < 0.5, np.nan, x), case.grad_u0, case.f)
+        with pytest.raises(ValueError, match="g0 is not finite at site 0 "):
+            Level("square", 4, i=2, case=bad)
+
+
 class TestRunStudy:
     def test_row_contents(self):
         tab = run_study("square", [4, 8], i=2,
@@ -300,6 +332,7 @@ class TestRunStudy:
         serial = run_study("square", [4, 6], workers=1, **kwargs)
         pooled = run_study("square", [4, 6], workers=2, **kwargs)
         for a, b in zip(serial.rows, pooled.rows):
+            assert a.reports == b.reports
             assert a.l2_mean == b.l2_mean
             assert a.l2_std == b.l2_std
             assert a.h1_mean == b.h1_mean

@@ -79,11 +79,18 @@ class TestConvergenceOutput:
 
     def test_worker_env_does_not_change_bytes(self, tmp_path, monkeypatch):
         args = ("--h", "0.25,0.125", "--i", "2", "--trials", "2", "--seed", "3")
+        tail = ["tail", "--domain", "square", "--h", "0.125", "--i", "2",
+                "--trials", "101", "--seed", "3", "--out"]
         _, serial = run_convergence(tmp_path, *args)
         serial_bytes = serial.read_bytes()
+        assert cli.main([*tail, str(tmp_path / "tail1.csv")]) == 0
         monkeypatch.setenv("OBSFEM_THREADS", "2")
         _, pooled = run_convergence(tmp_path, *args)
         assert pooled.read_bytes() == serial_bytes
+        assert cli.main([*tail, str(tmp_path / "tail2.csv")]) == 0
+        tail_bytes = (tmp_path / "tail1.csv").read_bytes()
+        assert len(tail_bytes.splitlines()) > 1
+        assert (tmp_path / "tail2.csv").read_bytes() == tail_bytes
 
 
 class TestPublishedRateWindows:
@@ -126,6 +133,16 @@ class TestConfigErrors:
         code, _ = run_convergence(tmp_path, "--h", "0.25", "--i", "2",
                                   "--sigma", "-1")
         assert code == 2
+
+    @pytest.mark.parametrize("flags, name", [
+        (("--sigma", "nan"), "sigma"),
+        (("--noise", "mixture", "--sigma2", "inf"), "sigma2"),
+        (("--noise", "mixture", "--sigma1", "-1"), "sigma1"),
+    ])
+    def test_bad_noise_parameter(self, tmp_path, capsys, flags, name):
+        code, _ = run_convergence(tmp_path, "--h", "0.25", "--i", "2", *flags)
+        assert code == 2
+        assert f"error: {name} must be finite" in capsys.readouterr().err
 
     def test_zero_trials(self, tmp_path):
         code, _ = run_convergence(tmp_path, "--h", "0.25", "--i", "2",

@@ -14,6 +14,7 @@ from obsfem import (
     dump_observations_csv,
     empirical_inner_product,
     empirical_norm,
+    observe,
     place_points,
     quadrature_weights,
     sample_noise,
@@ -255,6 +256,18 @@ class TestNoise:
         with pytest.raises(ValueError):
             NoiseModel.gaussian(-1.0)
 
+    @pytest.mark.parametrize("build, name", [
+        (lambda: NoiseModel.gaussian(math.nan), "sigma"),
+        (lambda: NoiseModel.gaussian(math.inf), "sigma"),
+        (lambda: NoiseModel.mixture(-1.0, 10.0), "sigma1"),
+        (lambda: NoiseModel.mixture(math.nan, 10.0), "sigma1"),
+        (lambda: NoiseModel.mixture(1.0, math.inf), "sigma2"),
+        (lambda: NoiseModel.mixture(1.0, -0.5), "sigma2"),
+    ])
+    def test_bad_parameters_name_the_parameter(self, build, name):
+        with pytest.raises(ValueError, match=rf"^{name} must be finite and nonnegative"):
+            build()
+
 
 class TestObservationSet:
     def test_alpha_sums_to_boundary_length(self, square10, disk10):
@@ -286,6 +299,13 @@ class TestObservationSet:
         np.testing.assert_array_equal(a.g, b.g)
         np.testing.assert_array_equal(a.alpha, b.alpha)
         np.testing.assert_array_equal(a.t, b.t)
+
+    def test_non_finite_g0_names_first_bad_site(self, square10):
+        placement = place_points(square10, 100)
+        pts = np.vstack([placement.positions(e) for e in range(len(square10.boundary))])
+        first = int(np.flatnonzero(pts[:, 1] > 0.5)[0])
+        with pytest.raises(ValueError, match=rf"g0 is not finite at site {first} "):
+            observe(placement, lambda x, y: np.where(y > 0.5, np.inf, y), None, 0)
 
     def test_clean_values_on_true_boundary(self, disk10):
         # g0 must be sampled on the circle, not the chord polygon

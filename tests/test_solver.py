@@ -1,6 +1,9 @@
+import dataclasses
+
 import numpy as np
 import pytest
 import scipy.sparse as sp
+import scipy.sparse.linalg as spla
 
 from obsfem import (
     FieldSpace,
@@ -157,3 +160,43 @@ class TestScaleRobustness:
         assert abs(regular_system.A - A0).max() == 0.0
         np.testing.assert_array_equal(regular_system.G, G0)
         assert sp.issparse(regular_system.A)
+
+
+class TestFactorizationReuse:
+    def test_derived_systems_share_one_factorization(self, regular_system, monkeypatch):
+        calls = []
+        real = spla.splu
+
+        def counting(matrix, *args, **kwargs):
+            calls.append(matrix.shape)
+            return real(matrix, *args, **kwargs)
+
+        monkeypatch.setattr(spla, "splu", counting)
+        base = dataclasses.replace(regular_system, factors={})
+        for scale in (1.0, -2.0, 0.5):
+            system = dataclasses.replace(base, G=scale * base.G)
+            K, rhs = dense_blocks(system)
+            sol = solve_saddle(system)
+            assert sol.method == "direct"
+            np.testing.assert_allclose(sol.u, np.linalg.solve(K, rhs)[:system.n_field], atol=1e-12)
+        assert len(calls) == 1
+
+    def test_changed_blocks_are_factored_anew(self, regular_system):
+        base = dataclasses.replace(regular_system, factors={})
+        solve_saddle(base)
+        stiffer = dataclasses.replace(base, A=2.0 * base.A)
+        K, rhs = dense_blocks(stiffer)
+        sol = solve_saddle(stiffer)
+        np.testing.assert_allclose(sol.u, np.linalg.solve(K, rhs)[:stiffer.n_field], atol=1e-12)
+        assert len(base.factors) == 2
+
+
+class TestNonFiniteData:
+    @pytest.mark.parametrize("name", ["F", "G"])
+    def test_rejected_before_factoring(self, regular_system, name):
+        bad = getattr(regular_system, name).copy()
+        bad[3] = np.nan
+        system = dataclasses.replace(regular_system, factors={}, **{name: bad})
+        with pytest.raises(ValueError, match=rf"{name} is not finite at entry 3"):
+            solve_saddle(system)
+        assert not system.factors
