@@ -12,8 +12,9 @@ the edge-midpoint rule (exact for quadratics), multiplier errors with a
 A noise draw changes only the noise part of the data vector G, so a
 :class:`Level` holds everything else of one (domain, k, n): the mesh,
 the placement, A, F, B, the clean data vector G0 and, from its first
-solve on, the saddle LU and the ker B^T basis.  A trial forms
-G = G0 + G_noise block by block, back-solves and integrates the errors.
+solve on, the saddle LU and the ker B^T basis.  A trial observes only
+its noise, as a streamed observation set, forms G = G0 + G_noise block
+by block, back-solves and integrates the errors.
 `run_case`, `run_study` and `tail_study` loop over `Level.trial`; a pool
 task is one level and a contiguous chunk of seeds, so pooled reports
 equal serial ones.
@@ -38,11 +39,10 @@ from .assembly import (
     assemble_coupling_matrix,
     assemble_data_vector,
     assemble_load,
-    assemble_noise_vector,
     assemble_stiffness,
 )
-from .mesh import TriMesh, boundary_points, build_disk_mesh, build_square_mesh, triangle_areas
-from .observations import NoiseModel, observe, place_points
+from .mesh import TriMesh, boundary_point, build_disk_mesh, build_square_mesh, triangle_areas
+from .observations import NoiseModel, ObservationSet, observe, place_points
 from .solver import SaddleSolution, SingularSystemError, solve_saddle
 
 logger = logging.getLogger(__name__)
@@ -162,7 +162,7 @@ def compute_errors(
     semi_sq = float(np.sum(areas[:, None] / 3.0 * (dx**2 + dy**2)))
 
     h_e = mesh.boundary_lengths
-    pts = boundary_points(mesh, _GAUSS_T)
+    pts, _ = boundary_point(mesh, np.arange(len(h_e))[:, None], _GAUSS_T)
     exact = case.lambda_exact(pts[..., 0], pts[..., 1])
     lam = solution.lam
     approx = np.outer(lam, 1.0 - _GAUSS_T) + np.outer(np.roll(lam, -1), _GAUSS_T)
@@ -201,9 +201,11 @@ def points_for(k: int, i: Optional[int], n: Optional[int]) -> int:
 class Level:
     """What the noise trials of one (domain, k, n) level share.
 
-    Trial systems are derived from the clean system (A, B, F, G0) with
-    `dataclasses.replace`, so they share its solver `factors`.  No per-site
-    array is kept beyond the placement's t and alpha.
+    The clean data vector G0 is read from a streamed observation set, and
+    a trial observes only its noise, so neither builds a length-n data
+    array.  Trial systems are derived from the clean system (A, B, F, G0)
+    with `dataclasses.replace`, so they share its solver `factors`.  No
+    per-site array is kept beyond the placement's t and alpha.
     """
 
     def __init__(self, domain: str, k: int, i: Optional[int] = None, n: Optional[int] = None,
@@ -213,16 +215,18 @@ class Level:
         self.h = 1.0 / k
         self.placement = place_points(self.mesh, points_for(k, i, n))
         space_v, space_q = FieldSpace(self.mesh), MultiplierSpace(self.mesh)
+        clean = ObservationSet(self.placement, None, self.case.g0, None, 0)
         self.clean = SaddleSystem(
             assemble_stiffness(space_v),
             assemble_coupling_matrix(space_v, space_q, self.placement),
             assemble_load(space_v, self.case.f),
-            assemble_data_vector(space_q, observe(self.placement, self.case.g0, None, 0)),
+            assemble_data_vector(space_q, clean),
             space_v, space_q)
 
     def data_vector(self, model: Optional[NoiseModel], seed: int) -> np.ndarray:
         """G = G0 + G_noise for one noise draw."""
-        return self.clean.G + assemble_noise_vector(self.clean.space_q, self.placement, model, seed)
+        noise = observe(self.placement, None, model, seed)
+        return self.clean.G + assemble_data_vector(self.clean.space_q, noise)
 
     def trial(self, model: Optional[NoiseModel], seed: int) -> ErrorReport:
         """Solve with one noise draw and measure the errors."""

@@ -25,7 +25,7 @@ import scipy.io
 import scipy.sparse as sp
 
 from .mesh import TriMesh, triangle_areas
-from .observations import _NOISE_BLOCK, NoiseModel, ObservationSet, Placement, _noise_block
+from .observations import _NOISE_BLOCK, ObservationSet, Placement
 
 # 3-point Gauss rule on [0, 1]; exact through degree 5.
 _GAUSS_T = np.array([0.5 - math.sqrt(0.15), 0.5, 0.5 + math.sqrt(0.15)])
@@ -114,7 +114,7 @@ def trace_evaluate(space: MultiplierSpace, u: np.ndarray, e: int, t) -> np.ndarr
 def _hat_moments(placement: Placement, values) -> tuple[np.ndarray, np.ndarray]:
     """Per-element sums of (1 - t) alpha v and t alpha v: what the sites
     add to the first and second hat of their element.  `values(lo, hi)`
-    gives v at sites [lo, hi), one noise block at a time."""
+    gives v at sites [lo, hi); it is called once per noise block."""
     nb = len(placement.offsets) - 1
     left, right = np.zeros(nb), np.zeros(nb)
     for lo in range(0, placement.n, _NOISE_BLOCK):
@@ -152,19 +152,12 @@ def assemble_coupling_matrix(
 
 
 def assemble_data_vector(space_q: MultiplierSpace, obs: ObservationSet) -> np.ndarray:
-    """Right-hand side G[k] = sum_i alpha_i psi_k(x_i) g_i."""
-    left, right = _hat_moments(obs.placement, lambda lo, hi: obs.g[lo:hi])
-    return left + np.roll(right, 1)
+    """Right-hand side G[k] = sum_i alpha_i psi_k(x_i) g_i.
 
-
-def assemble_noise_vector(space_q: MultiplierSpace, placement: Placement,
-                          model: NoiseModel | None, seed: int) -> np.ndarray:
-    """Noise part sum_i alpha_i psi_k(x_i) e_i of G, with the draws of
-    `observe(placement, g0, model, seed)` but no length-n noise array."""
-    if model is None or model.kind == "none":
-        return np.zeros(space_q.ndof)
-    left, right = _hat_moments(
-        placement, lambda lo, hi: _noise_block(model, seed, lo // _NOISE_BLOCK, hi - lo))
+    A streamed set is read one noise block at a time, so G of a set that
+    holds only noise costs its draws but no length-n array.
+    """
+    left, right = _hat_moments(obs.placement, obs.values)
     return left + np.roll(right, 1)
 
 
@@ -258,8 +251,9 @@ class SaddleSystem:
     [[A, B^T], [B, 0]] [u, lam] = [F, G].
 
     The space references are optional; when present the solver can build
-    its norm-based preconditioner from them.  `factors` caches solver
-    state of (A, B); systems derived with dataclasses.replace share it.
+    its norm-based preconditioner from them.  `factors` is the solver's
+    cache for the current (A, B); systems derived with
+    dataclasses.replace share it.
     """
 
     A: sp.csr_matrix

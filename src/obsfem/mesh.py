@@ -278,53 +278,39 @@ def _stitch_rings(inner_ids, inner_ang, outer_ids, outer_ang):
     return tris
 
 
-def boundary_point(mesh: TriMesh, e: int, t):
+def boundary_point(mesh: TriMesh, e, t):
     """Evaluate the boundary parametrization F_E and its speed |F_E'|.
 
     Parameters
     ----------
-    e : boundary element index
-    t : scalar or array of parameters in [0, 1]
+    e : boundary element index, or an integer array of them
+    t : scalar or array of parameters in [0, 1], broadcast against e
 
     Returns
     -------
     (points, speed) : points has shape (..., 2); speed is the constant
-    |F_E'| = h_E of the element.
+    |F_E'| = h_E of each element (a float for a scalar e).
     """
-    elem = mesh.boundary[e]
     t = np.asarray(t, dtype=float)
     if np.any(t < 0.0) or np.any(t > 1.0):
         raise ValueError("parameter t must lie in [0, 1]")
-    if elem.geometry is None:
-        p0 = mesh.vertices[elem.v0]
-        p1 = mesh.vertices[elem.v1]
-        pts = p0 + np.multiply.outer(t, p1 - p0)
-        speed = float(np.linalg.norm(p1 - p0))
-    else:
-        arc = elem.geometry
-        th = arc.theta0 + t * (arc.theta1 - arc.theta0)
-        pts = np.stack(
-            [arc.center[0] + arc.radius * np.cos(th), arc.center[1] + arc.radius * np.sin(th)],
-            axis=-1,
-        )
-        speed = arc.radius * abs(arc.theta1 - arc.theta0)
-    return pts, speed
-
-
-def boundary_points(mesh: TriMesh, t) -> np.ndarray:
-    """F_E(t) of every boundary element E, shape (NB, len(t), 2)."""
-    t = np.asarray(t, dtype=float)
-    p0 = mesh.vertices[[e.v0 for e in mesh.boundary]]
-    p1 = mesh.vertices[[e.v1 for e in mesh.boundary]]
-    pts = p0[:, None] + t[:, None] * (p1 - p0)[:, None]
-    arcs = [(e, el.geometry) for e, el in enumerate(mesh.boundary) if el.geometry is not None]
-    if arcs:
-        idx, geometry = zip(*arcs)
-        arc = np.array([(*a.center, a.radius, a.theta0, a.theta1) for a in geometry])
-        cx, cy, r, th0, th1 = arc.T[..., None]
+    shape = np.shape(e)
+    elems = [mesh.boundary[i] for i in np.ravel(e)]
+    p0 = mesh.vertices[[el.v0 for el in elems]].reshape(shape + (2,))
+    p1 = mesh.vertices[[el.v1 for el in elems]].reshape(shape + (2,))
+    pts = p0 + t[..., None] * (p1 - p0)
+    speed = np.linalg.norm(p1 - p0, axis=-1)
+    curved = np.array([el.geometry is not None for el in elems]).reshape(shape)
+    if curved.any():
+        arc = np.array([(0.0,) * 5 if el.geometry is None else
+                        (*el.geometry.center, el.geometry.radius, el.geometry.theta0, el.geometry.theta1)
+                        for el in elems]).reshape(shape + (5,))
+        cx, cy, r, th0, th1 = np.moveaxis(arc, -1, 0)
         th = th0 + t * (th1 - th0)
-        pts[list(idx)] = np.stack([cx + r * np.cos(th), cy + r * np.sin(th)], axis=-1)
-    return pts
+        on_arc = np.stack([cx + r * np.cos(th), cy + r * np.sin(th)], axis=-1)
+        pts = np.where(curved[..., None], on_arc, pts)
+        speed = np.where(curved, r * np.abs(th1 - th0), speed)
+    return pts, (float(speed) if shape == () else speed)
 
 
 def mesh_quality(mesh: TriMesh) -> QualityReport:

@@ -99,17 +99,16 @@ def sample_noise_range(model: Optional[NoiseModel], seed: int, start: int, stop:
     """Entries [start, stop) of the noise stream for this (model, seed)."""
     if stop < start:
         raise ValueError("empty or inverted range")
-    out = np.zeros(stop - start)
     if model is None or model.kind == "none" or stop == start:
-        return out
+        return np.zeros(stop - start)
+    pieces = []
     pos = start
     while pos < stop:
         block = pos // _NOISE_BLOCK
         hi = min(stop, (block + 1) * _NOISE_BLOCK)
-        vals = _noise_block(model, seed, block, hi - block * _NOISE_BLOCK)
-        out[pos - start : hi - start] = vals[pos - block * _NOISE_BLOCK :]
+        pieces.append(_noise_block(model, seed, block, hi - block * _NOISE_BLOCK)[pos - block * _NOISE_BLOCK :])
         pos = hi
-    return out
+    return pieces[0] if len(pieces) == 1 else np.concatenate(pieces)
 
 
 @dataclass
@@ -144,6 +143,22 @@ class Placement:
     def positions(self, e: int) -> np.ndarray:
         pts, _ = boundary_point(self.mesh, e, self.t[self.element_slice(e)])
         return pts
+
+    def evaluate(self, g0: Callable, lo: int, hi: int) -> np.ndarray:
+        """g0 at sites [lo, hi), evaluated element by element."""
+        bounds = np.clip(self.offsets, lo, hi)
+        out = np.empty(hi - lo)
+        for e in np.flatnonzero(bounds[1:] > bounds[:-1]):
+            a, b = bounds[e], bounds[e + 1]
+            pts, _ = boundary_point(self.mesh, int(e), self.t[a:b])
+            vals = np.asarray(g0(pts[:, 0], pts[:, 1]), dtype=float)
+            if vals.shape not in ((), (b - a,)):
+                raise ValueError("g0 must map coordinate arrays to a value array")
+            bad = np.flatnonzero(~np.isfinite(np.broadcast_to(vals, (b - a,))))
+            if bad.size:
+                raise ValueError(f"g0 is not finite at site {a + bad[0]} {tuple(pts[bad[0]].tolist())}")
+            out[a - lo : b - lo] = vals
+        return out
 
     def omega(self, e: int) -> np.ndarray:
         """Local (parameter-space) weights of element e."""
@@ -263,11 +278,16 @@ def uniformity_report(mesh: TriMesh, arclengths: np.ndarray) -> UniformityReport
 
 @dataclass
 class ObservationSet:
-    """Placement plus observed data g_j = g0(x_j) + e_j for one seed."""
+    """Placement plus observed data g_j = g0(x_j) + e_j for one seed.
+
+    `g` is None for a streamed set: `values` then evaluates g0 (if any)
+    and draws the noise for the sites it is asked for, so reading the set
+    never builds a length-n array.
+    """
 
     placement: Placement
-    g: np.ndarray
-    g0: Callable
+    g: Optional[np.ndarray]
+    g0: Optional[Callable]
     model: Optional[NoiseModel]
     seed: int
 
@@ -291,41 +311,39 @@ class ObservationSet:
     def offsets(self) -> np.ndarray:
         return self.placement.offsets
 
+    def values(self, lo: int, hi: int) -> np.ndarray:
+        """g at sites [lo, hi)."""
+        if self.g is not None:
+            return self.g[lo:hi]
+        out = sample_noise_range(self.model, self.seed, lo, hi)
+        if self.g0 is not None:
+            out += self.placement.evaluate(self.g0, lo, hi)
+        return out
+
     def clean_values(self, e: int) -> np.ndarray:
-        pts = self.placement.positions(e)
-        vals = np.asarray(self.g0(pts[:, 0], pts[:, 1]), dtype=float)
-        if vals.ndim == 0:
-            vals = np.full(len(pts), float(vals))
-        return vals
+        sl = self.placement.element_slice(e)
+        return self.placement.evaluate(self.g0, sl.start, sl.stop)
 
     def noise_values(self, e: int) -> np.ndarray:
         return self.g[self.placement.element_slice(e)] - self.clean_values(e)
 
 
-def observe(placement: Placement, g0: Callable, model: Optional[NoiseModel], seed: int) -> ObservationSet:
+def observe(placement: Placement, g0: Optional[Callable], model: Optional[NoiseModel],
+            seed: int) -> ObservationSet:
     """Attach observed data to an existing placement.
 
-    Clean values are evaluated element by element; noise is then added
-    one RNG block at a time so each block is generated exactly once.
+    The values are built one RNG block at a time, so each block is
+    generated exactly once, and stored in `g`.  With g0=None the data
+    are the noise alone; they are cheap to draw again, so the set is
+    streamed instead (see :class:`ObservationSet`).
     """
-    n = placement.n
-    obs = ObservationSet(placement, np.empty(n), g0, model, seed)
-    for e in range(len(placement.mesh.boundary)):
-        sl = placement.element_slice(e)
-        if sl.stop == sl.start:
-            continue
-        vals = obs.clean_values(e)
-        if vals.shape != (sl.stop - sl.start,):
-            raise ValueError("g0 must map coordinate arrays to a value array")
-        if not np.all(np.isfinite(vals)):
-            j = int(np.flatnonzero(~np.isfinite(vals))[0])
-            x = tuple(placement.positions(e)[j].tolist())
-            raise ValueError(f"g0 is not finite at site {sl.start + j} {x}")
-        obs.g[sl] = vals
-    if model is not None and model.kind != "none":
+    obs = ObservationSet(placement, None, g0, model, seed)
+    if g0 is not None:
+        n = placement.n
+        g = np.empty(n)
         for lo in range(0, n, _NOISE_BLOCK):
-            hi = min(n, lo + _NOISE_BLOCK)
-            obs.g[lo:hi] += _noise_block(model, seed, lo // _NOISE_BLOCK, hi - lo)
+            g[lo : lo + _NOISE_BLOCK] = obs.values(lo, min(n, lo + _NOISE_BLOCK))
+        obs.g = g
     return obs
 
 

@@ -85,17 +85,24 @@ def _kernel_basis(system: SaddleSystem) -> Optional[np.ndarray]:
     return null if null.shape[1] else None
 
 
-def _factors(system: SaddleSystem) -> tuple:
-    """(sparse LU of the saddle matrix or why it failed, ker B^T basis),
-    once per (A, B); the entry holds A and B, so its key ids stay unique."""
-    key = (id(system.A), id(system.B))
-    if key not in system.factors:
-        try:
-            lu = spla.splu(_assemble_full(system))
-        except (RuntimeError, ValueError) as exc:
-            lu = f"sparse factorization failed ({exc})"
-        system.factors[key] = (system.A, system.B, lu, _kernel_basis(system))
-    return system.factors[key][2:]
+def _factorize(system: SaddleSystem):
+    """Sparse LU of the saddle matrix, or why it failed."""
+    try:
+        return spla.splu(_assemble_full(system))
+    except (RuntimeError, ValueError) as exc:
+        return f"sparse factorization failed ({exc})"
+
+
+def _cached(system: SaddleSystem, name: str, build):
+    """`build(system)` once per (A, B), kept in `system.factors`; a
+    system with other blocks empties the cache first."""
+    cache = system.factors
+    if cache.get("A") is not system.A or cache.get("B") is not system.B:
+        cache.clear()
+        cache.update(A=system.A, B=system.B)
+    if name not in cache:
+        cache[name] = build(system)
+    return cache[name]
 
 
 def _minres_solve(system: SaddleSystem, rtol: float) -> tuple[np.ndarray, int]:
@@ -144,7 +151,7 @@ def solve_saddle(system: SaddleSystem, method: str = "auto", rtol: float = 1e-13
     """Solve the saddle system for (u, lam).
 
     method: "auto" tries sparse LU and falls back to MINRES; "direct"
-    and "minres" force one path; LU and ker(B^T) come from
+    and "minres" force one path; LU and ker(B^T) are cached in
     `system.factors`.  Non-finite F or G raise ValueError.  Residuals
     above 1e-10 (relative to max(1, |rhs|) blockwise) raise
     :class:`SingularSystemError`.
@@ -157,8 +164,9 @@ def solve_saddle(system: SaddleSystem, method: str = "auto", rtol: float = 1e-13
             raise ValueError(f"saddle system data {name} is not finite at entry {int(bad[0])}")
     nv = system.n_field
 
-    lu, kernel = _factors(system)
+    kernel = _cached(system, "kernel", _kernel_basis)
     if method in ("auto", "direct"):
+        lu = _cached(system, "lu", _factorize)
         if isinstance(lu, str):
             reason = lu
         else:

@@ -148,6 +148,21 @@ class TestBoundaryPoint:
         with pytest.raises(ValueError):
             boundary_point(square10, 0, 1.5)
 
+    def test_element_array_matches_scalar_calls(self, square10):
+        # one straight chord among quarter arcs exercises both branches
+        arcs = quarter_arc_mesh()
+        mixed = TriMesh(arcs.vertices, arcs.triangles,
+                        [BoundaryElement(0, 1, None, math.sqrt(2.0))] + arcs.boundary[1:])
+        t = np.array([0.0, 0.3, 1.0])
+        for mesh in (mixed, square10):
+            nb = len(mesh.boundary)
+            pts, speed = boundary_point(mesh, np.arange(nb)[:, None], t)
+            assert pts.shape == (nb, 3, 2) and speed.shape == (nb, 1)
+            for e in range(nb):
+                ref, ref_speed = boundary_point(mesh, e, t)
+                np.testing.assert_array_equal(pts[e], ref)
+                assert speed[e, 0] == ref_speed
+
     def test_vectorized_t(self, disk10):
         t = np.linspace(0.1, 0.9, 5)
         pts, speed = boundary_point(disk10, 3, t)

@@ -307,6 +307,16 @@ class TestObservationSet:
         with pytest.raises(ValueError, match=rf"g0 is not finite at site {first} "):
             observe(placement, lambda x, y: np.where(y > 0.5, np.inf, y), None, 0)
 
+    def test_noise_only_set_is_streamed(self, disk10):
+        placement = place_points(disk10, 300)
+        model = NoiseModel.mixture(1.0, 10.0, 0.3)
+        noise = observe(placement, None, model, 5)
+        assert noise.g is None
+        np.testing.assert_array_equal(noise.values(17, 211), sample_noise_range(model, 5, 17, 211))
+        stored = observe(placement, lambda x, y: x * y, model, 5)
+        clean = observe(placement, lambda x, y: x * y, None, 0)
+        np.testing.assert_array_equal(stored.g, clean.g + noise.values(0, 300))
+
     def test_clean_values_on_true_boundary(self, disk10):
         # g0 must be sampled on the circle, not the chord polygon
         obs = build_observation_set(disk10, 200, lambda x, y: x ** 2 + y ** 2, None)

@@ -162,16 +162,22 @@ class TestScaleRobustness:
         assert sp.issparse(regular_system.A)
 
 
+@pytest.fixture
+def saddle_splu_calls(monkeypatch):
+    """Shapes of the matrices passed to splu while the test runs."""
+    calls = []
+    real = spla.splu
+
+    def counting(matrix, *args, **kwargs):
+        calls.append(matrix.shape)
+        return real(matrix, *args, **kwargs)
+
+    monkeypatch.setattr(spla, "splu", counting)
+    return calls
+
+
 class TestFactorizationReuse:
-    def test_derived_systems_share_one_factorization(self, regular_system, monkeypatch):
-        calls = []
-        real = spla.splu
-
-        def counting(matrix, *args, **kwargs):
-            calls.append(matrix.shape)
-            return real(matrix, *args, **kwargs)
-
-        monkeypatch.setattr(spla, "splu", counting)
+    def test_derived_systems_share_one_factorization(self, regular_system, saddle_splu_calls):
         base = dataclasses.replace(regular_system, factors={})
         for scale in (1.0, -2.0, 0.5):
             system = dataclasses.replace(base, G=scale * base.G)
@@ -179,16 +185,25 @@ class TestFactorizationReuse:
             sol = solve_saddle(system)
             assert sol.method == "direct"
             np.testing.assert_allclose(sol.u, np.linalg.solve(K, rhs)[:system.n_field], atol=1e-12)
-        assert len(calls) == 1
+        assert len(saddle_splu_calls) == 1
 
-    def test_changed_blocks_are_factored_anew(self, regular_system):
+    def test_changed_blocks_are_factored_anew(self, regular_system, saddle_splu_calls):
         base = dataclasses.replace(regular_system, factors={})
         solve_saddle(base)
         stiffer = dataclasses.replace(base, A=2.0 * base.A)
         K, rhs = dense_blocks(stiffer)
         sol = solve_saddle(stiffer)
+        assert sol.method == "direct"
         np.testing.assert_allclose(sol.u, np.linalg.solve(K, rhs)[:stiffer.n_field], atol=1e-12)
-        assert len(base.factors) == 2
+        assert len(saddle_splu_calls) == 2
+        assert base.factors["A"] is stiffer.A
+
+    def test_minres_builds_no_saddle_factorization(self, regular_system, saddle_splu_calls):
+        system = dataclasses.replace(regular_system, factors={})
+        assert solve_saddle(system, method="minres").method == "minres"
+        size = system.n_field + system.n_multiplier
+        assert (size, size) not in saddle_splu_calls
+        assert "lu" not in system.factors
 
 
 class TestNonFiniteData:
