@@ -250,8 +250,8 @@ class SaddleSystem:
     """Blocks of the discrete saddle problem
     [[A, B^T], [B, 0]] [u, lam] = [F, G].
 
-    The space references are optional; when present the solver can build
-    its norm-based preconditioner from them.  `factors` is the solver's
+    The space references are optional; the trials of a level read the
+    multiplier space from them.  `factors` is the solver's
     cache for the current (A, B); systems derived with
     dataclasses.replace share it.
     """

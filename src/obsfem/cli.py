@@ -7,7 +7,7 @@ Floats are written with 17 significant digits, so output bytes are
 reproducible run to run.  Exit codes: 0 success, 2 invalid
 configuration, 3 solver failure.  The environment variable
 OBSFEM_THREADS caps the worker count for trial-parallel studies
-(default 1, fully serial).
+(a positive integer, default 1, fully serial).
 """
 
 from __future__ import annotations
@@ -42,6 +42,18 @@ def _parse_h_list(text: str) -> list[int]:
     if len(set(ks)) != len(ks):
         raise ValueError("mesh parameters collapse to duplicate sizes")
     return ks
+
+
+def _workers() -> int:
+    """Worker count from OBSFEM_THREADS: a positive integer, default 1."""
+    text = os.environ.get("OBSFEM_THREADS", "1")
+    try:
+        workers = int(text)
+    except ValueError:
+        workers = 0
+    if workers < 1:
+        raise ValueError(f"OBSFEM_THREADS must be a positive integer, got {text!r}")
+    return workers
 
 
 def _noise_from_args(args) -> NoiseModel | None:
@@ -80,10 +92,9 @@ def cmd_convergence(args) -> int:
     ks = _parse_h_list(args.h)
     if args.trials < 1:
         raise ValueError("trials must be positive")
-    workers = int(os.environ.get("OBSFEM_THREADS", "1"))
     table = run_study(
         args.domain, ks, i=args.i, n=args.n, model=model,
-        trials=args.trials, seed=args.seed, workers=workers,
+        trials=args.trials, seed=args.seed, workers=_workers(),
     )
     sigma = model.std if model is not None else 0.0
     lines = ["domain,h,n,i,sigma,seed_count,l2_mean,l2_std,h1_mean,h1_std,lam_l2_mean,"
@@ -124,10 +135,9 @@ def cmd_tail(args) -> int:
     ks = _parse_h_list(args.h)
     if len(ks) != 1:
         raise ValueError("tail study takes exactly one mesh size")
-    workers = int(os.environ.get("OBSFEM_THREADS", "1"))
     report = tail_study(
         args.domain, ks[0], i=args.i, n=args.n, model=model,
-        trials=args.trials, seed=args.seed, workers=workers,
+        trials=args.trials, seed=args.seed, workers=_workers(),
     )
     lines = ["z,survival,log_survival,fit_a,fit_b,r2"]
     if report.degenerate:

@@ -350,28 +350,52 @@ def write_mesh_text(mesh: TriMesh, path: str) -> None:
         fh.write("\n".join(lines) + "\n")
 
 
+def _fields(lines: list[str], index: int, types: tuple, what: str) -> list:
+    """Line `index` (0-based) converted field by field by `types`; a
+    missing line, a wrong field count or a non-number raises MeshError
+    naming the 1-based line."""
+    if index >= len(lines):
+        raise MeshError(f"line {index + 1}: file ends where {what} was expected")
+    parts = lines[index].split()
+    if len(parts) == len(types):
+        try:
+            return [t(p) for t, p in zip(types, parts)]
+        except ValueError:
+            pass
+    raise MeshError(f"line {index + 1}: expected {what}, got {lines[index]!r}")
+
+
 def read_mesh_text(path: str) -> TriMesh:
-    """Read a mesh written by :func:`write_mesh_text` and revalidate it."""
+    """Read a mesh written by :func:`write_mesh_text` and revalidate it.
+
+    Malformed input raises MeshError naming the 1-based line.
+    """
     with open(path) as fh:
-        tokens = fh.read().split("\n")
-    header = tokens[0].split()
-    nv, nt, nb = (int(x) for x in header)
-    vertices = np.array([[float(v) for v in tokens[1 + i].split()] for i in range(nv)])
+        lines = fh.read().splitlines()
+    nv, nt, nb = _fields(lines, 0, (int,) * 3, "the header 'NV NT NB'")
+    if min(nv, nt, nb) < 1:
+        raise MeshError(f"line 1: header counts must be positive, got {lines[0]!r}")
+    vertices = np.array([_fields(lines, 1 + i, (float,) * 2, "a vertex 'x y'") for i in range(nv)])
     triangles = np.array(
-        [[int(v) for v in tokens[1 + nv + i].split()] for i in range(nt)], dtype=np.int64
+        [_fields(lines, 1 + nv + i, (int,) * 3, "a triangle 'i j k'") for i in range(nt)],
+        dtype=np.int64,
     )
     boundary = []
     for i in range(nb):
-        parts = tokens[1 + nv + nt + i].split()
-        v0, v1, kind = int(parts[0]), int(parts[1]), parts[2]
+        index = 1 + nv + nt + i
+        arc = index < len(lines) and lines[index].split()[2:3] == ["A"]
+        types = (int, int, str) + (float,) * 5 if arc else (int, int, str)
+        v0, v1, kind, *geometry = _fields(lines, index, types, "a boundary element 'v0 v1 S|A ...'")
+        if not (0 <= v0 < nv and 0 <= v1 < nv):
+            raise MeshError(f"line {index + 1}: boundary vertex index out of range")
         if kind == "S":
             length = float(np.linalg.norm(vertices[v1] - vertices[v0]))
             boundary.append(BoundaryElement(v0, v1, None, length))
         elif kind == "A":
-            cx, cy, r, t0, t1 = (float(x) for x in parts[3:8])
+            cx, cy, r, t0, t1 = geometry
             boundary.append(
                 BoundaryElement(v0, v1, CircularArc((cx, cy), r, t0, t1), r * abs(t1 - t0))
             )
         else:
-            raise ValueError(f"unknown boundary kind {kind!r} on line {1 + nv + nt + i}")
+            raise MeshError(f"line {index + 1}: unknown boundary kind {kind!r}")
     return TriMesh(vertices, triangles, boundary)

@@ -165,6 +165,16 @@ class TestConfigErrors:
         assert code == 2
         assert "at least 100" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("value", ["abc", "0", "-1"])
+    @pytest.mark.parametrize("command", ["convergence", "tail"])
+    def test_bad_worker_count(self, tmp_path, capsys, monkeypatch, command, value):
+        monkeypatch.setenv("OBSFEM_THREADS", value)
+        code = cli.main([command, "--domain", "square", "--h", "0.25", "--i", "2",
+                         "--trials", "100", "--out", str(tmp_path / "t.csv")])
+        assert code == 2
+        assert "OBSFEM_THREADS must be a positive integer" in capsys.readouterr().err
+        assert not (tmp_path / "t.csv").exists()
+
     def test_mesh_k_floor(self, tmp_path, capsys):
         code = cli.main(["mesh", "--domain", "square", "--k", "1",
                          "--out", str(tmp_path / "m.txt")])

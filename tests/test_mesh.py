@@ -236,6 +236,47 @@ class TestTextFormat:
         np.testing.assert_array_equal(mesh.triangles, back.triangles)
         assert [e.length for e in mesh.boundary] == [e.length for e in back.boundary]
 
+    def test_short_file_names_line(self, tmp_path):
+        # 25 vertices: a file cut to 20 lines ends inside the vertex block
+        path = tmp_path / "cut.txt"
+        write_mesh_text(build_square_mesh(4), str(path))
+        path.write_text("\n".join(path.read_text().splitlines()[:20]) + "\n")
+        with pytest.raises(MeshError, match=r"^line 21: file ends where a vertex"):
+            read_mesh_text(str(path))
+
+    @pytest.mark.parametrize("line, text", [
+        (1, "9 8"),
+        (1, "9 eight 8"),
+        (1, "9 0 8"),
+    ])
+    def test_bad_header_names_line(self, tmp_path, line, text):
+        self.check_corrupted(tmp_path, line, text)
+
+    # square k=2: header, vertices on lines 2-10, triangles on 11-18,
+    # boundary elements on 19-26
+    @pytest.mark.parametrize("line, text", [
+        (3, "0 0 0"),
+        (4, "0.5 abc"),
+        (12, "0 1"),
+        (12, "0 1 x"),
+        (19, "0 1 S 0.5"),
+        (20, "1 2 A 0 0 1 0"),
+        (20, "1 2 Q"),
+        (19, "0 99 S"),
+    ])
+    def test_bad_row_names_line(self, tmp_path, line, text):
+        self.check_corrupted(tmp_path, line, text)
+
+    @staticmethod
+    def check_corrupted(tmp_path, line, text):
+        path = tmp_path / "bad.txt"
+        write_mesh_text(build_square_mesh(2), str(path))
+        lines = path.read_text().splitlines()
+        lines[line - 1] = text
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(MeshError, match=rf"^line {line}: "):
+            read_mesh_text(str(path))
+
 
 def test_diameters_positive(square4, disk10):
     for mesh in (square4, disk10):

@@ -7,6 +7,7 @@ import scipy.sparse.linalg as spla
 
 from obsfem import (
     FieldSpace,
+    Level,
     MultiplierSpace,
     NoiseModel,
     SingularSystemError,
@@ -58,20 +59,18 @@ class TestBasicSolves:
             assert np.abs(sol.u).max() <= 1e-12
             assert np.abs(sol.lam).max() <= 1e-12
 
-    @pytest.mark.parametrize("method", ["auto", "minres"])
-    def test_constant_data_reproduced(self, method):
+    def test_constant_data_reproduced(self):
         system = make_system(build_square_mesh(8), 64,
                              lambda x, y: np.zeros_like(x), lambda x, y: 3.7)
-        sol = solve_saddle(system, method=method)
+        sol = solve_saddle(system)
         np.testing.assert_allclose(sol.u, 3.7, atol=1e-9)
         np.testing.assert_allclose(sol.lam, 0.0, atol=1e-9)
 
     def test_solution_metadata(self, regular_system):
         sol = solve_saddle(regular_system)
-        assert sol.method in ("direct", "minres")
+        assert sol.method == "direct"
         assert sol.residual_primal <= 1e-10
         assert sol.residual_constraint <= 1e-10
-        assert sol.iterations >= 0
 
     def test_linearity(self, regular_system):
         base = solve_saddle(regular_system)
@@ -81,10 +80,6 @@ class TestBasicSolves:
             regular_system.space_v, regular_system.space_q)
         sol = solve_saddle(scaled)
         np.testing.assert_allclose(sol.u, 2.0 * base.u, rtol=1e-12, atol=1e-13)
-
-    def test_unknown_method_rejected(self, regular_system):
-        with pytest.raises(ValueError):
-            solve_saddle(regular_system, method="cholesky")
 
 
 class TestDenseOracle:
@@ -116,9 +111,7 @@ class TestSingularHandling:
         assert sol.residual_primal <= 1e-10
         assert sol.residual_constraint <= 1e-10
 
-    @pytest.mark.parametrize("method", ["auto", "direct"])
-    def test_inconsistent_data_raises_with_guidance(self, rank_deficient_system,
-                                                    method):
+    def test_inconsistent_data_raises_with_guidance(self, rank_deficient_system):
         # push G out of range(B): no field can satisfy the constraint
         gram = (rank_deficient_system.B @ rank_deficient_system.B.T).toarray()
         evals, evecs = np.linalg.eigh(gram)
@@ -129,11 +122,12 @@ class TestSingularHandling:
             rank_deficient_system.F, bad_G,
             rank_deficient_system.space_v, rank_deficient_system.space_q)
         with pytest.raises(SingularSystemError) as err:
-            solve_saddle(system, method=method)
+            solve_saddle(system)
         assert "observation sites" in str(err.value)
-        if method == "auto":
-            # the iterative path diagnoses the rank drop explicitly
-            assert err.value.estimate == pytest.approx(0.0, abs=1e-8)
+        assert err.value.estimate == pytest.approx(0.0, abs=1e-8)
+        # the cause: a one-dimensional kernel holding a unit part of G
+        assert "ker(B^T) has dimension 1" in str(err.value)
+        assert "norm 1.00e+00" in str(err.value)
 
     def test_multiplier_orthogonal_to_kernel(self, rank_deficient_system):
         gram = (rank_deficient_system.B @ rank_deficient_system.B.T).toarray()
@@ -198,12 +192,38 @@ class TestFactorizationReuse:
         assert len(saddle_splu_calls) == 2
         assert base.factors["A"] is stiffer.A
 
-    def test_minres_builds_no_saddle_factorization(self, regular_system, saddle_splu_calls):
-        system = dataclasses.replace(regular_system, factors={})
-        assert solve_saddle(system, method="minres").method == "minres"
-        size = system.n_field + system.n_multiplier
-        assert (size, size) not in saddle_splu_calls
-        assert "lu" not in system.factors
+
+class TestRankDeficientLevel:
+    # disk k=20 with i=1 observes 20 sites against 126 multiplier dofs,
+    # so ker(B^T) is large and every trial takes the range-restricted LU
+    MODEL = NoiseModel.mixture(1.0, 10.0, 0.5)
+
+    def test_trials_match_min_norm_oracle(self):
+        level = Level("disk", 20, i=1)
+        clean, nv = level.clean, level.clean.n_field
+        K, _ = dense_blocks(clean)
+        gram = (clean.B @ clean.B.T).toarray()
+        evals, evecs = np.linalg.eigh(gram)
+        kernel = evecs[:, evals <= 1e-12 * evals[-1]]
+        assert kernel.shape[1] > 0
+        systems = [dataclasses.replace(clean, G=level.data_vector(self.MODEL, s)) for s in range(3)]
+        rhs = np.column_stack([np.concatenate([s.F, s.G]) for s in systems])
+        x, *_ = np.linalg.lstsq(K, rhs, rcond=None)
+        for j, system in enumerate(systems):
+            sol = solve_saddle(system)
+            assert sol.method == "direct"
+            np.testing.assert_allclose(sol.u, x[:nv, j], atol=1e-8)
+            np.testing.assert_allclose(sol.lam, x[nv:, j], atol=1e-8)
+            assert np.abs(kernel.T @ sol.lam).max() <= 1e-10
+
+    def test_one_factorization_per_level(self, saddle_splu_calls):
+        level = Level("disk", 20, i=1)
+        rank = np.linalg.matrix_rank(level.clean.B.toarray())
+        assert rank < level.clean.n_multiplier
+        for seed in range(3):
+            level.trial(self.MODEL, seed)
+        size = level.clean.n_field + rank
+        assert saddle_splu_calls == [(size, size)]
 
 
 class TestNonFiniteData:
