@@ -39,8 +39,7 @@ from .assembly import (
     trace_matrix,
 )
 from .mesh import (
-    BoundaryElement,
-    CircularArc,
+    Boundary,
     MeshError,
     QualityReport,
     TriMesh,
@@ -61,7 +60,6 @@ from .observations import (
     empirical_inner_product,
     empirical_norm,
     observe,
-    place_measurements,
     place_points,
     quadrature_weights,
     sample_noise,

@@ -42,10 +42,6 @@ class FieldSpace:
     def ndof(self) -> int:
         return len(self.mesh.vertices)
 
-    @property
-    def boundary_dofs(self) -> np.ndarray:
-        return self.mesh.boundary_vertices
-
 
 @dataclass
 class MultiplierSpace:
@@ -106,9 +102,9 @@ def assemble_load(space: FieldSpace, f) -> np.ndarray:
 
 def trace_evaluate(space: MultiplierSpace, u: np.ndarray, e: int, t) -> np.ndarray:
     """Trace of a field vector on boundary element e at parameters t."""
-    elem = space.mesh.boundary[e]
+    b = space.mesh.boundary
     t = np.asarray(t, dtype=float)
-    return (1.0 - t) * u[elem.v0] + t * u[elem.v1]
+    return (1.0 - t) * u[b.v0[e]] + t * u[b.v1[e]]
 
 
 def _hat_moments(placement: Placement, values) -> tuple[np.ndarray, np.ndarray]:
@@ -184,34 +180,17 @@ def boundary_mass(space_q: MultiplierSpace, power: int = 1) -> sp.csr_matrix:
     speed); power=0 and power=2 are the Gram matrices of the 1/2 and
     -1/2 mesh-dependent norms.
     """
-    nq = space_q.ndof
-    rows, cols, vals = [], [], []
-    for e in range(nq):
-        h = space_q.mesh.boundary[e].length
-        q0, q1 = space_q.element_dofs(e)
-        c = h**power
-        rows += [q0, q0, q1, q1]
-        cols += [q0, q1, q0, q1]
-        vals += [c / 3.0, c / 6.0, c / 6.0, c / 3.0]
-    return sp.coo_matrix((vals, (rows, cols)), shape=(nq, nq)).tocsr()
+    q0 = np.arange(space_q.ndof)
+    q1 = (q0 + 1) % space_q.ndof
+    c = space_q.mesh.boundary_lengths**power
+    rows = np.concatenate([q0, q0, q1, q1])
+    cols = np.concatenate([q0, q1, q0, q1])
+    vals = np.concatenate([c / 3.0, c / 6.0, c / 6.0, c / 3.0])
+    return sp.coo_matrix((vals, (rows, cols)), shape=(space_q.ndof, space_q.ndof)).tocsr()
 
 
-def element_l2_sq(space_q: MultiplierSpace, values, e: int) -> float:
-    """||v||^2_{L2(E)} by 3-point Gauss in the parameter.
-
-    `values` is either a dof vector (P1 in t) or a callable t -> v(t)
-    giving values along element e.
-    """
-    h = space_q.mesh.boundary[e].length
-    if callable(values):
-        v = np.asarray(values(_GAUSS_T), dtype=float)
-    else:
-        v = trace_like(space_q, np.asarray(values), e, _GAUSS_T)
-    return float(h * np.dot(_GAUSS_W, v * v))
-
-
-def trace_like(space_q: MultiplierSpace, mu: np.ndarray, e: int, t) -> np.ndarray:
-    """Evaluate a multiplier dof vector on element e at parameters t."""
+def trace_like(space_q: MultiplierSpace, mu: np.ndarray, e, t) -> np.ndarray:
+    """Evaluate a multiplier dof vector on element(s) e at parameters t."""
     q0, q1 = space_q.element_dofs(e)
     t = np.asarray(t, dtype=float)
     return (1.0 - t) * mu[q0] + t * mu[q1]
@@ -220,15 +199,18 @@ def trace_like(space_q: MultiplierSpace, mu: np.ndarray, e: int, t) -> np.ndarra
 def mesh_dependent_norms(space_q: MultiplierSpace, values) -> tuple[float, float]:
     """(||v||_{1/2,h}, ||v||_{-1/2,h}) built from per-element L2 norms.
 
-    The 1/2 norm weights each element by h_E^{-1}, the -1/2 norm by h_E.
+    `values` is either a dof vector (P1 in t) or a callable t -> v(t),
+    the same along every element.  ||v||^2_{L2(E)} is taken by 3-point
+    Gauss in the parameter; the 1/2 norm weights each element by
+    h_E^{-1}, the -1/2 norm by h_E.
     """
-    up = down = 0.0
-    for e in range(space_q.ndof):
-        h = space_q.mesh.boundary[e].length
-        l2 = element_l2_sq(space_q, values, e)
-        up += l2 / h
-        down += l2 * h
-    return math.sqrt(up), math.sqrt(down)
+    h = space_q.mesh.boundary_lengths
+    if callable(values):
+        v = np.asarray(values(_GAUSS_T), dtype=float)
+    else:
+        v = trace_like(space_q, np.asarray(values), np.arange(space_q.ndof)[:, None], _GAUSS_T)
+    l2 = h * ((v * v) @ _GAUSS_W)
+    return math.sqrt(np.sum(l2 / h)), math.sqrt(np.sum(l2 * h))
 
 
 def multiplier_at_sites(space_q: MultiplierSpace, mu: np.ndarray, placement: Placement) -> np.ndarray:

@@ -5,14 +5,17 @@ square and a polar-ring mesh of the unit disk.  Both produce a single
 closed boundary loop whose elements carry an explicit constant-speed
 parametrization F_E : [0, 1] -> Gamma, so that downstream code can place
 and integrate point data on the exact boundary (straight segments for
-the square, circular arcs for the disk).
+the square, circular arcs for the disk).  The loop is one
+:class:`Boundary` of arrays over its elements (start vertex, arclength,
+arc parameters), so every consumer reads it with array code.
 
 A small text format is supported for round-tripping meshes to disk:
 
     NV NT NB
     x y                         (NV vertex lines)
     i j k                       (NT triangle lines, 0-based, CCW)
-    v0 v1 kind [cx cy r t0 t1]  (NB boundary lines, kind S or A)
+    v0 v1 kind [cx cy r t0 t1]  (NB boundary lines, kind S or A; each
+                                 v1 is the v0 of the next line)
 """
 
 from __future__ import annotations
@@ -35,30 +38,42 @@ class MeshError(ValueError):
     """Raised when a mesh violates a structural invariant."""
 
 
-@dataclass(frozen=True)
-class CircularArc:
-    """Arc of a circle, parametrized by angle from theta0 to theta1."""
+@dataclass(frozen=True, eq=False)
+class Boundary:
+    """The boundary loop as arrays over its NB elements, in loop order.
 
-    center: tuple[float, float]
-    radius: float
-    theta0: float
-    theta1: float
-
-
-@dataclass(frozen=True)
-class BoundaryElement:
-    """One element of the boundary loop.
-
-    ``geometry is None`` means a straight segment from vertex v0 to v1;
-    otherwise a :class:`CircularArc` whose endpoints coincide with the
-    vertices.  ``length`` is the arclength h_E, and the parametrization
-    F_E has constant speed |F_E'| = h_E.
+    Element e runs from vertex v0[e] to v1[e] = v0[e + 1 mod NB], so the
+    loop is closed by construction; the v0 are also the multiplier dofs.
+    `length[e]` is the arclength h_E, which is the constant speed
+    |F_E'| of the parametrization F_E : [0, 1] -> Gamma.  A row
+    arc[e] = (cx, cy, r, theta0, theta1) makes F_E the circular arc
+    c + r (cos theta, sin theta) with theta = theta0 + t (theta1 - theta0);
+    a row of NaN (the default for every element) the straight segment
+    x_v0 + t (x_v1 - x_v0).  The arrays are read-only copies.
     """
 
-    v0: int
-    v1: int
-    geometry: Optional[CircularArc] = None
-    length: float = 0.0
+    v0: np.ndarray
+    length: np.ndarray
+    arc: Optional[np.ndarray] = None
+
+    def __post_init__(self):
+        v0 = np.array(self.v0, dtype=np.int64)
+        arc = np.full((len(v0), 5), np.nan) if self.arc is None else np.array(self.arc, dtype=float)
+        for name, value in (("v0", v0), ("length", np.array(self.length, dtype=float)), ("arc", arc)):
+            value.setflags(write=False)
+            object.__setattr__(self, name, value)
+
+    def __len__(self) -> int:
+        return len(self.v0)
+
+    @property
+    def v1(self) -> np.ndarray:
+        return np.roll(self.v0, -1)
+
+    @property
+    def curved(self) -> np.ndarray:
+        """True for the elements that are circular arcs."""
+        return ~np.isnan(self.arc).all(axis=1)
 
 
 @dataclass
@@ -77,13 +92,13 @@ class TriMesh:
 
     vertices : (NV, 2) float array
     triangles : (NT, 3) int array, counterclockwise
-    boundary : list of BoundaryElement forming one closed CCW loop
+    boundary : the closed CCW boundary loop, see :class:`Boundary`
     mesh_size_h : max triangle diameter
     """
 
     vertices: np.ndarray
     triangles: np.ndarray
-    boundary: list[BoundaryElement]
+    boundary: Boundary
     mesh_size_h: float = field(default=0.0)
 
     def __post_init__(self):
@@ -96,11 +111,11 @@ class TriMesh:
     @property
     def boundary_vertices(self) -> np.ndarray:
         """Boundary vertex indices in loop order (v0 of each element)."""
-        return np.array([e.v0 for e in self.boundary], dtype=np.int64)
+        return self.boundary.v0
 
     @property
     def boundary_lengths(self) -> np.ndarray:
-        return np.array([e.length for e in self.boundary])
+        return self.boundary.length
 
     @property
     def boundary_length(self) -> float:
@@ -124,6 +139,9 @@ def triangle_diameters(mesh: TriMesh) -> np.ndarray:
 
 def _validate(mesh: TriMesh) -> None:
     nv = len(mesh.vertices)
+    bad = np.flatnonzero(~np.isfinite(mesh.vertices).all(axis=1))
+    if bad.size:
+        raise MeshError(f"vertex {bad[0]} is not finite")
     if mesh.triangles.min() < 0 or mesh.triangles.max() >= nv:
         raise MeshError("triangle vertex index out of range")
     areas = triangle_areas(mesh)
@@ -132,35 +150,45 @@ def _validate(mesh: TriMesh) -> None:
         raise MeshError(
             f"triangle {bad} is degenerate or clockwise (signed area {areas[bad]:.3e})"
         )
-    if not mesh.boundary:
+    b = mesh.boundary
+    nb = len(b)
+    if nb == 0:
         raise MeshError("boundary loop is empty")
-    # One closed loop, each vertex entered and left exactly once.
-    for e, elem in enumerate(mesh.boundary):
-        nxt = mesh.boundary[(e + 1) % len(mesh.boundary)]
-        if elem.v1 != nxt.v0:
-            raise MeshError(f"boundary loop broken between elements {e} and {(e + 1) % len(mesh.boundary)}")
-        if elem.length <= 0:
-            raise MeshError(f"boundary element {e} has nonpositive length")
-        if elem.geometry is not None:
-            arc = elem.geometry
-            c = np.asarray(arc.center)
-            for v in (elem.v0, elem.v1):
-                r = np.linalg.norm(mesh.vertices[v] - c)
-                if abs(r - arc.radius) > 1e-12:
-                    raise MeshError(f"arc endpoint {v} misses its circle by {abs(r - arc.radius):.3e}")
-    v0s = [e.v0 for e in mesh.boundary]
-    if len(set(v0s)) != len(v0s):
-        raise MeshError("boundary loop visits a vertex twice")
+    if b.length.shape != (nb,) or b.arc.shape != (nb, 5):
+        raise MeshError(f"boundary of {nb} elements has {b.length.shape} lengths and {b.arc.shape} arcs")
+    # One closed loop (closed by construction), each vertex visited once.
+    bad = np.flatnonzero((b.v0 < 0) | (b.v0 >= nv))
+    if bad.size:
+        raise MeshError(f"boundary element {bad[0]}: vertex {b.v0[bad[0]]} out of range [0, {nv})")
+    first = np.unique(b.v0, return_index=True)[1]
+    if len(first) < nb:
+        e = np.setdiff1d(np.arange(nb), first)[0]
+        raise MeshError(f"boundary element {e} visits vertex {b.v0[e]} a second time")
+    geometric = _element_lengths(mesh.vertices, b.v0, b.arc)
+    bad = np.flatnonzero(~((b.length > 0) & (np.abs(b.length - geometric) <= 1e-12 * geometric)))
+    if bad.size:
+        e = bad[0]
+        raise MeshError(f"boundary element {e} has length {b.length[e]!r}, "
+                        f"its geometry gives {geometric[e]!r}")
+    arcs = np.flatnonzero(b.curved)
+    pts, _ = boundary_point(mesh, arcs[:, None], [0.0, 1.0])
+    miss = np.linalg.norm(pts - mesh.vertices[np.column_stack([b.v0, b.v1])[arcs]], axis=2).max(axis=1)
+    bad = np.flatnonzero(~(miss <= 1e-12))
+    if bad.size:
+        raise MeshError(f"boundary element {arcs[bad[0]]}: arc misses its end vertices by {miss[bad[0]]:.3e}")
     # Element size distortion bounds.
-    diam = triangle_diameters(mesh)
-    ratio = diam.max() / diam.min()
-    if ratio > MAX_DIAMETER_RATIO:
-        raise MeshError(f"quasi-uniformity violated: diameter ratio {ratio:.3f}")
-    perim = _triangle_perimeters(mesh)
-    inscribed = 4.0 * areas / perim  # diameter of the inscribed circle
-    aspect = diam / inscribed
-    if aspect.max() > MAX_ASPECT_RATIO:
-        raise MeshError(f"shape regularity violated: aspect ratio {aspect.max():.3f}")
+    q = mesh_quality(mesh)
+    if not q.diameter_ratio <= MAX_DIAMETER_RATIO:
+        raise MeshError(f"quasi-uniformity violated: diameter ratio {q.diameter_ratio:.3f}")
+    if not q.max_aspect <= MAX_ASPECT_RATIO:
+        raise MeshError(f"shape regularity violated: aspect ratio {q.max_aspect:.3f}")
+
+
+def _element_lengths(vertices: np.ndarray, v0: np.ndarray, arc: np.ndarray) -> np.ndarray:
+    """Arclength of each element from its geometry: the chord of a straight
+    segment, r |theta1 - theta0| of an arc."""
+    chord = np.linalg.norm(vertices[np.roll(v0, -1)] - vertices[v0], axis=1)
+    return np.where(np.isnan(arc).all(axis=1), chord, arc[:, 2] * np.abs(arc[:, 4] - arc[:, 3]))
 
 
 def _triangle_perimeters(mesh: TriMesh) -> np.ndarray:
@@ -198,14 +226,9 @@ def build_square_mesh(k: int) -> TriMesh:
             tris.append((ll, ur, ul))
     triangles = np.array(tris, dtype=np.int64)
 
-    seg = 1.0 / k
-    loop: list[tuple[int, int]] = []
-    loop += [(vid(i, 0), vid(i + 1, 0)) for i in range(k)]
-    loop += [(vid(k, j), vid(k, j + 1)) for j in range(k)]
-    loop += [(vid(i + 1, k), vid(i, k)) for i in reversed(range(k))]
-    loop += [(vid(0, j + 1), vid(0, j)) for j in reversed(range(k))]
-    boundary = [BoundaryElement(a, b, None, seg) for a, b in loop]
-    return TriMesh(vertices, triangles, boundary)
+    r = np.arange(k)
+    loop = np.concatenate([vid(r, 0), vid(k, r), vid(k - r, k), vid(0, k - r)])
+    return TriMesh(vertices, triangles, Boundary(loop, np.full(4 * k, 1.0 / k)))
 
 
 def build_disk_mesh(m: int) -> TriMesh:
@@ -242,15 +265,10 @@ def build_disk_mesh(m: int) -> TriMesh:
         )
     triangles = np.array(tris, dtype=np.int64)
 
-    outer = ring_ids[m]
-    n_out = len(outer)
-    boundary = []
-    for j in range(n_out):
-        t0 = 2.0 * math.pi * j / n_out
-        t1 = 2.0 * math.pi * (j + 1) / n_out
-        arc = CircularArc((0.0, 0.0), 1.0, t0, t1)
-        boundary.append(BoundaryElement(int(outer[j]), int(outer[(j + 1) % n_out]), arc, t1 - t0))
-    return TriMesh(vertices, triangles, boundary)
+    n_out = len(ring_ids[m])
+    theta = 2.0 * math.pi * np.arange(n_out + 1) / n_out
+    arc = np.column_stack([np.zeros(n_out), np.zeros(n_out), np.ones(n_out), theta[:-1], theta[1:]])
+    return TriMesh(vertices, triangles, Boundary(ring_ids[m], np.diff(theta), arc))
 
 
 def _stitch_rings(inner_ids, inner_ang, outer_ids, outer_ang):
@@ -288,36 +306,34 @@ def boundary_point(mesh: TriMesh, e, t):
 
     Returns
     -------
-    (points, speed) : points has shape (..., 2); speed is the constant
-    |F_E'| = h_E of each element (a float for a scalar e).
+    (points, speed) : points has the broadcast shape of (e, t) plus a
+    trailing 2; speed is the constant |F_E'| = h_E, with the shape of e
+    (a float for a scalar e).
     """
     t = np.asarray(t, dtype=float)
     if np.any(t < 0.0) or np.any(t > 1.0):
         raise ValueError("parameter t must lie in [0, 1]")
-    shape = np.shape(e)
-    elems = [mesh.boundary[i] for i in np.ravel(e)]
-    p0 = mesh.vertices[[el.v0 for el in elems]].reshape(shape + (2,))
-    p1 = mesh.vertices[[el.v1 for el in elems]].reshape(shape + (2,))
-    pts = p0 + t[..., None] * (p1 - p0)
-    speed = np.linalg.norm(p1 - p0, axis=-1)
-    curved = np.array([el.geometry is not None for el in elems]).reshape(shape)
-    if curved.any():
-        arc = np.array([(0.0,) * 5 if el.geometry is None else
-                        (*el.geometry.center, el.geometry.radius, el.geometry.theta0, el.geometry.theta1)
-                        for el in elems]).reshape(shape + (5,))
-        cx, cy, r, th0, th1 = np.moveaxis(arc, -1, 0)
-        th = th0 + t * (th1 - th0)
-        on_arc = np.stack([cx + r * np.cos(th), cy + r * np.sin(th)], axis=-1)
-        pts = np.where(curved[..., None], on_arc, pts)
-        speed = np.where(curved, r * np.abs(th1 - th0), speed)
-    return pts, (float(speed) if shape == () else speed)
+    b = mesh.boundary
+    speed = b.length[e]
+    e, t = np.broadcast_arrays(e, t)
+    shape = e.shape
+    e, t = e.ravel(), t.ravel()
+    # Every site by the chord formula, then the arc sites by the arc's
+    # (np.take: row gathers by fancy indexing are several times slower).
+    p0 = mesh.vertices[b.v0]
+    pts = np.take(p0, e, axis=0) + t[:, None] * np.take(mesh.vertices[b.v1] - p0, e, axis=0)
+    arc = b.curved[e]
+    cx, cy, r, th0, th1 = np.take(b.arc, e[arc], axis=0).T
+    th = th0 + t[arc] * (th1 - th0)
+    pts[arc] = np.column_stack([cx + r * np.cos(th), cy + r * np.sin(th)])
+    return pts.reshape(shape + (2,)), (float(speed) if np.ndim(speed) == 0 else speed)
 
 
 def mesh_quality(mesh: TriMesh) -> QualityReport:
     """Diameter and shape statistics of the triangulation."""
     diam = triangle_diameters(mesh)
     areas = triangle_areas(mesh)
-    inscribed = 4.0 * areas / _triangle_perimeters(mesh)
+    inscribed = 4.0 * areas / _triangle_perimeters(mesh)  # diameter of the inscribed circle
     return QualityReport(
         max_diameter=float(diam.max()),
         min_diameter=float(diam.min()),
@@ -337,15 +353,10 @@ def write_mesh_text(mesh: TriMesh, path: str) -> None:
     lines = [f"{len(mesh.vertices)} {len(mesh.triangles)} {len(mesh.boundary)}"]
     lines += [f"{_fmt(x)} {_fmt(y)}" for x, y in mesh.vertices]
     lines += [f"{i} {j} {k}" for i, j, k in mesh.triangles]
-    for e in mesh.boundary:
-        if e.geometry is None:
-            lines.append(f"{e.v0} {e.v1} S")
-        else:
-            a = e.geometry
-            lines.append(
-                f"{e.v0} {e.v1} A {_fmt(a.center[0])} {_fmt(a.center[1])} "
-                f"{_fmt(a.radius)} {_fmt(a.theta0)} {_fmt(a.theta1)}"
-            )
+    b = mesh.boundary
+    for v0, v1, arc in zip(b.v0, b.v1, b.arc):
+        geometry = "S" if np.isnan(arc).all() else "A " + " ".join(_fmt(x) for x in arc)
+        lines.append(f"{v0} {v1} {geometry}")
     with open(path, "w") as fh:
         fh.write("\n".join(lines) + "\n")
 
@@ -368,34 +379,43 @@ def _fields(lines: list[str], index: int, types: tuple, what: str) -> list:
 def read_mesh_text(path: str) -> TriMesh:
     """Read a mesh written by :func:`write_mesh_text` and revalidate it.
 
-    Malformed input raises MeshError naming the 1-based line.
+    Malformed input, including a boundary loop that does not close,
+    raises MeshError naming the 1-based line.
     """
     with open(path) as fh:
         lines = fh.read().splitlines()
     nv, nt, nb = _fields(lines, 0, (int,) * 3, "the header 'NV NT NB'")
     if min(nv, nt, nb) < 1:
         raise MeshError(f"line 1: header counts must be positive, got {lines[0]!r}")
+
+    def vertex(text: str) -> int:
+        index = int(text)
+        if not 0 <= index < nv:
+            raise ValueError(f"vertex index {index} out of range")
+        return index
+
     vertices = np.array([_fields(lines, 1 + i, (float,) * 2, "a vertex 'x y'") for i in range(nv)])
     triangles = np.array(
-        [_fields(lines, 1 + nv + i, (int,) * 3, "a triangle 'i j k'") for i in range(nt)],
+        [_fields(lines, 1 + nv + i, (vertex,) * 3, "a triangle 'i j k' of vertex indices")
+         for i in range(nt)],
         dtype=np.int64,
     )
-    boundary = []
-    for i in range(nb):
-        index = 1 + nv + nt + i
+    first = 1 + nv + nt
+    loop, arcs = [], []
+    for index in range(first, first + nb):
         arc = index < len(lines) and lines[index].split()[2:3] == ["A"]
-        types = (int, int, str) + (float,) * 5 if arc else (int, int, str)
-        v0, v1, kind, *geometry = _fields(lines, index, types, "a boundary element 'v0 v1 S|A ...'")
-        if not (0 <= v0 < nv and 0 <= v1 < nv):
-            raise MeshError(f"line {index + 1}: boundary vertex index out of range")
-        if kind == "S":
-            length = float(np.linalg.norm(vertices[v1] - vertices[v0]))
-            boundary.append(BoundaryElement(v0, v1, None, length))
-        elif kind == "A":
-            cx, cy, r, t0, t1 = geometry
-            boundary.append(
-                BoundaryElement(v0, v1, CircularArc((cx, cy), r, t0, t1), r * abs(t1 - t0))
-            )
-        else:
+        types = (vertex, vertex, str) + (float,) * 5 if arc else (vertex, vertex, str)
+        v0, v1, kind, *geometry = _fields(
+            lines, index, types, "a boundary element 'v0 v1 S|A ...' of vertex indices")
+        if kind not in ("S", "A"):
             raise MeshError(f"line {index + 1}: unknown boundary kind {kind!r}")
-    return TriMesh(vertices, triangles, boundary)
+        loop.append((v0, v1))
+        arcs.append(geometry or [math.nan] * 5)
+    v0, v1 = np.array(loop).T
+    broken = np.flatnonzero(v1 != np.roll(v0, -1))
+    if broken.size:
+        index = first + broken[0]
+        raise MeshError(f"line {index + 1}: boundary element ends at vertex {v1[broken[0]]}, "
+                        f"but the next element starts at vertex {v0[(broken[0] + 1) % nb]}")
+    arc = np.array(arcs)
+    return TriMesh(vertices, triangles, Boundary(v0, _element_lengths(vertices, v0, arc), arc))

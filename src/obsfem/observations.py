@@ -30,6 +30,10 @@ logger = logging.getLogger(__name__)
 # constant changes every stream, so it is part of the data format.
 _NOISE_BLOCK = 1 << 20
 
+# Sites are read in sub-blocks of this size (dividing _NOISE_BLOCK), so
+# per-site work arrays stay a few MB at any n.
+_SUB_BLOCK = 1 << 16
+
 # Points closer than this to an element endpoint are nudged inward.
 _ENDPOINT_TOL = 1e-12
 _ENDPOINT_NUDGE = 1e-9
@@ -140,17 +144,21 @@ class Placement:
     def element_slice(self, e: int) -> slice:
         return slice(self.offsets[e], self.offsets[e + 1])
 
-    def positions(self, e: int) -> np.ndarray:
-        pts, _ = boundary_point(self.mesh, e, self.t[self.element_slice(e)])
+    def positions(self, lo: int, hi: int) -> np.ndarray:
+        """Points x_j of sites [lo, hi) on the exact boundary, shape (hi - lo, 2)."""
+        pts, _ = boundary_point(self.mesh, _site_elements(self.offsets, lo, hi), self.t[lo:hi])
         return pts
 
+    def omega(self, lo: int, hi: int) -> np.ndarray:
+        """Local (parameter-space) weights omega_j of sites [lo, hi)."""
+        return _local_weights(self.t, self.offsets, lo, hi)
+
     def evaluate(self, g0: Callable, lo: int, hi: int) -> np.ndarray:
-        """g0 at sites [lo, hi), evaluated element by element."""
-        bounds = np.clip(self.offsets, lo, hi)
+        """g0 at sites [lo, hi), evaluated one sub-block at a time."""
         out = np.empty(hi - lo)
-        for e in np.flatnonzero(bounds[1:] > bounds[:-1]):
-            a, b = bounds[e], bounds[e + 1]
-            pts, _ = boundary_point(self.mesh, int(e), self.t[a:b])
+        for a in range(lo, hi, _SUB_BLOCK):
+            b = min(hi, a + _SUB_BLOCK)
+            pts = self.positions(a, b)
             vals = np.asarray(g0(pts[:, 0], pts[:, 1]), dtype=float)
             if vals.shape not in ((), (b - a,)):
                 raise ValueError("g0 must map coordinate arrays to a value array")
@@ -159,11 +167,6 @@ class Placement:
                 raise ValueError(f"g0 is not finite at site {a + bad[0]} {tuple(pts[bad[0]].tolist())}")
             out[a - lo : b - lo] = vals
         return out
-
-    def omega(self, e: int) -> np.ndarray:
-        """Local (parameter-space) weights of element e."""
-        _, speed = boundary_point(self.mesh, e, 0.0)
-        return self.alpha[self.element_slice(e)] / speed
 
     def arclengths(self) -> np.ndarray:
         """Global arclength coordinate of every point, in storage order."""
@@ -176,6 +179,27 @@ class Placement:
     def alpha_bounds(self) -> tuple[float, float]:
         """Empirical constants (B3, B4) with B3/n <= alpha_j <= B4/n."""
         return float(self.n * self.alpha.min()), float(self.n * self.alpha.max())
+
+
+def _site_elements(offsets: np.ndarray, lo: int, hi: int) -> np.ndarray:
+    """Element index of each site in [lo, hi) of the flat layout `offsets`."""
+    counts = np.diff(np.clip(offsets, lo, hi))
+    return np.repeat(np.arange(len(counts)), counts)
+
+
+def _local_weights(t: np.ndarray, offsets: np.ndarray, lo: int, hi: int) -> np.ndarray:
+    """The weights of :func:`quadrature_weights`, taken per element of the
+    flat layout `offsets`, for sites [lo, hi) of the flat parameters t."""
+    tj = t[lo:hi]
+    half = 0.5 * np.diff(tj, prepend=t[lo - 1] if lo else 0.0, append=t[hi] if hi < len(t) else 1.0)
+    left, right = half[:-1].copy(), half[1:].copy()
+    o = offsets - lo
+    first, last = o[(o >= 0) & (o < hi - lo)], o[(o > 0) & (o <= hi - lo)] - 1
+    left[first] = tj[first]
+    right[last] = 1.0 - tj[last]
+    w = left + right
+    w[np.intersect1d(first, last)] = 1.0
+    return w
 
 
 def quadrature_weights(t: np.ndarray) -> np.ndarray:
@@ -191,39 +215,20 @@ def quadrature_weights(t: np.ndarray) -> np.ndarray:
     weights always sum to 1.
     """
     t = np.asarray(t, dtype=float)
-    m = len(t)
-    if m == 0:
-        return np.zeros(0)
     if np.any(t <= 0.0) or np.any(t >= 1.0):
         raise ValueError("points must lie strictly inside (0, 1)")
-    if m == 1:
-        return np.ones(1)
-    dt = np.diff(t)
-    if np.any(dt <= 0.0):
+    if np.any(np.diff(t) <= 0.0):
         raise ValueError("points must be strictly increasing")
-    w = np.empty(m)
-    w[1:-1] = 0.5 * (dt[:-1] + dt[1:])
-    w[0] = t[0] + 0.5 * dt[0]
-    w[-1] = 0.5 * dt[-1] + (1.0 - t[-1])
-    return w
-
-
-def place_measurements(mesh: TriMesh, n: int):
-    """Place n measurement sites at arclengths (i - 1/2)|Gamma|/n.
-
-    Returns (element_index, t, positions).  Sites that would land within
-    1e-12 of an element endpoint are nudged forward by 1e-9 |Gamma|/n so
-    every site is interior to exactly one element.
-    """
-    placement = place_points(mesh, n)
-    counts = np.diff(placement.offsets)
-    elem = np.repeat(np.arange(len(mesh.boundary)), counts)
-    pos = np.vstack([placement.positions(e) for e in range(len(mesh.boundary)) if counts[e]])
-    return elem, placement.t, pos
+    return _local_weights(t, np.array([0, len(t)]), 0, len(t))
 
 
 def place_points(mesh: TriMesh, n: int) -> Placement:
-    """Compute the Placement (element buckets, parameters, weights)."""
+    """Place n sites at arclengths (i - 1/2)|Gamma|/n and weight them.
+
+    Sites that would land within 1e-12 of an element endpoint are nudged
+    forward by 1e-9 |Gamma|/n, so every site is interior to exactly one
+    element.
+    """
     if n < 1:
         raise ValueError(f"need n >= 1, got {n}")
     h = mesh.boundary_lengths
@@ -258,9 +263,9 @@ def place_points(mesh: TriMesh, n: int) -> Placement:
     offsets = np.concatenate([[0], np.cumsum(counts)])
 
     alpha = np.empty(n)
-    for e in range(nb):
-        sl = slice(offsets[e], offsets[e + 1])
-        alpha[sl] = quadrature_weights(t[sl]) * h[e]
+    for lo in range(0, n, _SUB_BLOCK):
+        hi = min(n, lo + _SUB_BLOCK)
+        alpha[lo:hi] = _local_weights(t, offsets, lo, hi) * h[_site_elements(offsets, lo, hi)]
     return Placement(mesh, n, offsets, t, alpha)
 
 
@@ -320,13 +325,6 @@ class ObservationSet:
             out += self.placement.evaluate(self.g0, lo, hi)
         return out
 
-    def clean_values(self, e: int) -> np.ndarray:
-        sl = self.placement.element_slice(e)
-        return self.placement.evaluate(self.g0, sl.start, sl.stop)
-
-    def noise_values(self, e: int) -> np.ndarray:
-        return self.g[self.placement.element_slice(e)] - self.clean_values(e)
-
 
 def observe(placement: Placement, g0: Optional[Callable], model: Optional[NoiseModel],
             seed: int) -> ObservationSet:
@@ -364,21 +362,16 @@ def build_observation_set(
 
 def dump_observations_csv(obs: ObservationSet, path: str) -> None:
     """Write one line per site (for debugging; floats at 17 digits)."""
+    pl = obs.placement
     with open(path, "w") as fh:
         fh.write("element,t,x,y,g0,e,g,omega,alpha\n")
-        for e in range(len(obs.mesh.boundary)):
-            sl = obs.placement.element_slice(e)
-            if sl.stop == sl.start:
-                continue
-            pts = obs.placement.positions(e)
-            clean = obs.clean_values(e)
-            omega = obs.placement.omega(e)
-            for j in range(sl.stop - sl.start):
-                row = (
-                    obs.t[sl][j], pts[j, 0], pts[j, 1], clean[j],
-                    obs.g[sl][j] - clean[j], obs.g[sl][j], omega[j], obs.alpha[sl][j],
-                )
-                fh.write(f"{e}," + ",".join(f"{v:.17g}" for v in row) + "\n")
+        for lo in range(0, obs.n, _SUB_BLOCK):
+            hi = min(obs.n, lo + _SUB_BLOCK)
+            pts = pl.positions(lo, hi)
+            clean, g = pl.evaluate(obs.g0, lo, hi), obs.values(lo, hi)
+            columns = (_site_elements(pl.offsets, lo, hi), pl.t[lo:hi], pts[:, 0], pts[:, 1],
+                       clean, g - clean, g, pl.omega(lo, hi), pl.alpha[lo:hi])
+            np.savetxt(fh, np.column_stack(columns), fmt=["%d"] + ["%.17g"] * 8, delimiter=",")
 
 
 def empirical_inner_product(alpha: np.ndarray, u: np.ndarray, v: np.ndarray) -> float:

@@ -1,9 +1,11 @@
 """Shared fixtures: meshes are immutable, so build each one once per session."""
 
+import math
+
 import numpy as np
 import pytest
 
-from obsfem import build_disk_mesh, build_square_mesh
+from obsfem import Boundary, TriMesh, build_disk_mesh, build_square_mesh
 
 
 @pytest.fixture(scope="session")
@@ -24,6 +26,18 @@ def square10():
 @pytest.fixture(scope="session")
 def disk10():
     return build_disk_mesh(10)
+
+
+@pytest.fixture(scope="session")
+def mixed_mesh():
+    """Unit disk cut into four quadrant triangles: the first boundary
+    element is the straight chord from (1, 0) to (0, 1), the other three
+    are quarter-circle arcs."""
+    verts = np.array([[1.0, 0.0], [0.0, 1.0], [-1.0, 0.0], [0.0, -1.0], [0.0, 0.0]])
+    tris = np.array([[4, 0, 1], [4, 1, 2], [4, 2, 3], [4, 3, 0]])
+    h = math.pi / 2
+    arc = [[math.nan] * 5] + [[0.0, 0.0, 1.0, j * h, (j + 1) * h] for j in (1, 2, 3)]
+    return TriMesh(verts, tris, Boundary(np.arange(4), [math.sqrt(2.0), h, h, h], arc))
 
 
 @pytest.fixture()

@@ -313,12 +313,12 @@ def test_criterion_10_oracle_equivalence(capsys):
     for e in range(sq.ndof):
         sl = pl.element_slice(e)
         q0, q1 = sq.element_dofs(e)
-        elem = mesh.boundary[e]
+        v0, v1 = mesh.boundary.v0[e], mesh.boundary.v1[e]
         for j in range(sl.start, sl.stop):
             t, a = pl.t[j], pl.alpha[j]
             for qd, psi in ((q0, 1.0 - t), (q1, t)):
-                dense[qd, elem.v0] += a * psi * (1.0 - t)
-                dense[qd, elem.v1] += a * psi * t
+                dense[qd, v0] += a * psi * (1.0 - t)
+                dense[qd, v1] += a * psi * t
     b_diff = float(np.abs(B - dense).max())
 
     ok = solve_diff <= 1e-8 and b_diff <= 1e-13

@@ -25,8 +25,8 @@ from obsfem import (
     trace_evaluate,
     trace_matrix,
 )
-from obsfem.assembly import element_l2_sq, trace_like, vh_gram
-from obsfem.mesh import BoundaryElement, TriMesh
+from obsfem.assembly import trace_like, vh_gram
+from obsfem.mesh import Boundary, TriMesh
 
 
 def dense_coupling(space_v, space_q, placement):
@@ -35,25 +35,20 @@ def dense_coupling(space_v, space_q, placement):
     for e in range(space_q.ndof):
         sl = placement.element_slice(e)
         q0, q1 = space_q.element_dofs(e)
-        elem = placement.mesh.boundary[e]
+        v0, v1 = placement.mesh.boundary.v0[e], placement.mesh.boundary.v1[e]
         for i in range(sl.start, sl.stop):
             t = placement.t[i]
             a = placement.alpha[i]
             for qd, psi in ((q0, 1.0 - t), (q1, t)):
-                B[qd, elem.v0] += a * psi * (1.0 - t)
-                B[qd, elem.v1] += a * psi * t
+                B[qd, v0] += a * psi * (1.0 - t)
+                B[qd, v1] += a * psi * t
     return B
 
 
 def unit_triangle_mesh():
     verts = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]])
     tris = np.array([[0, 1, 2]])
-    boundary = [
-        BoundaryElement(0, 1, length=1.0),
-        BoundaryElement(1, 2, length=math.sqrt(2.0)),
-        BoundaryElement(2, 0, length=1.0),
-    ]
-    return TriMesh(verts, tris, boundary)
+    return TriMesh(verts, tris, Boundary([0, 1, 2], [1.0, math.sqrt(2.0), 1.0]))
 
 
 class TestStiffness:
@@ -116,9 +111,8 @@ class TestTrace:
     def test_endpoints(self, square4):
         sq = MultiplierSpace(square4)
         u = np.arange(len(square4.vertices), dtype=float)
-        elem = square4.boundary[5]
-        assert trace_evaluate(sq, u, 5, 0.0) == u[elem.v0]
-        assert trace_evaluate(sq, u, 5, 1.0) == u[elem.v1]
+        assert trace_evaluate(sq, u, 5, 0.0) == u[square4.boundary.v0[5]]
+        assert trace_evaluate(sq, u, 5, 1.0) == u[square4.boundary.v1[5]]
 
     def test_linear_on_bottom_edge(self, square4):
         # element 0 runs from (0,0) to (0.25,0); the trace of I_h x is 0.25 t
@@ -228,7 +222,7 @@ class TestBoundaryNorms:
         hat = np.eye(sq.ndof)[3]
         h = 0.25
         up, down = mesh_dependent_norms(sq, hat)
-        l2_sq = sum(element_l2_sq(sq, hat, e) for e in range(sq.ndof))
+        l2_sq = hat @ boundary_mass(sq, 1) @ hat
         assert l2_sq == pytest.approx(2 * h / 3, rel=1e-12)
         assert up == pytest.approx(math.sqrt(2.0 / 3.0), rel=1e-12)
         assert down == pytest.approx(math.sqrt(2 * h * h / 3), rel=1e-12)

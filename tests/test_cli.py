@@ -231,7 +231,7 @@ class TestMeshCommand:
                          "--out", str(out)])
         assert code == 0
         mesh = read_mesh_text(str(out))
-        assert all(e.geometry is not None for e in mesh.boundary)
+        assert mesh.boundary.curved.all()
 
     def test_repeat_write_identical(self, tmp_path):
         a, b = tmp_path / "a.txt", tmp_path / "b.txt"

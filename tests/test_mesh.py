@@ -3,9 +3,11 @@ import math
 import numpy as np
 import pytest
 
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
+
 from obsfem import (
-    BoundaryElement,
-    CircularArc,
+    Boundary,
     MeshError,
     TriMesh,
     boundary_point,
@@ -22,13 +24,13 @@ def quarter_arc_mesh():
     """Unit disk cut into four quadrant triangles with quarter-circle arcs."""
     verts = np.array([[1.0, 0.0], [0.0, 1.0], [-1.0, 0.0], [0.0, -1.0], [0.0, 0.0]])
     tris = np.array([[4, 0, 1], [4, 1, 2], [4, 2, 3], [4, 3, 0]])
+    return TriMesh(verts, tris, quarter_arcs())
+
+
+def quarter_arcs():
+    """Boundary of four quarter-circle arcs through vertices 0..3."""
     h = math.pi / 2
-    boundary = [
-        BoundaryElement(j, (j + 1) % 4,
-                        CircularArc((0.0, 0.0), 1.0, j * h, (j + 1) * h), h)
-        for j in range(4)
-    ]
-    return TriMesh(verts, tris, boundary)
+    return Boundary(np.arange(4), np.full(4, h), [[0.0, 0.0, 1.0, j * h, (j + 1) * h] for j in range(4)])
 
 
 class TestSquareMesh:
@@ -62,14 +64,16 @@ class TestSquareMesh:
         assert q.diameter_ratio == pytest.approx(1.0, rel=1e-12)
 
     def test_boundary_loop_closes(self, square10):
-        b = square10.boundary
-        for prev, cur in zip(b, b[1:] + b[:1]):
-            assert prev.v1 == cur.v0
+        # consecutive loop vertices are neighbours on the square's boundary
+        b, x = square10.boundary, square10.vertices
+        np.testing.assert_allclose(np.linalg.norm(x[b.v1] - x[b.v0], axis=1), 0.1, rtol=1e-12)
+        assert len(np.unique(b.v0)) == 40
+        assert np.all((np.minimum(x[b.v0], 1.0 - x[b.v0]) == 0.0).any(axis=1))
 
     def test_boundary_starts_at_origin_ccw(self, square10):
-        start = square10.vertices[square10.boundary[0].v0]
+        start = square10.vertices[square10.boundary.v0[0]]
         np.testing.assert_allclose(start, [0.0, 0.0], atol=1e-15)
-        second = square10.vertices[square10.boundary[0].v1]
+        second = square10.vertices[square10.boundary.v1[0]]
         assert second[0] > 0 and second[1] == 0  # heads along the bottom edge
 
 
@@ -77,9 +81,8 @@ class TestDiskMesh:
     def test_outer_ring_on_circle(self):
         for m in (2, 10):
             mesh = build_disk_mesh(m)
-            for e in mesh.boundary:
-                for v in (e.v0, e.v1):
-                    assert abs(np.hypot(*mesh.vertices[v]) - 1.0) <= 1e-12
+            r = np.hypot(*mesh.vertices[mesh.boundary.v0].T)
+            assert np.abs(r - 1.0).max() <= 1e-12
 
     def test_boundary_length_is_full_circle(self, disk10):
         # arcs, not chords: lengths must sum to 2*pi exactly
@@ -109,7 +112,7 @@ class TestDiskMesh:
             build_disk_mesh(1)
 
     def test_all_boundary_arcs(self, disk10):
-        assert all(isinstance(e.geometry, CircularArc) for e in disk10.boundary)
+        assert disk10.boundary.curved.all()
 
     def test_ring_counts(self, disk10):
         # ring i holds round(2*pi*i) vertices; total includes the hub vertex
@@ -135,26 +138,23 @@ class TestBoundaryPoint:
     def test_t0_is_v0(self, disk10):
         for e in (0, 7, len(disk10.boundary) - 1):
             pts, _ = boundary_point(disk10, e, 0.0)
-            np.testing.assert_allclose(pts, disk10.vertices[disk10.boundary[e].v0],
+            np.testing.assert_allclose(pts, disk10.vertices[disk10.boundary.v0[e]],
                                        atol=1e-14)
 
     def test_speed_integrates_to_length(self, disk10):
         # constant-speed parametrization: speed * 1 == h_E
         for e in (0, 31):
             _, speed = boundary_point(disk10, e, 0.3)
-            assert speed == pytest.approx(disk10.boundary[e].length, rel=1e-12)
+            assert speed == pytest.approx(disk10.boundary.length[e], rel=1e-12)
 
     def test_t_out_of_range(self, square10):
         with pytest.raises(ValueError):
             boundary_point(square10, 0, 1.5)
 
-    def test_element_array_matches_scalar_calls(self, square10):
+    def test_element_array_matches_scalar_calls(self, mixed_mesh, square10):
         # one straight chord among quarter arcs exercises both branches
-        arcs = quarter_arc_mesh()
-        mixed = TriMesh(arcs.vertices, arcs.triangles,
-                        [BoundaryElement(0, 1, None, math.sqrt(2.0))] + arcs.boundary[1:])
         t = np.array([0.0, 0.3, 1.0])
-        for mesh in (mixed, square10):
+        for mesh in (mixed_mesh, square10):
             nb = len(mesh.boundary)
             pts, speed = boundary_point(mesh, np.arange(nb)[:, None], t)
             assert pts.shape == (nb, 3, 2) and speed.shape == (nb, 1)
@@ -174,29 +174,41 @@ class TestValidation:
     def test_degenerate_triangle_rejected(self):
         verts = np.array([[0.0, 0.0], [1.0, 0.0], [2.0, 0.0], [0.0, 1.0]])
         tris = np.array([[0, 1, 2], [0, 1, 3]])  # first one has zero area
-        boundary = [BoundaryElement(0, 1, None, 1.0), BoundaryElement(1, 3, None, math.sqrt(2)),
-                    BoundaryElement(3, 0, None, 1.0)]
+        boundary = Boundary([0, 1, 3], [1.0, math.sqrt(2), 1.0])
         with pytest.raises(MeshError):
             TriMesh(verts, tris, boundary)
 
-    def test_open_loop_rejected(self):
+    def test_open_loop_rejected(self, tmp_path):
+        # a Boundary closes by construction; an open loop can only come
+        # from a file, whose element 0 -> 1 is followed by one from 2
+        path = tmp_path / "open.txt"
+        path.write_text("3 1 2\n0 0\n1 0\n0 1\n0 1 2\n0 1 S\n2 0 S\n")
+        with pytest.raises(MeshError, match=r"^line 6: boundary element ends at vertex 1, "
+                                            r"but the next element starts at vertex 2"):
+            read_mesh_text(str(path))
+
+    @pytest.mark.parametrize("v0, length, element", [
+        ([0, 1, -1], [1.0, math.sqrt(2), 1.0], 2),  # would wrap to the last vertex
+        ([0, 1, 7], [1.0, math.sqrt(2), 1.0], 2),  # past the 3 vertices
+        ([0, 1, 2], [5.0, math.sqrt(2), 1.0], 0),  # unit chord declared 5 long
+        ([0, 1, 2], [1.0, math.sqrt(2) * (1 + 1e-9), 1.0], 1),
+    ])
+    def test_bad_boundary_names_element(self, v0, length, element):
         verts = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]])
-        tris = np.array([[0, 1, 2]])
-        boundary = [BoundaryElement(0, 1, None, 1.0), BoundaryElement(2, 0, None, 1.0)]
-        with pytest.raises(MeshError):
-            TriMesh(verts, tris, boundary)
+        with pytest.raises(MeshError, match=rf"^boundary element {element}\b"):
+            TriMesh(verts, np.array([[0, 1, 2]]), Boundary(v0, length))
+
+    def test_arc_length_must_match_its_angle(self):
+        mesh = quarter_arc_mesh()
+        b = mesh.boundary
+        with pytest.raises(MeshError, match=r"^boundary element 0 has length"):
+            TriMesh(mesh.vertices, mesh.triangles, Boundary(b.v0, b.length * [1.5, 1, 1, 1], b.arc))
 
     def test_arc_endpoint_off_circle_rejected(self):
         verts = np.array([[1.0, 0.0], [0.0, 1.1], [-1.0, 0.0], [0.0, -1.0], [0.0, 0.0]])
         tris = np.array([[4, 0, 1], [4, 1, 2], [4, 2, 3], [4, 3, 0]])
-        h = math.pi / 2
-        boundary = [
-            BoundaryElement(j, (j + 1) % 4,
-                            CircularArc((0.0, 0.0), 1.0, j * h, (j + 1) * h), h)
-            for j in range(4)
-        ]
-        with pytest.raises(MeshError):
-            TriMesh(verts, tris, boundary)
+        with pytest.raises(MeshError, match=r"^boundary element 0: arc misses"):
+            TriMesh(verts, tris, quarter_arcs())
 
     def test_quarter_arc_mesh_valid(self):
         mesh = quarter_arc_mesh()
@@ -225,7 +237,7 @@ class TestTextFormat:
         back = read_mesh_text(str(p1))
         write_mesh_text(back, str(p2))
         assert p1.read_bytes() == p2.read_bytes()
-        assert all(isinstance(e.geometry, CircularArc) for e in back.boundary)
+        assert back.boundary.curved.all()
 
     def test_round_trip_preserves_geometry(self, tmp_path):
         mesh = build_disk_mesh(4)
@@ -234,7 +246,9 @@ class TestTextFormat:
         back = read_mesh_text(str(path))
         np.testing.assert_array_equal(mesh.vertices, back.vertices)
         np.testing.assert_array_equal(mesh.triangles, back.triangles)
-        assert [e.length for e in mesh.boundary] == [e.length for e in back.boundary]
+        np.testing.assert_array_equal(mesh.boundary.v0, back.boundary.v0)
+        np.testing.assert_array_equal(mesh.boundary.length, back.boundary.length)
+        np.testing.assert_array_equal(mesh.boundary.arc, back.boundary.arc)
 
     def test_short_file_names_line(self, tmp_path):
         # 25 vertices: a file cut to 20 lines ends inside the vertex block
@@ -266,6 +280,46 @@ class TestTextFormat:
     ])
     def test_bad_row_names_line(self, tmp_path, line, text):
         self.check_corrupted(tmp_path, line, text)
+
+    @given(st.data())
+    @settings(max_examples=300, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    def test_corrupted_file_raises_mesh_error_or_reads_a_valid_mesh(self, tmp_path, data):
+        path = tmp_path / "corrupt.txt"
+        write_mesh_text(data.draw(st.sampled_from([build_square_mesh(2), build_disk_mesh(2)])), str(path))
+        lines = path.read_text().splitlines()
+        nv, nt, nb = map(int, lines[0].split())
+        how = data.draw(st.sampled_from(["drop a line", "replace a token", "break the loop"]))
+        if how == "drop a line":
+            del lines[data.draw(st.integers(0, len(lines) - 1))]
+        elif how == "replace a token":
+            row = data.draw(st.integers(0, len(lines) - 1))
+            tokens = lines[row].split()
+            tokens[data.draw(st.integers(0, len(tokens) - 1))] = data.draw(st.one_of(
+                st.sampled_from(["abc", "1.2.3", "0x1f", "--1", "nan", "inf", "1e400"]),
+                st.integers(-(10 ** 20), -1).map(str),
+                st.integers(nv, 10 ** 20).map(str),
+                st.sampled_from(["Q", "s", "AA", "S", "A"]),
+            ))
+            lines[row] = " ".join(tokens)
+        else:
+            row = data.draw(st.integers(1 + nv + nt, nv + nt + nb))
+            tokens = lines[row].split()
+            tokens[1] = str(data.draw(st.integers(0, nv - 1).filter(lambda v: v != int(tokens[1]))))
+            lines[row] = " ".join(tokens)
+        path.write_text("\n".join(lines) + "\n")
+        if how == "break the loop":
+            with pytest.raises(MeshError, match=rf"^line {row + 1}: boundary element ends at vertex"):
+                read_mesh_text(str(path))
+            return
+        try:
+            mesh = read_mesh_text(str(path))
+        except MeshError:
+            return
+        # what was read is a valid mesh: it survives its own round trip
+        write_mesh_text(mesh, str(path))
+        back = read_mesh_text(str(path))
+        np.testing.assert_array_equal(back.boundary.v0, mesh.boundary.v0)
 
     @staticmethod
     def check_corrupted(tmp_path, line, text):

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 from obsfem import (
     NoiseModel,
     build_disk_mesh,
+    boundary_point,
     build_square_mesh,
     build_observation_set,
     dump_observations_csv,
@@ -173,11 +174,46 @@ class TestPlacement:
 
     def test_positions_on_true_boundary(self, disk10):
         pl = place_points(disk10, 100)
-        for e in (0, 30, 62):
-            pts = pl.positions(e)
-            if len(pts):
-                np.testing.assert_allclose(np.hypot(pts[:, 0], pts[:, 1]), 1.0,
-                                           atol=1e-12)
+        pts = pl.positions(0, pl.n)
+        np.testing.assert_allclose(np.hypot(pts[:, 0], pts[:, 1]), 1.0, atol=1e-12)
+
+    @pytest.mark.parametrize("domain, k, n", [
+        ("disk", 10, 17),  # 63 elements: empty and single-site elements
+        ("square", 4, 24),  # one or two sites per element
+        ("square", 4, 2 ** 20 + 5000),  # elements straddle the 2^16 and 2^20 blocks
+    ])
+    def test_flat_weights_match_per_element_rule(self, domain, k, n):
+        mesh = build_square_mesh(k) if domain == "square" else build_disk_mesh(k)
+        pl = place_points(mesh, n)
+        counts = np.diff(pl.offsets)
+        assert (counts == 0).any() or domain == "square"
+        assert (counts == 1).any() or n > 24
+        omega = np.concatenate([quadrature_weights(pl.t[pl.element_slice(e)])
+                                for e in range(len(mesh.boundary))])
+        h = np.repeat(mesh.boundary_lengths, counts)
+        assert np.array_equal(pl.omega(0, n), omega)
+        assert np.array_equal(pl.alpha, omega * h)
+        m = n // 2  # a range that starts and ends inside elements
+        assert np.array_equal(pl.omega(m - 3, m + 3), omega[m - 3 : m + 3])
+
+    def test_evaluate_matches_per_element_formula(self, mixed_mesh):
+        # 70000 sites span two sub-blocks of the straight chord and the three arcs
+        pl = place_points(mixed_mesh, 70000)
+        b = mixed_mesh.boundary
+        g0 = lambda x, y: np.sin(5.0 * x + 1.0) * np.sin(5.0 * y + 1.0)  # noqa: E731
+        parts = []
+        for e in range(len(b)):
+            t = pl.t[pl.element_slice(e)]
+            if b.curved[e]:
+                cx, cy, r, th0, th1 = b.arc[e]
+                th = th0 + t * (th1 - th0)
+                x, y = cx + r * np.cos(th), cy + r * np.sin(th)
+            else:
+                p0, p1 = mixed_mesh.vertices[b.v0[e]], mixed_mesh.vertices[b.v1[e]]
+                x, y = p0[0] + t * (p1[0] - p0[0]), p0[1] + t * (p1[1] - p0[1])
+            parts.append(g0(x, y))
+        assert np.array_equal(pl.evaluate(g0, 0, pl.n), np.concatenate(parts))
+        assert np.array_equal(pl.evaluate(g0, 65000, 66000), np.concatenate(parts)[65000:66000])
 
     def test_alpha_ratio_bound(self, square10, disk10):
         # end-interval weights are at most 3x the interior ones
@@ -287,8 +323,7 @@ class TestObservationSet:
     def test_noise_decomposition(self, disk10):
         model = NoiseModel.gaussian(2.0)
         obs = build_observation_set(disk10, 300, lambda x, y: x * y, model, seed=5)
-        clean = np.concatenate([obs.clean_values(e)
-                                for e in range(len(disk10.boundary))])
+        clean = obs.placement.evaluate(obs.g0, 0, obs.n)
         noise = sample_noise(model, 300, seed=5)
         np.testing.assert_allclose(obs.g - clean, noise, atol=1e-15)
 
@@ -302,7 +337,7 @@ class TestObservationSet:
 
     def test_non_finite_g0_names_first_bad_site(self, square10):
         placement = place_points(square10, 100)
-        pts = np.vstack([placement.positions(e) for e in range(len(square10.boundary))])
+        pts = placement.positions(0, placement.n)
         first = int(np.flatnonzero(pts[:, 1] > 0.5)[0])
         with pytest.raises(ValueError, match=rf"g0 is not finite at site {first} "):
             observe(placement, lambda x, y: np.where(y > 0.5, np.inf, y), None, 0)
@@ -332,6 +367,30 @@ class TestObservationSet:
         assert len(lines) == 51
         g_back = np.array([float(line.split(",")[6]) for line in lines[1:]])
         np.testing.assert_array_equal(np.sort(g_back), np.sort(obs.g))
+
+    @pytest.mark.parametrize("mesh_name, n", [("disk10", 40), ("mixed_mesh", 9), ("square10", 2 ** 16 + 7)])
+    def test_csv_dump_columns_match_the_set(self, tmp_path, request, mesh_name, n):
+        mesh = request.getfixturevalue(mesh_name)
+        obs = build_observation_set(mesh, n, lambda x, y: x * y - y, NoiseModel.gaussian(1.0), seed=4)
+        path = tmp_path / "obs.csv"
+        dump_observations_csv(obs, str(path))
+        table = np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2)
+        element, t, x, y, g0, e, g, omega, alpha = table.T
+        pl = obs.placement
+        counts = np.diff(pl.offsets)
+        pts = np.concatenate([boundary_point(mesh, k, pl.t[pl.element_slice(k)])[0]
+                              for k in range(len(mesh.boundary))])
+        clean = pts[:, 0] * pts[:, 1] - pts[:, 1]
+        w = np.concatenate([quadrature_weights(pl.t[pl.element_slice(k)])
+                            for k in range(len(mesh.boundary))])
+        assert np.array_equal(element, np.repeat(np.arange(len(mesh.boundary)), counts))
+        assert np.array_equal(t, pl.t)
+        assert np.array_equal(x, pts[:, 0]) and np.array_equal(y, pts[:, 1])
+        assert np.array_equal(g0, clean)
+        assert np.array_equal(e, obs.g - clean)
+        assert np.array_equal(g, obs.g)
+        assert np.array_equal(omega, w)
+        assert np.array_equal(alpha, pl.alpha)
 
 
 class TestEmpiricalInnerProduct:
