@@ -22,20 +22,15 @@ from .analysis import (
     tail_study,
 )
 from .assembly import (
-    FieldSpace,
-    MultiplierSpace,
     SaddleSystem,
-    assemble_coupling,
     assemble_coupling_matrix,
     assemble_data_vector,
     assemble_load,
     assemble_stiffness,
     boundary_mass,
     build_saddle_system,
-    export_matrix_market,
     mesh_dependent_norms,
     multiplier_at_sites,
-    trace_evaluate,
     trace_matrix,
 )
 from .mesh import (

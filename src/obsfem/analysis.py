@@ -33,9 +33,8 @@ import numpy as np
 from .assembly import (
     _GAUSS_T,
     _GAUSS_W,
-    FieldSpace,
-    MultiplierSpace,
     SaddleSystem,
+    _hat,
     assemble_coupling_matrix,
     assemble_data_vector,
     assemble_load,
@@ -120,7 +119,6 @@ class ErrorReport:
     lam_half: float  # -1/2,h norm
     residual_primal: float
     residual_constraint: float
-    method: str
 
 
 def _triangle_gradients(mesh: TriMesh) -> np.ndarray:
@@ -161,11 +159,11 @@ def compute_errors(
     dy = gy - uh_grad[:, None, 1]
     semi_sq = float(np.sum(areas[:, None] / 3.0 * (dx**2 + dy**2)))
 
-    h_e = mesh.boundary_lengths
-    pts, _ = boundary_point(mesh, np.arange(len(h_e))[:, None], _GAUSS_T)
+    h_e = mesh.boundary.length
+    e = np.arange(len(h_e))[:, None]
+    pts = boundary_point(mesh, e, _GAUSS_T)
     exact = case.lambda_exact(pts[..., 0], pts[..., 1])
-    lam = solution.lam
-    approx = np.outer(lam, 1.0 - _GAUSS_T) + np.outer(np.roll(lam, -1), _GAUSS_T)
+    approx = _hat(mesh, solution.lam, e, _GAUSS_T)
     lam_l2_e = h_e * (((exact - approx) ** 2) @ _GAUSS_W)
     lam_l2_sq = float(lam_l2_e.sum())
     lam_half_sq = float(h_e @ lam_l2_e)
@@ -181,7 +179,6 @@ def compute_errors(
         lam_half=math.sqrt(lam_half_sq),
         residual_primal=solution.residual_primal,
         residual_constraint=solution.residual_constraint,
-        method=solution.method,
     )
 
 
@@ -214,19 +211,16 @@ class Level:
         self.case = case if case is not None else sine_case(domain)
         self.h = 1.0 / k
         self.placement = place_points(self.mesh, points_for(k, i, n))
-        space_v, space_q = FieldSpace(self.mesh), MultiplierSpace(self.mesh)
         clean = ObservationSet(self.placement, None, self.case.g0, None, 0)
         self.clean = SaddleSystem(
-            assemble_stiffness(space_v),
-            assemble_coupling_matrix(space_v, space_q, self.placement),
-            assemble_load(space_v, self.case.f),
-            assemble_data_vector(space_q, clean),
-            space_v, space_q)
+            assemble_stiffness(self.mesh),
+            assemble_coupling_matrix(self.placement),
+            assemble_load(self.mesh, self.case.f),
+            assemble_data_vector(clean))
 
     def data_vector(self, model: Optional[NoiseModel], seed: int) -> np.ndarray:
         """G = G0 + G_noise for one noise draw."""
-        noise = observe(self.placement, None, model, seed)
-        return self.clean.G + assemble_data_vector(self.clean.space_q, noise)
+        return self.clean.G + assemble_data_vector(observe(self.placement, None, model, seed))
 
     def trial(self, model: Optional[NoiseModel], seed: int) -> ErrorReport:
         """Solve with one noise draw and measure the errors."""
@@ -240,14 +234,16 @@ class Level:
         return compute_errors(self.mesh, self.case, solution, self.h, self.placement.n, seed)
 
 
-def _level_trials(spec: tuple, model: Optional[NoiseModel], seeds: range) -> list:
-    """Reports of one level, (domain, k, i, n, case), over `seeds`."""
-    level = Level(*spec)
+def _level_trials(domain: str, k: int, i: Optional[int], n: Optional[int],
+                  model: Optional[NoiseModel], seeds: range) -> list:
+    """Reports of one level over `seeds`."""
+    level = Level(domain, k, i, n)
     return [level.trial(model, s) for s in seeds]
 
 
-def _run_levels(specs: list, model: Optional[NoiseModel], seeds: range, workers: int) -> list:
-    """Reports per level spec, in seed order.
+def _run_levels(domain: str, ks: Sequence[int], i: Optional[int], n: Optional[int],
+                model: Optional[NoiseModel], seeds: range, workers: int) -> list:
+    """Reports per mesh size k, in seed order.
 
     A task is one level and a contiguous chunk of the seeds; with
     workers > 1 the chunks go to a process pool, so a worker builds a
@@ -255,7 +251,7 @@ def _run_levels(specs: list, model: Optional[NoiseModel], seeds: range, workers:
     """
     size = -(-len(seeds) // max(workers, 1))
     chunks = [seeds[j : j + size] for j in range(0, len(seeds), size)]
-    tasks = [(spec, model, chunk) for spec in specs for chunk in chunks]
+    tasks = [(domain, k, i, n, model, chunk) for k in ks for chunk in chunks]
     if workers > 1 and tasks:
         with ProcessPoolExecutor(max_workers=min(workers, len(tasks))) as pool:
             done = list(pool.map(_level_trials, *zip(*tasks)))
@@ -271,10 +267,9 @@ def run_case(
     n: Optional[int] = None,
     model: Optional[NoiseModel] = None,
     seed: int = 0,
-    case: Optional[ManufacturedCase] = None,
 ) -> ErrorReport:
     """Build, solve and measure one configuration."""
-    return Level(domain, k, i, n, case).trial(model, seed)
+    return Level(domain, k, i, n).trial(model, seed)
 
 
 @dataclass
@@ -337,7 +332,6 @@ def run_study(
     trials: int = 1,
     seed: int = 0,
     workers: int = 1,
-    case: Optional[ManufacturedCase] = None,
 ) -> ConvergenceTable:
     """Sweep mesh sizes, averaging errors over `trials` noise seeds.
 
@@ -347,8 +341,7 @@ def run_study(
     """
     if trials < 1:
         raise ValueError("trials must be positive")
-    specs = [(domain, k, i, n, case) for k in ks]
-    reports = _run_levels(specs, model, range(seed, seed + trials), workers)
+    reports = _run_levels(domain, ks, i, n, model, range(seed, seed + trials), workers)
     return ConvergenceTable(domain, i, [_reduce_row(k, r) for k, r in zip(ks, reports)])
 
 
@@ -393,20 +386,18 @@ def tail_study(
     model: Optional[NoiseModel] = None,
     trials: int = 200,
     seed: int = 0,
-    quantiles: tuple[float, float] = (0.5, 0.99),
-    levels: int = 25,
     workers: int = 1,
 ) -> TailReport:
     """Distribution of the L2 error over repeated noise draws.
 
-    Thresholds are placed at `levels` quantiles between the given pair,
-    expressed as multiples z of the median error; the survival curve
-    P(err > z * median) is fit as log P = a - b z^2.  A sub-Gaussian
-    tail shows up as b > 0 with good R^2.
+    Thresholds are placed at 25 equispaced quantiles from the median to
+    the 99th percentile, expressed as multiples z of the median error;
+    the survival curve P(err > z * median) is fit as log P = a - b z^2.
+    A sub-Gaussian tail shows up as b > 0 with good R^2.
     """
     if trials < 100:
         raise ValueError("tail study needs at least 100 trials")
-    [reports] = _run_levels([(domain, k, i, n, None)], model, range(seed, seed + trials), workers)
+    [reports] = _run_levels(domain, [k], i, n, model, range(seed, seed + trials), workers)
     errors = np.array([r.l2 for r in reports])
 
     med = float(np.median(errors))
@@ -415,8 +406,7 @@ def tail_study(
         return TailReport(trials, med, p99, np.zeros(0), np.zeros(0),
                           float("nan"), float("nan"), float("nan"), True)
 
-    qs = np.linspace(quantiles[0], quantiles[1], levels)
-    thresholds = np.quantile(errors, qs)
+    thresholds = np.quantile(errors, np.linspace(0.5, 0.99, 25))
     z = thresholds / med
     survival = np.array([np.mean(errors > thr) for thr in thresholds])
     keep = survival > 0.0

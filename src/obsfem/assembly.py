@@ -3,8 +3,10 @@
 The field space V_h is continuous P1 on the triangulation; the
 multiplier space Q_h is continuous piecewise linear in the boundary
 parameter, with one degree of freedom per boundary vertex (in loop
-order).  The discrete problem couples them through the empirical
-boundary pairing
+order).  Both are fixed by the mesh, so every block is assembled from
+the mesh, or from a placement or observation set, which holds its mesh.
+The discrete problem couples them through the empirical boundary
+pairing
 
     B[k, j] = sum_i alpha_i psi_k(x_i) (tr phi_j)(x_i),
     G[k]    = sum_i alpha_i psi_k(x_i) g_i,
@@ -21,54 +23,19 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-import scipy.io
 import scipy.sparse as sp
 
 from .mesh import TriMesh, triangle_areas
-from .observations import _NOISE_BLOCK, ObservationSet, Placement
+from .observations import _NOISE_BLOCK, ObservationSet, Placement, _site_elements
 
 # 3-point Gauss rule on [0, 1]; exact through degree 5.
 _GAUSS_T = np.array([0.5 - math.sqrt(0.15), 0.5, 0.5 + math.sqrt(0.15)])
 _GAUSS_W = np.array([5.0 / 18.0, 8.0 / 18.0, 5.0 / 18.0])
 
 
-@dataclass
-class FieldSpace:
-    """P1 field space on the triangulation (one dof per vertex)."""
-
-    mesh: TriMesh
-
-    @property
-    def ndof(self) -> int:
-        return len(self.mesh.vertices)
-
-
-@dataclass
-class MultiplierSpace:
-    """Piecewise linear multipliers on the boundary loop.
-
-    Dof k lives at the k-th boundary vertex in loop order; element e
-    carries dofs (e, e+1 mod N).
-    """
-
-    mesh: TriMesh
-
-    @property
-    def ndof(self) -> int:
-        return len(self.mesh.boundary)
-
-    def element_dofs(self, e: int) -> tuple[int, int]:
-        return e, (e + 1) % self.ndof
-
-    @property
-    def vertex_ids(self) -> np.ndarray:
-        """Global vertex index of each multiplier dof."""
-        return self.mesh.boundary_vertices
-
-
-def assemble_stiffness(space: FieldSpace) -> sp.csr_matrix:
+def assemble_stiffness(mesh: TriMesh) -> sp.csr_matrix:
     """Stiffness matrix (grad u, grad v) over the triangulation."""
-    mesh = space.mesh
+    nv = len(mesh.vertices)
     p = mesh.vertices[mesh.triangles]
     areas = triangle_areas(mesh)
     # Opposite-edge vectors; A_local[a, b] = (e_a . e_b) / (4 area).
@@ -76,17 +43,16 @@ def assemble_stiffness(space: FieldSpace) -> sp.csr_matrix:
     local = np.einsum("tad,tbd->tab", edges, edges) / (4.0 * areas)[:, None, None]
     rows = np.repeat(mesh.triangles, 3, axis=1).ravel()
     cols = np.tile(mesh.triangles, (1, 3)).ravel()
-    A = sp.coo_matrix((local.ravel(), (rows, cols)), shape=(space.ndof, space.ndof))
-    return A.tocsr()
+    return sp.coo_matrix((local.ravel(), (rows, cols)), shape=(nv, nv)).tocsr()
 
 
-def assemble_load(space: FieldSpace, f) -> np.ndarray:
+def assemble_load(mesh: TriMesh, f) -> np.ndarray:
     """Load vector (I_h f, v_h) using the consistent P1 mass matrix."""
-    mesh = space.mesh
+    nv = len(mesh.vertices)
     fv = np.asarray(f(mesh.vertices[:, 0], mesh.vertices[:, 1]), dtype=float)
     if fv.ndim == 0:
-        fv = np.full(space.ndof, float(fv))
-    elif fv.shape != (space.ndof,):
+        fv = np.full(nv, float(fv))
+    elif fv.shape != (nv,):
         raise ValueError("f must map coordinate arrays to a value array")
     if not np.all(np.isfinite(fv)):
         bad = int(np.flatnonzero(~np.isfinite(fv))[0])
@@ -95,16 +61,9 @@ def assemble_load(space: FieldSpace, f) -> np.ndarray:
     tf = fv[mesh.triangles]
     # local_i = area/12 * (2 f_i + f_j + f_k) = area/12 * (f_i + sum f)
     local = (areas[:, None] / 12.0) * (tf + tf.sum(axis=1, keepdims=True))
-    F = np.zeros(space.ndof)
+    F = np.zeros(nv)
     np.add.at(F, mesh.triangles.ravel(), local.ravel())
     return F
-
-
-def trace_evaluate(space: MultiplierSpace, u: np.ndarray, e: int, t) -> np.ndarray:
-    """Trace of a field vector on boundary element e at parameters t."""
-    b = space.mesh.boundary
-    t = np.asarray(t, dtype=float)
-    return (1.0 - t) * u[b.v0[e]] + t * u[b.v1[e]]
 
 
 def _hat_moments(placement: Placement, values) -> tuple[np.ndarray, np.ndarray]:
@@ -127,27 +86,27 @@ def _hat_moments(placement: Placement, values) -> tuple[np.ndarray, np.ndarray]:
     return left, right
 
 
-def assemble_coupling_matrix(
-    space_v: FieldSpace, space_q: MultiplierSpace, placement: Placement
-) -> sp.csr_matrix:
+def assemble_coupling_matrix(placement: Placement) -> sp.csr_matrix:
     """Empirical coupling matrix B (independent of the observed data).
 
     Every site only touches the two hat functions of its element on each
     side, so B has at most three nonzeros per row and each element
     contributes a 2 x 2 block.
     """
+    mesh = placement.mesh
+    nb = len(mesh.boundary)
     b00, b01 = _hat_moments(placement, lambda lo, hi: 1.0 - placement.t[lo:hi])
     _, b11 = _hat_moments(placement, lambda lo, hi: placement.t[lo:hi])
     e = np.flatnonzero(np.diff(placement.offsets))  # elements with sites
-    q1 = (e + 1) % space_q.ndof
-    v0, v1 = space_q.vertex_ids[e], space_q.vertex_ids[q1]
+    q1 = (e + 1) % nb
+    v0, v1 = mesh.boundary.v0[e], mesh.boundary.v0[q1]
     rows = np.concatenate([e, e, q1, q1])
     cols = np.concatenate([v0, v1, v0, v1])
     vals = np.concatenate([b00[e], b01[e], b01[e], b11[e]])
-    return sp.coo_matrix((vals, (rows, cols)), shape=(space_q.ndof, space_v.ndof)).tocsr()
+    return sp.coo_matrix((vals, (rows, cols)), shape=(nb, len(mesh.vertices))).tocsr()
 
 
-def assemble_data_vector(space_q: MultiplierSpace, obs: ObservationSet) -> np.ndarray:
+def assemble_data_vector(obs: ObservationSet) -> np.ndarray:
     """Right-hand side G[k] = sum_i alpha_i psi_k(x_i) g_i.
 
     A streamed set is read one noise block at a time, so G of a set that
@@ -157,74 +116,64 @@ def assemble_data_vector(space_q: MultiplierSpace, obs: ObservationSet) -> np.nd
     return left + np.roll(right, 1)
 
 
-def assemble_coupling(
-    space_v: FieldSpace, space_q: MultiplierSpace, obs: ObservationSet
-) -> tuple[sp.csr_matrix, np.ndarray]:
-    """Empirical coupling matrix B and data vector G for one observation set."""
-    B = assemble_coupling_matrix(space_v, space_q, obs.placement)
-    return B, assemble_data_vector(space_q, obs)
-
-
-def trace_matrix(space_v: FieldSpace, space_q: MultiplierSpace) -> sp.csr_matrix:
+def trace_matrix(mesh: TriMesh) -> sp.csr_matrix:
     """Selection matrix T with (T u)_k = u[boundary vertex k]."""
-    nq = space_q.ndof
+    v0 = mesh.boundary.v0
     return sp.csr_matrix(
-        (np.ones(nq), (np.arange(nq), space_q.vertex_ids)), shape=(nq, space_v.ndof)
+        (np.ones(len(v0)), (np.arange(len(v0)), v0)), shape=(len(v0), len(mesh.vertices))
     )
 
 
-def boundary_mass(space_q: MultiplierSpace, power: int = 1) -> sp.csr_matrix:
+def boundary_mass(mesh: TriMesh, power: int = 1) -> sp.csr_matrix:
     """Gram matrix sum_E h_E^power int_0^1 psi_a psi_b dt on Q_h dofs.
 
     power=1 gives the L2(Gamma) mass (one h_E from the parametrization
     speed); power=0 and power=2 are the Gram matrices of the 1/2 and
     -1/2 mesh-dependent norms.
     """
-    q0 = np.arange(space_q.ndof)
-    q1 = (q0 + 1) % space_q.ndof
-    c = space_q.mesh.boundary_lengths**power
+    nb = len(mesh.boundary)
+    q0 = np.arange(nb)
+    q1 = (q0 + 1) % nb
+    c = mesh.boundary.length**power
     rows = np.concatenate([q0, q0, q1, q1])
     cols = np.concatenate([q0, q1, q0, q1])
     vals = np.concatenate([c / 3.0, c / 6.0, c / 6.0, c / 3.0])
-    return sp.coo_matrix((vals, (rows, cols)), shape=(space_q.ndof, space_q.ndof)).tocsr()
+    return sp.coo_matrix((vals, (rows, cols)), shape=(nb, nb)).tocsr()
 
 
-def trace_like(space_q: MultiplierSpace, mu: np.ndarray, e, t) -> np.ndarray:
-    """Evaluate a multiplier dof vector on element(s) e at parameters t."""
-    q0, q1 = space_q.element_dofs(e)
-    t = np.asarray(t, dtype=float)
-    return (1.0 - t) * mu[q0] + t * mu[q1]
+def _hat(mesh: TriMesh, mu, e, t) -> np.ndarray:
+    """A multiplier dof vector mu on boundary element(s) e at parameters
+    t: the element's two hats are 1 - t and t."""
+    mu = np.asarray(mu, dtype=float)
+    nb = len(mesh.boundary)
+    if mu.shape != (nb,):
+        raise ValueError(f"multiplier vector has shape {mu.shape}, the boundary has {nb} dofs")
+    return (1.0 - t) * mu[e] + t * mu[(e + 1) % nb]
 
 
-def mesh_dependent_norms(space_q: MultiplierSpace, values) -> tuple[float, float]:
-    """(||v||_{1/2,h}, ||v||_{-1/2,h}) built from per-element L2 norms.
+def mesh_dependent_norms(mesh: TriMesh, mu: np.ndarray) -> tuple[float, float]:
+    """(||mu||_{1/2,h}, ||mu||_{-1/2,h}) of a multiplier dof vector, built
+    from per-element L2 norms.
 
-    `values` is either a dof vector (P1 in t) or a callable t -> v(t),
-    the same along every element.  ||v||^2_{L2(E)} is taken by 3-point
-    Gauss in the parameter; the 1/2 norm weights each element by
-    h_E^{-1}, the -1/2 norm by h_E.
+    ||mu||^2_{L2(E)} is taken by 3-point Gauss in the parameter; the 1/2
+    norm weights each element by h_E^{-1}, the -1/2 norm by h_E.
     """
-    h = space_q.mesh.boundary_lengths
-    if callable(values):
-        v = np.asarray(values(_GAUSS_T), dtype=float)
-    else:
-        v = trace_like(space_q, np.asarray(values), np.arange(space_q.ndof)[:, None], _GAUSS_T)
+    h = mesh.boundary.length
+    v = _hat(mesh, mu, np.arange(len(h))[:, None], _GAUSS_T)
     l2 = h * ((v * v) @ _GAUSS_W)
     return math.sqrt(np.sum(l2 / h)), math.sqrt(np.sum(l2 * h))
 
 
-def multiplier_at_sites(space_q: MultiplierSpace, mu: np.ndarray, placement: Placement) -> np.ndarray:
+def multiplier_at_sites(mu: np.ndarray, placement: Placement) -> np.ndarray:
     """Values of a multiplier dof vector at every observation site."""
-    e = np.repeat(np.arange(space_q.ndof), np.diff(placement.offsets))
-    return (1.0 - placement.t) * mu[e] + placement.t * mu[(e + 1) % space_q.ndof]
+    e = _site_elements(placement.offsets, 0, placement.n)
+    return _hat(placement.mesh, mu, e, placement.t)
 
 
-def vh_gram(space_v: FieldSpace, space_q: MultiplierSpace, A: sp.csr_matrix | None = None) -> sp.csr_matrix:
+def vh_gram(mesh: TriMesh) -> sp.csr_matrix:
     """Gram matrix of the field norm ||grad v||^2 + ||tr v||^2_{1/2,h}."""
-    if A is None:
-        A = assemble_stiffness(space_v)
-    T = trace_matrix(space_v, space_q)
-    return (A + T.T @ boundary_mass(space_q, power=0) @ T).tocsr()
+    T = trace_matrix(mesh)
+    return (assemble_stiffness(mesh) + T.T @ boundary_mass(mesh, power=0) @ T).tocsr()
 
 
 @dataclass
@@ -232,18 +181,14 @@ class SaddleSystem:
     """Blocks of the discrete saddle problem
     [[A, B^T], [B, 0]] [u, lam] = [F, G].
 
-    The space references are optional; the trials of a level read the
-    multiplier space from them.  `factors` is the solver's
-    cache for the current (A, B); systems derived with
-    dataclasses.replace share it.
+    `factors` is the solver's cache for the current (A, B); systems
+    derived with dataclasses.replace share it.
     """
 
     A: sp.csr_matrix
     B: sp.csr_matrix
     F: np.ndarray
     G: np.ndarray
-    space_v: FieldSpace | None = None
-    space_q: MultiplierSpace | None = None
     factors: dict = field(default_factory=dict, repr=False, compare=False)
 
     @property
@@ -255,15 +200,8 @@ class SaddleSystem:
         return self.B.shape[0]
 
 
-def build_saddle_system(
-    space_v: FieldSpace, space_q: MultiplierSpace, f, obs: ObservationSet
-) -> SaddleSystem:
-    A = assemble_stiffness(space_v)
-    F = assemble_load(space_v, f)
-    B, G = assemble_coupling(space_v, space_q, obs)
-    return SaddleSystem(A, B, F, G, space_v, space_q)
-
-
-def export_matrix_market(matrix, path: str, comment: str = "") -> None:
-    """Dump a sparse block for external inspection (MatrixMarket format)."""
-    scipy.io.mmwrite(path, sp.coo_matrix(matrix), comment=comment)
+def build_saddle_system(f, obs: ObservationSet) -> SaddleSystem:
+    """The saddle system for load f and the observation set's data."""
+    mesh = obs.placement.mesh
+    return SaddleSystem(assemble_stiffness(mesh), assemble_coupling_matrix(obs.placement),
+                        assemble_load(mesh, f), assemble_data_vector(obs))

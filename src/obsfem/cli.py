@@ -35,12 +35,15 @@ def _parse_h_list(text: str) -> list[int]:
     """Map a comma-separated list of nominal h values to k = round(1/h)."""
     ks = []
     for part in text.split(","):
-        h = float(part)
+        try:
+            h = float(part)
+        except ValueError:
+            raise ValueError(f"--h: {part!r} is not a number") from None
         if not (0.0 < h <= 0.5):
-            raise ValueError(f"mesh parameter h={h} out of range (0, 0.5]")
+            raise ValueError(f"--h: mesh parameter h={h} out of range (0, 0.5]")
         ks.append(int(round(1.0 / h)))
     if len(set(ks)) != len(ks):
-        raise ValueError("mesh parameters collapse to duplicate sizes")
+        raise ValueError("--h: mesh parameters collapse to duplicate sizes")
     return ks
 
 
@@ -54,6 +57,14 @@ def _workers() -> int:
     if workers < 1:
         raise ValueError(f"OBSFEM_THREADS must be a positive integer, got {text!r}")
     return workers
+
+
+class _Parser(argparse.ArgumentParser):
+    """Reports a bad command line as one `error:` line (exit 2), like
+    every other configuration error, instead of usage text."""
+
+    def error(self, message):
+        raise ValueError(message)
 
 
 def _noise_from_args(args) -> NoiseModel | None:
@@ -172,7 +183,7 @@ def cmd_mesh(args) -> int:
 
 
 def main(argv=None) -> int:
-    parser = argparse.ArgumentParser(prog="obsfem")
+    parser = _Parser(prog="obsfem")
     sub = parser.add_subparsers(dest="command", required=True)
 
     p_conv = sub.add_parser("convergence", help="mesh refinement study")
@@ -191,9 +202,11 @@ def main(argv=None) -> int:
 
     try:
         args = parser.parse_args(argv)
-    except SystemExit as exc:
-        # argparse exits 2 on bad flags, which matches the config code
-        return EXIT_CONFIG if exc.code else EXIT_OK
+    except SystemExit:  # --help
+        return EXIT_OK
+    except ValueError as exc:
+        sys.stderr.write(f"error: {exc}\n")
+        return EXIT_CONFIG
     try:
         return args.func(args)
     except (ValueError, OSError) as exc:

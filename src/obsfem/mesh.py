@@ -109,17 +109,8 @@ class TriMesh:
             self.mesh_size_h = float(triangle_diameters(self).max())
 
     @property
-    def boundary_vertices(self) -> np.ndarray:
-        """Boundary vertex indices in loop order (v0 of each element)."""
-        return self.boundary.v0
-
-    @property
-    def boundary_lengths(self) -> np.ndarray:
-        return self.boundary.length
-
-    @property
     def boundary_length(self) -> float:
-        return float(self.boundary_lengths.sum())
+        return float(self.boundary.length.sum())
 
 
 def triangle_areas(mesh: TriMesh) -> np.ndarray:
@@ -142,6 +133,8 @@ def _validate(mesh: TriMesh) -> None:
     bad = np.flatnonzero(~np.isfinite(mesh.vertices).all(axis=1))
     if bad.size:
         raise MeshError(f"vertex {bad[0]} is not finite")
+    if len(mesh.triangles) == 0:
+        raise MeshError("mesh has no triangles")
     if mesh.triangles.min() < 0 or mesh.triangles.max() >= nv:
         raise MeshError("triangle vertex index out of range")
     areas = triangle_areas(mesh)
@@ -171,7 +164,7 @@ def _validate(mesh: TriMesh) -> None:
         raise MeshError(f"boundary element {e} has length {b.length[e]!r}, "
                         f"its geometry gives {geometric[e]!r}")
     arcs = np.flatnonzero(b.curved)
-    pts, _ = boundary_point(mesh, arcs[:, None], [0.0, 1.0])
+    pts = boundary_point(mesh, arcs[:, None], [0.0, 1.0])
     miss = np.linalg.norm(pts - mesh.vertices[np.column_stack([b.v0, b.v1])[arcs]], axis=2).max(axis=1)
     bad = np.flatnonzero(~(miss <= 1e-12))
     if bad.size:
@@ -296,25 +289,18 @@ def _stitch_rings(inner_ids, inner_ang, outer_ids, outer_ang):
     return tris
 
 
-def boundary_point(mesh: TriMesh, e, t):
-    """Evaluate the boundary parametrization F_E and its speed |F_E'|.
+def boundary_point(mesh: TriMesh, e, t) -> np.ndarray:
+    """Points F_E(t) of the boundary parametrization.
 
-    Parameters
-    ----------
-    e : boundary element index, or an integer array of them
-    t : scalar or array of parameters in [0, 1], broadcast against e
-
-    Returns
-    -------
-    (points, speed) : points has the broadcast shape of (e, t) plus a
-    trailing 2; speed is the constant |F_E'| = h_E, with the shape of e
-    (a float for a scalar e).
+    e is a boundary element index or an integer array of them, t a
+    scalar or array of parameters in [0, 1], broadcast against e.  The
+    result has the broadcast shape of (e, t) plus a trailing 2.  The
+    speed |F_E'| is the constant `mesh.boundary.length[e]`.
     """
     t = np.asarray(t, dtype=float)
     if np.any(t < 0.0) or np.any(t > 1.0):
         raise ValueError("parameter t must lie in [0, 1]")
     b = mesh.boundary
-    speed = b.length[e]
     e, t = np.broadcast_arrays(e, t)
     shape = e.shape
     e, t = e.ravel(), t.ravel()
@@ -326,7 +312,7 @@ def boundary_point(mesh: TriMesh, e, t):
     cx, cy, r, th0, th1 = np.take(b.arc, e[arc], axis=0).T
     th = th0 + t[arc] * (th1 - th0)
     pts[arc] = np.column_stack([cx + r * np.cos(th), cy + r * np.sin(th)])
-    return pts.reshape(shape + (2,)), (float(speed) if np.ndim(speed) == 0 else speed)
+    return pts.reshape(shape + (2,))
 
 
 def mesh_quality(mesh: TriMesh) -> QualityReport:

@@ -53,12 +53,14 @@ class NoiseModel:
     def __post_init__(self):
         if self.kind not in ("none", "gaussian", "mixture"):
             raise ValueError(f"unknown noise kind {self.kind!r}")
+        for name in ("sigma", "sigma1", "sigma2", "p"):
+            object.__setattr__(self, name, float(getattr(self, name)) + 0.0)  # -0.0 becomes 0.0
         for name in ("sigma", "sigma1", "sigma2"):
             value = getattr(self, name)
             if not (math.isfinite(value) and value >= 0.0):
                 raise ValueError(f"{name} must be finite and nonnegative, got {value}")
         if self.kind == "mixture" and not (0.0 <= self.p <= 1.0):
-            raise ValueError("mixture probability must lie in [0, 1]")
+            raise ValueError(f"p (the mixture probability) must lie in [0, 1], got {self.p}")
 
     @staticmethod
     def none() -> "NoiseModel":
@@ -141,13 +143,9 @@ class Placement:
     t: np.ndarray  # (n,) local parameters
     alpha: np.ndarray  # (n,) global quadrature weights
 
-    def element_slice(self, e: int) -> slice:
-        return slice(self.offsets[e], self.offsets[e + 1])
-
     def positions(self, lo: int, hi: int) -> np.ndarray:
         """Points x_j of sites [lo, hi) on the exact boundary, shape (hi - lo, 2)."""
-        pts, _ = boundary_point(self.mesh, _site_elements(self.offsets, lo, hi), self.t[lo:hi])
-        return pts
+        return boundary_point(self.mesh, _site_elements(self.offsets, lo, hi), self.t[lo:hi])
 
     def omega(self, lo: int, hi: int) -> np.ndarray:
         """Local (parameter-space) weights omega_j of sites [lo, hi)."""
@@ -170,7 +168,7 @@ class Placement:
 
     def arclengths(self) -> np.ndarray:
         """Global arclength coordinate of every point, in storage order."""
-        h = self.mesh.boundary_lengths
+        h = self.mesh.boundary.length
         starts = np.concatenate([[0.0], np.cumsum(h)])[:-1]
         counts = np.diff(self.offsets)
         return np.repeat(starts, counts) + self.t * np.repeat(h, counts)
@@ -231,7 +229,7 @@ def place_points(mesh: TriMesh, n: int) -> Placement:
     """
     if n < 1:
         raise ValueError(f"need n >= 1, got {n}")
-    h = mesh.boundary_lengths
+    h = mesh.boundary.length
     total = float(h.sum())
     starts = np.concatenate([[0.0], np.cumsum(h)])
     spacing = total / n
@@ -296,26 +294,6 @@ class ObservationSet:
     model: Optional[NoiseModel]
     seed: int
 
-    @property
-    def mesh(self) -> TriMesh:
-        return self.placement.mesh
-
-    @property
-    def n(self) -> int:
-        return self.placement.n
-
-    @property
-    def t(self) -> np.ndarray:
-        return self.placement.t
-
-    @property
-    def alpha(self) -> np.ndarray:
-        return self.placement.alpha
-
-    @property
-    def offsets(self) -> np.ndarray:
-        return self.placement.offsets
-
     def values(self, lo: int, hi: int) -> np.ndarray:
         """g at sites [lo, hi)."""
         if self.g is not None:
@@ -361,14 +339,16 @@ def build_observation_set(
 
 
 def dump_observations_csv(obs: ObservationSet, path: str) -> None:
-    """Write one line per site (for debugging; floats at 17 digits)."""
+    """Write one line per site (for debugging; floats at 17 digits).
+    A set without g0 holds noise alone, so its g0 column is 0."""
     pl = obs.placement
     with open(path, "w") as fh:
         fh.write("element,t,x,y,g0,e,g,omega,alpha\n")
-        for lo in range(0, obs.n, _SUB_BLOCK):
-            hi = min(obs.n, lo + _SUB_BLOCK)
+        for lo in range(0, pl.n, _SUB_BLOCK):
+            hi = min(pl.n, lo + _SUB_BLOCK)
             pts = pl.positions(lo, hi)
-            clean, g = pl.evaluate(obs.g0, lo, hi), obs.values(lo, hi)
+            clean = np.zeros(hi - lo) if obs.g0 is None else pl.evaluate(obs.g0, lo, hi)
+            g = obs.values(lo, hi)
             columns = (_site_elements(pl.offsets, lo, hi), pl.t[lo:hi], pts[:, 0], pts[:, 1],
                        clean, g - clean, g, pl.omega(lo, hi), pl.alpha[lo:hi])
             np.savetxt(fh, np.column_stack(columns), fmt=["%d"] + ["%.17g"] * 8, delimiter=",")

@@ -53,7 +53,6 @@ class SaddleSolution:
     lam: np.ndarray
     residual_primal: float
     residual_constraint: float
-    method: str
 
 
 def _residuals(system: SaddleSystem, u: np.ndarray, lam: np.ndarray) -> tuple[float, float]:
@@ -128,7 +127,7 @@ def solve_saddle(system: SaddleSystem) -> SaddleSolution:
             lam = Q @ lam
         rp, rc = _residuals(system, u, lam)
         if np.isfinite(rp) and np.isfinite(rc) and rp <= RESIDUAL_LIMIT and rc <= RESIDUAL_LIMIT:
-            return SaddleSolution(u, lam, rp, rc, "direct")
+            return SaddleSolution(u, lam, rp, rc)
         reason = f"direct solve left residuals ({rp:.2e}, {rc:.2e})"
 
     dim = 0 if N is None else N.shape[1]

@@ -13,8 +13,6 @@ import numpy as np
 import pytest
 
 from obsfem import (
-    FieldSpace,
-    MultiplierSpace,
     NoiseModel,
     boundary_mass,
     build_mesh,
@@ -194,12 +192,11 @@ def test_criterion_6_norm_equivalence(capsys):
     for domain in ("square", "disk"):
         for k in KS:
             mesh = build_mesh(domain, k)
-            sq = MultiplierSpace(mesh)
             pl = place_points(mesh, k * k)
-            M1 = boundary_mass(sq, power=1)
+            M1 = boundary_mass(mesh, power=1)
             for _ in range(100):
-                mu = rng.standard_normal(sq.ndof)
-                num = empirical_norm(pl.alpha, multiplier_at_sites(sq, mu, pl))
+                mu = rng.standard_normal(len(mesh.boundary))
+                num = empirical_norm(pl.alpha, multiplier_at_sites(mu, pl))
                 den = math.sqrt(mu @ (M1 @ mu))
                 ratio = num / den
                 lo, hi = min(lo, ratio), max(hi, ratio)
@@ -214,10 +211,9 @@ def test_criterion_6_norm_equivalence(capsys):
 
 def scaled_min_singular_value(k):
     mesh = build_mesh("square", k)
-    sv, sq = FieldSpace(mesh), MultiplierSpace(mesh)
-    B = assemble_coupling_matrix(sv, sq, place_points(mesh, k * k)).toarray()
-    dq = boundary_mass(sq, power=2).diagonal()
-    dv = vh_gram(sv, sq).diagonal()
+    B = assemble_coupling_matrix(place_points(mesh, k * k)).toarray()
+    dq = boundary_mass(mesh, power=2).diagonal()
+    dv = vh_gram(mesh).diagonal()
     S = B / np.sqrt(dq)[:, None] / np.sqrt(dv)[None, :]
     return float(np.linalg.svd(S, compute_uv=False).min())
 
@@ -246,14 +242,13 @@ def test_criterion_8_exactness(square_suite, disk_suite, zero_noise_table,
     worst_u = worst_lam = 0.0
     for domain in ("square", "disk"):
         mesh = build_mesh(domain, 8)
-        sv, sq = FieldSpace(mesh), MultiplierSpace(mesh)
         obs = build_observation_set(mesh, 64, lambda x, y: c, None)
-        system = build_saddle_system(sv, sq, lambda x, y: 0.0, obs)
+        system = build_saddle_system(lambda x, y: 0.0, obs)
         sol = solve_saddle(system)
         worst_u = max(worst_u, float(np.abs(sol.u - c).max()))
         worst_lam = max(worst_lam, float(np.abs(sol.lam).max()))
         zero = type(system)(system.A, system.B, np.zeros_like(system.F),
-                            np.zeros_like(system.G), sv, sq)
+                            np.zeros_like(system.G))
         zsol = solve_saddle(zero)
         assert np.abs(zsol.u).max() <= 1e-12
         assert np.abs(zsol.lam).max() <= 1e-12
@@ -291,10 +286,9 @@ def test_criterion_9_tail_concentration(tail_report, capsys):
 def test_criterion_10_oracle_equivalence(capsys):
     mesh = build_mesh("square", 4)
     case = sine_case("square")
-    sv, sq = FieldSpace(mesh), MultiplierSpace(mesh)
 
     obs = build_observation_set(mesh, 16, case.g0, None)
-    system = build_saddle_system(sv, sq, case.f, obs)
+    system = build_saddle_system(case.f, obs)
     nv, nq = system.n_field, system.n_multiplier
     K = np.zeros((nv + nq, nv + nq))
     K[:nv, :nv] = system.A.toarray()
@@ -308,13 +302,13 @@ def test_criterion_10_oracle_equivalence(capsys):
     solve_diff = float(np.abs(np.concatenate([sol.u, sol.lam]) - ref).max())
 
     pl = place_points(mesh, 64)
-    B = assemble_coupling_matrix(sv, sq, pl).toarray()
+    B = assemble_coupling_matrix(pl).toarray()
     dense = np.zeros_like(B)
-    for e in range(sq.ndof):
-        sl = pl.element_slice(e)
-        q0, q1 = sq.element_dofs(e)
+    nq = len(mesh.boundary)
+    for e in range(nq):
+        q0, q1 = e, (e + 1) % nq
         v0, v1 = mesh.boundary.v0[e], mesh.boundary.v1[e]
-        for j in range(sl.start, sl.stop):
+        for j in range(pl.offsets[e], pl.offsets[e + 1]):
             t, a = pl.t[j], pl.alpha[j]
             for qd, psi in ((q0, 1.0 - t), (q1, t)):
                 dense[qd, v0] += a * psi * (1.0 - t)

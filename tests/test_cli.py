@@ -1,7 +1,10 @@
 import math
+import re
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from obsfem import cli
 from obsfem.mesh import read_mesh_text
@@ -51,6 +54,11 @@ class TestConvergenceOutput:
         assert code == 0
         sigma = float(out.read_text().splitlines()[1].split(",")[4])
         assert sigma == pytest.approx(math.sqrt(50.5), rel=1e-12)
+
+    def test_negative_zero_sigma_writes_zero(self, tmp_path):
+        code, out = run_convergence(tmp_path, "--h", "0.25", "--i", "2", "--sigma=-0.0")
+        assert code == 0
+        assert out.read_text().splitlines()[1].split(",")[4] == "0"
 
     def test_stdout_when_no_out_flag(self, capsys):
         code = cli.main(["convergence", "--domain", "square", "--h", "0.25",
@@ -115,10 +123,51 @@ class TestPublishedRateWindows:
         assert -1.3 <= rate <= -0.7
 
 
+def _is_float(text: str) -> bool:
+    try:
+        float(text)
+    except ValueError:
+        return False
+    return True
+
+
+def _bad_value(name: str):
+    """Text for --name that the CLI must reject: a non-number, a
+    non-finite or negative value, or (p, h) one outside its range."""
+    numbers = [st.sampled_from(["nan", "inf", "-inf", "1e999", "-Infinity"]),
+               st.floats(max_value=0.0, exclude_max=name != "h").map(repr)]
+    if name == "p":
+        numbers.append(st.floats(min_value=1.0, exclude_min=True).map(repr))
+    if name == "h":
+        numbers.append(st.floats(min_value=0.5, exclude_min=True).map(repr))
+    text = st.text(st.characters(codec="ascii", exclude_categories=("Cc",)), max_size=6)
+    return st.one_of(*numbers, text.filter(lambda s: not _is_float(s)))
+
+
 class TestConfigErrors:
     def test_unknown_domain(self, capsys):
         assert cli.main(["convergence", "--domain", "triangle", "--h", "0.1",
                          "--i", "2"]) == 2
+
+    def test_h_not_a_number(self, tmp_path, capsys):
+        code, _ = run_convergence(tmp_path, "--h", "abc", "--i", "2")
+        assert code == 2
+        assert capsys.readouterr().err == "error: --h: 'abc' is not a number\n"
+
+    @settings(max_examples=80, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(bad=st.sampled_from(["sigma", "sigma1", "sigma2", "p", "h"]).flatmap(
+        lambda name: st.tuples(st.just(name), _bad_value(name))))
+    def test_bad_numeric_parameter_is_one_error_line(self, capsys, bad):
+        name, value = bad
+        argv = {"sigma": ["--noise", "gaussian"], "h": []}.get(name, ["--noise", "mixture"])
+        argv = ["convergence", "--domain", "square", "--i", "2", "--trials", "1", *argv]
+        if name != "h":
+            argv += ["--h", "0.25"]
+        code = cli.main([*argv, f"--{name}={value}"])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert len(err.splitlines()) == 1 and err.startswith("error:")
+        assert re.search(rf"(?<![\w-])(--)?{name}\b", err), err
 
     def test_h_out_of_range(self, tmp_path, capsys):
         code, _ = run_convergence(tmp_path, "--h", "0.6", "--i", "2")

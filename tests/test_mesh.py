@@ -124,28 +124,32 @@ class TestDiskMesh:
 class TestBoundaryPoint:
     def test_straight_segment_midpoint(self):
         mesh = build_square_mesh(2)
-        pts, speed = boundary_point(mesh, 0, 0.5)
+        pts = boundary_point(mesh, 0, 0.5)
         np.testing.assert_allclose(pts, [0.25, 0.0], atol=1e-15)
-        assert speed == pytest.approx(0.5, abs=1e-15)
+        assert mesh.boundary.length[0] == pytest.approx(0.5, abs=1e-15)
 
     def test_quarter_arc_midpoint(self):
         mesh = quarter_arc_mesh()
-        pts, speed = boundary_point(mesh, 0, 0.5)
+        pts = boundary_point(mesh, 0, 0.5)
         np.testing.assert_allclose(pts, [math.cos(math.pi / 4), math.sin(math.pi / 4)],
                                    atol=1e-14)
-        assert speed == pytest.approx(math.pi / 2, abs=1e-14)
+        assert mesh.boundary.length[0] == pytest.approx(math.pi / 2, abs=1e-14)
 
     def test_t0_is_v0(self, disk10):
         for e in (0, 7, len(disk10.boundary) - 1):
-            pts, _ = boundary_point(disk10, e, 0.0)
+            pts = boundary_point(disk10, e, 0.0)
             np.testing.assert_allclose(pts, disk10.vertices[disk10.boundary.v0[e]],
                                        atol=1e-14)
 
-    def test_speed_integrates_to_length(self, disk10):
-        # constant-speed parametrization: speed * 1 == h_E
-        for e in (0, 31):
-            _, speed = boundary_point(disk10, e, 0.3)
-            assert speed == pytest.approx(disk10.boundary.length[e], rel=1e-12)
+    def test_speed_integrates_to_length(self, disk10, mixed_mesh):
+        # constant-speed parametrization: |F_E'(t)| == h_E at every t,
+        # checked by central differences on the arcs and on the chord
+        t, d = np.array([0.1, 0.3, 0.9]), 1e-6
+        for mesh, elements in ((disk10, (0, 31)), (mixed_mesh, (0, 1))):
+            for e in elements:
+                chord = boundary_point(mesh, e, t + d) - boundary_point(mesh, e, t - d)
+                speed = np.linalg.norm(chord, axis=1) / (2 * d)
+                np.testing.assert_allclose(speed, mesh.boundary.length[e], rtol=1e-8)
 
     def test_t_out_of_range(self, square10):
         with pytest.raises(ValueError):
@@ -156,16 +160,14 @@ class TestBoundaryPoint:
         t = np.array([0.0, 0.3, 1.0])
         for mesh in (mixed_mesh, square10):
             nb = len(mesh.boundary)
-            pts, speed = boundary_point(mesh, np.arange(nb)[:, None], t)
-            assert pts.shape == (nb, 3, 2) and speed.shape == (nb, 1)
+            pts = boundary_point(mesh, np.arange(nb)[:, None], t)
+            assert pts.shape == (nb, 3, 2)
             for e in range(nb):
-                ref, ref_speed = boundary_point(mesh, e, t)
-                np.testing.assert_array_equal(pts[e], ref)
-                assert speed[e, 0] == ref_speed
+                np.testing.assert_array_equal(pts[e], boundary_point(mesh, e, t))
 
     def test_vectorized_t(self, disk10):
         t = np.linspace(0.1, 0.9, 5)
-        pts, speed = boundary_point(disk10, 3, t)
+        pts = boundary_point(disk10, 3, t)
         assert pts.shape == (5, 2)
         np.testing.assert_allclose(np.hypot(pts[:, 0], pts[:, 1]), 1.0, atol=1e-13)
 
@@ -177,6 +179,11 @@ class TestValidation:
         boundary = Boundary([0, 1, 3], [1.0, math.sqrt(2), 1.0])
         with pytest.raises(MeshError):
             TriMesh(verts, tris, boundary)
+
+    def test_no_triangles_rejected(self):
+        verts = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]])
+        with pytest.raises(MeshError, match=r"^mesh has no triangles$"):
+            TriMesh(verts, np.zeros((0, 3), dtype=int), Boundary([0, 1, 2], [1.0, math.sqrt(2), 1.0]))
 
     def test_open_loop_rejected(self, tmp_path):
         # a Boundary closes by construction; an open loop can only come

@@ -123,10 +123,8 @@ class TestPlacement:
         mesh = build_square_mesh(2)
         pl = place_points(mesh, 8)
         assert pl.n == 8
-        for e in range(8):
-            sl = pl.element_slice(e)
-            assert sl.stop - sl.start == 1
-            assert pl.t[sl.start] == pytest.approx(0.5, abs=1e-12)
+        np.testing.assert_array_equal(pl.offsets, np.arange(9))
+        np.testing.assert_allclose(pl.t, 0.5, atol=1e-12)
 
     def test_equal_counts_k10_n1000(self, square10):
         pl = place_points(square10, 1000)
@@ -137,7 +135,7 @@ class TestPlacement:
         # independent binning: walk the cumulative element lengths per site
         n = 397
         pl = place_points(square10, n)
-        lengths = square10.boundary_lengths
+        lengths = square10.boundary.length
         starts = np.concatenate([[0.0], np.cumsum(lengths)])
         s = pl.arclengths()
         for idx in range(0, n, 41):
@@ -168,8 +166,7 @@ class TestPlacement:
     def test_params_strictly_increasing_per_element(self, disk10):
         pl = place_points(disk10, 500)
         for e in range(len(disk10.boundary)):
-            sl = pl.element_slice(e)
-            te = pl.t[sl]
+            te = pl.t[pl.offsets[e]:pl.offsets[e + 1]]
             assert (np.diff(te) > 0).all()
 
     def test_positions_on_true_boundary(self, disk10):
@@ -188,9 +185,8 @@ class TestPlacement:
         counts = np.diff(pl.offsets)
         assert (counts == 0).any() or domain == "square"
         assert (counts == 1).any() or n > 24
-        omega = np.concatenate([quadrature_weights(pl.t[pl.element_slice(e)])
-                                for e in range(len(mesh.boundary))])
-        h = np.repeat(mesh.boundary_lengths, counts)
+        omega = np.concatenate([quadrature_weights(t) for t in np.split(pl.t, pl.offsets[1:-1])])
+        h = np.repeat(mesh.boundary.length, counts)
         assert np.array_equal(pl.omega(0, n), omega)
         assert np.array_equal(pl.alpha, omega * h)
         m = n // 2  # a range that starts and ends inside elements
@@ -202,8 +198,7 @@ class TestPlacement:
         b = mixed_mesh.boundary
         g0 = lambda x, y: np.sin(5.0 * x + 1.0) * np.sin(5.0 * y + 1.0)  # noqa: E731
         parts = []
-        for e in range(len(b)):
-            t = pl.t[pl.element_slice(e)]
+        for e, t in enumerate(np.split(pl.t, pl.offsets[1:-1])):
             if b.curved[e]:
                 cx, cy, r, th0, th1 = b.arc[e]
                 th = th0 + t * (th1 - th0)
@@ -304,17 +299,27 @@ class TestNoise:
         with pytest.raises(ValueError, match=rf"^{name} must be finite and nonnegative"):
             build()
 
+    def test_mixture_probability_names_p(self):
+        with pytest.raises(ValueError, match=r"^p \(the mixture probability\) must lie in \[0, 1\], got 1.5$"):
+            NoiseModel.mixture(1.0, 10.0, 1.5)
+
+    def test_negative_zero_stored_as_zero(self):
+        # so that no output writes "-0" for a noise parameter
+        mixture = NoiseModel.mixture(-0.0, -0.0, -0.0)
+        for value in (NoiseModel.gaussian(-0.0).sigma, mixture.sigma1, mixture.sigma2, mixture.p):
+            assert math.copysign(1.0, value) == 1.0
+
 
 class TestObservationSet:
     def test_alpha_sums_to_boundary_length(self, square10, disk10):
         g0 = lambda x, y: x + y  # noqa: E731
         for mesh, total in ((square10, 4.0), (disk10, 2 * math.pi)):
             obs = build_observation_set(mesh, 500, g0, None, seed=0)
-            assert abs(obs.alpha.sum() - total) <= 1e-10
+            assert abs(obs.placement.alpha.sum() - total) <= 1e-10
 
     def test_equispaced_alpha_uniform(self, square10):
         obs = build_observation_set(square10, 1000, lambda x, y: x, None, seed=0)
-        np.testing.assert_allclose(obs.alpha, 4.0 / 1000, atol=1e-12)
+        np.testing.assert_allclose(obs.placement.alpha, 4.0 / 1000, atol=1e-12)
 
     def test_constant_data_no_noise(self, square10):
         obs = build_observation_set(square10, 100, lambda x, y: 3.25, None, seed=0)
@@ -323,7 +328,7 @@ class TestObservationSet:
     def test_noise_decomposition(self, disk10):
         model = NoiseModel.gaussian(2.0)
         obs = build_observation_set(disk10, 300, lambda x, y: x * y, model, seed=5)
-        clean = obs.placement.evaluate(obs.g0, 0, obs.n)
+        clean = obs.placement.evaluate(obs.g0, 0, obs.placement.n)
         noise = sample_noise(model, 300, seed=5)
         np.testing.assert_allclose(obs.g - clean, noise, atol=1e-15)
 
@@ -332,8 +337,8 @@ class TestObservationSet:
         a = build_observation_set(disk10, 777, lambda x, y: x, model, seed=9)
         b = build_observation_set(disk10, 777, lambda x, y: x, model, seed=9)
         np.testing.assert_array_equal(a.g, b.g)
-        np.testing.assert_array_equal(a.alpha, b.alpha)
-        np.testing.assert_array_equal(a.t, b.t)
+        np.testing.assert_array_equal(a.placement.alpha, b.placement.alpha)
+        np.testing.assert_array_equal(a.placement.t, b.placement.t)
 
     def test_non_finite_g0_names_first_bad_site(self, square10):
         placement = place_points(square10, 100)
@@ -370,44 +375,45 @@ class TestObservationSet:
 
     @pytest.mark.parametrize("mesh_name, n", [("disk10", 40), ("mixed_mesh", 9), ("square10", 2 ** 16 + 7)])
     def test_csv_dump_columns_match_the_set(self, tmp_path, request, mesh_name, n):
+        # a set observing g0, then a noise-only set (g0 None: g0 column 0, e = g)
         mesh = request.getfixturevalue(mesh_name)
-        obs = build_observation_set(mesh, n, lambda x, y: x * y - y, NoiseModel.gaussian(1.0), seed=4)
-        path = tmp_path / "obs.csv"
-        dump_observations_csv(obs, str(path))
-        table = np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2)
-        element, t, x, y, g0, e, g, omega, alpha = table.T
-        pl = obs.placement
-        counts = np.diff(pl.offsets)
-        pts = np.concatenate([boundary_point(mesh, k, pl.t[pl.element_slice(k)])[0]
-                              for k in range(len(mesh.boundary))])
-        clean = pts[:, 0] * pts[:, 1] - pts[:, 1]
-        w = np.concatenate([quadrature_weights(pl.t[pl.element_slice(k)])
-                            for k in range(len(mesh.boundary))])
-        assert np.array_equal(element, np.repeat(np.arange(len(mesh.boundary)), counts))
-        assert np.array_equal(t, pl.t)
-        assert np.array_equal(x, pts[:, 0]) and np.array_equal(y, pts[:, 1])
-        assert np.array_equal(g0, clean)
-        assert np.array_equal(e, obs.g - clean)
-        assert np.array_equal(g, obs.g)
-        assert np.array_equal(omega, w)
-        assert np.array_equal(alpha, pl.alpha)
+        pl = place_points(mesh, n)
+        parts = np.split(pl.t, pl.offsets[1:-1])
+        pts = np.concatenate([boundary_point(mesh, k, t) for k, t in enumerate(parts)])
+        w = np.concatenate([quadrature_weights(t) for t in parts])
+        for g0, clean in ((lambda x, y: x * y - y, pts[:, 0] * pts[:, 1] - pts[:, 1]),
+                          (None, np.zeros(n))):
+            obs = observe(pl, g0, NoiseModel.gaussian(1.0), 4)
+            path = tmp_path / "obs.csv"
+            dump_observations_csv(obs, str(path))
+            table = np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2)
+            element, t, x, y, g0_column, e, g, omega, alpha = table.T
+            data = obs.values(0, n)
+            assert np.array_equal(element, np.repeat(np.arange(len(mesh.boundary)), np.diff(pl.offsets)))
+            assert np.array_equal(t, pl.t)
+            assert np.array_equal(x, pts[:, 0]) and np.array_equal(y, pts[:, 1])
+            assert np.array_equal(g0_column, clean)
+            assert np.array_equal(e, data - clean)
+            assert np.array_equal(g, data)
+            assert np.array_equal(omega, w)
+            assert np.array_equal(alpha, pl.alpha)
 
 
 class TestEmpiricalInnerProduct:
     def test_constant_gives_boundary_length(self, disk10):
         obs = build_observation_set(disk10, 123, lambda x, y: 1.0, None)
         one = np.ones(123)
-        assert empirical_inner_product(obs.alpha, one, one) == pytest.approx(
+        assert empirical_inner_product(obs.placement.alpha, one, one) == pytest.approx(
             2 * math.pi, abs=1e-10)
 
     def test_zero_factor(self, square10):
         obs = build_observation_set(square10, 64, lambda x, y: 1.0, None)
-        assert empirical_inner_product(obs.alpha, np.ones(64), np.zeros(64)) == 0.0
+        assert empirical_inner_product(obs.placement.alpha, np.ones(64), np.zeros(64)) == 0.0
 
     def test_approximates_line_integral(self, square10):
         # integral of x^2 over the unit square boundary: 1/3 + 1 + 1/3 + 0
         obs = build_observation_set(square10, 10 ** 4, lambda x, y: x ** 2, None)
-        assert abs(empirical_inner_product(obs.alpha, np.ones(10 ** 4), obs.g)
+        assert abs(empirical_inner_product(obs.placement.alpha, np.ones(10 ** 4), obs.g)
                    - 5.0 / 3.0) <= 1e-4
 
     def test_norm_is_sqrt_self_product(self, rng):

@@ -6,9 +6,7 @@ import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 from obsfem import (
-    FieldSpace,
     Level,
-    MultiplierSpace,
     NoiseModel,
     SingularSystemError,
     build_observation_set,
@@ -19,9 +17,8 @@ from obsfem import (
 
 
 def make_system(mesh, n, f, g0, model=None, seed=0):
-    sv, sq = FieldSpace(mesh), MultiplierSpace(mesh)
     obs = build_observation_set(mesh, n, g0, model, seed=seed)
-    return build_saddle_system(sv, sq, f, obs)
+    return build_saddle_system(f, obs)
 
 
 def dense_blocks(system):
@@ -54,7 +51,7 @@ class TestBasicSolves:
     def test_zero_rhs_gives_zero(self, regular_system, rank_deficient_system):
         for base in (regular_system, rank_deficient_system):
             system = type(base)(base.A, base.B, np.zeros_like(base.F),
-                                np.zeros_like(base.G), base.space_v, base.space_q)
+                                np.zeros_like(base.G))
             sol = solve_saddle(system)
             assert np.abs(sol.u).max() <= 1e-12
             assert np.abs(sol.lam).max() <= 1e-12
@@ -68,7 +65,6 @@ class TestBasicSolves:
 
     def test_solution_metadata(self, regular_system):
         sol = solve_saddle(regular_system)
-        assert sol.method == "direct"
         assert sol.residual_primal <= 1e-10
         assert sol.residual_constraint <= 1e-10
 
@@ -76,8 +72,7 @@ class TestBasicSolves:
         base = solve_saddle(regular_system)
         scaled = type(regular_system)(
             regular_system.A, regular_system.B,
-            2.0 * regular_system.F, 2.0 * regular_system.G,
-            regular_system.space_v, regular_system.space_q)
+            2.0 * regular_system.F, 2.0 * regular_system.G)
         sol = solve_saddle(scaled)
         np.testing.assert_allclose(sol.u, 2.0 * base.u, rtol=1e-12, atol=1e-13)
 
@@ -107,7 +102,6 @@ class TestSingularHandling:
         # B drops rank but G stays in range(B): still solvable, and the
         # returned multiplier must be the canonical representative
         sol = solve_saddle(rank_deficient_system)
-        assert sol.method in ("direct", "minres")
         assert sol.residual_primal <= 1e-10
         assert sol.residual_constraint <= 1e-10
 
@@ -119,8 +113,7 @@ class TestSingularHandling:
         bad_G = rank_deficient_system.G + evecs[:, 0]
         system = type(rank_deficient_system)(
             rank_deficient_system.A, rank_deficient_system.B,
-            rank_deficient_system.F, bad_G,
-            rank_deficient_system.space_v, rank_deficient_system.space_q)
+            rank_deficient_system.F, bad_G)
         with pytest.raises(SingularSystemError) as err:
             solve_saddle(system)
         assert "observation sites" in str(err.value)
@@ -177,7 +170,6 @@ class TestFactorizationReuse:
             system = dataclasses.replace(base, G=scale * base.G)
             K, rhs = dense_blocks(system)
             sol = solve_saddle(system)
-            assert sol.method == "direct"
             np.testing.assert_allclose(sol.u, np.linalg.solve(K, rhs)[:system.n_field], atol=1e-12)
         assert len(saddle_splu_calls) == 1
 
@@ -187,7 +179,6 @@ class TestFactorizationReuse:
         stiffer = dataclasses.replace(base, A=2.0 * base.A)
         K, rhs = dense_blocks(stiffer)
         sol = solve_saddle(stiffer)
-        assert sol.method == "direct"
         np.testing.assert_allclose(sol.u, np.linalg.solve(K, rhs)[:stiffer.n_field], atol=1e-12)
         assert len(saddle_splu_calls) == 2
         assert base.factors["A"] is stiffer.A
@@ -211,7 +202,6 @@ class TestRankDeficientLevel:
         x, *_ = np.linalg.lstsq(K, rhs, rcond=None)
         for j, system in enumerate(systems):
             sol = solve_saddle(system)
-            assert sol.method == "direct"
             np.testing.assert_allclose(sol.u, x[:nv, j], atol=1e-8)
             np.testing.assert_allclose(sol.lam, x[nv:, j], atol=1e-8)
             assert np.abs(kernel.T @ sol.lam).max() <= 1e-10
