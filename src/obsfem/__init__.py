@@ -8,6 +8,7 @@ sites.  See the README for the governing formulation and usage.
 
 from .analysis import (
     ConvergenceTable,
+    ErrorQuadrature,
     ErrorReport,
     Level,
     ManufacturedCase,

@@ -11,10 +11,12 @@ the edge-midpoint rule (exact for quadratics), multiplier errors with a
 
 A noise draw changes only the noise part of the data vector G, so a
 :class:`Level` holds everything else of one (domain, k, n): the mesh,
-the placement, A, F, B, the clean data vector G0 and, from its first
-solve on, the saddle LU and the ker B^T basis.  A trial observes only
-its noise, as a streamed observation set, forms G = G0 + G_noise block
-by block, back-solves and integrates the errors.
+the placement, A, F, B, the clean data vector G0, the error quadrature
+(weights, u0, grad u0 and the exact multiplier at the quadrature
+points, the hat gradients) and, from its first solve on, the saddle LU
+and the ker B^T basis.  A trial observes only its noise, as a streamed
+observation set, forms G = G0 + G_noise block by block, back-solves and
+integrates the errors of its own u and lambda.
 `run_case`, `run_study` and `tail_study` loop over `Level.trial`; a pool
 task is one level and a contiguous chunk of seeds, so pooled reports
 equal serial ones.
@@ -43,9 +45,6 @@ from .assembly import (
 from .mesh import TriMesh, boundary_point, build_disk_mesh, build_square_mesh, triangle_areas
 from .observations import NoiseModel, ObservationSet, observe, place_points
 from .solver import SaddleSolution, SingularSystemError, solve_saddle
-
-logger = logging.getLogger(__name__)
-
 
 @dataclass(frozen=True)
 class ManufacturedCase:
@@ -121,52 +120,46 @@ class ErrorReport:
     residual_constraint: float
 
 
-def _triangle_gradients(mesh: TriMesh) -> np.ndarray:
-    """Gradients of the three P1 hats per triangle, shape (NT, 3, 2)."""
-    p = mesh.vertices[mesh.triangles]
-    areas = triangle_areas(mesh)
-    # grad phi_i = perp(p_k - p_j) / (2 area) with (i, j, k) cyclic
-    edges = np.stack([p[:, 2] - p[:, 1], p[:, 0] - p[:, 2], p[:, 1] - p[:, 0]], axis=1)
-    perp = np.stack([-edges[..., 1], edges[..., 0]], axis=-1)
-    return perp / (2.0 * areas)[:, None, None]
+class ErrorQuadrature:
+    """What the error integrals of one (mesh, case) read that no solution
+    changes; built once per level, so a trial adds only its u and lam."""
+
+    def __init__(self, mesh: TriMesh, case: ManufacturedCase):
+        p = mesh.vertices[mesh.triangles]
+        areas = triangle_areas(mesh)
+        mids = 0.5 * (p + np.roll(p, -1, axis=1))  # edge midpoints
+        # grad phi_i = perp(p_k - p_j) / (2 area) with (i, j, k) cyclic
+        edges = np.stack([p[:, 2] - p[:, 1], p[:, 0] - p[:, 2], p[:, 1] - p[:, 0]], axis=1)
+        self.mesh = mesh
+        self.weights = areas[:, None] / 3.0
+        self.u0_mid = case.u0(mids[..., 0], mids[..., 1])
+        self.grad_u0_mid = case.grad_u0(mids[..., 0], mids[..., 1])
+        self.hat_grads = np.stack([-edges[..., 1], edges[..., 0]], axis=-1) / (2.0 * areas)[:, None, None]
+        self.lengths = mesh.boundary.length
+        self.elements = np.arange(len(self.lengths))[:, None]
+        pts = boundary_point(mesh, self.elements, _GAUSS_T)  # 3 Gauss points per element
+        self.lambda_exact = case.lambda_exact(pts[..., 0], pts[..., 1])
 
 
-def compute_errors(
-    mesh: TriMesh,
-    case: ManufacturedCase,
-    solution: SaddleSolution,
-    h_nominal: float,
-    n: int,
-    seed: int,
-) -> ErrorReport:
+def compute_errors(quadrature: ErrorQuadrature, solution: SaddleSolution,
+                   h_nominal: float, n: int, seed: int) -> ErrorReport:
     """Field and multiplier errors of one discrete solution."""
-    u = solution.u
-    tris = mesh.triangles
-    p = mesh.vertices[tris]
-    areas = triangle_areas(mesh)
-
-    # Edge midpoints; P1 values there are endpoint averages.
-    mids = 0.5 * (p + np.roll(p, -1, axis=1))
-    uv = u[tris]
+    q = quadrature
+    # P1 values at the edge midpoints are endpoint averages.
+    uv = solution.u[q.mesh.triangles]
     uh_mid = 0.5 * (uv + np.roll(uv, -1, axis=1))
-    u0_mid = case.u0(mids[..., 0], mids[..., 1])
-    l2_sq = float(np.sum(areas[:, None] / 3.0 * (u0_mid - uh_mid) ** 2))
+    l2_sq = float(np.sum(q.weights * (q.u0_mid - uh_mid) ** 2))
 
-    grads = _triangle_gradients(mesh)
-    uh_grad = np.einsum("ti,tid->td", uv, grads)
-    gx, gy = case.grad_u0(mids[..., 0], mids[..., 1])
+    uh_grad = np.einsum("ti,tid->td", uv, q.hat_grads)
+    gx, gy = q.grad_u0_mid
     dx = gx - uh_grad[:, None, 0]
     dy = gy - uh_grad[:, None, 1]
-    semi_sq = float(np.sum(areas[:, None] / 3.0 * (dx**2 + dy**2)))
+    semi_sq = float(np.sum(q.weights * (dx**2 + dy**2)))
 
-    h_e = mesh.boundary.length
-    e = np.arange(len(h_e))[:, None]
-    pts = boundary_point(mesh, e, _GAUSS_T)
-    exact = case.lambda_exact(pts[..., 0], pts[..., 1])
-    approx = _hat(mesh, solution.lam, e, _GAUSS_T)
-    lam_l2_e = h_e * (((exact - approx) ** 2) @ _GAUSS_W)
+    approx = _hat(q.mesh, solution.lam, q.elements, _GAUSS_T)
+    lam_l2_e = q.lengths * (((q.lambda_exact - approx) ** 2) @ _GAUSS_W)
     lam_l2_sq = float(lam_l2_e.sum())
-    lam_half_sq = float(h_e @ lam_l2_e)
+    lam_half_sq = float(q.lengths @ lam_l2_e)
 
     return ErrorReport(
         h=h_nominal,
@@ -201,8 +194,10 @@ class Level:
     The clean data vector G0 is read from a streamed observation set, and
     a trial observes only its noise, so neither builds a length-n data
     array.  Trial systems are derived from the clean system (A, B, F, G0)
-    with `dataclasses.replace`, so they share its solver `factors`.  No
-    per-site array is kept beyond the placement's t and alpha.
+    with `dataclasses.replace`, so they share its solver `factors`.  The
+    error quadrature is built with the level, so a trial evaluates neither
+    the case nor the mesh geometry.  No per-site array is kept beyond the
+    placement's t and alpha.
     """
 
     def __init__(self, domain: str, k: int, i: Optional[int] = None, n: Optional[int] = None,
@@ -217,6 +212,7 @@ class Level:
             assemble_coupling_matrix(self.placement),
             assemble_load(self.mesh, self.case.f),
             assemble_data_vector(clean))
+        self.quadrature = ErrorQuadrature(self.mesh, self.case)
 
     def data_vector(self, model: Optional[NoiseModel], seed: int) -> np.ndarray:
         """G = G0 + G_noise for one noise draw."""
@@ -231,14 +227,38 @@ class Level:
             raise SingularSystemError(
                 f"h={self.h:g} n={self.placement.n}: {exc}", estimate=exc.estimate
             ) from exc
-        return compute_errors(self.mesh, self.case, solution, self.h, self.placement.n, seed)
+        return compute_errors(self.quadrature, solution, self.h, self.placement.n, seed)
 
 
 def _level_trials(domain: str, k: int, i: Optional[int], n: Optional[int],
-                  model: Optional[NoiseModel], seeds: range) -> list:
-    """Reports of one level over `seeds`."""
-    level = Level(domain, k, i, n)
-    return [level.trial(model, s) for s in seeds]
+                  model: Optional[NoiseModel], seeds: range) -> tuple:
+    """(What obsfem logged while building the level, reports over `seeds`).
+
+    The records are held back, not printed, so that `_run_levels` logs a
+    level's build once and in level order, whichever process built it.
+    """
+    records: list = []
+    held = logging.Handler()
+    held.emit = records.append
+    package = logging.getLogger(__package__)
+    package.addHandler(held)
+    propagate, package.propagate = package.propagate, False
+    try:
+        level = Level(domain, k, i, n)
+    finally:
+        package.removeHandler(held)
+        package.propagate = propagate
+    return records, [level.trial(model, s) for s in seeds]
+
+
+def _relog_first_chunks(done, chunks: int):
+    """Reports of each task; logs the held records of a level's first chunk."""
+    for j, (records, reports) in enumerate(done):
+        for record in records if j % chunks == 0 else ():
+            log = logging.getLogger(record.name)
+            if log.isEnabledFor(record.levelno):
+                log.handle(record)
+        yield reports
 
 
 def _run_levels(domain: str, ks: Sequence[int], i: Optional[int], n: Optional[int],
@@ -248,15 +268,16 @@ def _run_levels(domain: str, ks: Sequence[int], i: Optional[int], n: Optional[in
     A task is one level and a contiguous chunk of the seeds; with
     workers > 1 the chunks go to a process pool, so a worker builds a
     level once per chunk and runs the same trials as the serial loop.
+    Serial or pooled, what a level's build logs is printed once.
     """
     size = -(-len(seeds) // max(workers, 1))
     chunks = [seeds[j : j + size] for j in range(0, len(seeds), size)]
     tasks = [(domain, k, i, n, model, chunk) for k in ks for chunk in chunks]
     if workers > 1 and tasks:
         with ProcessPoolExecutor(max_workers=min(workers, len(tasks))) as pool:
-            done = list(pool.map(_level_trials, *zip(*tasks)))
+            done = list(_relog_first_chunks(pool.map(_level_trials, *zip(*tasks)), len(chunks)))
     else:
-        done = [_level_trials(*task) for task in tasks]
+        done = list(_relog_first_chunks((_level_trials(*task) for task in tasks), len(chunks)))
     return [sum(done[j : j + len(chunks)], []) for j in range(0, len(done), len(chunks))]
 
 

@@ -31,17 +31,43 @@ def _fmt(x: float) -> str:
     return f"{x:.17g}"
 
 
-def _parse_h_list(text: str) -> list[int]:
-    """Map a comma-separated list of nominal h values to k = round(1/h)."""
+# A level holds at least t and alpha per observation site and the two
+# coordinates per mesh vertex, 16 B each.
+_LEVEL_BYTES_PER_ITEM = 16
+
+
+def _mesh_sizes(args, workers: int) -> list[int]:
+    """Map the comma-separated --h values to k = round(1/h).
+
+    Each pool worker holds one level at a time, so an h whose level,
+    times the workers, cannot fit in physical memory is refused here,
+    before any mesh is built.
+    """
+    try:
+        memory = os.sysconf("SC_PHYS_PAGES") * os.sysconf("SC_PAGE_SIZE")
+    except (AttributeError, ValueError, OSError):  # unknown: refuse only infinite sizes
+        memory = math.inf
     ks = []
-    for part in text.split(","):
+    for part in args.h.split(","):
         try:
             h = float(part)
         except ValueError:
             raise ValueError(f"--h: {part!r} is not a number") from None
         if not (0.0 < h <= 0.5):
             raise ValueError(f"--h: mesh parameter h={h} out of range (0, 0.5]")
-        ks.append(int(round(1.0 / h)))
+        k = 1.0 / h
+        # Sizes beyond float range become inf (products, not powers).
+        vertices = (k + 1.0) * (k + 1.0)  # no more than either domain has
+        if args.n is not None:
+            sites = float(args.n) if args.n <= sys.float_info.max else math.inf
+        else:
+            sites = math.prod([k] * args.i) if args.i in (1, 2, 3, 4) else 0.0
+        need = _LEVEL_BYTES_PER_ITEM * workers * (vertices + sites)
+        if not need < memory:
+            raise ValueError(f"--h: h={h:g} needs at least {need / 1e9:.3g} GB ({vertices:.3g} vertices, "
+                             f"{sites:.3g} sites, {workers} worker(s)); physical memory is "
+                             f"{memory / 1e9:.3g} GB")
+        ks.append(int(round(k)))
     if len(set(ks)) != len(ks):
         raise ValueError("--h: mesh parameters collapse to duplicate sizes")
     return ks
@@ -100,12 +126,13 @@ def _write(path: str | None, text: str) -> None:
 
 def cmd_convergence(args) -> int:
     model = _noise_from_args(args)
-    ks = _parse_h_list(args.h)
+    workers = _workers()
+    ks = _mesh_sizes(args, workers)
     if args.trials < 1:
         raise ValueError("trials must be positive")
     table = run_study(
         args.domain, ks, i=args.i, n=args.n, model=model,
-        trials=args.trials, seed=args.seed, workers=_workers(),
+        trials=args.trials, seed=args.seed, workers=workers,
     )
     sigma = model.std if model is not None else 0.0
     lines = ["domain,h,n,i,sigma,seed_count,l2_mean,l2_std,h1_mean,h1_std,lam_l2_mean,"
@@ -143,12 +170,13 @@ def cmd_convergence(args) -> int:
 
 def cmd_tail(args) -> int:
     model = _noise_from_args(args)
-    ks = _parse_h_list(args.h)
+    workers = _workers()
+    ks = _mesh_sizes(args, workers)
     if len(ks) != 1:
         raise ValueError("tail study takes exactly one mesh size")
     report = tail_study(
         args.domain, ks[0], i=args.i, n=args.n, model=model,
-        trials=args.trials, seed=args.seed, workers=_workers(),
+        trials=args.trials, seed=args.seed, workers=workers,
     )
     lines = ["z,survival,log_survival,fit_a,fit_b,r2"]
     if report.degenerate:

@@ -1,9 +1,12 @@
+import collections
+import logging
 import math
 
 import numpy as np
 import pytest
 
 from obsfem import (
+    ErrorQuadrature,
     Level,
     NoiseModel,
     SaddleSolution,
@@ -122,7 +125,7 @@ class TestComputeErrors:
         )
         nq = len(square8.boundary)
         u = np.full(len(square8.vertices), c)
-        rep = compute_errors(square8, case, self.fake_solution(u, np.zeros(nq)),
+        rep = compute_errors(ErrorQuadrature(square8, case), self.fake_solution(u, np.zeros(nq)),
                              0.125, 64, 0)
         assert rep.l2 <= 1e-12
         assert rep.h1 <= 1e-12
@@ -141,7 +144,7 @@ class TestComputeErrors:
         )
         u = 1.0 + 2.0 * square8.vertices[:, 0] - square8.vertices[:, 1]
         nq = len(square8.boundary)
-        rep = compute_errors(square8, case, self.fake_solution(u, np.zeros(nq)),
+        rep = compute_errors(ErrorQuadrature(square8, case), self.fake_solution(u, np.zeros(nq)),
                              0.125, 64, 0)
         assert rep.l2 <= 1e-13
         assert rep.semi_h1 <= 1e-12
@@ -150,7 +153,7 @@ class TestComputeErrors:
         case = sine_case("square")
         u = np.zeros(len(square8.vertices))
         lam = np.zeros(len(square8.boundary))
-        rep = compute_errors(square8, case, self.fake_solution(u, lam),
+        rep = compute_errors(ErrorQuadrature(square8, case), self.fake_solution(u, lam),
                              0.125, 64, 0)
         assert rep.h1**2 == pytest.approx(rep.l2**2 + rep.semi_h1**2, rel=1e-12)
         assert rep.l2 > 0 and rep.lam_l2 > 0
@@ -160,7 +163,7 @@ class TestComputeErrors:
         sol = SaddleSolution(np.zeros(len(square8.vertices)),
                              np.zeros(len(square8.boundary)),
                              3e-14, 4e-15)
-        rep = compute_errors(square8, case, sol, 0.125, 999, 5)
+        rep = compute_errors(ErrorQuadrature(square8, case), sol, 0.125, 999, 5)
         assert (rep.h, rep.n, rep.seed) == (0.125, 999, 5)
         assert rep.residual_primal == 3e-14
         assert rep.residual_constraint == 4e-15
@@ -235,7 +238,7 @@ class TestRunCase:
         obs = build_observation_set(mesh, 100, case.g0, None, seed=0)
         system = build_saddle_system(case.f, obs)
         sol = solve_saddle(system)
-        rep = compute_errors(mesh, case, sol, 0.1, 100, 0)
+        rep = compute_errors(ErrorQuadrature(mesh, case), sol, 0.1, 100, 0)
         independent = l2_error_degree5(mesh, case, sol.u)
         assert rep.l2 / independent == pytest.approx(1.0, abs=0.25)
 
@@ -292,6 +295,34 @@ class TestLevel:
             for t, rep in enumerate(row.reports):
                 assert run_case("disk", row.k, i=2, model=model, seed=4 + t) == rep
 
+    def test_trials_do_not_evaluate_the_case(self):
+        # the error quadrature is built with the level: more trials, same calls
+        calls = collections.Counter()
+        sine = sine_case("square")
+
+        def counted(name, fn):
+            def wrapper(x, y):
+                calls[name] += 1
+                return fn(x, y)
+            return wrapper
+
+        class CountingCase(ManufacturedCase):
+            def lambda_exact(self, x, y):
+                calls["lambda_exact"] += 1
+                return super().lambda_exact(x, y)
+
+        case = CountingCase("square", counted("u0", sine.u0), counted("grad_u0", sine.grad_u0), sine.f)
+        model = NoiseModel.gaussian(1.0)
+        counts = []
+        for trials in (1, 3):
+            calls.clear()
+            level = Level("square", 6, i=2, case=case)
+            reports = [level.trial(model, s) for s in range(trials)]
+            counts.append(dict(calls))
+        assert counts[0] == counts[1]
+        assert counts[0]["lambda_exact"] == 1
+        assert reports[0] == run_case("square", 6, i=2, model=model, seed=0)
+
     def test_non_finite_g0_fails_at_level_build(self):
         case = sine_case("square")
         bad = ManufacturedCase("square", lambda x, y: np.where(x < 0.5, np.nan, x), case.grad_u0, case.f)
@@ -332,6 +363,16 @@ class TestRunStudy:
             assert a.l2_std == b.l2_std
             assert a.h1_mean == b.h1_mean
             assert a.lam_l2_mean == b.lam_l2_mean
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_level_build_logged_once(self, caplog, workers):
+        # square k=10, n=100 nudges 20 sites; each chunk of seeds rebuilds
+        # the level, but its warning is logged once per level
+        with caplog.at_level(logging.WARNING):
+            run_study("square", [10, 20], i=2, model=NoiseModel.gaussian(1.0), trials=4,
+                      workers=workers)
+        assert [r.getMessage() for r in caplog.records] == [
+            "nudged 20 observation sites off element endpoints"]
 
     def test_noise_floor_rate(self):
         # n = h^-2 leaves a stagnating L2 error: rate near -1, far from -2

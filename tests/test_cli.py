@@ -1,12 +1,16 @@
 import math
+import os
 import re
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from obsfem import cli
+import obsfem
+from obsfem import analysis, cli
 from obsfem.mesh import read_mesh_text
 from obsfem.solver import SingularSystemError
 
@@ -169,6 +173,26 @@ class TestConfigErrors:
         assert len(err.splitlines()) == 1 and err.startswith("error:")
         assert re.search(rf"(?<![\w-])(--)?{name}\b", err), err
 
+    @pytest.mark.parametrize("h", ["1e-320", "1e-6"])
+    def test_tiny_h_refused_before_any_mesh(self, tmp_path, capsys, monkeypatch, h):
+        monkeypatch.setattr(analysis, "build_mesh", lambda *a: pytest.fail("built a mesh"))
+        code, out = run_convergence(tmp_path, "--h", h, "--i", "2")
+        err = capsys.readouterr().err
+        assert code == 2 and not out.exists()
+        assert len(err.splitlines()) == 1 and err.startswith("error: --h: ")
+        assert "physical memory" in err
+
+    def test_memory_estimate_counts_the_workers(self, tmp_path, capsys, monkeypatch):
+        # h=0.1, i=4: at least 16 B x (121 vertices + 10^4 sites) = 162 kB per level
+        pages = {"SC_PHYS_PAGES": 50, "SC_PAGE_SIZE": 4096}  # 205 kB
+        monkeypatch.setattr(cli.os, "sysconf", pages.__getitem__)
+        args = ("--h", "0.1", "--i", "4", "--trials", "2")
+        assert run_convergence(tmp_path, *args)[0] == 0
+        monkeypatch.setenv("OBSFEM_THREADS", "2")
+        monkeypatch.setattr(analysis, "build_mesh", lambda *a: pytest.fail("built a mesh"))
+        assert run_convergence(tmp_path, *args)[0] == 2
+        assert "2 worker(s)" in capsys.readouterr().err
+
     def test_h_out_of_range(self, tmp_path, capsys):
         code, _ = run_convergence(tmp_path, "--h", "0.6", "--i", "2")
         assert code == 2
@@ -262,6 +286,19 @@ class TestTailCommand:
         assert cli.main(args + ["--out", str(out1)]) == 0
         assert cli.main(args + ["--out", str(out2)]) == 0
         assert out1.read_bytes() == out2.read_bytes()
+
+    def test_pooled_run_prints_serial_bytes(self):
+        # the level's nudge warning is printed once, not once per worker
+        argv = [sys.executable, "-m", "obsfem.cli", "tail", "--domain", "square", "--h", "0.1",
+                "--i", "2", "--sigma", "2", "--trials", "100"]
+        src = os.path.dirname(os.path.dirname(obsfem.__file__))
+        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+        runs = [subprocess.run(argv, capture_output=True, check=True,
+                               env={**os.environ, "PYTHONPATH": path, "OBSFEM_THREADS": threads})
+                for threads in ("1", "2")]
+        assert runs[0].stdout.count(b"\n") > 1
+        assert runs[0].stderr.count(b"nudged 20 observation sites") == 1
+        assert (runs[1].stdout, runs[1].stderr) == (runs[0].stdout, runs[0].stderr)
 
 
 class TestMeshCommand:
