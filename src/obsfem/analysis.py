@@ -197,7 +197,9 @@ class Level:
     with `dataclasses.replace`, so they share its solver `factors`.  The
     error quadrature is built with the level, so a trial evaluates neither
     the case nor the mesh geometry.  No per-site array is kept beyond the
-    placement's t and alpha.
+    placement's t and alpha and its one work array of at most 2^20
+    floats: G0, B and every trial's noise draws and data vector are
+    reduced through it, so a trial allocates no per-site array.
     """
 
     def __init__(self, domain: str, k: int, i: Optional[int] = None, n: Optional[int] = None,

@@ -66,23 +66,33 @@ def assemble_load(mesh: TriMesh, f) -> np.ndarray:
     return F
 
 
-def _hat_moments(placement: Placement, values) -> tuple[np.ndarray, np.ndarray]:
-    """Per-element sums of (1 - t) alpha v and t alpha v: what the sites
-    add to the first and second hat of their element.  `values(lo, hi)`
-    gives v at sites [lo, hi); it is called once per noise block."""
-    nb = len(placement.offsets) - 1
-    left, right = np.zeros(nb), np.zeros(nb)
+def _blocks(placement: Placement):
+    """Per noise block [lo, hi): (lo, hi, the elements with sites in the
+    block, where their runs start relative to lo).  An element's sum is
+    one `np.add.reduceat` per block, so these bounds fix its bits."""
     for lo in range(0, placement.n, _NOISE_BLOCK):
         hi = min(placement.n, lo + _NOISE_BLOCK)
         off = np.clip(placement.offsets, lo, hi) - lo
-        owners = np.flatnonzero(off[1:] > off[:-1])  # elements with sites in the block
-        w = placement.alpha[lo:hi] * values(lo, hi)
-        total = np.add.reduceat(w, off[owners])
+        owners = np.flatnonzero(off[1:] > off[:-1])
+        yield lo, hi, owners, off[owners]
+
+
+def _hat_moments(placement: Placement, values) -> tuple[np.ndarray, np.ndarray]:
+    """Per-element sums of (1 - t) alpha v and t alpha v: what the sites
+    add to the first and second hat of their element.  `values(lo, hi,
+    out)` writes v at sites [lo, hi) into `out`; it is called once per
+    noise block, with the block's share of `placement.work`, which is then
+    reduced in place: times alpha, summed, times t, summed."""
+    nb = len(placement.offsets) - 1
+    left, right = np.zeros(nb), np.zeros(nb)
+    for lo, hi, owners, starts in _blocks(placement):
+        w = values(lo, hi, placement.work[: hi - lo])
+        w *= placement.alpha[lo:hi]
+        total = np.add.reduceat(w, starts)
         w *= placement.t[lo:hi]
-        moment = np.add.reduceat(w, off[owners])
+        moment = np.add.reduceat(w, starts)
         left[owners] += total - moment
         right[owners] += moment
-        del w  # so that two blocks never coexist
     return left, right
 
 
@@ -91,12 +101,27 @@ def assemble_coupling_matrix(placement: Placement) -> sp.csr_matrix:
 
     Every site only touches the two hat functions of its element on each
     side, so B has at most three nonzeros per row and each element
-    contributes a 2 x 2 block.
+    contributes a 2 x 2 block
+
+        [[b00, b01], [b01, b11]] = sum_i alpha_i [[(1-t)^2, (1-t) t], [(1-t) t, t^2]],
+
+    reduced in one pass over the sites through `placement.work`.
     """
     mesh = placement.mesh
     nb = len(mesh.boundary)
-    b00, b01 = _hat_moments(placement, lambda lo, hi: 1.0 - placement.t[lo:hi])
-    _, b11 = _hat_moments(placement, lambda lo, hi: placement.t[lo:hi])
+    b00, b01, b11 = np.zeros(nb), np.zeros(nb), np.zeros(nb)
+    for lo, hi, owners, starts in _blocks(placement):
+        t, alpha, w = placement.t[lo:hi], placement.alpha[lo:hi], placement.work[: hi - lo]
+        np.subtract(1.0, t, out=w)
+        w *= alpha
+        total = np.add.reduceat(w, starts)  # sum alpha (1-t)
+        w *= t
+        moment = np.add.reduceat(w, starts)  # sum alpha (1-t) t
+        np.multiply(alpha, t, out=w)
+        w *= t
+        b00[owners] += total - moment
+        b01[owners] += moment
+        b11[owners] += np.add.reduceat(w, starts)  # sum alpha t t
     e = np.flatnonzero(np.diff(placement.offsets))  # elements with sites
     q1 = (e + 1) % nb
     v0, v1 = mesh.boundary.v0[e], mesh.boundary.v0[q1]

@@ -149,6 +149,14 @@ def _validate(mesh: TriMesh) -> None:
         raise MeshError("boundary loop is empty")
     if b.length.shape != (nb,) or b.arc.shape != (nb, 5):
         raise MeshError(f"boundary of {nb} elements has {b.length.shape} lengths and {b.arc.shape} arcs")
+    # Lengths and arcs are checked for finiteness before any arithmetic
+    # on them; an arc row is all NaN (a straight segment) or all finite.
+    bad = np.flatnonzero(~np.isfinite(b.length)
+                         | ~(np.isfinite(b.arc).all(axis=1) | np.isnan(b.arc).all(axis=1)))
+    if bad.size:
+        e = bad[0]
+        raise MeshError(f"boundary element {e} is not finite: length {float(b.length[e])}, "
+                        f"arc {b.arc[e].tolist()}")
     # One closed loop (closed by construction), each vertex visited once.
     bad = np.flatnonzero((b.v0 < 0) | (b.v0 >= nv))
     if bad.size:
@@ -210,14 +218,10 @@ def build_square_mesh(k: int) -> TriMesh:
     def vid(i, j):
         return j * (k + 1) + i
 
-    tris = []
-    for j in range(k):
-        for i in range(k):
-            ll, lr = vid(i, j), vid(i + 1, j)
-            ul, ur = vid(i, j + 1), vid(i + 1, j + 1)
-            tris.append((ll, lr, ur))
-            tris.append((ll, ur, ul))
-    triangles = np.array(tris, dtype=np.int64)
+    # Cell (i, j), row by row, splits into (ll, lr, ur) and (ll, ur, ul).
+    ll = vid(np.arange(k), np.arange(k)[:, None]).ravel()
+    lr, ul, ur = ll + 1, ll + k + 1, ll + k + 2
+    triangles = np.column_stack([ll, lr, ur, ll, ur, ul]).reshape(-1, 3)
 
     r = np.arange(k)
     loop = np.concatenate([vid(r, 0), vid(k, r), vid(k - r, k), vid(0, k - r)])
@@ -235,58 +239,46 @@ def build_disk_mesh(m: int) -> TriMesh:
     """
     if m < 2:
         raise MeshError(f"need m >= 2, got {m}")
-    verts = [(0.0, 0.0)]
-    ring_ids: list[np.ndarray] = [np.array([0])]
-    ring_angles: list[np.ndarray] = [np.array([0.0])]
-    for i in range(1, m + 1):
-        cnt = int(round(2.0 * math.pi * i))
-        ang = 2.0 * math.pi * np.arange(cnt) / cnt
-        r = i / m
-        start = len(verts)
-        verts.extend(zip(r * np.cos(ang), r * np.sin(ang)))
-        ring_ids.append(np.arange(start, start + cnt))
-        ring_angles.append(ang)
-    vertices = np.array(verts)
+    # Ring 0 is the hub vertex, ring i >= 1 holds round(2 pi i) vertices,
+    # numbered from first[i] in angle order.
+    sizes = np.concatenate([[1], np.rint(2.0 * math.pi * np.arange(1, m + 1)).astype(np.int64)])
+    first = np.concatenate([[0], np.cumsum(sizes)])
+    ang = 2.0 * math.pi * (np.arange(first[-1]) - np.repeat(first[:-1], sizes)) / np.repeat(sizes, sizes)
+    r = np.repeat(np.arange(m + 1) / m, sizes)
+    vertices = np.column_stack([r * np.cos(ang), r * np.sin(ang)])
 
-    tris = []
-    hub = ring_ids[1]
-    for j in range(len(hub)):
-        tris.append((0, hub[j], hub[(j + 1) % len(hub)]))
+    def ring(i):
+        return np.arange(first[i], first[i + 1])
+
+    pieces = [np.column_stack([np.zeros(sizes[1], dtype=np.int64), ring(1), np.roll(ring(1), -1)])]
     for i in range(1, m):
-        tris.extend(
-            _stitch_rings(ring_ids[i], ring_angles[i], ring_ids[i + 1], ring_angles[i + 1])
-        )
-    triangles = np.array(tris, dtype=np.int64)
+        pieces.append(_stitch_rings(ring(i), ang[ring(i)], ring(i + 1), ang[ring(i + 1)]))
+    triangles = np.concatenate(pieces)
 
-    n_out = len(ring_ids[m])
+    n_out = sizes[-1]
     theta = 2.0 * math.pi * np.arange(n_out + 1) / n_out
     arc = np.column_stack([np.zeros(n_out), np.zeros(n_out), np.ones(n_out), theta[:-1], theta[1:]])
-    return TriMesh(vertices, triangles, Boundary(ring_ids[m], np.diff(theta), arc))
+    return TriMesh(vertices, triangles, Boundary(ring(m), np.diff(theta), arc))
 
 
-def _stitch_rings(inner_ids, inner_ang, outer_ids, outer_ang):
+def _stitch_rings(inner_ids, inner_ang, outer_ids, outer_ang) -> np.ndarray:
     """Triangulate the annulus between two vertex rings.
 
     Walks both rings in angle simultaneously, always advancing on the
-    ring whose next vertex comes first; this keeps triangles close to
-    isoceles even when the rings carry different vertex counts.
+    ring whose next vertex comes first (the inner one on a tie); this
+    keeps triangles close to isoceles even when the rings carry different
+    vertex counts.  The walk is a stable merge of the two rings' next
+    angles: step s advances the inner ring if `inner[s]`, and a[s], b[s]
+    count the steps taken on each ring, step s included.
     """
-    na, nb = len(inner_ids), len(outer_ids)
     iid = np.append(inner_ids, inner_ids[0])
     oid = np.append(outer_ids, outer_ids[0])
-    iang = np.append(inner_ang, inner_ang[0] + 2.0 * math.pi)
-    oang = np.append(outer_ang, outer_ang[0] + 2.0 * math.pi)
-    tris = []
-    a = b = 0
-    while a < na or b < nb:
-        take_inner = b >= nb or (a < na and iang[a + 1] <= oang[b + 1])
-        if take_inner:
-            tris.append((iid[a], oid[b], iid[a + 1]))
-            a += 1
-        else:
-            tris.append((iid[a], oid[b], oid[b + 1]))
-            b += 1
-    return tris
+    nxt = np.concatenate([inner_ang[1:], [inner_ang[0] + 2.0 * math.pi],
+                          outer_ang[1:], [outer_ang[0] + 2.0 * math.pi]])
+    inner = np.argsort(nxt, kind="stable") < len(inner_ids)
+    a, b = np.cumsum(inner), np.cumsum(~inner)
+    ids = np.concatenate([iid, oid])
+    return np.column_stack([iid[a - inner], oid[b - ~inner], ids[np.where(inner, a, len(iid) + b)]])
 
 
 def boundary_point(mesh: TriMesh, e, t) -> np.ndarray:
@@ -362,11 +354,18 @@ def _fields(lines: list[str], index: int, types: tuple, what: str) -> list:
     raise MeshError(f"line {index + 1}: expected {what}, got {lines[index]!r}")
 
 
+def _finite(text: str) -> float:
+    value = float(text)
+    if not math.isfinite(value):
+        raise ValueError(f"{text!r} is not finite")
+    return value
+
+
 def read_mesh_text(path: str) -> TriMesh:
     """Read a mesh written by :func:`write_mesh_text` and revalidate it.
 
-    Malformed input, including a boundary loop that does not close,
-    raises MeshError naming the 1-based line.
+    Malformed input, including a non-finite number or a boundary loop
+    that does not close, raises MeshError naming the 1-based line.
     """
     with open(path) as fh:
         lines = fh.read().splitlines()
@@ -380,7 +379,8 @@ def read_mesh_text(path: str) -> TriMesh:
             raise ValueError(f"vertex index {index} out of range")
         return index
 
-    vertices = np.array([_fields(lines, 1 + i, (float,) * 2, "a vertex 'x y'") for i in range(nv)])
+    vertices = np.array([_fields(lines, 1 + i, (_finite,) * 2, "a vertex 'x y' of finite numbers")
+                         for i in range(nv)])
     triangles = np.array(
         [_fields(lines, 1 + nv + i, (vertex,) * 3, "a triangle 'i j k' of vertex indices")
          for i in range(nt)],
@@ -390,7 +390,7 @@ def read_mesh_text(path: str) -> TriMesh:
     loop, arcs = [], []
     for index in range(first, first + nb):
         arc = index < len(lines) and lines[index].split()[2:3] == ["A"]
-        types = (vertex, vertex, str) + (float,) * 5 if arc else (vertex, vertex, str)
+        types = (vertex, vertex, str) + (_finite,) * 5 if arc else (vertex, vertex, str)
         v0, v1, kind, *geometry = _fields(
             lines, index, types, "a boundary element 'v0 v1 S|A ...' of vertex indices")
         if kind not in ("S", "A"):

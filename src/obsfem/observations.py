@@ -17,7 +17,8 @@ from __future__ import annotations
 
 import logging
 import math
-from dataclasses import dataclass
+import mmap
+from dataclasses import dataclass, field
 from typing import Callable, Optional
 
 import numpy as np
@@ -84,16 +85,21 @@ class NoiseModel:
         return math.sqrt(self.p * self.sigma1**2 + (1.0 - self.p) * self.sigma2**2)
 
 
-def _noise_block(model: NoiseModel, seed: int, block: int, count: int) -> np.ndarray:
-    """Noise values for positions [block*B, block*B + count) of the stream."""
+def _noise_block(model: NoiseModel, seed: int, block: int, out: np.ndarray) -> np.ndarray:
+    """Fill `out` with the noise values for positions [block*B, block*B + len(out))
+    of the stream, and return it."""
     key = (int(seed) & 0xFFFFFFFFFFFFFFFF) | (block << 64)
     rng = np.random.Generator(np.random.Philox(key=key))
     if model.kind == "gaussian":
-        return model.sigma * rng.standard_normal(count)
+        rng.standard_normal(out=out)
+        out *= model.sigma
+        return out
     # mixture: component indicator first, then one normal per point
-    pick = rng.random(count) < model.p
-    scale = np.where(pick, model.sigma1, model.sigma2)
-    return scale * rng.standard_normal(count)
+    pick = rng.random(out=out) < model.p
+    rng.standard_normal(out=out)
+    np.multiply(out, model.sigma1, out=out, where=pick)
+    np.multiply(out, model.sigma2, out=out, where=np.logical_not(pick, out=pick))
+    return out
 
 
 def sample_noise(model: Optional[NoiseModel], count: int, seed: int) -> np.ndarray:
@@ -101,20 +107,43 @@ def sample_noise(model: Optional[NoiseModel], count: int, seed: int) -> np.ndarr
     return sample_noise_range(model, seed, 0, count)
 
 
-def sample_noise_range(model: Optional[NoiseModel], seed: int, start: int, stop: int) -> np.ndarray:
-    """Entries [start, stop) of the noise stream for this (model, seed)."""
+def sample_noise_range(model: Optional[NoiseModel], seed: int, start: int, stop: int,
+                       out: Optional[np.ndarray] = None) -> np.ndarray:
+    """Entries [start, stop) of the noise stream for this (model, seed),
+    written into `out` if it is given."""
     if stop < start:
         raise ValueError("empty or inverted range")
-    if model is None or model.kind == "none" or stop == start:
-        return np.zeros(stop - start)
-    pieces = []
+    if out is None:
+        out = np.empty(stop - start)
+    if model is None or model.kind == "none":
+        out[:] = 0.0
+        return out
     pos = start
     while pos < stop:
         block = pos // _NOISE_BLOCK
-        hi = min(stop, (block + 1) * _NOISE_BLOCK)
-        pieces.append(_noise_block(model, seed, block, hi - block * _NOISE_BLOCK)[pos - block * _NOISE_BLOCK :])
+        base = block * _NOISE_BLOCK
+        hi = min(stop, base + _NOISE_BLOCK)
+        dest = out[pos - start : hi - start]
+        if pos == base:
+            _noise_block(model, seed, block, dest)
+        else:  # a block is drawn from its start, so a partial block needs a draw of its own
+            dest[:] = _noise_block(model, seed, block, np.empty(hi - base))[pos - base :]
         pos = hi
-    return pieces[0] if len(pieces) == 1 else np.concatenate(pieces)
+    return out
+
+
+def _site_array(n: int) -> np.ndarray:
+    """An uninitialized float array of n entries in a memory map of its own.
+
+    The per-site arrays of a placement are a level's only large
+    allocations.  Taken from the malloc heap, they can stay resident
+    after the level is freed, for as long as any smaller allocation above
+    them lives; a map of their own is returned to the system with them.
+    """
+    buf = mmap.mmap(-1, max(8 * n, 1))
+    if hasattr(mmap, "MADV_HUGEPAGE"):
+        buf.madvise(mmap.MADV_HUGEPAGE)  # as numpy advises for its own large arrays
+    return np.frombuffer(buf, dtype=float, count=n)
 
 
 @dataclass
@@ -135,6 +164,14 @@ class Placement:
     Points are stored element by element in loop order: element e owns
     the slice [offsets[e], offsets[e+1]) of the flat arrays.  Within an
     element the local parameters t are strictly increasing.
+
+    `work` is one scratch array of min(n, 2^20) floats, the size of a
+    noise block, made once with the placement.  Every pass over the
+    sites that needs a block of values (noise draws, data, the reductions
+    of assembly) runs through it, so no pass allocates an array the size
+    of a block or of n.  A pass owns `work` until it returns.  `t`,
+    `alpha` and `work` each live in a memory map of their own (see
+    :func:`_site_array`), so dropping a level returns them to the system.
     """
 
     mesh: TriMesh
@@ -142,6 +179,10 @@ class Placement:
     offsets: np.ndarray  # (NB+1,) int
     t: np.ndarray  # (n,) local parameters
     alpha: np.ndarray  # (n,) global quadrature weights
+    work: np.ndarray = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        self.work = _site_array(min(self.n, _NOISE_BLOCK))
 
     def positions(self, lo: int, hi: int) -> np.ndarray:
         """Points x_j of sites [lo, hi) on the exact boundary, shape (hi - lo, 2)."""
@@ -151,9 +192,11 @@ class Placement:
         """Local (parameter-space) weights omega_j of sites [lo, hi)."""
         return _local_weights(self.t, self.offsets, lo, hi)
 
-    def evaluate(self, g0: Callable, lo: int, hi: int) -> np.ndarray:
-        """g0 at sites [lo, hi), evaluated one sub-block at a time."""
-        out = np.empty(hi - lo)
+    def evaluate(self, g0: Callable, lo: int, hi: int, out: Optional[np.ndarray] = None) -> np.ndarray:
+        """g0 at sites [lo, hi), evaluated one sub-block at a time and
+        written into `out` if it is given."""
+        if out is None:
+            out = np.empty(hi - lo)
         for a in range(lo, hi, _SUB_BLOCK):
             b = min(hi, a + _SUB_BLOCK)
             pts = self.positions(a, b)
@@ -236,14 +279,13 @@ def place_points(mesh: TriMesh, n: int) -> Placement:
 
     nb = len(mesh.boundary)
     counts = np.zeros(nb, dtype=np.int64)
-    t = np.empty(n)
+    t = _site_array(n)
     nudged = 0
-    # Chunked so that n ~ 1e8 never materializes more than a few work
-    # arrays at once; sites are generated in arclength order, so each
-    # element owns one contiguous run.
-    chunk = _NOISE_BLOCK
-    for lo in range(0, n, chunk):
-        hi = min(n, lo + chunk)
+    # Sites are generated in arclength order, so each element owns one
+    # contiguous run.  Every step is per site, so sub-blocks give the bits
+    # of a whole-array pass while their work arrays stay well under 1 MB.
+    for lo in range(0, n, _SUB_BLOCK):
+        hi = min(n, lo + _SUB_BLOCK)
         s = (np.arange(lo, hi, dtype=float) + 0.5) * spacing
         e = np.minimum(np.searchsorted(starts, s, side="right") - 1, nb - 1)
         tt = (s - starts[e]) / h[e]
@@ -260,7 +302,7 @@ def place_points(mesh: TriMesh, n: int) -> Placement:
         logger.warning("nudged %d observation sites off element endpoints", nudged)
     offsets = np.concatenate([[0], np.cumsum(counts)])
 
-    alpha = np.empty(n)
+    alpha = _site_array(n)
     for lo in range(0, n, _SUB_BLOCK):
         hi = min(n, lo + _SUB_BLOCK)
         alpha[lo:hi] = _local_weights(t, offsets, lo, hi) * h[_site_elements(offsets, lo, hi)]
@@ -283,9 +325,10 @@ def uniformity_report(mesh: TriMesh, arclengths: np.ndarray) -> UniformityReport
 class ObservationSet:
     """Placement plus observed data g_j = g0(x_j) + e_j for one seed.
 
-    `g` is None for a streamed set: `values` then evaluates g0 (if any)
-    and draws the noise for the sites it is asked for, so reading the set
-    never builds a length-n array.
+    `g` is None for a streamed set: `values` then draws the noise and adds
+    g0 (if any) for the sites it is asked for, into the caller's array if
+    one is given, so reading the set block by block through
+    `placement.work` allocates no array the size of a block.
     """
 
     placement: Placement
@@ -294,13 +337,18 @@ class ObservationSet:
     model: Optional[NoiseModel]
     seed: int
 
-    def values(self, lo: int, hi: int) -> np.ndarray:
-        """g at sites [lo, hi)."""
+    def values(self, lo: int, hi: int, out: Optional[np.ndarray] = None) -> np.ndarray:
+        """g at sites [lo, hi), written into `out` if it is given."""
         if self.g is not None:
-            return self.g[lo:hi]
-        out = sample_noise_range(self.model, self.seed, lo, hi)
+            if out is None:
+                return self.g[lo:hi]
+            out[:] = self.g[lo:hi]
+            return out
+        out = sample_noise_range(self.model, self.seed, lo, hi, out)
         if self.g0 is not None:
-            out += self.placement.evaluate(self.g0, lo, hi)
+            for a in range(lo, hi, _SUB_BLOCK):
+                b = min(hi, a + _SUB_BLOCK)
+                out[a - lo : b - lo] += self.placement.evaluate(self.g0, a, b)
         return out
 
 
@@ -308,18 +356,13 @@ def observe(placement: Placement, g0: Optional[Callable], model: Optional[NoiseM
             seed: int) -> ObservationSet:
     """Attach observed data to an existing placement.
 
-    The values are built one RNG block at a time, so each block is
-    generated exactly once, and stored in `g`.  With g0=None the data
-    are the noise alone; they are cheap to draw again, so the set is
-    streamed instead (see :class:`ObservationSet`).
+    With g0 the values are drawn and evaluated once and stored in `g`.
+    With g0=None the data are the noise alone; they are cheap to draw
+    again, so the set is streamed instead (see :class:`ObservationSet`).
     """
     obs = ObservationSet(placement, None, g0, model, seed)
     if g0 is not None:
-        n = placement.n
-        g = np.empty(n)
-        for lo in range(0, n, _NOISE_BLOCK):
-            g[lo : lo + _NOISE_BLOCK] = obs.values(lo, min(n, lo + _NOISE_BLOCK))
-        obs.g = g
+        obs.g = obs.values(0, placement.n)
     return obs
 
 

@@ -1,6 +1,7 @@
 import collections
 import logging
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -287,6 +288,20 @@ class TestLevel:
         expected = assemble_data_vector(obs)
         np.testing.assert_allclose(level.data_vector(model, 17), expected, rtol=1e-13,
                                    atol=1e-13 * np.abs(expected).max())
+
+    def test_gaussian_trial_allocates_no_block_sized_array(self):
+        # the noise is drawn into, and reduced from, the placement's work
+        # array, so a trial's traced peak stays far below one 8 MB block
+        level = Level("square", 4, n=2**20 + 5000)
+        model = NoiseModel.gaussian(1.0)
+        level.trial(model, 0)  # the first solve factorizes
+        tracemalloc.start()
+        try:
+            level.trial(model, 1)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**20
 
     def test_run_case_equals_study_report(self):
         model = NoiseModel.mixture(1.0, 10.0, 0.5)

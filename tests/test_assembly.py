@@ -3,20 +3,25 @@ import math
 import numpy as np
 import pytest
 import scipy.linalg
+import scipy.sparse as sp
 
 from obsfem import (
+    NoiseModel,
+    ObservationSet,
     assemble_coupling_matrix,
     assemble_data_vector,
     assemble_load,
     assemble_stiffness,
     boundary_mass,
     build_observation_set,
+    build_disk_mesh,
     build_saddle_system,
     build_square_mesh,
     empirical_norm,
     Placement,
     mesh_dependent_norms,
     multiplier_at_sites,
+    observe,
     place_points,
     trace_matrix,
 )
@@ -39,6 +44,32 @@ def dense_coupling(placement):
                 B[qd, v0] += a * psi * (1.0 - t)
                 B[qd, v1] += a * psi * t
     return B
+
+
+def per_block_noise(model, seed, block, count):
+    """Noise block `block` of the stream, drawn into fresh arrays."""
+    rng = np.random.Generator(np.random.Philox(key=(seed & 0xFFFFFFFFFFFFFFFF) | (block << 64)))
+    if model.kind == "gaussian":
+        return model.sigma * rng.standard_normal(count)
+    pick = rng.random(count) < model.p
+    return np.where(pick, model.sigma1, model.sigma2) * rng.standard_normal(count)
+
+
+def per_block_hat_moments(placement, values):
+    """Per-element sums of (1 - t) alpha v and t alpha v, one reduceat of
+    fresh arrays per 2^20-site block; `values(lo, hi)` returns v."""
+    nb = len(placement.offsets) - 1
+    left, right = np.zeros(nb), np.zeros(nb)
+    for lo in range(0, placement.n, 2 ** 20):
+        hi = min(placement.n, lo + 2 ** 20)
+        off = np.clip(placement.offsets, lo, hi) - lo
+        owners = np.flatnonzero(off[1:] > off[:-1])
+        w = placement.alpha[lo:hi] * values(lo, hi)
+        total = np.add.reduceat(w, off[owners])
+        moment = np.add.reduceat(w * placement.t[lo:hi], off[owners])
+        left[owners] += total - moment
+        right[owners] += moment
+    return left, right
 
 
 def unit_triangle_mesh():
@@ -184,6 +215,41 @@ class TestCoupling:
                 expected[q0] += pl.alpha[i] * (1 - pl.t[i]) * obs.g[i]
                 expected[q1] += pl.alpha[i] * pl.t[i] * obs.g[i]
         np.testing.assert_allclose(G, expected, atol=1e-14)
+
+
+    @pytest.mark.parametrize("domain, k", [("square", 4), ("disk", 3)])
+    def test_bits_of_the_per_block_reduction(self, domain, k):
+        # 2^20 + 5000 sites: one element straddles the two noise blocks
+        mesh = build_square_mesh(k) if domain == "square" else build_disk_mesh(k)
+        pl = place_points(mesh, 2 ** 20 + 5000)
+        t = pl.t
+        b00, b01 = per_block_hat_moments(pl, lambda lo, hi: 1.0 - t[lo:hi])
+        _, b11 = per_block_hat_moments(pl, lambda lo, hi: t[lo:hi])
+        e = np.flatnonzero(np.diff(pl.offsets))
+        q1 = (e + 1) % len(mesh.boundary)
+        v0, v1 = mesh.boundary.v0[e], mesh.boundary.v0[q1]
+        B = assemble_coupling_matrix(pl)
+        expected = sp.coo_matrix((np.concatenate([b00[e], b01[e], b01[e], b11[e]]),
+                                  (np.concatenate([e, e, q1, q1]), np.concatenate([v0, v1, v0, v1]))),
+                                 shape=B.shape).tocsr()
+        for name in ("data", "indices", "indptr"):
+            assert np.array_equal(getattr(B, name), getattr(expected, name))
+
+        def g0(x, y):
+            return np.sin(5.0 * x + 1.0) * np.sin(5.0 * y + 1.0)
+
+        def clean(lo, hi):
+            return 0.0 + pl.evaluate(g0, lo, hi)
+
+        for model in (NoiseModel.gaussian(1.5), NoiseModel.mixture(1.0, 10.0, 0.3)):
+            for obs, values in (
+                (observe(pl, None, model, 9), lambda lo, hi: per_block_noise(model, 9, lo >> 20, hi - lo)),
+                (ObservationSet(pl, None, g0, None, 0), clean),
+                (observe(pl, g0, model, 9),
+                 lambda lo, hi: per_block_noise(model, 9, lo >> 20, hi - lo) + pl.evaluate(g0, lo, hi)),
+            ):
+                left, right = per_block_hat_moments(pl, values)
+                assert np.array_equal(assemble_data_vector(obs), left + np.roll(right, 1))
 
 
 class TestBoundaryNorms:

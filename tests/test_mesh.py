@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -17,7 +18,27 @@ from obsfem import (
     read_mesh_text,
     write_mesh_text,
 )
-from obsfem.mesh import triangle_areas, triangle_diameters
+from obsfem.mesh import _stitch_rings, triangle_areas, triangle_diameters
+
+
+def walk_rings(inner_ids, inner_ang, outer_ids, outer_ang):
+    """Triangles between two rings by walking both in angle, advancing the
+    ring whose next vertex comes first (the inner one on a tie)."""
+    na, nb = len(inner_ids), len(outer_ids)
+    iid = np.append(inner_ids, inner_ids[0])
+    oid = np.append(outer_ids, outer_ids[0])
+    iang = np.append(inner_ang, inner_ang[0] + 2.0 * math.pi)
+    oang = np.append(outer_ang, outer_ang[0] + 2.0 * math.pi)
+    tris = []
+    a = b = 0
+    while a < na or b < nb:
+        if b >= nb or (a < na and iang[a + 1] <= oang[b + 1]):
+            tris.append((iid[a], oid[b], iid[a + 1]))
+            a += 1
+        else:
+            tris.append((iid[a], oid[b], oid[b + 1]))
+            b += 1
+    return np.array(tris)
 
 
 def quarter_arc_mesh():
@@ -70,6 +91,15 @@ class TestSquareMesh:
         assert len(np.unique(b.v0)) == 40
         assert np.all((np.minimum(x[b.v0], 1.0 - x[b.v0]) == 0.0).any(axis=1))
 
+    @pytest.mark.parametrize("k", [2, 3, 7, 40])
+    def test_triangles_match_the_cell_loop(self, k):
+        expected = []
+        for j in range(k):
+            for i in range(k):
+                ll, ul = j * (k + 1) + i, (j + 1) * (k + 1) + i
+                expected += [(ll, ll + 1, ul + 1), (ll, ul + 1, ul)]
+        assert np.array_equal(build_square_mesh(k).triangles, expected)
+
     def test_boundary_starts_at_origin_ccw(self, square10):
         start = square10.vertices[square10.boundary.v0[0]]
         np.testing.assert_allclose(start, [0.0, 0.0], atol=1e-15)
@@ -113,6 +143,17 @@ class TestDiskMesh:
 
     def test_all_boundary_arcs(self, disk10):
         assert disk10.boundary.curved.all()
+
+    def test_stitching_matches_the_ring_walk(self):
+        # consecutive rings of every disk up to m = 160, then rings that
+        # share angles, where every step of the walk is a tie
+        rings = [2 * math.pi * np.arange(c) / c for c in (round(2 * math.pi * i) for i in range(1, 161))]
+        pairs = list(zip(rings, rings[1:])) + [(rings[5], rings[5]), (rings[3], rings[3][::2].copy())]
+        for inner_ang, outer_ang in pairs:
+            inner = np.arange(len(inner_ang))
+            outer = np.arange(len(outer_ang)) + len(inner_ang)
+            assert np.array_equal(_stitch_rings(inner, inner_ang, outer, outer_ang),
+                                  walk_rings(inner, inner_ang, outer, outer_ang))
 
     def test_ring_counts(self, disk10):
         # ring i holds round(2*pi*i) vertices; total includes the hub vertex
@@ -204,6 +245,42 @@ class TestValidation:
         verts = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]])
         with pytest.raises(MeshError, match=rf"^boundary element {element}\b"):
             TriMesh(verts, np.array([[0, 1, 2]]), Boundary(v0, length))
+
+    @pytest.mark.parametrize("length, arc", [
+        (math.inf, (0.0, 0.0, 1.0, 0.0, math.inf)),  # infinite length and angle
+        (math.nan, None),
+        (None, (0.0, 0.0, math.inf, 0.0, 0.0)),  # infinite radius, no angle
+        (None, (0.0, 0.0, 1.0, math.nan, 1.0)),  # neither straight nor an arc
+    ])
+    def test_non_finite_boundary_named_without_warnings(self, length, arc):
+        mesh = quarter_arc_mesh()
+        b = mesh.boundary
+        lengths, arcs = b.length.copy(), b.arc.copy()
+        if length is not None:
+            lengths[2] = length
+        if arc is not None:
+            arcs[2] = arc
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(MeshError, match=r"^boundary element 2 is not finite"):
+                TriMesh(mesh.vertices, mesh.triangles, Boundary(b.v0, lengths, arcs))
+
+    @pytest.mark.parametrize("line, text", [
+        (2, "inf 0"),
+        (2, "1 1e400"),
+        (11, "0 1 A 0 0 inf 0 1.5707963267948966"),  # the quarter arcs' boundary starts on line 11
+        (12, "1 2 A 0 0 1 1e400 1e400"),
+    ])
+    def test_non_finite_number_in_file_names_line_without_warnings(self, tmp_path, line, text):
+        path = tmp_path / "bad.txt"
+        write_mesh_text(quarter_arc_mesh(), str(path))
+        lines = path.read_text().splitlines()
+        lines[line - 1] = text
+        path.write_text("\n".join(lines) + "\n")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(MeshError, match=rf"^line {line}: "):
+                read_mesh_text(str(path))
 
     def test_arc_length_must_match_its_angle(self):
         mesh = quarter_arc_mesh()

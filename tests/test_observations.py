@@ -1,5 +1,6 @@
 import logging
 import math
+import mmap
 
 import numpy as np
 import pytest
@@ -21,7 +22,27 @@ from obsfem import (
     sample_noise,
     uniformity_report,
 )
-from obsfem.observations import sample_noise_range
+from obsfem.observations import ObservationSet, sample_noise_range
+
+
+def whole_array_placement(mesh, n):
+    """(t, offsets, nudged) of `place_points` in one pass over all n sites."""
+    h = mesh.boundary.length
+    starts = np.concatenate([[0.0], np.cumsum(h)])
+    spacing = float(h.sum()) / n
+    nb = len(h)
+
+    def locate(s):
+        e = np.minimum(np.searchsorted(starts, s, side="right") - 1, nb - 1)
+        return e, (s - starts[e]) / h[e]
+
+    s = (np.arange(n, dtype=float) + 0.5) * spacing
+    e, t = locate(s)
+    near = (t * h[e] < 1e-12) | ((1.0 - t) * h[e] < 1e-12)
+    if near.any():
+        e, t = locate(s + near * (1e-9 * spacing))
+        t = np.clip(t, 1e-15, 1.0 - 1e-15)
+    return t, np.concatenate([[0], np.cumsum(np.bincount(e, minlength=nb))]), near
 
 
 def trapezoid_on_partition(t, w_at_t, w0, w1):
@@ -192,6 +213,36 @@ class TestPlacement:
         m = n // 2  # a range that starts and ends inside elements
         assert np.array_equal(pl.omega(m - 3, m + 3), omega[m - 3 : m + 3])
 
+    @pytest.mark.parametrize("domain, k, n, edge", [
+        # on square k=2, site i lands on a vertex when (2i + 1) 8 / n is an
+        # integer: n = 4 * 131073 nudges site 2^16, the first of a sub-block,
+        # n = 4 * 131071 nudges site 2^16 - 1, the last of one
+        ("square", 2, 4 * 131073, 2 ** 16),
+        ("square", 2, 4 * 131071, 2 ** 16 - 1),
+        ("disk", 20, 2 ** 20 + 5000, None),
+    ])
+    def test_sub_blocks_keep_the_bits_of_a_whole_array_pass(self, domain, k, n, edge):
+        mesh = build_square_mesh(k) if domain == "square" else build_disk_mesh(k)
+        pl = place_points(mesh, n)
+        t, offsets, nudged = whole_array_placement(mesh, n)
+        if edge is not None:
+            assert nudged[edge] and nudged.sum() == 4
+        assert np.array_equal(pl.t, t)
+        assert np.array_equal(pl.offsets, offsets)
+        alpha = np.concatenate([quadrature_weights(te) * he for te, he in
+                                zip(np.split(t, offsets[1:-1]), mesh.boundary.length)])
+        assert np.array_equal(pl.alpha, alpha)
+
+    def test_work_array_is_one_noise_block_at_most(self, square10):
+        assert place_points(square10, 1000).work.shape == (1000,)
+        assert place_points(square10, 2 ** 20 + 1).work.shape == (2 ** 20,)
+
+    def test_site_arrays_have_maps_of_their_own(self, square10):
+        # so that dropping a level returns them to the system
+        pl = place_points(square10, 1000)
+        bases = [a.base.obj for a in (pl.t, pl.alpha, pl.work)]  # frombuffer views a memoryview
+        assert all(isinstance(b, mmap.mmap) for b in bases) and len({id(b) for b in bases}) == 3
+
     def test_evaluate_matches_per_element_formula(self, mixed_mesh):
         # 70000 sites span two sub-blocks of the straight chord and the three arcs
         pl = place_points(mixed_mesh, 70000)
@@ -209,6 +260,9 @@ class TestPlacement:
             parts.append(g0(x, y))
         assert np.array_equal(pl.evaluate(g0, 0, pl.n), np.concatenate(parts))
         assert np.array_equal(pl.evaluate(g0, 65000, 66000), np.concatenate(parts)[65000:66000])
+        out = np.empty(1000)
+        assert pl.evaluate(g0, 65000, 66000, out) is out
+        assert np.array_equal(out, np.concatenate(parts)[65000:66000])
 
     def test_alpha_ratio_bound(self, square10, disk10):
         # end-interval weights are at most 3x the interior ones
@@ -283,6 +337,18 @@ class TestNoise:
             part = sample_noise_range(model, 3, start, stop)
             np.testing.assert_array_equal(part, full[start:stop])
 
+    @pytest.mark.parametrize("model", [NoiseModel.gaussian(1.5), NoiseModel.mixture(1.0, 10.0, 0.3)])
+    def test_range_written_into_out(self, model):
+        full = sample_noise(model, 2 ** 21 + 13, seed=3)
+        # ranges that end where a block or the stream ends: a mixture block
+        # draws its uniforms up to the range's end before its normals
+        for start, stop in ((0, 2 ** 20), (2 ** 20 - 5, 2 ** 21), (2 ** 21 + 3, 2 ** 21 + 13)):
+            out = np.full(stop - start, np.nan)
+            assert sample_noise_range(model, 3, start, stop, out) is out
+            np.testing.assert_array_equal(out, full[start:stop])
+        out = np.full(7, np.nan)
+        assert not sample_noise_range(NoiseModel.none(), 3, 5, 12, out).any()
+
     def test_negative_sigma_rejected(self):
         with pytest.raises(ValueError):
             NoiseModel.gaussian(-1.0)
@@ -356,6 +422,20 @@ class TestObservationSet:
         stored = observe(placement, lambda x, y: x * y, model, 5)
         clean = observe(placement, lambda x, y: x * y, None, 0)
         np.testing.assert_array_equal(stored.g, clean.g + noise.values(0, 300))
+
+    def test_values_written_into_out(self, disk10):
+        placement = place_points(disk10, 300)
+        model = NoiseModel.gaussian(2.0)
+        for obs in (observe(placement, lambda x, y: x * y, model, 5),  # stored
+                    observe(placement, None, model, 5),  # streamed noise
+                    ObservationSet(placement, None, lambda x, y: x * y, model, 5)):  # streamed both
+            stored = None if obs.g is None else obs.g.copy()
+            out = np.full(194, np.nan)
+            assert obs.values(17, 211, out) is out
+            np.testing.assert_array_equal(out, obs.values(17, 211))
+            out[:] = 0.0  # writing into out never writes into the set
+            if stored is not None:
+                np.testing.assert_array_equal(obs.g, stored)
 
     def test_clean_values_on_true_boundary(self, disk10):
         # g0 must be sampled on the circle, not the chord polygon
