@@ -26,7 +26,7 @@ import numpy as np
 import scipy.sparse as sp
 
 from .mesh import TriMesh, triangle_areas
-from .observations import _NOISE_BLOCK, ObservationSet, Placement, _site_elements
+from .observations import _NOISE_BLOCK, ObservationSet, Placement, _element_runs
 
 # 3-point Gauss rule on [0, 1]; exact through degree 5.
 _GAUSS_T = np.array([0.5 - math.sqrt(0.15), 0.5, 0.5 + math.sqrt(0.15)])
@@ -72,9 +72,8 @@ def _blocks(placement: Placement):
     one `np.add.reduceat` per block, so these bounds fix its bits."""
     for lo in range(0, placement.n, _NOISE_BLOCK):
         hi = min(placement.n, lo + _NOISE_BLOCK)
-        off = np.clip(placement.offsets, lo, hi) - lo
-        owners = np.flatnonzero(off[1:] > off[:-1])
-        yield lo, hi, owners, off[owners]
+        owners, counts = _element_runs(placement.offsets, lo, hi)
+        yield lo, hi, owners, np.cumsum(counts) - counts
 
 
 def _hat_moments(placement: Placement, values) -> tuple[np.ndarray, np.ndarray]:
@@ -191,8 +190,7 @@ def mesh_dependent_norms(mesh: TriMesh, mu: np.ndarray) -> tuple[float, float]:
 
 def multiplier_at_sites(mu: np.ndarray, placement: Placement) -> np.ndarray:
     """Values of a multiplier dof vector at every observation site."""
-    e = _site_elements(placement.offsets, 0, placement.n)
-    return _hat(placement.mesh, mu, e, placement.t)
+    return _hat(placement.mesh, mu, np.repeat(*_element_runs(placement.offsets, 0, placement.n)), placement.t)
 
 
 def vh_gram(mesh: TriMesh) -> sp.csr_matrix:

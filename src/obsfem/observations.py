@@ -7,10 +7,10 @@ inside its boundary element, and a global weight
     alpha_j = omega_j * |F_E'(t_j)|,
 
 so that sum_j alpha_j u(x_j) v(x_j) approximates the L2(Gamma) pairing.
-Noise is generated with a counter-based RNG in fixed-size blocks, so the
-value attached to point i depends only on (seed, i); large observation
-sets can therefore be built in streaming chunks (and in parallel) without
-changing a single bit of the result.
+Noise is generated with a counter-based RNG in fixed-size blocks, each
+drawn over its whole window in the set, so the value at point i depends
+only on (seed, i, n); large observation sets can therefore be built in
+streaming chunks (and in parallel) without changing a single bit.
 """
 
 from __future__ import annotations
@@ -23,7 +23,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .mesh import TriMesh, boundary_point
+from .mesh import TriMesh
 
 logger = logging.getLogger(__name__)
 
@@ -103,16 +103,17 @@ def _noise_block(model: NoiseModel, seed: int, block: int, out: np.ndarray) -> n
 
 
 def sample_noise(model: Optional[NoiseModel], count: int, seed: int) -> np.ndarray:
-    """Draw `count` noise values; entry i depends only on (seed, i)."""
+    """Draw `count` noise values, entries [0, count) of the stream."""
     return sample_noise_range(model, seed, 0, count)
 
 
 def sample_noise_range(model: Optional[NoiseModel], seed: int, start: int, stop: int,
                        out: Optional[np.ndarray] = None) -> np.ndarray:
     """Entries [start, stop) of the noise stream for this (model, seed),
-    written into `out` if it is given."""
+    written into `out` if it is given.  A mixture block draws its uniforms
+    before its normals, so its entries depend on where its draw stops."""
     if stop < start:
-        raise ValueError("empty or inverted range")
+        raise ValueError(f"inverted range: stop {stop} < start {start}")
     if out is None:
         out = np.empty(stop - start)
     if model is None or model.kind == "none":
@@ -185,8 +186,20 @@ class Placement:
         self.work = _site_array(min(self.n, _NOISE_BLOCK))
 
     def positions(self, lo: int, hi: int) -> np.ndarray:
-        """Points x_j of sites [lo, hi) on the exact boundary, shape (hi - lo, 2)."""
-        return boundary_point(self.mesh, _site_elements(self.offsets, lo, hi), self.t[lo:hi])
+        """Points x_j of sites [lo, hi) on the exact boundary, shape (hi - lo, 2), with
+        the bits of :func:`boundary_point`; built per element run, columns contiguous."""
+        b = self.mesh.boundary
+        owners, counts = _element_runs(self.offsets, lo, hi)
+        t = self.t[lo:hi]
+        p0 = self.mesh.vertices[b.v0[owners]].T
+        xy = t * np.repeat(self.mesh.vertices[b.v1[owners]].T - p0, counts, axis=1)
+        xy += np.repeat(p0, counts, axis=1)
+        curved = b.curved[owners]  # the arc formula only over the runs of arcs
+        arc = np.repeat(curved, counts)
+        cx, cy, r, th0, th1 = np.repeat(b.arc[owners[curved]], counts[curved], axis=0).T
+        th = th0 + t[arc] * (th1 - th0)
+        xy[:, arc] = cx + r * np.cos(th), cy + r * np.sin(th)
+        return xy.T
 
     def omega(self, lo: int, hi: int) -> np.ndarray:
         """Local (parameter-space) weights omega_j of sites [lo, hi)."""
@@ -200,7 +213,7 @@ class Placement:
         for a in range(lo, hi, _SUB_BLOCK):
             b = min(hi, a + _SUB_BLOCK)
             pts = self.positions(a, b)
-            vals = np.asarray(g0(pts[:, 0], pts[:, 1]), dtype=float)
+            vals = np.asarray(g0(*pts.T), dtype=float)  # contiguous x and y
             if vals.shape not in ((), (b - a,)):
                 raise ValueError("g0 must map coordinate arrays to a value array")
             bad = np.flatnonzero(~np.isfinite(np.broadcast_to(vals, (b - a,))))
@@ -222,24 +235,30 @@ class Placement:
         return float(self.n * self.alpha.min()), float(self.n * self.alpha.max())
 
 
-def _site_elements(offsets: np.ndarray, lo: int, hi: int) -> np.ndarray:
-    """Element index of each site in [lo, hi) of the flat layout `offsets`."""
+def _element_runs(offsets: np.ndarray, lo: int, hi: int) -> tuple[np.ndarray, np.ndarray]:
+    """(owners, counts): the elements of the flat layout `offsets` that own
+    sites in [lo, hi), in loop order, and how many of those sites each owns."""
     counts = np.diff(np.clip(offsets, lo, hi))
-    return np.repeat(np.arange(len(counts)), counts)
+    owners = np.flatnonzero(counts)
+    return owners, counts[owners]
 
 
 def _local_weights(t: np.ndarray, offsets: np.ndarray, lo: int, hi: int) -> np.ndarray:
     """The weights of :func:`quadrature_weights`, taken per element of the
     flat layout `offsets`, for sites [lo, hi) of the flat parameters t."""
-    tj = t[lo:hi]
-    half = 0.5 * np.diff(tj, prepend=t[lo - 1] if lo else 0.0, append=t[hi] if hi < len(t) else 1.0)
-    left, right = half[:-1].copy(), half[1:].copy()
+    m = hi - lo
+    w = np.empty(m)
+    half = np.empty(m + 1)  # half[j] is half the gap before site lo + j
+    half[0] = t[lo] - (t[lo - 1] if lo else 0.0)
+    np.subtract(t[lo + 1 : hi], t[lo : hi - 1], out=half[1:m])
+    half[m] = (t[hi] if hi < len(t) else 1.0) - t[hi - 1]
+    half *= 0.5
+    np.add(half[:-1], half[1:], out=w)
     o = offsets - lo
-    first, last = o[(o >= 0) & (o < hi - lo)], o[(o > 0) & (o <= hi - lo)] - 1
-    left[first] = tj[first]
-    right[last] = 1.0 - tj[last]
-    w = left + right
-    w[np.intersect1d(first, last)] = 1.0
+    first, last = o[(o >= 0) & (o < m)], o[(o > 0) & (o <= m)] - 1
+    w[first] = t[lo + first] + half[first + 1]
+    w[last] = half[last] + (1.0 - t[lo + last])
+    w[o[:-1][(np.diff(o) == 1) & (o[:-1] >= 0) & (o[:-1] < m)]] = 1.0
     return w
 
 
@@ -260,7 +279,7 @@ def quadrature_weights(t: np.ndarray) -> np.ndarray:
         raise ValueError("points must lie strictly inside (0, 1)")
     if np.any(np.diff(t) <= 0.0):
         raise ValueError("points must be strictly increasing")
-    return _local_weights(t, np.array([0, len(t)]), 0, len(t))
+    return _local_weights(t, np.array([0, len(t)]), 0, len(t)) if len(t) else t
 
 
 def place_points(mesh: TriMesh, n: int) -> Placement:
@@ -273,39 +292,40 @@ def place_points(mesh: TriMesh, n: int) -> Placement:
     if n < 1:
         raise ValueError(f"need n >= 1, got {n}")
     h = mesh.boundary.length
-    total = float(h.sum())
     starts = np.concatenate([[0.0], np.cumsum(h)])
-    spacing = total / n
+    spacing = float(h.sum()) / n
 
-    nb = len(mesh.boundary)
-    counts = np.zeros(nb, dtype=np.int64)
-    t = _site_array(n)
-    nudged = 0
-    # Sites are generated in arclength order, so each element owns one
-    # contiguous run.  Every step is per site, so sub-blocks give the bits
-    # of a whole-array pass while their work arrays stay well under 1 MB.
+    def locate(s):
+        e = np.minimum(np.searchsorted(starts, s, side="right") - 1, len(h) - 1)
+        return e, (s - starts[e]) / h[e]
+
+    # s_i = (i + 1/2) spacing is nondecreasing, so each element owns one run
+    # of sites.  Only the few sites around where each start falls can begin
+    # a run or lie within 1e-12 of an element end: locate those one by one.
+    m = min(int(_ENDPOINT_TOL / spacing) + 3, n)
+    guess = np.ceil(starts / spacing - 0.5).astype(np.int64)
+    idx = np.unique(np.clip(guess[:, None] + np.arange(-m, m), 0, n - 1))
+    s = (idx + 0.5) * spacing
+    e, tt = locate(s)
+    near = (tt * h[e] < _ENDPOINT_TOL) | ((1.0 - tt) * h[e] < _ENDPOINT_TOL)
+    if near.any():
+        logger.warning("nudged %d observation sites off element endpoints", near.sum())
+    e[near], t_moved = locate(s[near] + _ENDPOINT_NUDGE * spacing)
+    offsets = np.append(idx, n)[np.searchsorted(e, np.arange(len(h) + 1))]
+
+    # t = (s - start) / h, then alpha = omega h, with each run's start and h repeated.
+    t, alpha = _site_array(n), _site_array(n)
     for lo in range(0, n, _SUB_BLOCK):
         hi = min(n, lo + _SUB_BLOCK)
-        s = (np.arange(lo, hi, dtype=float) + 0.5) * spacing
-        e = np.minimum(np.searchsorted(starts, s, side="right") - 1, nb - 1)
-        tt = (s - starts[e]) / h[e]
-        near = (tt * h[e] < _ENDPOINT_TOL) | ((1.0 - tt) * h[e] < _ENDPOINT_TOL)
-        if np.any(near):
-            nudged += int(near.sum())
-            s = s + near * (_ENDPOINT_NUDGE * spacing)
-            e = np.minimum(np.searchsorted(starts, s, side="right") - 1, nb - 1)
-            tt = (s - starts[e]) / h[e]
-            tt = np.clip(tt, 1e-15, 1.0 - 1e-15)
-        t[lo:hi] = tt
-        counts += np.bincount(e, minlength=nb)
-    if nudged:
-        logger.warning("nudged %d observation sites off element endpoints", nudged)
-    offsets = np.concatenate([[0], np.cumsum(counts)])
-
-    alpha = _site_array(n)
+        owners, counts = _element_runs(offsets, lo, hi)
+        tb = np.multiply(np.arange(lo, hi, dtype=float) + 0.5, spacing, out=t[lo:hi])
+        tb -= np.repeat(starts[owners], counts)
+        tb /= np.repeat(h[owners], counts)
+    t[idx[near]] = np.clip(t_moved, 1e-15, 1.0 - 1e-15)
     for lo in range(0, n, _SUB_BLOCK):
         hi = min(n, lo + _SUB_BLOCK)
-        alpha[lo:hi] = _local_weights(t, offsets, lo, hi) * h[_site_elements(offsets, lo, hi)]
+        owners, counts = _element_runs(offsets, lo, hi)
+        alpha[lo:hi] = _local_weights(t, offsets, lo, hi) * np.repeat(h[owners], counts)
     return Placement(mesh, n, offsets, t, alpha)
 
 
@@ -344,7 +364,14 @@ class ObservationSet:
                 return self.g[lo:hi]
             out[:] = self.g[lo:hi]
             return out
-        out = sample_noise_range(self.model, self.seed, lo, hi, out)
+        # Each block is drawn over its whole window in the set, as studies read it.
+        base = lo - lo % _NOISE_BLOCK
+        end = min(self.placement.n, -(-hi // _NOISE_BLOCK) * _NOISE_BLOCK)
+        out = np.empty(hi - lo) if out is None else out
+        if lo == hi or (base, end) == (lo, hi):
+            sample_noise_range(self.model, self.seed, lo, hi, out)
+        else:
+            out[:] = sample_noise_range(self.model, self.seed, base, end)[lo - base : hi - base]
         if self.g0 is not None:
             for a in range(lo, hi, _SUB_BLOCK):
                 b = min(hi, a + _SUB_BLOCK)
@@ -392,7 +419,7 @@ def dump_observations_csv(obs: ObservationSet, path: str) -> None:
             pts = pl.positions(lo, hi)
             clean = np.zeros(hi - lo) if obs.g0 is None else pl.evaluate(obs.g0, lo, hi)
             g = obs.values(lo, hi)
-            columns = (_site_elements(pl.offsets, lo, hi), pl.t[lo:hi], pts[:, 0], pts[:, 1],
+            columns = (np.repeat(*_element_runs(pl.offsets, lo, hi)), pl.t[lo:hi], pts[:, 0], pts[:, 1],
                        clean, g - clean, g, pl.omega(lo, hi), pl.alpha[lo:hi])
             np.savetxt(fh, np.column_stack(columns), fmt=["%d"] + ["%.17g"] * 8, delimiter=",")
 

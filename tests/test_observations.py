@@ -1,14 +1,18 @@
+import functools
 import logging
 import math
 import mmap
+import re
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from obsfem import (
+    Boundary,
     NoiseModel,
+    TriMesh,
     build_disk_mesh,
     boundary_point,
     build_square_mesh,
@@ -26,7 +30,8 @@ from obsfem.observations import ObservationSet, sample_noise_range
 
 
 def whole_array_placement(mesh, n):
-    """(t, offsets, nudged) of `place_points` in one pass over all n sites."""
+    """(t, offsets, nudged, alpha) of `place_points` in one pass over all n
+    sites, each site located by its own search."""
     h = mesh.boundary.length
     starts = np.concatenate([[0.0], np.cumsum(h)])
     spacing = float(h.sum()) / n
@@ -42,7 +47,43 @@ def whole_array_placement(mesh, n):
     if near.any():
         e, t = locate(s + near * (1e-9 * spacing))
         t = np.clip(t, 1e-15, 1.0 - 1e-15)
-    return t, np.concatenate([[0], np.cumsum(np.bincount(e, minlength=nb))]), near
+    counts = np.bincount(e, minlength=nb)
+    offsets = np.concatenate([[0], np.cumsum(counts)])
+    # half of each gap to a neighbour; an element's ends close its gaps
+    half = 0.5 * np.diff(t, prepend=0.0, append=1.0)
+    left, right = half[:-1].copy(), half[1:].copy()
+    first, last = offsets[:-1][counts > 0], offsets[1:][counts > 0] - 1
+    left[first] = t[first]
+    right[last] = 1.0 - t[last]
+    omega = left + right
+    omega[first[first == last]] = 1.0
+    return t, offsets, near, omega * h[e]
+
+
+@functools.lru_cache(maxsize=None)
+def mesh_of(domain, k):
+    return build_square_mesh(k) if domain == "square" else build_disk_mesh(k)
+
+
+def assert_matches_whole_array_placement(mesh, n):
+    """`place_points` against :func:`whole_array_placement`, bit for bit,
+    its warning included; returns the oracle's nudged flags."""
+    records = []
+    handler = logging.Handler()
+    handler.emit = records.append
+    log = logging.getLogger("obsfem.observations")
+    log.addHandler(handler)
+    try:
+        pl = place_points(mesh, n)
+    finally:
+        log.removeHandler(handler)
+    t, offsets, nudged, alpha = whole_array_placement(mesh, n)
+    assert np.array_equal(pl.offsets, offsets)
+    assert np.array_equal(pl.t, t)
+    assert np.array_equal(pl.alpha, alpha)
+    warned = [f"nudged {nudged.sum()} observation sites off element endpoints"] if nudged.any() else []
+    assert [r.getMessage() for r in records] == warned
+    return nudged
 
 
 def trapezoid_on_partition(t, w_at_t, w0, w1):
@@ -223,15 +264,50 @@ class TestPlacement:
     ])
     def test_sub_blocks_keep_the_bits_of_a_whole_array_pass(self, domain, k, n, edge):
         mesh = build_square_mesh(k) if domain == "square" else build_disk_mesh(k)
-        pl = place_points(mesh, n)
-        t, offsets, nudged = whole_array_placement(mesh, n)
+        nudged = assert_matches_whole_array_placement(mesh, n)
         if edge is not None:
             assert nudged[edge] and nudged.sum() == 4
-        assert np.array_equal(pl.t, t)
-        assert np.array_equal(pl.offsets, offsets)
-        alpha = np.concatenate([quadrature_weights(te) * he for te, he in
-                                zip(np.split(t, offsets[1:-1]), mesh.boundary.length)])
-        assert np.array_equal(pl.alpha, alpha)
+
+    @given(st.one_of(
+        st.tuples(st.just("square"), st.integers(2, 12), st.integers(1, 300_000)),
+        st.tuples(st.just("disk"), st.integers(2, 10), st.integers(1, 300_000)),
+        # on square k=2 these n put sites on vertices
+        st.tuples(st.just("square"), st.just(2), st.integers(0, 37_499).map(lambda j: 4 * (2 * j + 1))),
+    ))
+    # a nudge moves one site of square k=2, n=49 and eleven of disk k=8,
+    # n=75 into the next element
+    @example(("square", 2, 49))
+    @example(("disk", 8, 75))
+    @settings(max_examples=40, deadline=None)
+    def test_matches_a_whole_array_pass(self, config):
+        domain, k, n = config
+        assert_matches_whole_array_placement(mesh_of(domain, k), n)
+
+    def test_several_sites_within_the_endpoint_tolerance(self):
+        # An equilateral triangle of side 1.6e-7, near the smallest that
+        # the 1e-14 area floor of mesh validation admits, with sites 4e-13
+        # apart: every element end has two or three sites within 1e-12.
+        verts = 1.6e-7 * np.array([[0.0, 0.0], [1.0, 0.0], [0.5, math.sqrt(0.75)]])
+        lengths = np.linalg.norm(np.roll(verts, -1, axis=0) - verts, axis=1)
+        mesh = TriMesh(verts, np.array([[0, 1, 2]]), Boundary(np.arange(3), lengths))
+        n = 1_200_000
+        assert mesh.boundary_length / n < 2e-12
+        nudged = assert_matches_whole_array_placement(mesh, n)
+        assert nudged.sum() >= 2 * 2 * len(mesh.boundary)
+
+    @pytest.mark.parametrize("domain, k, n, windows", [
+        # windows that start and end inside elements, cross a 2^16 edge, or are empty
+        ("square", 4, 2 ** 17 + 333, [(0, None), (100, 2 ** 16 + 100), (2 ** 16 - 7, 2 ** 16 + 7), (5, 5)]),
+        ("disk", 10, 17, [(0, None), (3, 4), (2, 11)]),  # empty and single-site elements
+        ("disk", 20, 2 ** 16 + 5000, [(0, None), (2 ** 16 - 1000, 2 ** 16 + 1000), (1234, 1235)]),
+    ])
+    def test_positions_match_boundary_point(self, domain, k, n, windows):
+        mesh = mesh_of(domain, k)
+        pl = place_points(mesh, n)
+        elements = np.repeat(np.arange(len(mesh.boundary)), np.diff(pl.offsets))
+        for lo, hi in windows:
+            hi = n if hi is None else hi
+            assert np.array_equal(pl.positions(lo, hi), boundary_point(mesh, elements[lo:hi], pl.t[lo:hi]))
 
     def test_work_array_is_one_noise_block_at_most(self, square10):
         assert place_points(square10, 1000).work.shape == (1000,)
@@ -349,6 +425,12 @@ class TestNoise:
         out = np.full(7, np.nan)
         assert not sample_noise_range(NoiseModel.none(), 3, 5, 12, out).any()
 
+    def test_inverted_range_rejected_empty_range_allowed(self):
+        model = NoiseModel.gaussian(1.0)
+        assert sample_noise_range(model, 3, 5, 5).size == 0
+        with pytest.raises(ValueError, match=r"^inverted range: stop 4 < start 5$"):
+            sample_noise_range(model, 3, 5, 4)
+
     def test_negative_sigma_rejected(self):
         with pytest.raises(ValueError):
             NoiseModel.gaussian(-1.0)
@@ -410,15 +492,27 @@ class TestObservationSet:
         placement = place_points(square10, 100)
         pts = placement.positions(0, placement.n)
         first = int(np.flatnonzero(pts[:, 1] > 0.5)[0])
-        with pytest.raises(ValueError, match=rf"g0 is not finite at site {first} "):
+        point = (float(pts[first, 0]), float(pts[first, 1]))
+        with pytest.raises(ValueError, match=rf"^g0 is not finite at site {first} {re.escape(str(point))}$"):
             observe(placement, lambda x, y: np.where(y > 0.5, np.inf, y), None, 0)
+
+    def test_non_finite_g0_in_a_later_sub_block(self, square10):
+        # the top edge's left half starts past site 2^16
+        placement = place_points(square10, 2 ** 17)
+        pts = placement.positions(0, placement.n)
+        first = int(np.flatnonzero((pts[:, 0] < 0.5) & (pts[:, 1] == 1.0))[0])
+        assert first > 2 ** 16
+        point = (float(pts[first, 0]), float(pts[first, 1]))
+        with pytest.raises(ValueError, match=rf"^g0 is not finite at site {first} {re.escape(str(point))}$"):
+            placement.evaluate(lambda x, y: np.where((x < 0.5) & (y == 1.0), np.nan, x), 0, placement.n)
 
     def test_noise_only_set_is_streamed(self, disk10):
         placement = place_points(disk10, 300)
         model = NoiseModel.mixture(1.0, 10.0, 0.3)
         noise = observe(placement, None, model, 5)
         assert noise.g is None
-        np.testing.assert_array_equal(noise.values(17, 211), sample_noise_range(model, 5, 17, 211))
+        # a read draws the set's whole noise window, [0, 300) here
+        np.testing.assert_array_equal(noise.values(17, 211), sample_noise_range(model, 5, 0, 300)[17:211])
         stored = observe(placement, lambda x, y: x * y, model, 5)
         clean = observe(placement, lambda x, y: x * y, None, 0)
         np.testing.assert_array_equal(stored.g, clean.g + noise.values(0, 300))
@@ -441,6 +535,16 @@ class TestObservationSet:
         # g0 must be sampled on the circle, not the chord polygon
         obs = build_observation_set(disk10, 200, lambda x, y: x ** 2 + y ** 2, None)
         np.testing.assert_allclose(obs.g, 1.0, atol=1e-12)
+
+    def test_csv_dump_of_a_mixture_set_writes_its_values(self, tmp_path, square10):
+        # the dump reads 2^16-site sub-blocks, values(0, n) and G the whole
+        # noise block; a mixture value depends on where its block's draw stops
+        n = 2 ** 16 + 5000
+        obs = observe(place_points(square10, n), None, NoiseModel.mixture(1.0, 10.0, 0.3), 6)
+        path = tmp_path / "obs.csv"
+        dump_observations_csv(obs, str(path))
+        g = np.loadtxt(path, delimiter=",", skiprows=1, usecols=6)
+        assert np.array_equal(g, obs.values(0, n))
 
     def test_csv_dump_round_trips(self, tmp_path, square10):
         obs = build_observation_set(square10, 50, lambda x, y: x,
