@@ -14,9 +14,9 @@ A noise draw changes only the noise part of the data vector G, so a
 the placement, A, F, B, the clean data vector G0, the error quadrature
 (weights, u0, grad u0 and the exact multiplier at the quadrature
 points, the hat gradients) and, from its first solve on, the saddle LU
-and the ker B^T basis.  A trial observes only its noise, as a streamed
-observation set, forms G = G0 + G_noise block by block, back-solves and
-integrates the errors of its own u and lambda.
+and the ker B^T basis.  A trial observes only its noise, as an
+observation set without g0, forms G = G0 + G_noise block by block,
+back-solves and integrates the errors of its own u and lambda.
 `run_case`, `run_study` and `tail_study` loop over `Level.trial`; a pool
 task is one level and a contiguous chunk of seeds, so pooled reports
 equal serial ones.
@@ -191,15 +191,16 @@ def points_for(k: int, i: Optional[int], n: Optional[int]) -> int:
 class Level:
     """What the noise trials of one (domain, k, n) level share.
 
-    The clean data vector G0 is read from a streamed observation set, and
-    a trial observes only its noise, so neither builds a length-n data
-    array.  Trial systems are derived from the clean system (A, B, F, G0)
-    with `dataclasses.replace`, so they share its solver `factors`.  The
-    error quadrature is built with the level, so a trial evaluates neither
-    the case nor the mesh geometry.  No per-site array is kept beyond the
-    placement's t and alpha and its one work array of at most 2^20
-    floats: G0, B and every trial's noise draws and data vector are
-    reduced through it, so a trial allocates no per-site array.
+    The clean data vector G0 is read from an observation set without
+    noise, and a trial observes only its noise, so neither builds a
+    length-n data array.  Trial systems are derived from the clean
+    system (A, B, F, G0) with `dataclasses.replace`, so they share its
+    solver `factors`.  The error quadrature is built with the level, so
+    a trial evaluates neither the case nor the mesh geometry.  No
+    per-site array is kept beyond the placement's t and alpha and its
+    one work array of at most 2^20 floats: G0, B and every trial's noise
+    draws and data vector are reduced through it, so a trial allocates
+    no per-site array.
     """
 
     def __init__(self, domain: str, k: int, i: Optional[int] = None, n: Optional[int] = None,
@@ -208,7 +209,7 @@ class Level:
         self.case = case if case is not None else sine_case(domain)
         self.h = 1.0 / k
         self.placement = place_points(self.mesh, points_for(k, i, n))
-        clean = ObservationSet(self.placement, None, self.case.g0, None, 0)
+        clean = ObservationSet(self.placement, self.case.g0, None, 0)
         self.clean = SaddleSystem(
             assemble_stiffness(self.mesh),
             assemble_coupling_matrix(self.placement),

@@ -76,25 +76,6 @@ def _blocks(placement: Placement):
         yield lo, hi, owners, np.cumsum(counts) - counts
 
 
-def _hat_moments(placement: Placement, values) -> tuple[np.ndarray, np.ndarray]:
-    """Per-element sums of (1 - t) alpha v and t alpha v: what the sites
-    add to the first and second hat of their element.  `values(lo, hi,
-    out)` writes v at sites [lo, hi) into `out`; it is called once per
-    noise block, with the block's share of `placement.work`, which is then
-    reduced in place: times alpha, summed, times t, summed."""
-    nb = len(placement.offsets) - 1
-    left, right = np.zeros(nb), np.zeros(nb)
-    for lo, hi, owners, starts in _blocks(placement):
-        w = values(lo, hi, placement.work[: hi - lo])
-        w *= placement.alpha[lo:hi]
-        total = np.add.reduceat(w, starts)
-        w *= placement.t[lo:hi]
-        moment = np.add.reduceat(w, starts)
-        left[owners] += total - moment
-        right[owners] += moment
-    return left, right
-
-
 def assemble_coupling_matrix(placement: Placement) -> sp.csr_matrix:
     """Empirical coupling matrix B (independent of the observed data).
 
@@ -133,10 +114,23 @@ def assemble_coupling_matrix(placement: Placement) -> sp.csr_matrix:
 def assemble_data_vector(obs: ObservationSet) -> np.ndarray:
     """Right-hand side G[k] = sum_i alpha_i psi_k(x_i) g_i.
 
-    A streamed set is read one noise block at a time, so G of a set that
-    holds only noise costs its draws but no length-n array.
+    The set is read one noise block at a time into `placement.work`,
+    which is then reduced in place to the per-element sums of
+    (1 - t) alpha g and t alpha g, what the sites add to the first and
+    second hat of their element: times alpha, summed, times t, summed.
+    So G costs the set's draws but no length-n array.
     """
-    left, right = _hat_moments(obs.placement, obs.values)
+    pl = obs.placement
+    nb = len(pl.offsets) - 1
+    left, right = np.zeros(nb), np.zeros(nb)
+    for lo, hi, owners, starts in _blocks(pl):
+        w = obs.values(lo, hi, pl.work[: hi - lo])
+        w *= pl.alpha[lo:hi]
+        total = np.add.reduceat(w, starts)
+        w *= pl.t[lo:hi]
+        moment = np.add.reduceat(w, starts)
+        left[owners] += total - moment
+        right[owners] += moment
     return left + np.roll(right, 1)
 
 

@@ -36,6 +36,19 @@ def _fmt(x: float) -> str:
 _LEVEL_BYTES_PER_ITEM = 16
 
 
+def _refuse_beyond_memory(what: str, items: float, detail: str) -> None:
+    """Refuse `what` (a flag and its value) before anything is built if
+    `items` 16-B items reach physical memory; `detail` names the items."""
+    try:
+        memory = os.sysconf("SC_PHYS_PAGES") * os.sysconf("SC_PAGE_SIZE")
+    except (AttributeError, ValueError, OSError):  # unknown: refuse only infinite sizes
+        memory = math.inf
+    need = _LEVEL_BYTES_PER_ITEM * items
+    if not need < memory:
+        raise ValueError(f"{what} needs at least {need / 1e9:.3g} GB ({detail}); physical memory is "
+                         f"{memory / 1e9:.3g} GB")
+
+
 def _mesh_sizes(args, workers: int) -> list[int]:
     """Map the comma-separated --h values to k = round(1/h).
 
@@ -43,10 +56,6 @@ def _mesh_sizes(args, workers: int) -> list[int]:
     times the workers, cannot fit in physical memory is refused here,
     before any mesh is built.
     """
-    try:
-        memory = os.sysconf("SC_PHYS_PAGES") * os.sysconf("SC_PAGE_SIZE")
-    except (AttributeError, ValueError, OSError):  # unknown: refuse only infinite sizes
-        memory = math.inf
     ks = []
     for part in args.h.split(","):
         try:
@@ -62,11 +71,8 @@ def _mesh_sizes(args, workers: int) -> list[int]:
             sites = float(args.n) if args.n <= sys.float_info.max else math.inf
         else:
             sites = math.prod([k] * args.i) if args.i in (1, 2, 3, 4) else 0.0
-        need = _LEVEL_BYTES_PER_ITEM * workers * (vertices + sites)
-        if not need < memory:
-            raise ValueError(f"--h: h={h:g} needs at least {need / 1e9:.3g} GB ({vertices:.3g} vertices, "
-                             f"{sites:.3g} sites, {workers} worker(s)); physical memory is "
-                             f"{memory / 1e9:.3g} GB")
+        _refuse_beyond_memory(f"--h: h={h:g}", workers * (vertices + sites),
+                              f"{vertices:.3g} vertices, {sites:.3g} sites, {workers} worker(s)")
         ks.append(int(round(k)))
     if len(set(ks)) != len(ks):
         raise ValueError("--h: mesh parameters collapse to duplicate sizes")
@@ -198,7 +204,10 @@ def cmd_tail(args) -> int:
 
 def cmd_mesh(args) -> int:
     if args.k < 2:
-        raise ValueError("mesh size parameter must be at least 2")
+        raise ValueError(f"--k: mesh size parameter k={args.k} must be at least 2")
+    side = args.k + 1.0 if args.k < sys.float_info.max else math.inf
+    vertices = side * side  # no more than either domain has
+    _refuse_beyond_memory(f"--k: k={args.k}", vertices, f"{vertices:.3g} vertices")
     mesh = build_square_mesh(args.k) if args.domain == "square" else build_disk_mesh(args.k)
     write_mesh_text(mesh, args.out)
     q = mesh_quality(read_mesh_text(args.out))

@@ -20,14 +20,11 @@ A small text format is supported for round-tripping meshes to disk:
 
 from __future__ import annotations
 
-import logging
 import math
 from dataclasses import dataclass, field
 from typing import Optional
 
 import numpy as np
-
-logger = logging.getLogger(__name__)
 
 # Acceptable element distortion; generated meshes must stay well inside.
 MAX_ASPECT_RATIO = 10.0

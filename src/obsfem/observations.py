@@ -7,10 +7,13 @@ inside its boundary element, and a global weight
     alpha_j = omega_j * |F_E'(t_j)|,
 
 so that sum_j alpha_j u(x_j) v(x_j) approximates the L2(Gamma) pairing.
-Noise is generated with a counter-based RNG in fixed-size blocks, each
-drawn over its whole window in the set, so the value at point i depends
-only on (seed, i, n); large observation sets can therefore be built in
-streaming chunks (and in parallel) without changing a single bit.
+An observation set stores no data: it binds a placement, g0, a noise
+model and a seed, and its data g_j = g0(x_j) + e_j are read through
+`values`.  Noise is generated with a counter-based RNG in fixed-size
+blocks, each drawn over its whole window in the set, so the value at
+point i depends only on (seed, i, n); large observation sets can
+therefore be read in streaming chunks (and in parallel) without
+changing a single bit.
 """
 
 from __future__ import annotations
@@ -85,9 +88,12 @@ class NoiseModel:
         return math.sqrt(self.p * self.sigma1**2 + (1.0 - self.p) * self.sigma2**2)
 
 
-def _noise_block(model: NoiseModel, seed: int, block: int, out: np.ndarray) -> np.ndarray:
-    """Fill `out` with the noise values for positions [block*B, block*B + len(out))
-    of the stream, and return it."""
+def _noise_block(model: Optional[NoiseModel], seed: int, block: int, out: np.ndarray) -> np.ndarray:
+    """Fill `out` with noise block `block` of the stream, drawn over
+    len(out) entries, and return it; no noise writes zeros."""
+    if model is None or model.kind == "none":
+        out[:] = 0.0
+        return out
     key = (int(seed) & 0xFFFFFFFFFFFFFFFF) | (block << 64)
     rng = np.random.Generator(np.random.Philox(key=key))
     if model.kind == "gaussian":
@@ -102,35 +108,29 @@ def _noise_block(model: NoiseModel, seed: int, block: int, out: np.ndarray) -> n
     return out
 
 
-def sample_noise(model: Optional[NoiseModel], count: int, seed: int) -> np.ndarray:
-    """Draw `count` noise values, entries [0, count) of the stream."""
-    return sample_noise_range(model, seed, 0, count)
+def _draw_noise(model: Optional[NoiseModel], seed: int, n: int, lo: int, hi: int,
+                out: np.ndarray) -> np.ndarray:
+    """Write entries [lo, hi) of the noise of an n-entry stream into `out`.
 
-
-def sample_noise_range(model: Optional[NoiseModel], seed: int, start: int, stop: int,
-                       out: Optional[np.ndarray] = None) -> np.ndarray:
-    """Entries [start, stop) of the noise stream for this (model, seed),
-    written into `out` if it is given.  A mixture block draws its uniforms
-    before its normals, so its entries depend on where its draw stops."""
-    if stop < start:
-        raise ValueError(f"inverted range: stop {stop} < start {start}")
-    if out is None:
-        out = np.empty(stop - start)
-    if model is None or model.kind == "none":
-        out[:] = 0.0
-        return out
-    pos = start
-    while pos < stop:
-        block = pos // _NOISE_BLOCK
-        base = block * _NOISE_BLOCK
-        hi = min(stop, base + _NOISE_BLOCK)
-        dest = out[pos - start : hi - start]
-        if pos == base:
-            _noise_block(model, seed, block, dest)
-        else:  # a block is drawn from its start, so a partial block needs a draw of its own
-            dest[:] = _noise_block(model, seed, block, np.empty(hi - base))[pos - base :]
-        pos = hi
+    Block b is always drawn over its whole window [b B, min(n, (b+1) B)):
+    a mixture block draws its uniforms before its normals, so its entries
+    depend on where its draw stops.  A window that [lo, hi) only partly
+    covers is drawn into an array of its own.
+    """
+    for base in range(lo - lo % _NOISE_BLOCK, hi, _NOISE_BLOCK) if lo < hi else ():
+        end = min(n, base + _NOISE_BLOCK)
+        a, b = max(lo, base), min(hi, end)
+        if (a, b) == (base, end):
+            _noise_block(model, seed, base // _NOISE_BLOCK, out[a - lo : b - lo])
+        else:
+            window = _noise_block(model, seed, base // _NOISE_BLOCK, np.empty(end - base))
+            out[a - lo : b - lo] = window[a - base : b - base]
     return out
+
+
+def sample_noise(model: Optional[NoiseModel], count: int, seed: int) -> np.ndarray:
+    """Draw `count` noise values, the whole stream of that length."""
+    return _draw_noise(model, seed, count, 0, count, np.empty(count))
 
 
 def _site_array(n: int) -> np.ndarray:
@@ -205,11 +205,9 @@ class Placement:
         """Local (parameter-space) weights omega_j of sites [lo, hi)."""
         return _local_weights(self.t, self.offsets, lo, hi)
 
-    def evaluate(self, g0: Callable, lo: int, hi: int, out: Optional[np.ndarray] = None) -> np.ndarray:
-        """g0 at sites [lo, hi), evaluated one sub-block at a time and
-        written into `out` if it is given."""
-        if out is None:
-            out = np.empty(hi - lo)
+    def evaluate(self, g0: Callable, lo: int, hi: int) -> np.ndarray:
+        """g0 at sites [lo, hi), evaluated one sub-block at a time."""
+        out = np.empty(hi - lo)
         for a in range(lo, hi, _SUB_BLOCK):
             b = min(hi, a + _SUB_BLOCK)
             pts = self.positions(a, b)
@@ -247,6 +245,8 @@ def _local_weights(t: np.ndarray, offsets: np.ndarray, lo: int, hi: int) -> np.n
     """The weights of :func:`quadrature_weights`, taken per element of the
     flat layout `offsets`, for sites [lo, hi) of the flat parameters t."""
     m = hi - lo
+    if m == 0:
+        return np.empty(0)
     w = np.empty(m)
     half = np.empty(m + 1)  # half[j] is half the gap before site lo + j
     half[0] = t[lo] - (t[lo - 1] if lo else 0.0)
@@ -345,33 +345,26 @@ def uniformity_report(mesh: TriMesh, arclengths: np.ndarray) -> UniformityReport
 class ObservationSet:
     """Placement plus observed data g_j = g0(x_j) + e_j for one seed.
 
-    `g` is None for a streamed set: `values` then draws the noise and adds
-    g0 (if any) for the sites it is asked for, into the caller's array if
-    one is given, so reading the set block by block through
-    `placement.work` allocates no array the size of a block.
+    The set stores no data.  `values` draws the noise of the sites it is
+    asked for and adds g0 (if any), into the caller's array if one is
+    given, so reading the set block by block through `placement.work`
+    allocates no array the size of a block.  g0 None means the data are
+    the noise alone; model None means no noise.
     """
 
     placement: Placement
-    g: Optional[np.ndarray]
     g0: Optional[Callable]
     model: Optional[NoiseModel]
     seed: int
 
     def values(self, lo: int, hi: int, out: Optional[np.ndarray] = None) -> np.ndarray:
-        """g at sites [lo, hi), written into `out` if it is given."""
-        if self.g is not None:
-            if out is None:
-                return self.g[lo:hi]
-            out[:] = self.g[lo:hi]
-            return out
-        # Each block is drawn over its whole window in the set, as studies read it.
-        base = lo - lo % _NOISE_BLOCK
-        end = min(self.placement.n, -(-hi // _NOISE_BLOCK) * _NOISE_BLOCK)
-        out = np.empty(hi - lo) if out is None else out
-        if lo == hi or (base, end) == (lo, hi):
-            sample_noise_range(self.model, self.seed, lo, hi, out)
-        else:
-            out[:] = sample_noise_range(self.model, self.seed, base, end)[lo - base : hi - base]
+        """g at sites [lo, hi), written into `out` if it is given.  Each
+        noise block is drawn over its whole window in the set (see
+        :func:`_draw_noise`), as studies read it."""
+        n = self.placement.n
+        if not 0 <= lo <= hi <= n:
+            raise ValueError(f"site range [{lo}, {hi}) is not within [0, {n}]")
+        out = _draw_noise(self.model, self.seed, n, lo, hi, np.empty(hi - lo) if out is None else out)
         if self.g0 is not None:
             for a in range(lo, hi, _SUB_BLOCK):
                 b = min(hi, a + _SUB_BLOCK)
@@ -381,16 +374,11 @@ class ObservationSet:
 
 def observe(placement: Placement, g0: Optional[Callable], model: Optional[NoiseModel],
             seed: int) -> ObservationSet:
-    """Attach observed data to an existing placement.
-
-    With g0 the values are drawn and evaluated once and stored in `g`.
-    With g0=None the data are the noise alone; they are cheap to draw
-    again, so the set is streamed instead (see :class:`ObservationSet`).
-    """
-    obs = ObservationSet(placement, None, g0, model, seed)
-    if g0 is not None:
-        obs.g = obs.values(0, placement.n)
-    return obs
+    """Bind observed data to an existing placement: the set of sites,
+    g0 (None for noise alone), the noise model and the seed.  Nothing is
+    drawn or evaluated here; the data are read through
+    :meth:`ObservationSet.values`."""
+    return ObservationSet(placement, g0, model, seed)
 
 
 def build_observation_set(
@@ -403,25 +391,30 @@ def build_observation_set(
     """Place n sites on the boundary and observe g0 under the noise model.
 
     The result is bit-reproducible: identical (mesh, n, g0, model, seed)
-    give identical arrays regardless of chunking.
+    give identical values, however the set is read.
     """
     return observe(place_points(mesh, n), g0, model, seed)
 
 
 def dump_observations_csv(obs: ObservationSet, path: str) -> None:
     """Write one line per site (for debugging; floats at 17 digits).
-    A set without g0 holds noise alone, so its g0 column is 0."""
+    Each noise block is read once into `placement.work` and written out
+    one sub-block at a time.  A set without g0 holds noise alone, so its
+    g0 column is 0."""
     pl = obs.placement
     with open(path, "w") as fh:
         fh.write("element,t,x,y,g0,e,g,omega,alpha\n")
-        for lo in range(0, pl.n, _SUB_BLOCK):
-            hi = min(pl.n, lo + _SUB_BLOCK)
-            pts = pl.positions(lo, hi)
-            clean = np.zeros(hi - lo) if obs.g0 is None else pl.evaluate(obs.g0, lo, hi)
-            g = obs.values(lo, hi)
-            columns = (np.repeat(*_element_runs(pl.offsets, lo, hi)), pl.t[lo:hi], pts[:, 0], pts[:, 1],
-                       clean, g - clean, g, pl.omega(lo, hi), pl.alpha[lo:hi])
-            np.savetxt(fh, np.column_stack(columns), fmt=["%d"] + ["%.17g"] * 8, delimiter=",")
+        for lo in range(0, pl.n, _NOISE_BLOCK):
+            hi = min(pl.n, lo + _NOISE_BLOCK)
+            block = obs.values(lo, hi, pl.work[: hi - lo])
+            for a in range(lo, hi, _SUB_BLOCK):
+                b = min(hi, a + _SUB_BLOCK)
+                pts = pl.positions(a, b)
+                clean = np.zeros(b - a) if obs.g0 is None else pl.evaluate(obs.g0, a, b)
+                g = block[a - lo : b - lo]
+                columns = (np.repeat(*_element_runs(pl.offsets, a, b)), pl.t[a:b], pts[:, 0], pts[:, 1],
+                           clean, g - clean, g, pl.omega(a, b), pl.alpha[a:b])
+                np.savetxt(fh, np.column_stack(columns), fmt=["%d"] + ["%.17g"] * 8, delimiter=",")
 
 
 def empirical_inner_product(alpha: np.ndarray, u: np.ndarray, v: np.ndarray) -> float:

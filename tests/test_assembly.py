@@ -207,13 +207,14 @@ class TestCoupling:
                                     None, seed=0)
         G = assemble_data_vector(obs)
         pl = obs.placement
+        g = obs.values(0, pl.n)
         nq = len(disk10.boundary)
         expected = np.zeros(nq)
         for e in range(nq):
             q0, q1 = e, (e + 1) % nq
             for i in range(pl.offsets[e], pl.offsets[e + 1]):
-                expected[q0] += pl.alpha[i] * (1 - pl.t[i]) * obs.g[i]
-                expected[q1] += pl.alpha[i] * pl.t[i] * obs.g[i]
+                expected[q0] += pl.alpha[i] * (1 - pl.t[i]) * g[i]
+                expected[q1] += pl.alpha[i] * pl.t[i] * g[i]
         np.testing.assert_allclose(G, expected, atol=1e-14)
 
 
@@ -244,7 +245,7 @@ class TestCoupling:
         for model in (NoiseModel.gaussian(1.5), NoiseModel.mixture(1.0, 10.0, 0.3)):
             for obs, values in (
                 (observe(pl, None, model, 9), lambda lo, hi: per_block_noise(model, 9, lo >> 20, hi - lo)),
-                (ObservationSet(pl, None, g0, None, 0), clean),
+                (ObservationSet(pl, g0, None, 0), clean),
                 (observe(pl, g0, model, 9),
                  lambda lo, hi: per_block_noise(model, 9, lo >> 20, hi - lo) + pl.evaluate(g0, lo, hi)),
             ):

@@ -252,6 +252,18 @@ class TestConfigErrors:
         code = cli.main(["mesh", "--domain", "square", "--k", "1",
                          "--out", str(tmp_path / "m.txt")])
         assert code == 2
+        assert capsys.readouterr().err == "error: --k: mesh size parameter k=1 must be at least 2\n"
+
+    @pytest.mark.parametrize("domain", ["square", "disk"])
+    def test_huge_k_refused_before_any_mesh(self, tmp_path, capsys, monkeypatch, domain):
+        for builder in ("build_square_mesh", "build_disk_mesh"):
+            monkeypatch.setattr(cli, builder, lambda *a: pytest.fail("built a mesh"))
+        out = tmp_path / "m.txt"
+        code = cli.main(["mesh", "--domain", domain, "--k", "1000000000000", "--out", str(out)])
+        err = capsys.readouterr().err
+        assert code == 2 and not out.exists()
+        assert len(err.splitlines()) == 1 and err.startswith("error: --k: k=1000000000000 needs at least ")
+        assert "(1e+24 vertices); physical memory" in err
 
 
 class TestTailCommand:

@@ -2,6 +2,7 @@ import functools
 import logging
 import math
 import mmap
+import os
 import re
 
 import numpy as np
@@ -26,7 +27,7 @@ from obsfem import (
     sample_noise,
     uniformity_report,
 )
-from obsfem.observations import ObservationSet, sample_noise_range
+from obsfem import observations
 
 
 def whole_array_placement(mesh, n):
@@ -305,9 +306,11 @@ class TestPlacement:
         mesh = mesh_of(domain, k)
         pl = place_points(mesh, n)
         elements = np.repeat(np.arange(len(mesh.boundary)), np.diff(pl.offsets))
-        for lo, hi in windows:
+        for lo, hi in [*windows, (0, 0), (n, n)]:
             hi = n if hi is None else hi
             assert np.array_equal(pl.positions(lo, hi), boundary_point(mesh, elements[lo:hi], pl.t[lo:hi]))
+            if lo == hi:
+                assert pl.omega(lo, hi).shape == (0,)
 
     def test_work_array_is_one_noise_block_at_most(self, square10):
         assert place_points(square10, 1000).work.shape == (1000,)
@@ -336,9 +339,6 @@ class TestPlacement:
             parts.append(g0(x, y))
         assert np.array_equal(pl.evaluate(g0, 0, pl.n), np.concatenate(parts))
         assert np.array_equal(pl.evaluate(g0, 65000, 66000), np.concatenate(parts)[65000:66000])
-        out = np.empty(1000)
-        assert pl.evaluate(g0, 65000, 66000, out) is out
-        assert np.array_equal(out, np.concatenate(parts)[65000:66000])
 
     def test_alpha_ratio_bound(self, square10, disk10):
         # end-interval weights are at most 3x the interior ones
@@ -406,30 +406,35 @@ class TestNoise:
             math.sqrt(0.5 * 1 + 0.5 * 100))
 
     def test_range_matches_full_draw(self):
-        # counter-based stream: any sub-range must equal the full-draw slice
+        # counter-based stream: any sub-range of a set must equal the full-draw slice
         model = NoiseModel.gaussian(1.5)
-        full = sample_noise(model, 2 ** 21 + 13, seed=3)
+        n = 2 ** 21 + 13
+        full = sample_noise(model, n, seed=3)
+        obs = observe(place_points(mesh_of("square", 4), n), None, model, 3)
         for start, stop in ((0, 100), (2 ** 20 - 5, 2 ** 20 + 5), (2 ** 21, 2 ** 21 + 13)):
-            part = sample_noise_range(model, 3, start, stop)
-            np.testing.assert_array_equal(part, full[start:stop])
+            np.testing.assert_array_equal(obs.values(start, stop), full[start:stop])
 
     @pytest.mark.parametrize("model", [NoiseModel.gaussian(1.5), NoiseModel.mixture(1.0, 10.0, 0.3)])
     def test_range_written_into_out(self, model):
-        full = sample_noise(model, 2 ** 21 + 13, seed=3)
-        # ranges that end where a block or the stream ends: a mixture block
-        # draws its uniforms up to the range's end before its normals
+        n = 2 ** 21 + 13
+        full = sample_noise(model, n, seed=3)
+        pl = place_points(mesh_of("square", 4), n)
+        obs = observe(pl, None, model, 3)
+        # a mixture block draws its uniforms up to its window's end before
+        # its normals, so a range that ends inside a block still reads the
+        # whole window's values
         for start, stop in ((0, 2 ** 20), (2 ** 20 - 5, 2 ** 21), (2 ** 21 + 3, 2 ** 21 + 13)):
             out = np.full(stop - start, np.nan)
-            assert sample_noise_range(model, 3, start, stop, out) is out
+            assert obs.values(start, stop, out) is out
             np.testing.assert_array_equal(out, full[start:stop])
         out = np.full(7, np.nan)
-        assert not sample_noise_range(NoiseModel.none(), 3, 5, 12, out).any()
+        assert not observe(pl, None, NoiseModel.none(), 3).values(5, 12, out).any()
 
-    def test_inverted_range_rejected_empty_range_allowed(self):
-        model = NoiseModel.gaussian(1.0)
-        assert sample_noise_range(model, 3, 5, 5).size == 0
-        with pytest.raises(ValueError, match=r"^inverted range: stop 4 < start 5$"):
-            sample_noise_range(model, 3, 5, 4)
+    def test_inverted_range_rejected_empty_range_allowed(self, square10):
+        obs = observe(place_points(square10, 10), None, NoiseModel.gaussian(1.0), 3)
+        assert obs.values(5, 5).size == 0
+        with pytest.raises(ValueError, match=r"^site range \[5, 4\) is not within \[0, 10\]$"):
+            obs.values(5, 4)
 
     def test_negative_sigma_rejected(self):
         with pytest.raises(ValueError):
@@ -471,20 +476,20 @@ class TestObservationSet:
 
     def test_constant_data_no_noise(self, square10):
         obs = build_observation_set(square10, 100, lambda x, y: 3.25, None, seed=0)
-        np.testing.assert_array_equal(obs.g, np.full(100, 3.25))
+        np.testing.assert_array_equal(obs.values(0, 100), np.full(100, 3.25))
 
     def test_noise_decomposition(self, disk10):
         model = NoiseModel.gaussian(2.0)
         obs = build_observation_set(disk10, 300, lambda x, y: x * y, model, seed=5)
         clean = obs.placement.evaluate(obs.g0, 0, obs.placement.n)
         noise = sample_noise(model, 300, seed=5)
-        np.testing.assert_allclose(obs.g - clean, noise, atol=1e-15)
+        np.testing.assert_allclose(obs.values(0, 300) - clean, noise, atol=1e-15)
 
     def test_bit_identical_rebuild(self, disk10):
         model = NoiseModel.mixture(1.0, 10.0, 0.5)
         a = build_observation_set(disk10, 777, lambda x, y: x, model, seed=9)
         b = build_observation_set(disk10, 777, lambda x, y: x, model, seed=9)
-        np.testing.assert_array_equal(a.g, b.g)
+        np.testing.assert_array_equal(a.values(0, 777), b.values(0, 777))
         np.testing.assert_array_equal(a.placement.alpha, b.placement.alpha)
         np.testing.assert_array_equal(a.placement.t, b.placement.t)
 
@@ -493,8 +498,9 @@ class TestObservationSet:
         pts = placement.positions(0, placement.n)
         first = int(np.flatnonzero(pts[:, 1] > 0.5)[0])
         point = (float(pts[first, 0]), float(pts[first, 1]))
+        obs = observe(placement, lambda x, y: np.where(y > 0.5, np.inf, y), None, 0)
         with pytest.raises(ValueError, match=rf"^g0 is not finite at site {first} {re.escape(str(point))}$"):
-            observe(placement, lambda x, y: np.where(y > 0.5, np.inf, y), None, 0)
+            obs.values(0, placement.n)
 
     def test_non_finite_g0_in_a_later_sub_block(self, square10):
         # the top edge's left half starts past site 2^16
@@ -510,31 +516,34 @@ class TestObservationSet:
         placement = place_points(disk10, 300)
         model = NoiseModel.mixture(1.0, 10.0, 0.3)
         noise = observe(placement, None, model, 5)
-        assert noise.g is None
         # a read draws the set's whole noise window, [0, 300) here
-        np.testing.assert_array_equal(noise.values(17, 211), sample_noise_range(model, 5, 0, 300)[17:211])
-        stored = observe(placement, lambda x, y: x * y, model, 5)
+        np.testing.assert_array_equal(noise.values(17, 211), sample_noise(model, 300, 5)[17:211])
+        data = observe(placement, lambda x, y: x * y, model, 5)
         clean = observe(placement, lambda x, y: x * y, None, 0)
-        np.testing.assert_array_equal(stored.g, clean.g + noise.values(0, 300))
+        np.testing.assert_array_equal(data.values(0, 300), clean.values(0, 300) + noise.values(0, 300))
 
     def test_values_written_into_out(self, disk10):
         placement = place_points(disk10, 300)
         model = NoiseModel.gaussian(2.0)
-        for obs in (observe(placement, lambda x, y: x * y, model, 5),  # stored
-                    observe(placement, None, model, 5),  # streamed noise
-                    ObservationSet(placement, None, lambda x, y: x * y, model, 5)):  # streamed both
-            stored = None if obs.g is None else obs.g.copy()
+        for obs in (observe(placement, lambda x, y: x * y, model, 5),  # g0 and noise
+                    observe(placement, None, model, 5),  # noise alone
+                    observe(placement, lambda x, y: x * y, None, 0)):  # g0 alone
             out = np.full(194, np.nan)
             assert obs.values(17, 211, out) is out
             np.testing.assert_array_equal(out, obs.values(17, 211))
-            out[:] = 0.0  # writing into out never writes into the set
-            if stored is not None:
-                np.testing.assert_array_equal(obs.g, stored)
+
+    @pytest.mark.parametrize("g0", [None, lambda x, y: x * y])
+    @pytest.mark.parametrize("lo, hi", [(0, 15), (-2, 4), (11, 11), (-1, -1)])
+    def test_values_outside_the_set_rejected(self, disk10, g0, lo, hi):
+        obs = observe(place_points(disk10, 10), g0, NoiseModel.mixture(1.0, 10.0, 0.3), 5)
+        with pytest.raises(ValueError, match=rf"^site range \[{lo}, {hi}\) is not within \[0, 10\]$"):
+            obs.values(lo, hi)
+        assert obs.values(10, 10).size == 0
 
     def test_clean_values_on_true_boundary(self, disk10):
         # g0 must be sampled on the circle, not the chord polygon
         obs = build_observation_set(disk10, 200, lambda x, y: x ** 2 + y ** 2, None)
-        np.testing.assert_allclose(obs.g, 1.0, atol=1e-12)
+        np.testing.assert_allclose(obs.values(0, 200), 1.0, atol=1e-12)
 
     def test_csv_dump_of_a_mixture_set_writes_its_values(self, tmp_path, square10):
         # the dump reads 2^16-site sub-blocks, values(0, n) and G the whole
@@ -546,6 +555,22 @@ class TestObservationSet:
         g = np.loadtxt(path, delimiter=",", skiprows=1, usecols=6)
         assert np.array_equal(g, obs.values(0, n))
 
+    def test_csv_dump_draws_each_noise_block_once(self, monkeypatch, square10):
+        # 2^20 + 5000 sites: one whole block and a partial one
+        draws = []
+
+        def counted(model, seed, block, out):
+            draws.append(block)
+            return noise_block(model, seed, block, out)
+
+        noise_block = observations._noise_block
+        monkeypatch.setattr(observations, "_noise_block", counted)
+        # formatting 10^6 rows takes seconds; the tests around this one check the rows
+        monkeypatch.setattr(observations.np, "savetxt", lambda *a, **k: None)
+        obs = observe(place_points(square10, 2 ** 20 + 5000), None, NoiseModel.mixture(1.0, 10.0, 0.3), 6)
+        dump_observations_csv(obs, os.devnull)
+        assert draws == [0, 1]
+
     def test_csv_dump_round_trips(self, tmp_path, square10):
         obs = build_observation_set(square10, 50, lambda x, y: x,
                                     NoiseModel.gaussian(1.0), seed=2)
@@ -555,7 +580,7 @@ class TestObservationSet:
         assert lines[0] == "element,t,x,y,g0,e,g,omega,alpha"
         assert len(lines) == 51
         g_back = np.array([float(line.split(",")[6]) for line in lines[1:]])
-        np.testing.assert_array_equal(np.sort(g_back), np.sort(obs.g))
+        np.testing.assert_array_equal(np.sort(g_back), np.sort(obs.values(0, 50)))
 
     @pytest.mark.parametrize("mesh_name, n", [("disk10", 40), ("mixed_mesh", 9), ("square10", 2 ** 16 + 7)])
     def test_csv_dump_columns_match_the_set(self, tmp_path, request, mesh_name, n):
@@ -597,7 +622,7 @@ class TestEmpiricalInnerProduct:
     def test_approximates_line_integral(self, square10):
         # integral of x^2 over the unit square boundary: 1/3 + 1 + 1/3 + 0
         obs = build_observation_set(square10, 10 ** 4, lambda x, y: x ** 2, None)
-        assert abs(empirical_inner_product(obs.placement.alpha, np.ones(10 ** 4), obs.g)
+        assert abs(empirical_inner_product(obs.placement.alpha, np.ones(10 ** 4), obs.values(0, 10 ** 4))
                    - 5.0 / 3.0) <= 1e-4
 
     def test_norm_is_sqrt_self_product(self, rng):
