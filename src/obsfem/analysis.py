@@ -42,7 +42,7 @@ from .assembly import (
     assemble_load,
     assemble_stiffness,
 )
-from .mesh import TriMesh, boundary_point, build_disk_mesh, build_square_mesh, triangle_areas
+from .mesh import TriMesh, boundary_point, build_disk_mesh, build_square_mesh
 from .observations import NoiseModel, ObservationSet, observe, place_points
 from .solver import SaddleSolution, SingularSystemError, solve_saddle
 
@@ -126,15 +126,14 @@ class ErrorQuadrature:
 
     def __init__(self, mesh: TriMesh, case: ManufacturedCase):
         p = mesh.vertices[mesh.triangles]
-        areas = triangle_areas(mesh)
         mids = 0.5 * (p + np.roll(p, -1, axis=1))  # edge midpoints
-        # grad phi_i = perp(p_k - p_j) / (2 area) with (i, j, k) cyclic
-        edges = np.stack([p[:, 2] - p[:, 1], p[:, 0] - p[:, 2], p[:, 1] - p[:, 0]], axis=1)
         self.mesh = mesh
-        self.weights = areas[:, None] / 3.0
+        self.weights = mesh.areas[:, None] / 3.0
         self.u0_mid = case.u0(mids[..., 0], mids[..., 1])
         self.grad_u0_mid = case.grad_u0(mids[..., 0], mids[..., 1])
-        self.hat_grads = np.stack([-edges[..., 1], edges[..., 0]], axis=-1) / (2.0 * areas)[:, None, None]
+        # grad phi_i = perp(p_k - p_j) / (2 area) with (i, j, k) cyclic
+        e = mesh.edges
+        self.hat_grads = np.stack([-e[..., 1], e[..., 0]], axis=-1) / (2.0 * mesh.areas)[:, None, None]
         self.lengths = mesh.boundary.length
         self.elements = np.arange(len(self.lengths))[:, None]
         pts = boundary_point(mesh, self.elements, _GAUSS_T)  # 3 Gauss points per element

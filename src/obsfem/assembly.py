@@ -25,7 +25,7 @@ from dataclasses import dataclass, field
 import numpy as np
 import scipy.sparse as sp
 
-from .mesh import TriMesh, triangle_areas
+from .mesh import TriMesh
 from .observations import _NOISE_BLOCK, ObservationSet, Placement, _element_runs
 
 # 3-point Gauss rule on [0, 1]; exact through degree 5.
@@ -36,11 +36,8 @@ _GAUSS_W = np.array([5.0 / 18.0, 8.0 / 18.0, 5.0 / 18.0])
 def assemble_stiffness(mesh: TriMesh) -> sp.csr_matrix:
     """Stiffness matrix (grad u, grad v) over the triangulation."""
     nv = len(mesh.vertices)
-    p = mesh.vertices[mesh.triangles]
-    areas = triangle_areas(mesh)
-    # Opposite-edge vectors; A_local[a, b] = (e_a . e_b) / (4 area).
-    edges = np.stack([p[:, 2] - p[:, 1], p[:, 0] - p[:, 2], p[:, 1] - p[:, 0]], axis=1)
-    local = np.einsum("tad,tbd->tab", edges, edges) / (4.0 * areas)[:, None, None]
+    # A_local[a, b] = (e_a . e_b) / (4 area) with e the opposite-edge vectors.
+    local = np.einsum("tad,tbd->tab", mesh.edges, mesh.edges) / (4.0 * mesh.areas)[:, None, None]
     rows = np.repeat(mesh.triangles, 3, axis=1).ravel()
     cols = np.tile(mesh.triangles, (1, 3)).ravel()
     return sp.coo_matrix((local.ravel(), (rows, cols)), shape=(nv, nv)).tocsr()
@@ -57,10 +54,9 @@ def assemble_load(mesh: TriMesh, f) -> np.ndarray:
     if not np.all(np.isfinite(fv)):
         bad = int(np.flatnonzero(~np.isfinite(fv))[0])
         raise ValueError(f"f is not finite at vertex {bad} {tuple(mesh.vertices[bad])}")
-    areas = triangle_areas(mesh)
     tf = fv[mesh.triangles]
     # local_i = area/12 * (2 f_i + f_j + f_k) = area/12 * (f_i + sum f)
-    local = (areas[:, None] / 12.0) * (tf + tf.sum(axis=1, keepdims=True))
+    local = (mesh.areas[:, None] / 12.0) * (tf + tf.sum(axis=1, keepdims=True))
     F = np.zeros(nv)
     np.add.at(F, mesh.triangles.ravel(), local.ravel())
     return F

@@ -18,17 +18,13 @@ import os
 import sys
 
 from .analysis import estimate_rates, run_study, tail_study
-from .mesh import build_disk_mesh, build_square_mesh, mesh_quality, read_mesh_text, write_mesh_text
+from .mesh import _fmt, build_disk_mesh, build_square_mesh, mesh_quality, read_mesh_text, write_mesh_text
 from .observations import NoiseModel
 from .solver import SingularSystemError
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
 EXIT_SOLVER = 3
-
-
-def _fmt(x: float) -> str:
-    return f"{x:.17g}"
 
 
 # A level holds at least t and alpha per observation site and the two

@@ -206,19 +206,17 @@ class Placement:
         return _local_weights(self.t, self.offsets, lo, hi)
 
     def evaluate(self, g0: Callable, lo: int, hi: int) -> np.ndarray:
-        """g0 at sites [lo, hi), evaluated one sub-block at a time."""
-        out = np.empty(hi - lo)
-        for a in range(lo, hi, _SUB_BLOCK):
-            b = min(hi, a + _SUB_BLOCK)
-            pts = self.positions(a, b)
-            vals = np.asarray(g0(*pts.T), dtype=float)  # contiguous x and y
-            if vals.shape not in ((), (b - a,)):
-                raise ValueError("g0 must map coordinate arrays to a value array")
-            bad = np.flatnonzero(~np.isfinite(np.broadcast_to(vals, (b - a,))))
-            if bad.size:
-                raise ValueError(f"g0 is not finite at site {a + bad[0]} {tuple(pts[bad[0]].tolist())}")
-            out[a - lo : b - lo] = vals
-        return out
+        """g0 at sites [lo, hi) in one call of g0; the callers read at most
+        a sub-block of sites at a time."""
+        pts = self.positions(lo, hi)
+        vals = np.asarray(g0(*pts.T), dtype=float)  # contiguous x and y
+        if vals.shape not in ((), (hi - lo,)):
+            raise ValueError("g0 must map coordinate arrays to a value array")
+        vals = np.broadcast_to(vals, (hi - lo,))
+        bad = np.flatnonzero(~np.isfinite(vals))
+        if bad.size:
+            raise ValueError(f"g0 is not finite at site {lo + bad[0]} {tuple(pts[bad[0]].tolist())}")
+        return vals
 
     def arclengths(self) -> np.ndarray:
         """Global arclength coordinate of every point, in storage order."""
@@ -364,6 +362,8 @@ class ObservationSet:
         n = self.placement.n
         if not 0 <= lo <= hi <= n:
             raise ValueError(f"site range [{lo}, {hi}) is not within [0, {n}]")
+        if out is not None and len(out) != hi - lo:
+            raise ValueError(f"out has length {len(out)}, the site range [{lo}, {hi}) needs {hi - lo}")
         out = _draw_noise(self.model, self.seed, n, lo, hi, np.empty(hi - lo) if out is None else out)
         if self.g0 is not None:
             for a in range(lo, hi, _SUB_BLOCK):

@@ -5,15 +5,17 @@ One path: a sparse LU factorization of
     K = [[A, B~^T],
          [B~, 0  ]],   B~ = Q^T B,
 
-where Q spans range(B), the eigenvectors of the small Gram matrix B B^T
-above the kernel cut.  When B has full row rank, B~ = B.  A system with
-fewer observation sites than multiplier dofs is consistent but
-genuinely singular: the field part is still unique, while the
-multiplier is determined only up to ker(B^T).  Restricting the
-multiplier to range(B) makes K nonsingular, and the multiplier
-returned, lam = Q lam~, is the canonical one orthogonal to the kernel,
-which matches what a dense pseudoinverse solve of the same system
-produces.  The residual contract is checked against the original
+where Q spans range(B): the eigenvectors above the kernel cut of the
+Gram matrix B B^T over the rows of B that hold a nonzero.  An empty row
+(no site on either element of its multiplier dof) is a unit vector of
+ker(B^T), so Q, Q^T G and Q lam~ live on the coupled rows only.  When B
+has full row rank, B~ = B.  A system with fewer observation sites than
+multiplier dofs is consistent but genuinely singular: the field part is
+still unique, while the multiplier is determined only up to ker(B^T).
+Restricting the multiplier to range(B) makes K nonsingular, and the
+multiplier returned, lam = Q lam~, is the canonical one orthogonal to
+the kernel, which matches what a dense pseudoinverse solve of the same
+system produces.  The residual contract is checked against the original
 blocks, so data with a component in ker(B^T) are rejected.
 """
 
@@ -65,24 +67,24 @@ def _residuals(system: SaddleSystem, u: np.ndarray, lam: np.ndarray) -> tuple[fl
 
 
 def _kernel_basis(system: SaddleSystem):
-    """(N, Q, w0) from one eigensolve of B B^T: orthonormal bases of
-    ker(B^T) and range(B), both None when B has full row rank, and the
-    smallest eigenvalue.
-
-    B B^T is only n_multiplier x n_multiplier, so a dense eigensolve is
-    cheap at any mesh size used here.
+    """(coupled, N, Q, w0) from one eigensolve of B B^T over the mask
+    `coupled` of rows of B that hold a nonzero: orthonormal bases of
+    ker(B^T) and range(B) on those rows, Q None when B has full row rank,
+    and the smallest eigenvalue (0 when B is rank-deficient).
     """
-    w, v = np.linalg.eigh((system.B @ system.B.T).toarray())
-    kept = w > max(w[-1], 1.0) * _KERNEL_RTOL
-    if kept.all():
-        return None, None, float(w[0])
-    return v[:, ~kept], v[:, kept], float(w[0])
+    coupled = np.diff(system.B.indptr) > 0
+    B = system.B[coupled]
+    w, v = np.linalg.eigh((B @ B.T).toarray())
+    kept = w > w.max(initial=1.0) * _KERNEL_RTOL
+    if coupled.all() and kept.all():
+        return coupled, v[:, ~kept], None, float(w[0])
+    return coupled, v[:, ~kept], v[:, kept], 0.0
 
 
 def _factorize(system: SaddleSystem):
     """Sparse LU of the saddle matrix restricted to range(B), or why it failed."""
-    _, Q, _ = _cached(system, "kernel", _kernel_basis)
-    B = system.B if Q is None else sp.csr_matrix(Q.T) @ system.B
+    coupled, _, Q, _ = _cached(system, "kernel", _kernel_basis)
+    B = system.B if Q is None else sp.csr_matrix(Q.T) @ system.B[coupled]
     try:
         return spla.splu(sp.bmat([[system.A, B.T], [B, None]], format="csc"))
     except (RuntimeError, ValueError) as exc:
@@ -116,23 +118,24 @@ def solve_saddle(system: SaddleSystem) -> SaddleSolution:
             raise ValueError(f"saddle system data {name} is not finite at entry {int(bad[0])}")
     nv = system.n_field
 
-    N, Q, smallest = _cached(system, "kernel", _kernel_basis)
+    coupled, N, Q, smallest = _cached(system, "kernel", _kernel_basis)
     lu = _cached(system, "lu", _factorize)
     if isinstance(lu, str):
         reason = lu
     else:
-        x = lu.solve(np.concatenate([system.F, system.G if Q is None else Q.T @ system.G]))
+        x = lu.solve(np.concatenate([system.F, system.G if Q is None else Q.T @ system.G[coupled]]))
         u, lam = x[:nv], x[nv:]
         if Q is not None:
-            lam = Q @ lam
+            lam = np.zeros(system.n_multiplier)
+            lam[coupled] = Q @ x[nv:]
         rp, rc = _residuals(system, u, lam)
         if np.isfinite(rp) and np.isfinite(rc) and rp <= RESIDUAL_LIMIT and rc <= RESIDUAL_LIMIT:
             return SaddleSolution(u, lam, rp, rc)
         reason = f"direct solve left residuals ({rp:.2e}, {rc:.2e})"
 
-    dim = 0 if N is None else N.shape[1]
-    outside = 0.0 if N is None else float(np.linalg.norm(N.T @ system.G))
-    est = 0.0 if dim else float(np.sqrt(max(smallest, 0.0)))
+    in_kernel = np.concatenate([system.G[~coupled], N.T @ system.G[coupled]])
+    dim, outside = len(in_kernel), float(np.linalg.norm(in_kernel))
+    est = float(np.sqrt(max(smallest, 0.0)))
     raise SingularSystemError(
         f"{reason}; ker(B^T) has dimension {dim} and the data G have a component "
         f"of norm {outside:.2e} in it; smallest coupling singular value about {est:.2e}. "

@@ -3,19 +3,28 @@ import warnings
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+import obsfem.mesh
 from obsfem import (
     Boundary,
+    ErrorQuadrature,
+    Level,
     MeshError,
+    NoiseModel,
     TriMesh,
+    assemble_load,
+    assemble_stiffness,
     boundary_point,
     build_disk_mesh,
+    build_mesh,
     build_square_mesh,
     mesh_quality,
     read_mesh_text,
+    sine_case,
     write_mesh_text,
 )
 from obsfem.mesh import _stitch_rings, triangle_areas, triangle_diameters
@@ -421,3 +430,79 @@ def test_diameters_positive(square4, disk10):
         d = triangle_diameters(mesh)
         assert (d > 0).all()
         assert d.max() == pytest.approx(mesh.mesh_size_h)
+
+
+def gathered_geometry(mesh):
+    """(areas, diameters, perimeters, opposite-edge vectors), each computed
+    from the gathered corners vertices[triangles] by its own formula."""
+    p = mesh.vertices[mesh.triangles]
+    d1, d2 = p[:, 1] - p[:, 0], p[:, 2] - p[:, 0]
+    areas = 0.5 * (d1[:, 0] * d2[:, 1] - d1[:, 1] * d2[:, 0])
+    e0 = np.linalg.norm(p[:, 1] - p[:, 0], axis=1)
+    e1 = np.linalg.norm(p[:, 2] - p[:, 1], axis=1)
+    e2 = np.linalg.norm(p[:, 0] - p[:, 2], axis=1)
+    edges = np.stack([p[:, 2] - p[:, 1], p[:, 0] - p[:, 2], p[:, 1] - p[:, 0]], axis=1)
+    return areas, np.maximum(e0, np.maximum(e1, e2)), e0 + e1 + e2, edges
+
+
+GEOMETRY_MESHES = [("square", 10), ("square", 33), ("disk", 10), ("disk", 40)]
+
+
+class TestCachedGeometry:
+    def test_arrays_are_read_only_copies(self):
+        verts = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]])
+        tris = np.array([[0, 1, 2]])
+        mesh = TriMesh(verts, tris, Boundary([0, 1, 2], [1.0, math.sqrt(2.0), 1.0]))
+        verts[1, 0] = 5.0
+        tris[0, 0] = 2
+        assert mesh.vertices[1, 0] == 1.0 and mesh.triangles[0, 0] == 0
+        for name in ("vertices", "triangles", "edges", "areas", "edge_lengths"):
+            array = getattr(mesh, name)
+            assert not array.flags.writeable, name
+            with pytest.raises(ValueError):
+                array[0] = 0
+
+    @pytest.mark.parametrize("domain, k", GEOMETRY_MESHES)
+    def test_consumers_match_gathered_formulas(self, domain, k):
+        mesh, case = build_mesh(domain, k), sine_case(domain)
+        areas, diam, perimeters, edges = gathered_geometry(mesh)
+        assert np.array_equal(triangle_areas(mesh), areas)
+        assert np.array_equal(triangle_diameters(mesh), diam)
+        assert mesh.mesh_size_h == float(diam.max())
+        inscribed = 4.0 * areas / perimeters
+        q = mesh_quality(mesh)
+        assert (q.max_diameter, q.min_diameter, q.diameter_ratio, q.max_aspect) == (
+            float(diam.max()), float(diam.min()), float(diam.max() / diam.min()),
+            float((diam / inscribed).max()))
+
+        nv = len(mesh.vertices)
+        local = np.einsum("tad,tbd->tab", edges, edges) / (4.0 * areas)[:, None, None]
+        rows = np.repeat(mesh.triangles, 3, axis=1).ravel()
+        cols = np.tile(mesh.triangles, (1, 3)).ravel()
+        expected = sp.coo_matrix((local.ravel(), (rows, cols)), shape=(nv, nv)).tocsr()
+        A = assemble_stiffness(mesh)
+        for attr in ("indptr", "indices", "data"):
+            assert np.array_equal(getattr(A, attr), getattr(expected, attr)), attr
+
+        tf = case.f(*mesh.vertices.T)[mesh.triangles]
+        F = np.zeros(nv)
+        np.add.at(F, mesh.triangles.ravel(), ((areas[:, None] / 12.0) * (tf + tf.sum(axis=1, keepdims=True))).ravel())
+        assert np.array_equal(assemble_load(mesh, case.f), F)
+
+        quad = ErrorQuadrature(mesh, case)
+        assert np.array_equal(quad.weights, areas[:, None] / 3.0)
+        hat_grads = np.stack([-edges[..., 1], edges[..., 0]], axis=-1) / (2.0 * areas)[:, None, None]
+        assert np.array_equal(quad.hat_grads, hat_grads)
+
+    def test_level_build_computes_the_geometry_once(self, monkeypatch):
+        calls = []
+        compute = obsfem.mesh._triangle_geometry
+
+        def counted(vertices, triangles):
+            calls.append(len(triangles))
+            return compute(vertices, triangles)
+
+        monkeypatch.setattr(obsfem.mesh, "_triangle_geometry", counted)
+        level = Level("disk", 20, i=1)
+        level.trial(NoiseModel.gaussian(1.0), 0)
+        assert calls == [len(level.mesh.triangles)]

@@ -532,6 +532,12 @@ class TestObservationSet:
             assert obs.values(17, 211, out) is out
             np.testing.assert_array_equal(out, obs.values(17, 211))
 
+    @pytest.mark.parametrize("size", [193, 195])
+    def test_out_of_another_length_rejected(self, disk10, size):
+        obs = observe(place_points(disk10, 300), lambda x, y: x * y, NoiseModel.gaussian(2.0), 5)
+        with pytest.raises(ValueError, match=rf"^out has length {size}, the site range \[17, 211\) needs 194$"):
+            obs.values(17, 211, np.zeros(size))
+
     @pytest.mark.parametrize("g0", [None, lambda x, y: x * y])
     @pytest.mark.parametrize("lo, hi", [(0, 15), (-2, 4), (11, 11), (-1, -1)])
     def test_values_outside_the_set_rejected(self, disk10, g0, lo, hi):

@@ -225,3 +225,55 @@ class TestNonFiniteData:
         with pytest.raises(ValueError, match=rf"{name} is not finite at entry 3"):
             solve_saddle(system)
         assert not system.factors
+
+
+def dense_kernel_solve(system):
+    """(N, u, lam): a basis of ker(B^T) from a dense eigh of the whole
+    B B^T, and the saddle solve with the multiplier restricted to its
+    complement, by the same LU as the solver."""
+    w, v = np.linalg.eigh((system.B @ system.B.T).toarray())
+    kept = w > max(w[-1], 1.0) * 1e-12
+    Q = None if kept.all() else v[:, kept]
+    B = system.B if Q is None else sp.csr_matrix(Q.T) @ system.B
+    lu = spla.splu(sp.bmat([[system.A, B.T], [B, None]], format="csc"))
+    x = lu.solve(np.concatenate([system.F, system.G if Q is None else Q.T @ system.G]))
+    nv = system.n_field
+    return v[:, ~kept], x[:nv], x[nv:] if Q is None else Q @ x[nv:]
+
+
+def noisy_level_system(domain, k, i=None, n=None):
+    level = Level(domain, k, i=i, n=n)
+    return dataclasses.replace(level.clean, G=level.data_vector(NoiseModel.mixture(1.0, 10.0, 0.5), 4))
+
+
+class TestCoupledRowKernel:
+    # disk i=1 and square k=10 with 7 sites leave rows of B empty; the
+    # rank-deficient square fixture couples every row but still has a kernel
+    @pytest.mark.parametrize("case", ["disk-10", "disk-20", "disk-40", "square-10-n7", "fixture"])
+    def test_matches_dense_eigensolve(self, case, rank_deficient_system):
+        if case == "fixture":
+            system = rank_deficient_system
+        elif case.startswith("disk"):
+            system = noisy_level_system("disk", int(case[5:]), i=1)
+        else:
+            system = noisy_level_system("square", 10, n=7)
+        N, u, lam = dense_kernel_solve(system)
+        assert N.shape[1] > 0
+        sol = solve_saddle(dataclasses.replace(system, factors={}))
+        assert np.abs(sol.u - u).max() <= 1e-12 * np.abs(u).max()
+        assert np.abs(sol.lam - lam).max() <= 1e-12 * np.abs(lam).max()
+        assert np.abs(N.T @ sol.lam).max() <= 1e-12 * np.abs(sol.lam).max()
+        # data pushed along a kernel vector are rejected, naming the same dimension
+        bad = dataclasses.replace(system, G=system.G + N[:, 0], factors={})
+        with pytest.raises(SingularSystemError, match=rf"ker\(B\^T\) has dimension {N.shape[1]} and "
+                                                      r"the data G have a component of norm 1\.00e\+00"):
+            solve_saddle(bad)
+
+    @pytest.mark.parametrize("domain, k, i", [("disk", 10, 2), ("square", 10, 2)])
+    def test_full_rank_level_is_bit_identical(self, domain, k, i):
+        system = noisy_level_system(domain, k, i=i)
+        assert (np.diff(system.B.indptr) > 0).all()
+        N, u, lam = dense_kernel_solve(system)
+        assert N.shape[1] == 0
+        sol = solve_saddle(system)
+        assert np.array_equal(sol.u, u) and np.array_equal(sol.lam, lam)
