@@ -50,16 +50,13 @@ from .observations import (
     NoiseModel,
     ObservationSet,
     Placement,
-    UniformityReport,
     build_observation_set,
-    dump_observations_csv,
     empirical_inner_product,
     empirical_norm,
     observe,
     place_points,
     quadrature_weights,
     sample_noise,
-    uniformity_report,
 )
 from .solver import SaddleSolution, SingularSystemError, solve_saddle
 

@@ -15,11 +15,12 @@ the placement, A, F, B, the clean data vector G0, the error quadrature
 (weights, u0, grad u0 and the exact multiplier at the quadrature
 points, the hat gradients) and, from its first solve on, the saddle LU
 and the ker B^T basis.  A trial observes only its noise, as an
-observation set without g0, forms G = G0 + G_noise block by block,
-back-solves and integrates the errors of its own u and lambda.
-`run_case`, `run_study` and `tail_study` loop over `Level.trial`; a pool
-task is one level and a contiguous chunk of seeds, so pooled reports
-equal serial ones.
+observation set without g0.  `Level.trials` forms G = G0 + G_noise for
+a chunk of seeds in one sweep over the sites, noise block by noise
+block, then back-solves and integrates the errors of each seed's u and
+lambda.  `run_case`, `run_study` and `tail_study` go through
+`Level.trials`; a pool task is one level and a contiguous chunk of
+seeds, so pooled reports equal serial ones.
 """
 
 from __future__ import annotations
@@ -32,7 +33,7 @@ from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from .assembly import (
+from .assembly import (  # noqa: F401  (perfbench traces assemble_coupling_matrix under this module)
     _GAUSS_T,
     _GAUSS_W,
     SaddleSystem,
@@ -41,9 +42,10 @@ from .assembly import (
     assemble_data_vector,
     assemble_load,
     assemble_stiffness,
+    sweep,
 )
 from .mesh import TriMesh, boundary_point, build_disk_mesh, build_square_mesh
-from .observations import NoiseModel, ObservationSet, observe, place_points
+from .observations import _NOISE_BLOCK, NoiseModel, ObservationSet, observe, place_points
 from .solver import SaddleSolution, SingularSystemError, solve_saddle
 
 @dataclass(frozen=True)
@@ -190,16 +192,16 @@ def points_for(k: int, i: Optional[int], n: Optional[int]) -> int:
 class Level:
     """What the noise trials of one (domain, k, n) level share.
 
-    The clean data vector G0 is read from an observation set without
-    noise, and a trial observes only its noise, so neither builds a
-    length-n data array.  Trial systems are derived from the clean
-    system (A, B, F, G0) with `dataclasses.replace`, so they share its
-    solver `factors`.  The error quadrature is built with the level, so
-    a trial evaluates neither the case nor the mesh geometry.  No
-    per-site array is kept beyond the placement's t and alpha and its
-    one work array of at most 2^20 floats: G0, B and every trial's noise
-    draws and data vector are reduced through it, so a trial allocates
-    no per-site array.
+    A level holds the mesh, the placement, the clean system (A, B, F, G0)
+    and the error quadrature.  It holds no per-site array: the placement
+    derives t and alpha per noise block into its block buffers of at
+    most 2^20 floats, and the build reduces B and G0 in one sweep of
+    :func:`assembly.sweep` over them (so a g0 that is not finite fails
+    here, naming the site).  :meth:`trials` reduces the noise of every
+    seed of a chunk in one more sweep, block by block.  Trial systems are
+    derived from the clean system with `dataclasses.replace`, so they
+    share its solver `factors`.  The error quadrature is built with the
+    level, so a trial evaluates neither the case nor the mesh geometry.
     """
 
     def __init__(self, domain: str, k: int, i: Optional[int] = None, n: Optional[int] = None,
@@ -208,23 +210,39 @@ class Level:
         self.case = case if case is not None else sine_case(domain)
         self.h = 1.0 / k
         self.placement = place_points(self.mesh, points_for(k, i, n))
-        clean = ObservationSet(self.placement, self.case.g0, None, 0)
-        self.clean = SaddleSystem(
-            assemble_stiffness(self.mesh),
-            assemble_coupling_matrix(self.placement),
-            assemble_load(self.mesh, self.case.f),
-            assemble_data_vector(clean))
+        A, F = assemble_stiffness(self.mesh), assemble_load(self.mesh, self.case.f)
+        B, [G0] = sweep(self.placement, [ObservationSet(self.placement, self.case.g0, None, 0)], coupling=True)
+        self.clean = SaddleSystem(A, B, F, G0)
         self.quadrature = ErrorQuadrature(self.mesh, self.case)
 
     def data_vector(self, model: Optional[NoiseModel], seed: int) -> np.ndarray:
         """G = G0 + G_noise for one noise draw."""
         return self.clean.G + assemble_data_vector(observe(self.placement, None, model, seed))
 
+    def trials(self, model: Optional[NoiseModel], seeds: Sequence[int]) -> list:
+        """Error reports of one noise draw per seed, in seed order.
+
+        The seeds' data vectors come from sweeps over the sites of at most
+        2^20 / (2 NB) seeds each (the per-seed sums take 2 NB floats), so
+        each block's t and alpha are derived once per sweep; then each seed
+        is solved and measured in turn.  A seed's report does not depend
+        on the other seeds in its sweep.
+        """
+        per_sweep = max(1, _NOISE_BLOCK // (2 * len(self.mesh.boundary)))
+        reports = []
+        for j in range(0, len(seeds), per_sweep):
+            chunk = seeds[j : j + per_sweep]
+            noise = sweep(self.placement, [observe(self.placement, None, model, s) for s in chunk])[1]
+            reports += [self._solve(self.clean.G + g, s) for g, s in zip(noise, chunk)]
+        return reports
+
     def trial(self, model: Optional[NoiseModel], seed: int) -> ErrorReport:
         """Solve with one noise draw and measure the errors."""
-        system = replace(self.clean, G=self.data_vector(model, seed))
+        return self.trials(model, [seed])[0]
+
+    def _solve(self, G: np.ndarray, seed: int) -> ErrorReport:
         try:
-            solution = solve_saddle(system)
+            solution = solve_saddle(replace(self.clean, G=G))
         except SingularSystemError as exc:
             raise SingularSystemError(
                 f"h={self.h:g} n={self.placement.n}: {exc}", estimate=exc.estimate
@@ -234,10 +252,12 @@ class Level:
 
 def _level_trials(domain: str, k: int, i: Optional[int], n: Optional[int],
                   model: Optional[NoiseModel], seeds: range) -> tuple:
-    """(What obsfem logged while building the level, reports over `seeds`).
+    """(What obsfem logged while building the level, reports over `seeds`,
+    or the SingularSystemError a trial raised).
 
     The records are held back, not printed, so that `_run_levels` logs a
-    level's build once and in level order, whichever process built it.
+    level's build once and in level order, whichever process built it,
+    and before the error of a trial that fails.
     """
     records: list = []
     held = logging.Handler()
@@ -250,16 +270,22 @@ def _level_trials(domain: str, k: int, i: Optional[int], n: Optional[int],
     finally:
         package.removeHandler(held)
         package.propagate = propagate
-    return records, [level.trial(model, s) for s in seeds]
+    try:
+        return records, level.trials(model, seeds)
+    except SingularSystemError as exc:  # raised by the parent after the records are logged
+        return records, exc
 
 
 def _relog_first_chunks(done, chunks: int):
-    """Reports of each task; logs the held records of a level's first chunk."""
+    """Reports of each task; logs the held records of a level's first
+    chunk, then raises the task's exception if it had one."""
     for j, (records, reports) in enumerate(done):
         for record in records if j % chunks == 0 else ():
             log = logging.getLogger(record.name)
             if log.isEnabledFor(record.levelno):
                 log.handle(record)
+        if isinstance(reports, SingularSystemError):
+            raise reports
         yield reports
 
 

@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from typing import Optional, Sequence
 
 import numpy as np
 import scipy.sparse as sp
@@ -62,72 +63,77 @@ def assemble_load(mesh: TriMesh, f) -> np.ndarray:
     return F
 
 
-def _blocks(placement: Placement):
-    """Per noise block [lo, hi): (lo, hi, the elements with sites in the
-    block, where their runs start relative to lo).  An element's sum is
-    one `np.add.reduceat` per block, so these bounds fix its bits."""
-    for lo in range(0, placement.n, _NOISE_BLOCK):
-        hi = min(placement.n, lo + _NOISE_BLOCK)
-        owners, counts = _element_runs(placement.offsets, lo, hi)
-        yield lo, hi, owners, np.cumsum(counts) - counts
+def sweep(placement: Placement, sets: Sequence[ObservationSet],
+          coupling: bool = False) -> tuple[Optional[sp.csr_matrix], list]:
+    """(B if `coupling` else None, [G of each set]) from one pass over the
+    sites of the placement, whose observation sets `sets` are.
 
-
-def assemble_coupling_matrix(placement: Placement) -> sp.csr_matrix:
-    """Empirical coupling matrix B (independent of the observed data).
-
-    Every site only touches the two hat functions of its element on each
-    side, so B has at most three nonzeros per row and each element
-    contributes a 2 x 2 block
+    The pass runs noise block by noise block.  Per block, t and alpha are
+    derived once into the placement's block buffers; then B's per-element
+    sums and, for each set in turn, its values in `placement.work` are
+    reduced.  Every per-element sum is one `np.add.reduceat` per block
+    and added up over the blocks, so a set's G has the same bits whatever
+    else the pass reduces.  Every site only touches the two hat functions
+    of its element on each side, so B has at most three nonzeros per row
+    and each element contributes a 2 x 2 block
 
         [[b00, b01], [b01, b11]] = sum_i alpha_i [[(1-t)^2, (1-t) t], [(1-t) t, t^2]],
 
-    reduced in one pass over the sites through `placement.work`.
+    while a set adds sum_i (1 - t) alpha g and sum_i t alpha g to the first
+    and second hat of the element: times alpha, summed, times t, summed.
     """
     mesh = placement.mesh
     nb = len(mesh.boundary)
-    b00, b01, b11 = np.zeros(nb), np.zeros(nb), np.zeros(nb)
-    for lo, hi, owners, starts in _blocks(placement):
-        t, alpha, w = placement.t[lo:hi], placement.alpha[lo:hi], placement.work[: hi - lo]
-        np.subtract(1.0, t, out=w)
-        w *= alpha
-        total = np.add.reduceat(w, starts)  # sum alpha (1-t)
-        w *= t
-        moment = np.add.reduceat(w, starts)  # sum alpha (1-t) t
-        np.multiply(alpha, t, out=w)
-        w *= t
-        b00[owners] += total - moment
-        b01[owners] += moment
-        b11[owners] += np.add.reduceat(w, starts)  # sum alpha t t
+    b00, b01, b11 = np.zeros((3, nb))
+    left, right = np.zeros((2, len(sets), nb))
+    for lo in range(0, placement.n, _NOISE_BLOCK):
+        hi = min(placement.n, lo + _NOISE_BLOCK)
+        owners, counts = _element_runs(placement.offsets, lo, hi)
+        starts = np.cumsum(counts) - counts
+        t, alpha = placement.sites(lo, hi)
+        w = placement.work[: hi - lo]
+        if coupling:
+            np.subtract(1.0, t, out=w)
+            w *= alpha
+            total = np.add.reduceat(w, starts)  # sum alpha (1-t)
+            w *= t
+            moment = np.add.reduceat(w, starts)  # sum alpha (1-t) t
+            np.multiply(alpha, t, out=w)
+            w *= t
+            b00[owners] += total - moment
+            b01[owners] += moment
+            b11[owners] += np.add.reduceat(w, starts)  # sum alpha t t
+        for j, obs in enumerate(sets):
+            obs.values(lo, hi, w, t)
+            w *= alpha
+            total = np.add.reduceat(w, starts)
+            w *= t
+            moment = np.add.reduceat(w, starts)
+            left[j, owners] += total - moment
+            right[j, owners] += moment
+    G = [left[j] + np.roll(right[j], 1) for j in range(len(sets))]
+    if not coupling:
+        return None, G
     e = np.flatnonzero(np.diff(placement.offsets))  # elements with sites
     q1 = (e + 1) % nb
     v0, v1 = mesh.boundary.v0[e], mesh.boundary.v0[q1]
     rows = np.concatenate([e, e, q1, q1])
     cols = np.concatenate([v0, v1, v0, v1])
     vals = np.concatenate([b00[e], b01[e], b01[e], b11[e]])
-    return sp.coo_matrix((vals, (rows, cols)), shape=(nb, len(mesh.vertices))).tocsr()
+    return sp.coo_matrix((vals, (rows, cols)), shape=(nb, len(mesh.vertices))).tocsr(), G
+
+
+def assemble_coupling_matrix(placement: Placement) -> sp.csr_matrix:
+    """Empirical coupling matrix B (independent of the observed data), from
+    one :func:`sweep` over the sites."""
+    return sweep(placement, [], coupling=True)[0]
 
 
 def assemble_data_vector(obs: ObservationSet) -> np.ndarray:
-    """Right-hand side G[k] = sum_i alpha_i psi_k(x_i) g_i.
-
-    The set is read one noise block at a time into `placement.work`,
-    which is then reduced in place to the per-element sums of
-    (1 - t) alpha g and t alpha g, what the sites add to the first and
-    second hat of their element: times alpha, summed, times t, summed.
-    So G costs the set's draws but no length-n array.
-    """
-    pl = obs.placement
-    nb = len(pl.offsets) - 1
-    left, right = np.zeros(nb), np.zeros(nb)
-    for lo, hi, owners, starts in _blocks(pl):
-        w = obs.values(lo, hi, pl.work[: hi - lo])
-        w *= pl.alpha[lo:hi]
-        total = np.add.reduceat(w, starts)
-        w *= pl.t[lo:hi]
-        moment = np.add.reduceat(w, starts)
-        left[owners] += total - moment
-        right[owners] += moment
-    return left + np.roll(right, 1)
+    """Right-hand side G[k] = sum_i alpha_i psi_k(x_i) g_i, from one
+    :func:`sweep` over the sites: G costs the set's draws but no
+    length-n array."""
+    return sweep(obs.placement, [obs])[1][0]
 
 
 def trace_matrix(mesh: TriMesh) -> sp.csr_matrix:
@@ -180,7 +186,8 @@ def mesh_dependent_norms(mesh: TriMesh, mu: np.ndarray) -> tuple[float, float]:
 
 def multiplier_at_sites(mu: np.ndarray, placement: Placement) -> np.ndarray:
     """Values of a multiplier dof vector at every observation site."""
-    return _hat(placement.mesh, mu, np.repeat(*_element_runs(placement.offsets, 0, placement.n)), placement.t)
+    n = placement.n
+    return _hat(placement.mesh, mu, np.repeat(*_element_runs(placement.offsets, 0, n)), placement.t(0, n))
 
 
 def vh_gram(mesh: TriMesh) -> sp.csr_matrix:

@@ -19,7 +19,7 @@ import sys
 
 from .analysis import estimate_rates, run_study, tail_study
 from .mesh import _fmt, build_disk_mesh, build_square_mesh, mesh_quality, read_mesh_text, write_mesh_text
-from .observations import NoiseModel
+from .observations import _NOISE_BLOCK, NoiseModel
 from .solver import SingularSystemError
 
 EXIT_OK = 0
@@ -27,19 +27,20 @@ EXIT_CONFIG = 2
 EXIT_SOLVER = 3
 
 
-# A level holds at least t and alpha per observation site and the two
-# coordinates per mesh vertex, 16 B each.
-_LEVEL_BYTES_PER_ITEM = 16
+# A level holds at least the two coordinates of each mesh vertex (16 B)
+# and three block buffers of min(sites, 2^20) floats (t, alpha and the
+# work array, 24 B per site of a block).
+_VERTEX_BYTES = 16
+_BLOCK_SITE_BYTES = 24
 
 
-def _refuse_beyond_memory(what: str, items: float, detail: str) -> None:
+def _refuse_beyond_memory(what: str, need: float, detail: str) -> None:
     """Refuse `what` (a flag and its value) before anything is built if
-    `items` 16-B items reach physical memory; `detail` names the items."""
+    `need` bytes reach physical memory; `detail` names what they hold."""
     try:
         memory = os.sysconf("SC_PHYS_PAGES") * os.sysconf("SC_PAGE_SIZE")
     except (AttributeError, ValueError, OSError):  # unknown: refuse only infinite sizes
         memory = math.inf
-    need = _LEVEL_BYTES_PER_ITEM * items
     if not need < memory:
         raise ValueError(f"{what} needs at least {need / 1e9:.3g} GB ({detail}); physical memory is "
                          f"{memory / 1e9:.3g} GB")
@@ -67,7 +68,8 @@ def _mesh_sizes(args, workers: int) -> list[int]:
             sites = float(args.n) if args.n <= sys.float_info.max else math.inf
         else:
             sites = math.prod([k] * args.i) if args.i in (1, 2, 3, 4) else 0.0
-        _refuse_beyond_memory(f"--h: h={h:g}", workers * (vertices + sites),
+        level = _VERTEX_BYTES * vertices + _BLOCK_SITE_BYTES * min(sites, _NOISE_BLOCK)
+        _refuse_beyond_memory(f"--h: h={h:g}", workers * level,
                               f"{vertices:.3g} vertices, {sites:.3g} sites, {workers} worker(s)")
         ks.append(int(round(k)))
     if len(set(ks)) != len(ks):
@@ -203,7 +205,7 @@ def cmd_mesh(args) -> int:
         raise ValueError(f"--k: mesh size parameter k={args.k} must be at least 2")
     side = args.k + 1.0 if args.k < sys.float_info.max else math.inf
     vertices = side * side  # no more than either domain has
-    _refuse_beyond_memory(f"--k: k={args.k}", vertices, f"{vertices:.3g} vertices")
+    _refuse_beyond_memory(f"--k: k={args.k}", _VERTEX_BYTES * vertices, f"{vertices:.3g} vertices")
     mesh = build_square_mesh(args.k) if args.domain == "square" else build_disk_mesh(args.k)
     write_mesh_text(mesh, args.out)
     q = mesh_quality(read_mesh_text(args.out))

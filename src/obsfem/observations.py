@@ -7,6 +7,8 @@ inside its boundary element, and a global weight
     alpha_j = omega_j * |F_E'(t_j)|,
 
 so that sum_j alpha_j u(x_j) v(x_j) approximates the L2(Gamma) pairing.
+A placement stores no per-site data: t, alpha and the points are
+derived per range of sites from per-element constants.
 An observation set stores no data: it binds a placement, g0, a noise
 model and a seed, and its data g_j = g0(x_j) + e_j are read through
 `values`.  Noise is generated with a counter-based RNG in fixed-size
@@ -148,49 +150,90 @@ def _site_array(n: int) -> np.ndarray:
 
 
 @dataclass
-class UniformityReport:
-    """Spread statistics of boundary points: s_min is the smallest
-    arclength gap between neighbours, s_max the largest distance from any
-    boundary point to the set (half the widest gap on a closed loop)."""
-
-    s_min: float
-    s_max: float
-    ratio: float  # s_max / s_min, 1/2 for perfectly equispaced points
-
-
-@dataclass
 class Placement:
     """Observation sites on the boundary loop, bucketed by element.
 
     Points are stored element by element in loop order: element e owns
-    the slice [offsets[e], offsets[e+1]) of the flat arrays.  Within an
-    element the local parameters t are strictly increasing.
+    the slice [offsets[e], offsets[e+1]) of the sites.  Within an element
+    the local parameters t are strictly increasing.
 
-    `work` is one scratch array of min(n, 2^20) floats, the size of a
-    noise block, made once with the placement.  Every pass over the
-    sites that needs a block of values (noise draws, data, the reductions
-    of assembly) runs through it, so no pass allocates an array the size
-    of a block or of n.  A pass owns `work` until it returns.  `t`,
-    `alpha` and `work` each live in a memory map of their own (see
+    A placement holds no per-site data, only what derives it: `offsets`,
+    the per-element starts and lengths, the site `spacing` and the sites
+    nudged off element endpoints (`nudged`, their clipped `nudged_t`).
+    `t(lo, hi)`, `alpha(lo, hi)` and `positions(lo, hi)` derive a range
+    of sites from them, the same bits for any range.  `sites(lo, hi)`
+    derives t and alpha of a range within one noise block into the
+    placement's block buffers, and `work` is one more block of scratch
+    for the values a pass reduces; each holds min(n, 2^20) floats (t two
+    more, for its one-site halo) in a memory map of its own (see
     :func:`_site_array`), so dropping a level returns them to the system.
+    A pass owns the buffers until it returns.
     """
 
     mesh: TriMesh
     n: int
     offsets: np.ndarray  # (NB+1,) int
-    t: np.ndarray  # (n,) local parameters
-    alpha: np.ndarray  # (n,) global quadrature weights
+    spacing: float  # arclength between neighbouring sites
+    nudged: np.ndarray  # (m,) increasing indices of the sites nudged off element endpoints
+    nudged_t: np.ndarray  # (m,) their local parameters
+    starts: np.ndarray = field(init=False, repr=False, compare=False)  # (NB+1,) element start arclengths
+    t_block: np.ndarray = field(init=False, repr=False, compare=False)
+    alpha_block: np.ndarray = field(init=False, repr=False, compare=False)
     work: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        self.work = _site_array(min(self.n, _NOISE_BLOCK))
+        self.starts = np.concatenate([[0.0], np.cumsum(self.mesh.boundary.length)])
+        m = min(self.n, _NOISE_BLOCK)
+        self.t_block, self.alpha_block, self.work = _site_array(m + 2), _site_array(m), _site_array(m)
 
-    def positions(self, lo: int, hi: int) -> np.ndarray:
+    def t(self, lo: int, hi: int, out: Optional[np.ndarray] = None) -> np.ndarray:
+        """Local parameters of sites [lo, hi), written into `out` if it is
+        given: (s - start) / h per 2^16 sub-block, with the nudges applied."""
+        out = np.empty(hi - lo) if out is None else out
+        h = self.mesh.boundary.length
+        for a in range(lo, hi, _SUB_BLOCK):
+            b = min(hi, a + _SUB_BLOCK)
+            owners, counts = _element_runs(self.offsets, a, b)
+            tb = np.add(np.arange(a, b, dtype=float), 0.5, out=out[a - lo : b - lo])
+            tb *= self.spacing
+            tb -= np.repeat(self.starts[owners], counts)
+            tb /= np.repeat(h[owners], counts)
+        moved = slice(*np.searchsorted(self.nudged, (lo, hi)))
+        out[self.nudged[moved] - lo] = self.nudged_t[moved]
+        return out
+
+    def alpha(self, lo: int, hi: int) -> np.ndarray:
+        """Global quadrature weights alpha_j = omega_j h_E of sites [lo, hi)."""
+        a, b = max(lo - 1, 0), min(hi + 1, self.n)
+        return self._weights(self.t(a, b), a, lo, hi, np.empty(hi - lo))
+
+    def sites(self, lo: int, hi: int) -> tuple[np.ndarray, np.ndarray]:
+        """(t, alpha) of sites [lo, hi), a range of at most one noise block,
+        derived once into `t_block` and `alpha_block`; the next call
+        overwrites them."""
+        a, b = max(lo - 1, 0), min(hi + 1, self.n)
+        t = self.t(a, b, self.t_block[: b - a])
+        return t[lo - a : hi - a], self._weights(t, a, lo, hi, self.alpha_block[: hi - lo])
+
+    def _weights(self, t: np.ndarray, base: int, lo: int, hi: int, out: np.ndarray) -> np.ndarray:
+        """alpha of sites [lo, hi) into `out`, per 2^16 sub-block, from the
+        parameters t of sites [base, base + len(t)): [lo, hi) and its
+        neighbours within [0, n)."""
+        h = self.mesh.boundary.length
+        for a in range(lo, hi, _SUB_BLOCK):
+            b = min(hi, a + _SUB_BLOCK)
+            owners, counts = _element_runs(self.offsets, a, b)
+            w = _local_weights(t, self.offsets - base, a - base, b - base, out[a - lo : b - lo])
+            w *= np.repeat(h[owners], counts)
+        return out
+
+    def positions(self, lo: int, hi: int, t: Optional[np.ndarray] = None) -> np.ndarray:
         """Points x_j of sites [lo, hi) on the exact boundary, shape (hi - lo, 2), with
-        the bits of :func:`boundary_point`; built per element run, columns contiguous."""
+        the bits of :func:`boundary_point`; built per element run, columns contiguous.
+        `t`, if given, holds the sites' parameters."""
         b = self.mesh.boundary
         owners, counts = _element_runs(self.offsets, lo, hi)
-        t = self.t[lo:hi]
+        t = self.t(lo, hi) if t is None else t
         p0 = self.mesh.vertices[b.v0[owners]].T
         xy = t * np.repeat(self.mesh.vertices[b.v1[owners]].T - p0, counts, axis=1)
         xy += np.repeat(p0, counts, axis=1)
@@ -203,12 +246,14 @@ class Placement:
 
     def omega(self, lo: int, hi: int) -> np.ndarray:
         """Local (parameter-space) weights omega_j of sites [lo, hi)."""
-        return _local_weights(self.t, self.offsets, lo, hi)
+        a, b = max(lo - 1, 0), min(hi + 1, self.n)
+        return _local_weights(self.t(a, b), self.offsets - a, lo - a, hi - a)
 
-    def evaluate(self, g0: Callable, lo: int, hi: int) -> np.ndarray:
+    def evaluate(self, g0: Callable, lo: int, hi: int, t: Optional[np.ndarray] = None) -> np.ndarray:
         """g0 at sites [lo, hi) in one call of g0; the callers read at most
-        a sub-block of sites at a time."""
-        pts = self.positions(lo, hi)
+        a sub-block of sites at a time.  `t`, if given, holds the sites'
+        parameters."""
+        pts = self.positions(lo, hi, t)
         vals = np.asarray(g0(*pts.T), dtype=float)  # contiguous x and y
         if vals.shape not in ((), (hi - lo,)):
             raise ValueError("g0 must map coordinate arrays to a value array")
@@ -217,18 +262,6 @@ class Placement:
         if bad.size:
             raise ValueError(f"g0 is not finite at site {lo + bad[0]} {tuple(pts[bad[0]].tolist())}")
         return vals
-
-    def arclengths(self) -> np.ndarray:
-        """Global arclength coordinate of every point, in storage order."""
-        h = self.mesh.boundary.length
-        starts = np.concatenate([[0.0], np.cumsum(h)])[:-1]
-        counts = np.diff(self.offsets)
-        return np.repeat(starts, counts) + self.t * np.repeat(h, counts)
-
-    @property
-    def alpha_bounds(self) -> tuple[float, float]:
-        """Empirical constants (B3, B4) with B3/n <= alpha_j <= B4/n."""
-        return float(self.n * self.alpha.min()), float(self.n * self.alpha.max())
 
 
 def _element_runs(offsets: np.ndarray, lo: int, hi: int) -> tuple[np.ndarray, np.ndarray]:
@@ -239,13 +272,16 @@ def _element_runs(offsets: np.ndarray, lo: int, hi: int) -> tuple[np.ndarray, np
     return owners, counts[owners]
 
 
-def _local_weights(t: np.ndarray, offsets: np.ndarray, lo: int, hi: int) -> np.ndarray:
+def _local_weights(t: np.ndarray, offsets: np.ndarray, lo: int, hi: int,
+                   out: Optional[np.ndarray] = None) -> np.ndarray:
     """The weights of :func:`quadrature_weights`, taken per element of the
-    flat layout `offsets`, for sites [lo, hi) of the flat parameters t."""
+    flat layout `offsets`, for sites [lo, hi), where t[j] is the parameter
+    of site j; t ends at site n or holds one site past hi.  Written into
+    `out` if it is given."""
     m = hi - lo
     if m == 0:
         return np.empty(0)
-    w = np.empty(m)
+    w = np.empty(m) if out is None else out
     half = np.empty(m + 1)  # half[j] is half the gap before site lo + j
     half[0] = t[lo] - (t[lo - 1] if lo else 0.0)
     np.subtract(t[lo + 1 : hi], t[lo : hi - 1], out=half[1:m])
@@ -281,11 +317,12 @@ def quadrature_weights(t: np.ndarray) -> np.ndarray:
 
 
 def place_points(mesh: TriMesh, n: int) -> Placement:
-    """Place n sites at arclengths (i - 1/2)|Gamma|/n and weight them.
+    """Place n sites at arclengths (i - 1/2)|Gamma|/n.
 
     Sites that would land within 1e-12 of an element endpoint are nudged
     forward by 1e-9 |Gamma|/n, so every site is interior to exactly one
-    element.
+    element.  Only the element runs and the nudges are computed here;
+    t and the weights are derived when a range of sites is read.
     """
     if n < 1:
         raise ValueError(f"need n >= 1, got {n}")
@@ -310,33 +347,7 @@ def place_points(mesh: TriMesh, n: int) -> Placement:
         logger.warning("nudged %d observation sites off element endpoints", near.sum())
     e[near], t_moved = locate(s[near] + _ENDPOINT_NUDGE * spacing)
     offsets = np.append(idx, n)[np.searchsorted(e, np.arange(len(h) + 1))]
-
-    # t = (s - start) / h, then alpha = omega h, with each run's start and h repeated.
-    t, alpha = _site_array(n), _site_array(n)
-    for lo in range(0, n, _SUB_BLOCK):
-        hi = min(n, lo + _SUB_BLOCK)
-        owners, counts = _element_runs(offsets, lo, hi)
-        tb = np.multiply(np.arange(lo, hi, dtype=float) + 0.5, spacing, out=t[lo:hi])
-        tb -= np.repeat(starts[owners], counts)
-        tb /= np.repeat(h[owners], counts)
-    t[idx[near]] = np.clip(t_moved, 1e-15, 1.0 - 1e-15)
-    for lo in range(0, n, _SUB_BLOCK):
-        hi = min(n, lo + _SUB_BLOCK)
-        owners, counts = _element_runs(offsets, lo, hi)
-        alpha[lo:hi] = _local_weights(t, offsets, lo, hi) * np.repeat(h[owners], counts)
-    return Placement(mesh, n, offsets, t, alpha)
-
-
-def uniformity_report(mesh: TriMesh, arclengths: np.ndarray) -> UniformityReport:
-    """Gap statistics of points given by arclength along the loop."""
-    s = np.sort(np.asarray(arclengths, dtype=float))
-    if len(s) < 2:
-        raise ValueError("need at least two points")
-    total = mesh.boundary_length
-    gaps = np.diff(np.concatenate([s, [s[0] + total]]))
-    s_min = float(gaps.min())
-    s_max = float(gaps.max() / 2.0)
-    return UniformityReport(s_min, s_max, s_max / s_min)
+    return Placement(mesh, n, offsets, spacing, idx[near], np.clip(t_moved, 1e-15, 1.0 - 1e-15))
 
 
 @dataclass
@@ -355,10 +366,12 @@ class ObservationSet:
     model: Optional[NoiseModel]
     seed: int
 
-    def values(self, lo: int, hi: int, out: Optional[np.ndarray] = None) -> np.ndarray:
+    def values(self, lo: int, hi: int, out: Optional[np.ndarray] = None,
+               t: Optional[np.ndarray] = None) -> np.ndarray:
         """g at sites [lo, hi), written into `out` if it is given.  Each
         noise block is drawn over its whole window in the set (see
-        :func:`_draw_noise`), as studies read it."""
+        :func:`_draw_noise`), as studies read it.  `t`, if given, holds
+        the sites' parameters, so that g0 is read without deriving them."""
         n = self.placement.n
         if not 0 <= lo <= hi <= n:
             raise ValueError(f"site range [{lo}, {hi}) is not within [0, {n}]")
@@ -368,7 +381,8 @@ class ObservationSet:
         if self.g0 is not None:
             for a in range(lo, hi, _SUB_BLOCK):
                 b = min(hi, a + _SUB_BLOCK)
-                out[a - lo : b - lo] += self.placement.evaluate(self.g0, a, b)
+                out[a - lo : b - lo] += self.placement.evaluate(
+                    self.g0, a, b, None if t is None else t[a - lo : b - lo])
         return out
 
 
@@ -394,27 +408,6 @@ def build_observation_set(
     give identical values, however the set is read.
     """
     return observe(place_points(mesh, n), g0, model, seed)
-
-
-def dump_observations_csv(obs: ObservationSet, path: str) -> None:
-    """Write one line per site (for debugging; floats at 17 digits).
-    Each noise block is read once into `placement.work` and written out
-    one sub-block at a time.  A set without g0 holds noise alone, so its
-    g0 column is 0."""
-    pl = obs.placement
-    with open(path, "w") as fh:
-        fh.write("element,t,x,y,g0,e,g,omega,alpha\n")
-        for lo in range(0, pl.n, _NOISE_BLOCK):
-            hi = min(pl.n, lo + _NOISE_BLOCK)
-            block = obs.values(lo, hi, pl.work[: hi - lo])
-            for a in range(lo, hi, _SUB_BLOCK):
-                b = min(hi, a + _SUB_BLOCK)
-                pts = pl.positions(a, b)
-                clean = np.zeros(b - a) if obs.g0 is None else pl.evaluate(obs.g0, a, b)
-                g = block[a - lo : b - lo]
-                columns = (np.repeat(*_element_runs(pl.offsets, a, b)), pl.t[a:b], pts[:, 0], pts[:, 1],
-                           clean, g - clean, g, pl.omega(a, b), pl.alpha[a:b])
-                np.savetxt(fh, np.column_stack(columns), fmt=["%d"] + ["%.17g"] * 8, delimiter=",")
 
 
 def empirical_inner_product(alpha: np.ndarray, u: np.ndarray, v: np.ndarray) -> float:

@@ -1,11 +1,17 @@
 import collections
+import dataclasses
 import logging
 import math
+import os
+import subprocess
+import sys
 import tracemalloc
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
+import obsfem
 from obsfem import (
     ErrorQuadrature,
     Level,
@@ -17,15 +23,20 @@ from obsfem import (
     assemble_data_vector,
     compute_errors,
     estimate_rates,
+    boundary_point,
     observe,
     run_case,
     run_study,
+    sample_noise,
     sine_case,
     solve_saddle,
     tail_study,
 )
+from obsfem import analysis
 from obsfem.analysis import ManufacturedCase, points_for
+from obsfem.assembly import sweep
 from obsfem.mesh import triangle_areas
+from test_observations import whole_array_placement
 
 # Degree-5 rule on the reference triangle (barycentric points, weights
 # summing to 1); used as an independent check of the error quadrature.
@@ -437,3 +448,96 @@ class TestTailStudy:
     def test_minimum_trial_count(self):
         with pytest.raises(ValueError, match="at least 100"):
             tail_study("square", 10, i=2, trials=99)
+
+
+def oracle_reports(level, model, seeds):
+    """Reports of one trial per seed, each reduced from whole-array t and
+    alpha (:func:`test_observations.whole_array_placement`) and a whole
+    noise stream, one reduceat of fresh arrays per 2^20-site block; B is
+    checked against the same reduction."""
+    mesh, n = level.mesh, level.placement.n
+    t, offsets, _, alpha = whole_array_placement(mesh, n)
+    nb = len(mesh.boundary)
+
+    def moments(v):
+        left, right = np.zeros(nb), np.zeros(nb)
+        for lo in range(0, n, 2 ** 20):
+            hi = min(n, lo + 2 ** 20)
+            off = np.clip(offsets, lo, hi) - lo
+            owners = np.flatnonzero(off[1:] > off[:-1])
+            w = v[lo:hi] * alpha[lo:hi]
+            total = np.add.reduceat(w, off[owners])
+            moment = np.add.reduceat(w * t[lo:hi], off[owners])
+            left[owners] += total - moment
+            right[owners] += moment
+        return left, right
+
+    b00, b01 = moments(1.0 - t)
+    b11 = moments(t)[1]
+    e = np.flatnonzero(np.diff(offsets))
+    q1 = (e + 1) % nb
+    v0, v1 = mesh.boundary.v0[e], mesh.boundary.v0[q1]
+    B = sp.coo_matrix((np.concatenate([b00[e], b01[e], b01[e], b11[e]]),
+                       (np.concatenate([e, e, q1, q1]), np.concatenate([v0, v1, v0, v1]))),
+                      shape=level.clean.B.shape).tocsr()
+    for name in ("data", "indices", "indptr"):
+        assert np.array_equal(getattr(level.clean.B, name), getattr(B, name))
+    pts = boundary_point(mesh, np.repeat(np.arange(nb), np.diff(offsets)), t)
+    left, right = moments(0.0 + level.case.g0(pts[:, 0], pts[:, 1]))
+    G0 = left + np.roll(right, 1)
+    reports = []
+    for seed in seeds:
+        left, right = moments(sample_noise(model, n, seed))
+        system = dataclasses.replace(level.clean, B=B, G=G0 + (left + np.roll(right, 1)))
+        reports.append(compute_errors(level.quadrature, solve_saddle(system), level.h, n, seed))
+    return reports
+
+
+class TestLevelTrials:
+    @pytest.mark.parametrize("model", [NoiseModel.gaussian(1.5), NoiseModel.mixture(1.0, 10.0, 0.3)],
+                             ids=["gaussian", "mixture"])
+    @pytest.mark.parametrize("domain, k, n", [
+        ("square", 4, 2 ** 20 + 5000),  # an element straddles the two noise blocks
+        ("square", 10, 100),  # 20 sites nudged off element endpoints
+        ("disk", 10, 17),  # empty elements, rank-deficient coupling
+    ])
+    def test_trials_match_a_whole_array_oracle(self, domain, k, n, model):
+        level = Level(domain, k, n=n)
+        seeds = range(3, 8)
+        reports = level.trials(model, seeds)
+        assert reports == oracle_reports(level, model, seeds)
+        assert level.trials(model, seeds[:3]) + level.trials(model, seeds[3:]) == reports
+        assert [level.trial(model, s) for s in seeds] == reports
+
+    def test_sweeps_of_fewer_seeds_keep_the_bits(self, monkeypatch):
+        # a block of 4 NB floats caps a sweep at 2 seeds: 5 seeds take 3 sweeps
+        level = Level("disk", 10, n=3 * 2 ** 20 + 5)
+        model = NoiseModel.mixture(1.0, 10.0, 0.3)
+        whole = level.trials(model, range(5))
+        sweeps = []
+        monkeypatch.setattr(analysis, "sweep", lambda pl, sets: sweeps.append(len(sets)) or sweep(pl, sets))
+        monkeypatch.setattr(analysis, "_NOISE_BLOCK", 4 * len(level.mesh.boundary))
+        assert level.trials(model, range(5)) == whole
+        assert sweeps == [2, 2, 1]
+
+    def test_no_array_holds_more_than_a_block(self):
+        level = Level("square", 4, n=3 * 2 ** 20 + 5)
+        level.trials(NoiseModel.gaussian(1.0), range(2))
+        owners = [level, level.placement, level.quadrature, level.clean, level.mesh, level.mesh.boundary]
+        sizes = {f"{type(obj).__name__}.{name}": value.size
+                 for obj in owners for name, value in vars(obj).items() if isinstance(value, np.ndarray)}
+        assert sizes["Placement.t_block"] == 2 ** 20 + 2
+        assert max(sizes.values()) <= 2 ** 20 + 2, sizes
+
+    def test_a_level_of_6_noise_blocks_peaks_within_40_MB(self):
+        # t and alpha of 6.3 M sites alone would take 100 MB
+        program = ("import resource\nimport obsfem\n"
+                   "base = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss\n"
+                   "level = obsfem.Level('square', 10, n=6 * 2 ** 20)\n"
+                   "level.trials(obsfem.NoiseModel.gaussian(1.0), range(2))\n"
+                   "print(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss - base)\n")
+        src = os.path.dirname(os.path.dirname(obsfem.__file__))
+        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+        run = subprocess.run([sys.executable, "-c", program], capture_output=True, check=True,
+                             env={**os.environ, "PYTHONPATH": path, "OPENBLAS_NUM_THREADS": "1"})
+        assert int(run.stdout) < 40 * 1024  # ru_maxrss is in kB

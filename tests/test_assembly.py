@@ -34,12 +34,13 @@ def dense_coupling(placement):
     mesh = placement.mesh
     nq = len(mesh.boundary)
     B = np.zeros((nq, len(mesh.vertices)))
+    ts, alphas = placement.t(0, placement.n), placement.alpha(0, placement.n)
     for e in range(nq):
         q0, q1 = e, (e + 1) % nq
         v0, v1 = mesh.boundary.v0[e], mesh.boundary.v1[e]
         for i in range(placement.offsets[e], placement.offsets[e + 1]):
-            t = placement.t[i]
-            a = placement.alpha[i]
+            t = ts[i]
+            a = alphas[i]
             for qd, psi in ((q0, 1.0 - t), (q1, t)):
                 B[qd, v0] += a * psi * (1.0 - t)
                 B[qd, v1] += a * psi * t
@@ -64,9 +65,9 @@ def per_block_hat_moments(placement, values):
         hi = min(placement.n, lo + 2 ** 20)
         off = np.clip(placement.offsets, lo, hi) - lo
         owners = np.flatnonzero(off[1:] > off[:-1])
-        w = placement.alpha[lo:hi] * values(lo, hi)
+        w = placement.alpha(lo, hi) * values(lo, hi)
         total = np.add.reduceat(w, off[owners])
-        moment = np.add.reduceat(w * placement.t[lo:hi], off[owners])
+        moment = np.add.reduceat(w * placement.t(lo, hi), off[owners])
         left[owners] += total - moment
         right[owners] += moment
     return left, right
@@ -130,11 +131,12 @@ class TestLoad:
 
 def at_params(mesh, mu, e, t):
     """A multiplier dof vector on boundary element e at parameters t,
-    through sites placed there by hand."""
+    through sites placed there by hand: every site is a nudged one, moved
+    to its given parameter."""
     t = np.atleast_1d(np.asarray(t, dtype=float))
     offsets = np.zeros(len(mesh.boundary) + 1, dtype=np.int64)
     offsets[e + 1:] = len(t)
-    return multiplier_at_sites(mu, Placement(mesh, len(t), offsets, t, np.ones(len(t))))
+    return multiplier_at_sites(mu, Placement(mesh, len(t), offsets, 1.0, np.arange(len(t)), t))
 
 
 def trace_at(mesh, u, e, t):
@@ -176,7 +178,7 @@ class TestCoupling:
         nq = len(square4.boundary)
         psi = np.stack([multiplier_at_sites(np.eye(nq)[k], pl) for k in range(nq)])
         np.testing.assert_allclose(np.asarray(B.sum(axis=1)).ravel(),
-                                   psi @ pl.alpha, atol=1e-14)
+                                   psi @ pl.alpha(0, 64), atol=1e-14)
 
     def test_matches_dense_brute_force(self, square4):
         pl = place_points(square4, 64)
@@ -210,11 +212,12 @@ class TestCoupling:
         g = obs.values(0, pl.n)
         nq = len(disk10.boundary)
         expected = np.zeros(nq)
+        t, alpha = pl.t(0, pl.n), pl.alpha(0, pl.n)
         for e in range(nq):
             q0, q1 = e, (e + 1) % nq
             for i in range(pl.offsets[e], pl.offsets[e + 1]):
-                expected[q0] += pl.alpha[i] * (1 - pl.t[i]) * g[i]
-                expected[q1] += pl.alpha[i] * pl.t[i] * g[i]
+                expected[q0] += alpha[i] * (1 - t[i]) * g[i]
+                expected[q1] += alpha[i] * t[i] * g[i]
         np.testing.assert_allclose(G, expected, atol=1e-14)
 
 
@@ -223,7 +226,7 @@ class TestCoupling:
         # 2^20 + 5000 sites: one element straddles the two noise blocks
         mesh = build_square_mesh(k) if domain == "square" else build_disk_mesh(k)
         pl = place_points(mesh, 2 ** 20 + 5000)
-        t = pl.t
+        t = pl.t(0, pl.n)
         b00, b01 = per_block_hat_moments(pl, lambda lo, hi: 1.0 - t[lo:hi])
         _, b11 = per_block_hat_moments(pl, lambda lo, hi: t[lo:hi])
         e = np.flatnonzero(np.diff(pl.offsets))
@@ -331,10 +334,10 @@ class TestMultiplierAtSites:
         pl = place_points(disk10, 150)
         nq = len(disk10.boundary)
         mu = rng.standard_normal(nq)
-        vals = multiplier_at_sites(mu, pl)
+        vals, t = multiplier_at_sites(mu, pl), pl.t(0, pl.n)
         for e in (0, 17, 40, nq - 1):
             sl = slice(pl.offsets[e], pl.offsets[e + 1])
-            np.testing.assert_allclose(vals[sl], (1 - pl.t[sl]) * mu[e] + pl.t[sl] * mu[(e + 1) % nq])
+            np.testing.assert_allclose(vals[sl], (1 - t[sl]) * mu[e] + t[sl] * mu[(e + 1) % nq])
 
     def test_partition_of_unity(self, square10):
         pl = place_points(square10, 333)
@@ -394,7 +397,7 @@ class TestEmpiricalNormEquivalence:
         M1 = boundary_mass(mesh, power=1)
         for _ in range(20):
             mu = rng.standard_normal(len(mesh.boundary))
-            num = empirical_norm(pl.alpha, multiplier_at_sites(mu, pl))
+            num = empirical_norm(pl.alpha(0, pl.n), multiplier_at_sites(mu, pl))
             den = math.sqrt(mu @ (M1 @ mu))
             assert 0.5 <= num / den <= 2.0
 

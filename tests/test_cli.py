@@ -1,3 +1,4 @@
+import argparse
 import math
 import os
 import re
@@ -183,8 +184,8 @@ class TestConfigErrors:
         assert "physical memory" in err
 
     def test_memory_estimate_counts_the_workers(self, tmp_path, capsys, monkeypatch):
-        # h=0.1, i=4: at least 16 B x (121 vertices + 10^4 sites) = 162 kB per level
-        pages = {"SC_PHYS_PAGES": 50, "SC_PAGE_SIZE": 4096}  # 205 kB
+        # h=0.1, i=4: at least 16 B x 121 vertices + 24 B x 10^4 sites = 242 kB per level
+        pages = {"SC_PHYS_PAGES": 80, "SC_PAGE_SIZE": 4096}  # 328 kB
         monkeypatch.setattr(cli.os, "sysconf", pages.__getitem__)
         args = ("--h", "0.1", "--i", "4", "--trials", "2")
         assert run_convergence(tmp_path, *args)[0] == 0
@@ -192,6 +193,25 @@ class TestConfigErrors:
         monkeypatch.setattr(analysis, "build_mesh", lambda *a: pytest.fail("built a mesh"))
         assert run_convergence(tmp_path, *args)[0] == 2
         assert "2 worker(s)" in capsys.readouterr().err
+
+    def test_k160_i4_fits_the_estimate(self, tmp_path, monkeypatch):
+        # 655 M sites, but a level holds three blocks of 2^20 of them:
+        # 16 B x 161^2 vertices + 24 B x 2^20 = 26 MB per worker
+        class Built(Exception):
+            pass
+
+        def built(*args):
+            raise Built
+
+        pages = {"SC_PHYS_PAGES": 2 ** 14, "SC_PAGE_SIZE": 4096}  # 67 MB
+        monkeypatch.setattr(cli.os, "sysconf", pages.__getitem__)
+        monkeypatch.setattr(analysis, "build_mesh", built)
+        with pytest.raises(Built):
+            run_convergence(tmp_path, "--h", "0.00625", "--i", "4")
+        args = argparse.Namespace(h="0.00625", i=4, n=None)
+        assert cli._mesh_sizes(args, 2) == [160]
+        with pytest.raises(ValueError, match=r"^--h: h=0.00625 needs at least 0.0767 GB .*3 worker\(s\)"):
+            cli._mesh_sizes(args, 3)
 
     def test_h_out_of_range(self, tmp_path, capsys):
         code, _ = run_convergence(tmp_path, "--h", "0.6", "--i", "2")
@@ -339,6 +359,27 @@ class TestMeshCommand:
 
 
 class TestSolverFailureExit:
+    def test_nudge_warning_printed_before_the_failure(self):
+        # square h=0.1 with n=100 nudges 20 sites; the level's warning is
+        # held while it is built and must still be printed when a trial fails
+        program = ("import sys; from obsfem import analysis, cli; from obsfem.solver import SingularSystemError\n"
+                   "def stall(system):\n    raise SingularSystemError('stalled')\n"
+                   "analysis.solve_saddle = stall\n"
+                   "sys.exit(cli.main(sys.argv[1:]))\n")
+        argv = [sys.executable, "-c", program, "convergence", "--domain", "square", "--h", "0.1",
+                "--i", "2", "--trials", "4"]
+        src = os.path.dirname(os.path.dirname(obsfem.__file__))
+        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+        runs = [subprocess.run(argv, capture_output=True,
+                               env={**os.environ, "PYTHONPATH": path, "OBSFEM_THREADS": threads})
+                for threads in ("1", "2")]
+        assert [r.returncode for r in runs] == [3, 3]
+        lines = runs[0].stderr.decode().splitlines()
+        assert lines[0] == "nudged 20 observation sites off element endpoints"
+        assert lines[1].startswith("solver failure: h=0.1 n=100: stalled")
+        assert runs[1].stderr == runs[0].stderr
+
+
     def test_exit_code_three(self, tmp_path, capsys, monkeypatch):
         def stall(*args, **kwargs):
             raise SingularSystemError("h=0.25 n=16: iterative solve stalled")

@@ -2,7 +2,6 @@ import functools
 import logging
 import math
 import mmap
-import os
 import re
 
 import numpy as np
@@ -18,16 +17,13 @@ from obsfem import (
     boundary_point,
     build_square_mesh,
     build_observation_set,
-    dump_observations_csv,
     empirical_inner_product,
     empirical_norm,
     observe,
     place_points,
     quadrature_weights,
     sample_noise,
-    uniformity_report,
 )
-from obsfem import observations
 
 
 def whole_array_placement(mesh, n):
@@ -61,6 +57,12 @@ def whole_array_placement(mesh, n):
     return t, offsets, near, omega * h[e]
 
 
+def arclengths(pl):
+    """Global arclength coordinate of every site: its element's start plus t h."""
+    counts = np.diff(pl.offsets)
+    return np.repeat(pl.starts[:-1], counts) + pl.t(0, pl.n) * np.repeat(pl.mesh.boundary.length, counts)
+
+
 @functools.lru_cache(maxsize=None)
 def mesh_of(domain, k):
     return build_square_mesh(k) if domain == "square" else build_disk_mesh(k)
@@ -80,8 +82,16 @@ def assert_matches_whole_array_placement(mesh, n):
         log.removeHandler(handler)
     t, offsets, nudged, alpha = whole_array_placement(mesh, n)
     assert np.array_equal(pl.offsets, offsets)
-    assert np.array_equal(pl.t, t)
-    assert np.array_equal(pl.alpha, alpha)
+    assert np.array_equal(pl.t(0, n), t)
+    assert np.array_equal(pl.alpha(0, n), alpha)
+    # range reads, and the block buffers of a sweep, keep the bits of the whole pass
+    for lo, hi in ((n // 3, n // 3 + 1000), (2 ** 16 - 3, 2 ** 16 + 3), (n - 1, n), (n, n)):
+        lo, hi = min(max(lo, 0), n), min(max(hi, 0), n)
+        assert np.array_equal(pl.t(lo, hi), t[lo:hi]) and np.array_equal(pl.alpha(lo, hi), alpha[lo:hi])
+    for lo in range(0, n, 2 ** 20):
+        hi = min(n, lo + 2 ** 20)
+        tb, ab = pl.sites(lo, hi)
+        assert np.array_equal(tb, t[lo:hi]) and np.array_equal(ab, alpha[lo:hi])
     warned = [f"nudged {nudged.sum()} observation sites off element endpoints"] if nudged.any() else []
     assert [r.getMessage() for r in records] == warned
     return nudged
@@ -187,7 +197,7 @@ class TestPlacement:
         pl = place_points(mesh, 8)
         assert pl.n == 8
         np.testing.assert_array_equal(pl.offsets, np.arange(9))
-        np.testing.assert_allclose(pl.t, 0.5, atol=1e-12)
+        np.testing.assert_allclose(pl.t(0, 8), 0.5, atol=1e-12)
 
     def test_equal_counts_k10_n1000(self, square10):
         pl = place_points(square10, 1000)
@@ -200,7 +210,7 @@ class TestPlacement:
         pl = place_points(square10, n)
         lengths = square10.boundary.length
         starts = np.concatenate([[0.0], np.cumsum(lengths)])
-        s = pl.arclengths()
+        s = arclengths(pl)
         for idx in range(0, n, 41):
             e_found = int(np.searchsorted(starts, s[idx], side="right")) - 1
             sl_lo, sl_hi = pl.offsets[e_found], pl.offsets[e_found + 1]
@@ -209,7 +219,7 @@ class TestPlacement:
     def test_arclengths_half_offset(self):
         mesh = build_square_mesh(4)
         pl = place_points(mesh, 4)
-        np.testing.assert_allclose(pl.arclengths(), [0.5, 1.5, 2.5, 3.5], atol=1e-12)
+        np.testing.assert_allclose(arclengths(pl), [0.5, 1.5, 2.5, 3.5], atol=1e-12)
 
     def test_endpoint_collision_nudged(self, caplog):
         # k=2 elements have length 0.5, so n=4 sites land exactly on vertices
@@ -217,8 +227,8 @@ class TestPlacement:
         with caplog.at_level(logging.WARNING):
             pl = place_points(mesh, 4)
         assert any("nudged" in r.message for r in caplog.records)
-        np.testing.assert_allclose(pl.arclengths(), [0.5, 1.5, 2.5, 3.5], atol=1e-8)
-        assert (pl.t > 0).all() and (pl.t < 1).all()
+        np.testing.assert_allclose(arclengths(pl), [0.5, 1.5, 2.5, 3.5], atol=1e-8)
+        assert (pl.t(0, 4) > 0).all() and (pl.t(0, 4) < 1).all()
 
     def test_no_nudge_when_clean(self, square10, caplog):
         # midpoint offsets (2j+1)/500 are never multiples of 0.1
@@ -228,8 +238,9 @@ class TestPlacement:
 
     def test_params_strictly_increasing_per_element(self, disk10):
         pl = place_points(disk10, 500)
+        t = pl.t(0, pl.n)
         for e in range(len(disk10.boundary)):
-            te = pl.t[pl.offsets[e]:pl.offsets[e + 1]]
+            te = t[pl.offsets[e]:pl.offsets[e + 1]]
             assert (np.diff(te) > 0).all()
 
     def test_positions_on_true_boundary(self, disk10):
@@ -248,10 +259,10 @@ class TestPlacement:
         counts = np.diff(pl.offsets)
         assert (counts == 0).any() or domain == "square"
         assert (counts == 1).any() or n > 24
-        omega = np.concatenate([quadrature_weights(t) for t in np.split(pl.t, pl.offsets[1:-1])])
+        omega = np.concatenate([quadrature_weights(t) for t in np.split(pl.t(0, n), pl.offsets[1:-1])])
         h = np.repeat(mesh.boundary.length, counts)
         assert np.array_equal(pl.omega(0, n), omega)
-        assert np.array_equal(pl.alpha, omega * h)
+        assert np.array_equal(pl.alpha(0, n), omega * h)
         m = n // 2  # a range that starts and ends inside elements
         assert np.array_equal(pl.omega(m - 3, m + 3), omega[m - 3 : m + 3])
 
@@ -308,18 +319,19 @@ class TestPlacement:
         elements = np.repeat(np.arange(len(mesh.boundary)), np.diff(pl.offsets))
         for lo, hi in [*windows, (0, 0), (n, n)]:
             hi = n if hi is None else hi
-            assert np.array_equal(pl.positions(lo, hi), boundary_point(mesh, elements[lo:hi], pl.t[lo:hi]))
+            assert np.array_equal(pl.positions(lo, hi), boundary_point(mesh, elements[lo:hi], pl.t(lo, hi)))
             if lo == hi:
                 assert pl.omega(lo, hi).shape == (0,)
 
     def test_work_array_is_one_noise_block_at_most(self, square10):
-        assert place_points(square10, 1000).work.shape == (1000,)
-        assert place_points(square10, 2 ** 20 + 1).work.shape == (2 ** 20,)
+        for n, m in ((1000, 1000), (2 ** 20 + 1, 2 ** 20)):
+            pl = place_points(square10, n)
+            assert (pl.work.shape, pl.alpha_block.shape, pl.t_block.shape) == ((m,), (m,), (m + 2,))
 
     def test_site_arrays_have_maps_of_their_own(self, square10):
         # so that dropping a level returns them to the system
         pl = place_points(square10, 1000)
-        bases = [a.base.obj for a in (pl.t, pl.alpha, pl.work)]  # frombuffer views a memoryview
+        bases = [a.base.obj for a in (pl.t_block, pl.alpha_block, pl.work)]  # frombuffer views a memoryview
         assert all(isinstance(b, mmap.mmap) for b in bases) and len({id(b) for b in bases}) == 3
 
     def test_evaluate_matches_per_element_formula(self, mixed_mesh):
@@ -328,7 +340,7 @@ class TestPlacement:
         b = mixed_mesh.boundary
         g0 = lambda x, y: np.sin(5.0 * x + 1.0) * np.sin(5.0 * y + 1.0)  # noqa: E731
         parts = []
-        for e, t in enumerate(np.split(pl.t, pl.offsets[1:-1])):
+        for e, t in enumerate(np.split(pl.t(0, pl.n), pl.offsets[1:-1])):
             if b.curved[e]:
                 cx, cy, r, th0, th1 = b.arc[e]
                 th = th0 + t * (th1 - th0)
@@ -340,40 +352,24 @@ class TestPlacement:
         assert np.array_equal(pl.evaluate(g0, 0, pl.n), np.concatenate(parts))
         assert np.array_equal(pl.evaluate(g0, 65000, 66000), np.concatenate(parts)[65000:66000])
 
+    @pytest.mark.parametrize("mesh_name, n", [("disk10", 40), ("mixed_mesh", 9), ("square10", 2 ** 16 + 7)])
+    def test_range_reads_match_the_per_element_formulas(self, request, mesh_name, n):
+        mesh = request.getfixturevalue(mesh_name)
+        pl = place_points(mesh, n)
+        parts = np.split(pl.t(0, n), pl.offsets[1:-1])
+        pts = np.concatenate([boundary_point(mesh, k, t) for k, t in enumerate(parts)])
+        w = np.concatenate([quadrature_weights(t) for t in parts])
+        assert np.array_equal(pl.positions(0, n), pts)
+        assert np.array_equal(pl.evaluate(lambda x, y: x * y - y, 0, n), pts[:, 0] * pts[:, 1] - pts[:, 1])
+        assert np.array_equal(pl.omega(0, n), w)
+        assert np.array_equal(pl.alpha(0, n), w * np.repeat(mesh.boundary.length, np.diff(pl.offsets)))
+
     def test_alpha_ratio_bound(self, square10, disk10):
         # end-interval weights are at most 3x the interior ones
         for mesh, ns in ((square10, (40, 100, 397)), (disk10, (63, 200))):
             for n in ns:
-                lo, hi = place_points(mesh, n).alpha_bounds
-                assert hi / lo <= 3.0
-
-
-class TestUniformity:
-    def test_equispaced_disk(self, disk10):
-        pl = place_points(disk10, 100)
-        rep = uniformity_report(disk10, pl.arclengths())
-        assert rep.s_min == pytest.approx(2 * math.pi / 100, rel=1e-12)
-        assert rep.s_max == pytest.approx(math.pi / 100, rel=1e-12)
-        assert rep.ratio == pytest.approx(0.5, rel=1e-12)
-
-    def test_two_antipodal_points(self, disk10):
-        rep = uniformity_report(disk10, np.array([0.0, math.pi]))
-        assert rep.s_min == pytest.approx(math.pi, rel=1e-12)
-        assert rep.s_max == pytest.approx(math.pi / 2, rel=1e-12)
-
-    def test_three_point_brute_force(self, disk10):
-        s = np.array([0.3, 2.0, 4.1])
-        rep = uniformity_report(disk10, s)
-        L = disk10.boundary_length
-        # O(n^2) pairwise arc distances
-        smin = min(min(abs(a - b), L - abs(a - b))
-                   for i, a in enumerate(s) for b in s[i + 1:])
-        # sup over the boundary of the distance to the nearest site
-        grid = np.linspace(0, L, 20001)
-        d = np.min([np.minimum(np.abs(grid - x), L - np.abs(grid - x)) for x in s],
-                   axis=0)
-        assert rep.s_min == pytest.approx(smin, rel=1e-12)
-        assert rep.s_max == pytest.approx(d.max(), abs=1e-3)
+                alpha = place_points(mesh, n).alpha(0, n)
+                assert alpha.max() / alpha.min() <= 3.0
 
 
 class TestNoise:
@@ -468,11 +464,11 @@ class TestObservationSet:
         g0 = lambda x, y: x + y  # noqa: E731
         for mesh, total in ((square10, 4.0), (disk10, 2 * math.pi)):
             obs = build_observation_set(mesh, 500, g0, None, seed=0)
-            assert abs(obs.placement.alpha.sum() - total) <= 1e-10
+            assert abs(obs.placement.alpha(0, 500).sum() - total) <= 1e-10
 
     def test_equispaced_alpha_uniform(self, square10):
         obs = build_observation_set(square10, 1000, lambda x, y: x, None, seed=0)
-        np.testing.assert_allclose(obs.placement.alpha, 4.0 / 1000, atol=1e-12)
+        np.testing.assert_allclose(obs.placement.alpha(0, 1000), 4.0 / 1000, atol=1e-12)
 
     def test_constant_data_no_noise(self, square10):
         obs = build_observation_set(square10, 100, lambda x, y: 3.25, None, seed=0)
@@ -490,8 +486,8 @@ class TestObservationSet:
         a = build_observation_set(disk10, 777, lambda x, y: x, model, seed=9)
         b = build_observation_set(disk10, 777, lambda x, y: x, model, seed=9)
         np.testing.assert_array_equal(a.values(0, 777), b.values(0, 777))
-        np.testing.assert_array_equal(a.placement.alpha, b.placement.alpha)
-        np.testing.assert_array_equal(a.placement.t, b.placement.t)
+        np.testing.assert_array_equal(a.placement.alpha(0, 777), b.placement.alpha(0, 777))
+        np.testing.assert_array_equal(a.placement.t(0, 777), b.placement.t(0, 777))
 
     def test_non_finite_g0_names_first_bad_site(self, square10):
         placement = place_points(square10, 100)
@@ -551,84 +547,22 @@ class TestObservationSet:
         obs = build_observation_set(disk10, 200, lambda x, y: x ** 2 + y ** 2, None)
         np.testing.assert_allclose(obs.values(0, 200), 1.0, atol=1e-12)
 
-    def test_csv_dump_of_a_mixture_set_writes_its_values(self, tmp_path, square10):
-        # the dump reads 2^16-site sub-blocks, values(0, n) and G the whole
-        # noise block; a mixture value depends on where its block's draw stops
-        n = 2 ** 16 + 5000
-        obs = observe(place_points(square10, n), None, NoiseModel.mixture(1.0, 10.0, 0.3), 6)
-        path = tmp_path / "obs.csv"
-        dump_observations_csv(obs, str(path))
-        g = np.loadtxt(path, delimiter=",", skiprows=1, usecols=6)
-        assert np.array_equal(g, obs.values(0, n))
-
-    def test_csv_dump_draws_each_noise_block_once(self, monkeypatch, square10):
-        # 2^20 + 5000 sites: one whole block and a partial one
-        draws = []
-
-        def counted(model, seed, block, out):
-            draws.append(block)
-            return noise_block(model, seed, block, out)
-
-        noise_block = observations._noise_block
-        monkeypatch.setattr(observations, "_noise_block", counted)
-        # formatting 10^6 rows takes seconds; the tests around this one check the rows
-        monkeypatch.setattr(observations.np, "savetxt", lambda *a, **k: None)
-        obs = observe(place_points(square10, 2 ** 20 + 5000), None, NoiseModel.mixture(1.0, 10.0, 0.3), 6)
-        dump_observations_csv(obs, os.devnull)
-        assert draws == [0, 1]
-
-    def test_csv_dump_round_trips(self, tmp_path, square10):
-        obs = build_observation_set(square10, 50, lambda x, y: x,
-                                    NoiseModel.gaussian(1.0), seed=2)
-        path = tmp_path / "obs.csv"
-        dump_observations_csv(obs, str(path))
-        lines = path.read_text().splitlines()
-        assert lines[0] == "element,t,x,y,g0,e,g,omega,alpha"
-        assert len(lines) == 51
-        g_back = np.array([float(line.split(",")[6]) for line in lines[1:]])
-        np.testing.assert_array_equal(np.sort(g_back), np.sort(obs.values(0, 50)))
-
-    @pytest.mark.parametrize("mesh_name, n", [("disk10", 40), ("mixed_mesh", 9), ("square10", 2 ** 16 + 7)])
-    def test_csv_dump_columns_match_the_set(self, tmp_path, request, mesh_name, n):
-        # a set observing g0, then a noise-only set (g0 None: g0 column 0, e = g)
-        mesh = request.getfixturevalue(mesh_name)
-        pl = place_points(mesh, n)
-        parts = np.split(pl.t, pl.offsets[1:-1])
-        pts = np.concatenate([boundary_point(mesh, k, t) for k, t in enumerate(parts)])
-        w = np.concatenate([quadrature_weights(t) for t in parts])
-        for g0, clean in ((lambda x, y: x * y - y, pts[:, 0] * pts[:, 1] - pts[:, 1]),
-                          (None, np.zeros(n))):
-            obs = observe(pl, g0, NoiseModel.gaussian(1.0), 4)
-            path = tmp_path / "obs.csv"
-            dump_observations_csv(obs, str(path))
-            table = np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2)
-            element, t, x, y, g0_column, e, g, omega, alpha = table.T
-            data = obs.values(0, n)
-            assert np.array_equal(element, np.repeat(np.arange(len(mesh.boundary)), np.diff(pl.offsets)))
-            assert np.array_equal(t, pl.t)
-            assert np.array_equal(x, pts[:, 0]) and np.array_equal(y, pts[:, 1])
-            assert np.array_equal(g0_column, clean)
-            assert np.array_equal(e, data - clean)
-            assert np.array_equal(g, data)
-            assert np.array_equal(omega, w)
-            assert np.array_equal(alpha, pl.alpha)
-
 
 class TestEmpiricalInnerProduct:
     def test_constant_gives_boundary_length(self, disk10):
         obs = build_observation_set(disk10, 123, lambda x, y: 1.0, None)
         one = np.ones(123)
-        assert empirical_inner_product(obs.placement.alpha, one, one) == pytest.approx(
+        assert empirical_inner_product(obs.placement.alpha(0, 123), one, one) == pytest.approx(
             2 * math.pi, abs=1e-10)
 
     def test_zero_factor(self, square10):
         obs = build_observation_set(square10, 64, lambda x, y: 1.0, None)
-        assert empirical_inner_product(obs.placement.alpha, np.ones(64), np.zeros(64)) == 0.0
+        assert empirical_inner_product(obs.placement.alpha(0, 64), np.ones(64), np.zeros(64)) == 0.0
 
     def test_approximates_line_integral(self, square10):
         # integral of x^2 over the unit square boundary: 1/3 + 1 + 1/3 + 0
         obs = build_observation_set(square10, 10 ** 4, lambda x, y: x ** 2, None)
-        assert abs(empirical_inner_product(obs.placement.alpha, np.ones(10 ** 4), obs.values(0, 10 ** 4))
+        assert abs(empirical_inner_product(obs.placement.alpha(0, 10 ** 4), np.ones(10 ** 4), obs.values(0, 10 ** 4))
                    - 5.0 / 3.0) <= 1e-4
 
     def test_norm_is_sqrt_self_product(self, rng):
