@@ -20,7 +20,8 @@ a chunk of seeds in one sweep over the sites, noise block by noise
 block, then back-solves and integrates the errors of each seed's u and
 lambda.  `run_case`, `run_study` and `tail_study` go through
 `Level.trials`; a pool task is one level and a contiguous chunk of
-seeds, so pooled reports equal serial ones.
+seeds, so pooled reports equal serial ones.  The study driver, not the
+placement, warns of the sites a level nudged off element endpoints.
 """
 
 from __future__ import annotations
@@ -47,6 +48,9 @@ from .assembly import (  # noqa: F401  (perfbench traces assemble_coupling_matri
 from .mesh import TriMesh, boundary_point, build_disk_mesh, build_square_mesh
 from .observations import _NOISE_BLOCK, NoiseModel, ObservationSet, observe, place_points
 from .solver import SaddleSolution, SingularSystemError, solve_saddle
+
+logger = logging.getLogger(__name__)
+
 
 @dataclass(frozen=True)
 class ManufacturedCase:
@@ -206,10 +210,11 @@ class Level:
 
     def __init__(self, domain: str, k: int, i: Optional[int] = None, n: Optional[int] = None,
                  case: Optional[ManufacturedCase] = None):
+        n = points_for(k, i, n)  # before the mesh, so a bad i or n fails fast
         self.mesh = build_mesh(domain, k)
         self.case = case if case is not None else sine_case(domain)
         self.h = 1.0 / k
-        self.placement = place_points(self.mesh, points_for(k, i, n))
+        self.placement = place_points(self.mesh, n)
         A, F = assemble_stiffness(self.mesh), assemble_load(self.mesh, self.case.f)
         B, [G0] = sweep(self.placement, [ObservationSet(self.placement, self.case.g0, None, 0)], coupling=True)
         self.clean = SaddleSystem(A, B, F, G0)
@@ -252,38 +257,22 @@ class Level:
 
 def _level_trials(domain: str, k: int, i: Optional[int], n: Optional[int],
                   model: Optional[NoiseModel], seeds: range) -> tuple:
-    """(What obsfem logged while building the level, reports over `seeds`,
-    or the SingularSystemError a trial raised).
-
-    The records are held back, not printed, so that `_run_levels` logs a
-    level's build once and in level order, whichever process built it,
-    and before the error of a trial that fails.
-    """
-    records: list = []
-    held = logging.Handler()
-    held.emit = records.append
-    package = logging.getLogger(__package__)
-    package.addHandler(held)
-    propagate, package.propagate = package.propagate, False
+    """(How many sites the level's placement nudged, reports over `seeds`,
+    or the SingularSystemError a trial raised, which the parent raises
+    after the nudge warning)."""
+    level = Level(domain, k, i, n)
     try:
-        level = Level(domain, k, i, n)
-    finally:
-        package.removeHandler(held)
-        package.propagate = propagate
-    try:
-        return records, level.trials(model, seeds)
-    except SingularSystemError as exc:  # raised by the parent after the records are logged
-        return records, exc
+        return len(level.placement.nudged), level.trials(model, seeds)
+    except SingularSystemError as exc:
+        return len(level.placement.nudged), exc
 
 
-def _relog_first_chunks(done, chunks: int):
-    """Reports of each task; logs the held records of a level's first
+def _warn_first_chunks(done, chunks: int):
+    """Reports of each task; warns of a level's nudged sites at its first
     chunk, then raises the task's exception if it had one."""
-    for j, (records, reports) in enumerate(done):
-        for record in records if j % chunks == 0 else ():
-            log = logging.getLogger(record.name)
-            if log.isEnabledFor(record.levelno):
-                log.handle(record)
+    for j, (nudged, reports) in enumerate(done):
+        if j % chunks == 0 and nudged:
+            logger.warning("nudged %d observation sites off element endpoints", nudged)
         if isinstance(reports, SingularSystemError):
             raise reports
         yield reports
@@ -296,16 +285,21 @@ def _run_levels(domain: str, ks: Sequence[int], i: Optional[int], n: Optional[in
     A task is one level and a contiguous chunk of the seeds; with
     workers > 1 the chunks go to a process pool, so a worker builds a
     level once per chunk and runs the same trials as the serial loop.
-    Serial or pooled, what a level's build logs is printed once.
+    Each task returns its level's `Placement.nudged` count with its
+    reports, and this process warns of it once per level, in level order
+    and before the error of a trial that fails, serial or pooled.  The
+    serial loop stops at the first level that fails.
     """
+    if not 0 <= seeds.start <= seeds.stop <= 1 << 64:  # before any level is built
+        raise ValueError(f"seeds [{seeds.start}, {seeds.stop}) must lie within [0, 2^64)")
     size = -(-len(seeds) // max(workers, 1))
     chunks = [seeds[j : j + size] for j in range(0, len(seeds), size)]
     tasks = [(domain, k, i, n, model, chunk) for k in ks for chunk in chunks]
     if workers > 1 and tasks:
         with ProcessPoolExecutor(max_workers=min(workers, len(tasks))) as pool:
-            done = list(_relog_first_chunks(pool.map(_level_trials, *zip(*tasks)), len(chunks)))
+            done = list(_warn_first_chunks(pool.map(_level_trials, *zip(*tasks)), len(chunks)))
     else:
-        done = list(_relog_first_chunks((_level_trials(*task) for task in tasks), len(chunks)))
+        done = list(_warn_first_chunks((_level_trials(*task) for task in tasks), len(chunks)))
     return [sum(done[j : j + len(chunks)], []) for j in range(0, len(done), len(chunks))]
 
 
@@ -318,7 +312,7 @@ def run_case(
     seed: int = 0,
 ) -> ErrorReport:
     """Build, solve and measure one configuration."""
-    return Level(domain, k, i, n).trial(model, seed)
+    return _run_levels(domain, [k], i, n, model, range(seed, seed + 1), 1)[0][0]
 
 
 @dataclass

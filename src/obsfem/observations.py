@@ -20,7 +20,6 @@ changing a single bit.
 
 from __future__ import annotations
 
-import logging
 import math
 import mmap
 from dataclasses import dataclass, field
@@ -29,8 +28,6 @@ from typing import Callable, Optional
 import numpy as np
 
 from .mesh import TriMesh
-
-logger = logging.getLogger(__name__)
 
 # Fixed block size for counter-based noise generation.  Changing this
 # constant changes every stream, so it is part of the data format.
@@ -92,11 +89,14 @@ class NoiseModel:
 
 def _noise_block(model: Optional[NoiseModel], seed: int, block: int, out: np.ndarray) -> np.ndarray:
     """Fill `out` with noise block `block` of the stream, drawn over
-    len(out) entries, and return it; no noise writes zeros."""
+    len(out) entries, and return it; no noise writes zeros.  The seed
+    is the low 64 bits of the Philox key, so it must lie in [0, 2^64)."""
+    if not 0 <= seed < 1 << 64:
+        raise ValueError(f"seed must lie in [0, 2^64), got {seed}")
     if model is None or model.kind == "none":
         out[:] = 0.0
         return out
-    key = (int(seed) & 0xFFFFFFFFFFFFFFFF) | (block << 64)
+    key = int(seed) | (block << 64)
     rng = np.random.Generator(np.random.Philox(key=key))
     if model.kind == "gaussian":
         rng.standard_normal(out=out)
@@ -138,10 +138,11 @@ def sample_noise(model: Optional[NoiseModel], count: int, seed: int) -> np.ndarr
 def _site_array(n: int) -> np.ndarray:
     """An uninitialized float array of n entries in a memory map of its own.
 
-    The per-site arrays of a placement are a level's only large
-    allocations.  Taken from the malloc heap, they can stay resident
-    after the level is freed, for as long as any smaller allocation above
-    them lives; a map of their own is returned to the system with them.
+    A placement's three block buffers (t, alpha and the work array) hold
+    up to 2^20 floats, 8 MB, each.  Taken from the malloc heap, they can
+    stay resident after the level is freed, for as long as any smaller
+    allocation above them lives; a map of their own is returned to the
+    system with them.
     """
     buf = mmap.mmap(-1, max(8 * n, 1))
     if hasattr(mmap, "MADV_HUGEPAGE"):
@@ -321,8 +322,10 @@ def place_points(mesh: TriMesh, n: int) -> Placement:
 
     Sites that would land within 1e-12 of an element endpoint are nudged
     forward by 1e-9 |Gamma|/n, so every site is interior to exactly one
-    element.  Only the element runs and the nudges are computed here;
-    t and the weights are derived when a range of sites is read.
+    element; `Placement.nudged` records which, and nothing is logged
+    here (a study reports the count once per level).  Only the element
+    runs and the nudges are computed here; t and the weights are derived
+    when a range of sites is read.
     """
     if n < 1:
         raise ValueError(f"need n >= 1, got {n}")
@@ -343,8 +346,6 @@ def place_points(mesh: TriMesh, n: int) -> Placement:
     s = (idx + 0.5) * spacing
     e, tt = locate(s)
     near = (tt * h[e] < _ENDPOINT_TOL) | ((1.0 - tt) * h[e] < _ENDPOINT_TOL)
-    if near.any():
-        logger.warning("nudged %d observation sites off element endpoints", near.sum())
     e[near], t_moved = locate(s[near] + _ENDPOINT_NUDGE * spacing)
     offsets = np.append(idx, n)[np.searchsorted(e, np.arange(len(h) + 1))]
     return Placement(mesh, n, offsets, spacing, idx[near], np.clip(t_moved, 1e-15, 1.0 - 1e-15))

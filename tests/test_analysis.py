@@ -267,6 +267,13 @@ class TestRunCase:
                 for s in range(7, 17)]
         assert 4.4 <= np.mean(vals) <= 17.8
 
+    def test_nudge_logged_once(self, caplog):
+        # square k=10, n=100 nudges 20 sites; the study driver warns, not place_points
+        with caplog.at_level(logging.WARNING):
+            run_case("square", 10, n=100)
+        assert [(r.name, r.getMessage()) for r in caplog.records] == [
+            ("obsfem.analysis", "nudged 20 observation sites off element endpoints")]
+
     def test_deterministic(self):
         model = NoiseModel.mixture(1.0, 10.0, 0.5)
         a = run_case("disk", 10, i=2, model=model, seed=3)
@@ -349,6 +356,12 @@ class TestLevel:
         assert counts[0]["lambda_exact"] == 1
         assert reports[0] == run_case("square", 6, i=2, model=model, seed=0)
 
+    @pytest.mark.parametrize("i, n, match", [(None, 0, "n must be positive"), (5, None, "got 5")])
+    def test_bad_i_or_n_fails_before_the_mesh(self, monkeypatch, i, n, match):
+        monkeypatch.setattr(analysis, "build_mesh", lambda *a: pytest.fail("built a mesh"))
+        with pytest.raises(ValueError, match=match):
+            Level("square", 4, i=i, n=n)
+
     def test_non_finite_g0_fails_at_level_build(self):
         case = sine_case("square")
         bad = ManufacturedCase("square", lambda x, y: np.where(x < 0.5, np.nan, x), case.grad_u0, case.f)
@@ -374,6 +387,15 @@ class TestRunStudy:
     def test_trials_must_be_positive(self):
         with pytest.raises(ValueError):
             run_study("square", [4], i=2, trials=0)
+
+    def test_seeds_beyond_64_bits_fail_before_any_level(self, monkeypatch):
+        # seed 2^64 would alias seed 0
+        monkeypatch.setattr(analysis, "build_mesh", lambda *a: pytest.fail("built a mesh"))
+        model = NoiseModel.gaussian(1.0)
+        with pytest.raises(ValueError, match=r"seeds \[18446744073709551615, 18446744073709551617\)"):
+            run_study("square", [4], i=2, model=model, trials=2, seed=2**64 - 1)
+        with pytest.raises(ValueError, match=r"seeds \[-1, 99\)"):
+            tail_study("square", 4, i=2, model=model, trials=100, seed=-1)
 
     def test_zero_noise_stds_are_zero(self):
         tab = run_study("square", [4], i=2, trials=2)

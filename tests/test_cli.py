@@ -183,6 +183,14 @@ class TestConfigErrors:
         assert len(err.splitlines()) == 1 and err.startswith("error: --h: ")
         assert "physical memory" in err
 
+    @pytest.mark.parametrize("args", [("--seed", "-1"), ("--seed", str(2**64 - 1), "--trials", "2")])
+    def test_seed_beyond_64_bits_refused_before_any_mesh(self, tmp_path, capsys, monkeypatch, args):
+        monkeypatch.setattr(analysis, "build_mesh", lambda *a: pytest.fail("built a mesh"))
+        code, out = run_convergence(tmp_path, "--h", "0.1", "--i", "2", *args)
+        err = capsys.readouterr().err
+        assert code == 2 and not out.exists()
+        assert len(err.splitlines()) == 1 and err.startswith("error: seeds [")
+
     def test_memory_estimate_counts_the_workers(self, tmp_path, capsys, monkeypatch):
         # h=0.1, i=4: at least 16 B x 121 vertices + 24 B x 10^4 sites = 242 kB per level
         pages = {"SC_PHYS_PAGES": 80, "SC_PAGE_SIZE": 4096}  # 328 kB

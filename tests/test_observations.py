@@ -1,5 +1,4 @@
 import functools
-import logging
 import math
 import mmap
 import re
@@ -70,17 +69,11 @@ def mesh_of(domain, k):
 
 def assert_matches_whole_array_placement(mesh, n):
     """`place_points` against :func:`whole_array_placement`, bit for bit,
-    its warning included; returns the oracle's nudged flags."""
-    records = []
-    handler = logging.Handler()
-    handler.emit = records.append
-    log = logging.getLogger("obsfem.observations")
-    log.addHandler(handler)
-    try:
-        pl = place_points(mesh, n)
-    finally:
-        log.removeHandler(handler)
+    its record of the nudged sites included; returns the oracle's nudged
+    flags."""
+    pl = place_points(mesh, n)
     t, offsets, nudged, alpha = whole_array_placement(mesh, n)
+    assert np.array_equal(pl.nudged, np.flatnonzero(nudged))
     assert np.array_equal(pl.offsets, offsets)
     assert np.array_equal(pl.t(0, n), t)
     assert np.array_equal(pl.alpha(0, n), alpha)
@@ -92,8 +85,6 @@ def assert_matches_whole_array_placement(mesh, n):
         hi = min(n, lo + 2 ** 20)
         tb, ab = pl.sites(lo, hi)
         assert np.array_equal(tb, t[lo:hi]) and np.array_equal(ab, alpha[lo:hi])
-    warned = [f"nudged {nudged.sum()} observation sites off element endpoints"] if nudged.any() else []
-    assert [r.getMessage() for r in records] == warned
     return nudged
 
 
@@ -221,20 +212,17 @@ class TestPlacement:
         pl = place_points(mesh, 4)
         np.testing.assert_allclose(arclengths(pl), [0.5, 1.5, 2.5, 3.5], atol=1e-12)
 
-    def test_endpoint_collision_nudged(self, caplog):
+    def test_endpoint_collision_nudged(self):
         # k=2 elements have length 0.5, so n=4 sites land exactly on vertices
         mesh = build_square_mesh(2)
-        with caplog.at_level(logging.WARNING):
-            pl = place_points(mesh, 4)
-        assert any("nudged" in r.message for r in caplog.records)
+        pl = place_points(mesh, 4)
+        assert len(pl.nudged) == 4
         np.testing.assert_allclose(arclengths(pl), [0.5, 1.5, 2.5, 3.5], atol=1e-8)
         assert (pl.t(0, 4) > 0).all() and (pl.t(0, 4) < 1).all()
 
-    def test_no_nudge_when_clean(self, square10, caplog):
+    def test_no_nudge_when_clean(self, square10):
         # midpoint offsets (2j+1)/500 are never multiples of 0.1
-        with caplog.at_level(logging.WARNING):
-            place_points(square10, 1000)
-        assert not any("nudged" in r.message for r in caplog.records)
+        assert len(place_points(square10, 1000).nudged) == 0
 
     def test_params_strictly_increasing_per_element(self, disk10):
         pl = place_points(disk10, 500)
@@ -383,6 +371,12 @@ class TestNoise:
         np.testing.assert_array_equal(a, b)
         c = sample_noise(NoiseModel.gaussian(2.0), 5000, seed=43)
         assert (a != c).any()
+
+    @pytest.mark.parametrize("seed", [-1, 2 ** 64])
+    def test_seed_outside_64_bits_rejected(self, seed):
+        # the seed is the low 64 bits of the Philox key; -1 would alias 2^64 - 1
+        with pytest.raises(ValueError, match=f"got {seed}$"):
+            sample_noise(NoiseModel.gaussian(1.0), 10, seed)
 
     def test_gaussian_moments(self):
         e = sample_noise(NoiseModel.gaussian(2.0), 10 ** 6, seed=7)
