@@ -30,9 +30,7 @@ from .assembly import (
     assemble_stiffness,
     boundary_mass,
     build_saddle_system,
-    mesh_dependent_norms,
     multiplier_at_sites,
-    trace_matrix,
 )
 from .mesh import (
     Boundary,
@@ -51,7 +49,6 @@ from .observations import (
     ObservationSet,
     Placement,
     build_observation_set,
-    empirical_inner_product,
     empirical_norm,
     observe,
     place_points,

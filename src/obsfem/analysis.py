@@ -34,9 +34,7 @@ from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from .assembly import (  # noqa: F401  (perfbench traces assemble_coupling_matrix under this module)
-    _GAUSS_T,
-    _GAUSS_W,
+from .assembly import (  # noqa: F401  (perfbench traces the assemble_* functions under this module)
     SaddleSystem,
     _hat,
     assemble_coupling_matrix,
@@ -50,6 +48,10 @@ from .observations import _NOISE_BLOCK, NoiseModel, ObservationSet, observe, pla
 from .solver import SaddleSolution, SingularSystemError, solve_saddle
 
 logger = logging.getLogger(__name__)
+
+# 3-point Gauss rule on [0, 1]; exact through degree 5.
+_GAUSS_T = np.array([0.5 - math.sqrt(0.15), 0.5, 0.5 + math.sqrt(0.15)])
+_GAUSS_W = np.array([5.0 / 18.0, 8.0 / 18.0, 5.0 / 18.0])
 
 
 @dataclass(frozen=True)
@@ -220,10 +222,6 @@ class Level:
         self.clean = SaddleSystem(A, B, F, G0)
         self.quadrature = ErrorQuadrature(self.mesh, self.case)
 
-    def data_vector(self, model: Optional[NoiseModel], seed: int) -> np.ndarray:
-        """G = G0 + G_noise for one noise draw."""
-        return self.clean.G + assemble_data_vector(observe(self.placement, None, model, seed))
-
     def trials(self, model: Optional[NoiseModel], seeds: Sequence[int]) -> list:
         """Error reports of one noise draw per seed, in seed order.
 
@@ -359,6 +357,8 @@ def estimate_rates(hs: Sequence[float], errors: Sequence[float]) -> RateEstimate
     errors = np.asarray(errors, dtype=float)
     if len(hs) != len(errors) or len(hs) < 2:
         raise ValueError("need at least two (h, error) pairs")
+    if hs[0] == hs[-1]:
+        raise ValueError(f"the first and last h are equal (h={hs[0]:g}), so no rate can be taken")
     if np.any(errors <= 0.0):
         return RateEstimate(float("nan"), float("nan"), "zero error at some level")
     endpoint = math.log(errors[-1] / errors[0]) / math.log(hs[0] / hs[-1])

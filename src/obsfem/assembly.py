@@ -19,7 +19,6 @@ every observation site contributes a 2 x 2 block.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
@@ -28,10 +27,6 @@ import scipy.sparse as sp
 
 from .mesh import TriMesh
 from .observations import _NOISE_BLOCK, ObservationSet, Placement, _element_runs
-
-# 3-point Gauss rule on [0, 1]; exact through degree 5.
-_GAUSS_T = np.array([0.5 - math.sqrt(0.15), 0.5, 0.5 + math.sqrt(0.15)])
-_GAUSS_W = np.array([5.0 / 18.0, 8.0 / 18.0, 5.0 / 18.0])
 
 
 def assemble_stiffness(mesh: TriMesh) -> sp.csr_matrix:
@@ -169,19 +164,6 @@ def _hat(mesh: TriMesh, mu, e, t) -> np.ndarray:
     if mu.shape != (nb,):
         raise ValueError(f"multiplier vector has shape {mu.shape}, the boundary has {nb} dofs")
     return (1.0 - t) * mu[e] + t * mu[(e + 1) % nb]
-
-
-def mesh_dependent_norms(mesh: TriMesh, mu: np.ndarray) -> tuple[float, float]:
-    """(||mu||_{1/2,h}, ||mu||_{-1/2,h}) of a multiplier dof vector, built
-    from per-element L2 norms.
-
-    ||mu||^2_{L2(E)} is taken by 3-point Gauss in the parameter; the 1/2
-    norm weights each element by h_E^{-1}, the -1/2 norm by h_E.
-    """
-    h = mesh.boundary.length
-    v = _hat(mesh, mu, np.arange(len(h))[:, None], _GAUSS_T)
-    l2 = h * ((v * v) @ _GAUSS_W)
-    return math.sqrt(np.sum(l2 / h)), math.sqrt(np.sum(l2 * h))
 
 
 def multiplier_at_sites(mu: np.ndarray, placement: Placement) -> np.ndarray:

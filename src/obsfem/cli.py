@@ -132,8 +132,6 @@ def cmd_convergence(args) -> int:
     model = _noise_from_args(args)
     workers = _workers()
     ks = _mesh_sizes(args, workers)
-    if args.trials < 1:
-        raise ValueError("trials must be positive")
     table = run_study(
         args.domain, ks, i=args.i, n=args.n, model=model,
         trials=args.trials, seed=args.seed, workers=workers,

@@ -142,10 +142,6 @@ def _triangle_geometry(vertices: np.ndarray, triangles: np.ndarray) -> tuple:
     return geometry[:, :6].reshape(-1, 3, 2), geometry[:, 6], geometry[:, 7:]
 
 
-def triangle_areas(mesh: TriMesh) -> np.ndarray:
-    return mesh.areas
-
-
 def triangle_diameters(mesh: TriMesh) -> np.ndarray:
     return mesh.edge_lengths.max(axis=1)
 
@@ -295,19 +291,30 @@ def boundary_point(mesh: TriMesh, e, t) -> np.ndarray:
     t = np.asarray(t, dtype=float)
     if np.any(t < 0.0) or np.any(t > 1.0):
         raise ValueError("parameter t must lie in [0, 1]")
-    b = mesh.boundary
     e, t = np.broadcast_arrays(e, t)
     shape = e.shape
     e, t = e.ravel(), t.ravel()
-    # Every site by the chord formula, then the arc sites by the arc's
-    # (np.take: row gathers by fancy indexing are several times slower).
-    p0 = mesh.vertices[b.v0]
-    pts = np.take(p0, e, axis=0) + t[:, None] * np.take(mesh.vertices[b.v1] - p0, e, axis=0)
-    arc = b.curved[e]
-    cx, cy, r, th0, th1 = np.take(b.arc, e[arc], axis=0).T
-    th = th0 + t[arc] * (th1 - th0)
-    pts[arc] = np.column_stack([cx + r * np.cos(th), cy + r * np.sin(th)])
+    first = np.flatnonzero(np.concatenate([[e.size > 0], e[1:] != e[:-1]]))  # runs of equal e
+    pts = _run_points(mesh, e[first], np.diff(np.append(first, e.size)), t)
     return pts.reshape(shape + (2,))
+
+
+def _run_points(mesh: TriMesh, owners: np.ndarray, counts: np.ndarray, t: np.ndarray) -> np.ndarray:
+    """F_E(t) of sites in element runs, shape (len(t), 2): counts[j]
+    consecutive sites on element owners[j], t their parameters.  Every
+    site by the chord formula, from per-element constants repeated over
+    each run (columns contiguous), then the sites of the arc runs by the
+    arc's."""
+    b = mesh.boundary
+    p0 = mesh.vertices[b.v0[owners]].T
+    xy = t * np.repeat(mesh.vertices[b.v1[owners]].T - p0, counts, axis=1)
+    xy += np.repeat(p0, counts, axis=1)
+    curved = b.curved[owners]
+    arc = np.repeat(curved, counts)
+    cx, cy, r, th0, th1 = np.repeat(b.arc[owners[curved]], counts[curved], axis=0).T
+    th = th0 + t[arc] * (th1 - th0)
+    xy[:, arc] = cx + r * np.cos(th), cy + r * np.sin(th)
+    return xy.T
 
 
 def mesh_quality(mesh: TriMesh) -> QualityReport:

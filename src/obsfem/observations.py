@@ -27,7 +27,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .mesh import TriMesh
+from .mesh import TriMesh, _run_points
 
 # Fixed block size for counter-based noise generation.  Changing this
 # constant changes every stream, so it is part of the data format.
@@ -190,6 +190,7 @@ class Placement:
     def t(self, lo: int, hi: int, out: Optional[np.ndarray] = None) -> np.ndarray:
         """Local parameters of sites [lo, hi), written into `out` if it is
         given: (s - start) / h per 2^16 sub-block, with the nudges applied."""
+        _check_range(self.n, lo, hi)
         out = np.empty(hi - lo) if out is None else out
         h = self.mesh.boundary.length
         for a in range(lo, hi, _SUB_BLOCK):
@@ -205,6 +206,7 @@ class Placement:
 
     def alpha(self, lo: int, hi: int) -> np.ndarray:
         """Global quadrature weights alpha_j = omega_j h_E of sites [lo, hi)."""
+        _check_range(self.n, lo, hi)
         a, b = max(lo - 1, 0), min(hi + 1, self.n)
         return self._weights(self.t(a, b), a, lo, hi, np.empty(hi - lo))
 
@@ -229,26 +231,12 @@ class Placement:
         return out
 
     def positions(self, lo: int, hi: int, t: Optional[np.ndarray] = None) -> np.ndarray:
-        """Points x_j of sites [lo, hi) on the exact boundary, shape (hi - lo, 2), with
-        the bits of :func:`boundary_point`; built per element run, columns contiguous.
+        """Points x_j of sites [lo, hi) on the exact boundary, shape (hi - lo, 2), from
+        the kernel of :func:`boundary_point`, per element run, columns contiguous.
         `t`, if given, holds the sites' parameters."""
-        b = self.mesh.boundary
-        owners, counts = _element_runs(self.offsets, lo, hi)
+        _check_range(self.n, lo, hi)
         t = self.t(lo, hi) if t is None else t
-        p0 = self.mesh.vertices[b.v0[owners]].T
-        xy = t * np.repeat(self.mesh.vertices[b.v1[owners]].T - p0, counts, axis=1)
-        xy += np.repeat(p0, counts, axis=1)
-        curved = b.curved[owners]  # the arc formula only over the runs of arcs
-        arc = np.repeat(curved, counts)
-        cx, cy, r, th0, th1 = np.repeat(b.arc[owners[curved]], counts[curved], axis=0).T
-        th = th0 + t[arc] * (th1 - th0)
-        xy[:, arc] = cx + r * np.cos(th), cy + r * np.sin(th)
-        return xy.T
-
-    def omega(self, lo: int, hi: int) -> np.ndarray:
-        """Local (parameter-space) weights omega_j of sites [lo, hi)."""
-        a, b = max(lo - 1, 0), min(hi + 1, self.n)
-        return _local_weights(self.t(a, b), self.offsets - a, lo - a, hi - a)
+        return _run_points(self.mesh, *_element_runs(self.offsets, lo, hi), t)
 
     def evaluate(self, g0: Callable, lo: int, hi: int, t: Optional[np.ndarray] = None) -> np.ndarray:
         """g0 at sites [lo, hi) in one call of g0; the callers read at most
@@ -263,6 +251,12 @@ class Placement:
         if bad.size:
             raise ValueError(f"g0 is not finite at site {lo + bad[0]} {tuple(pts[bad[0]].tolist())}")
         return vals
+
+
+def _check_range(n: int, lo: int, hi: int) -> None:
+    """Refuse a site range [lo, hi) that is not within [0, n]."""
+    if not 0 <= lo <= hi <= n:
+        raise ValueError(f"site range [{lo}, {hi}) is not within [0, {n}]")
 
 
 def _element_runs(offsets: np.ndarray, lo: int, hi: int) -> tuple[np.ndarray, np.ndarray]:
@@ -374,8 +368,7 @@ class ObservationSet:
         :func:`_draw_noise`), as studies read it.  `t`, if given, holds
         the sites' parameters, so that g0 is read without deriving them."""
         n = self.placement.n
-        if not 0 <= lo <= hi <= n:
-            raise ValueError(f"site range [{lo}, {hi}) is not within [0, {n}]")
+        _check_range(n, lo, hi)
         if out is not None and len(out) != hi - lo:
             raise ValueError(f"out has length {len(out)}, the site range [{lo}, {hi}) needs {hi - lo}")
         out = _draw_noise(self.model, self.seed, n, lo, hi, np.empty(hi - lo) if out is None else out)
@@ -411,11 +404,7 @@ def build_observation_set(
     return observe(place_points(mesh, n), g0, model, seed)
 
 
-def empirical_inner_product(alpha: np.ndarray, u: np.ndarray, v: np.ndarray) -> float:
-    """<u, v>_n = sum_j alpha_j u_j v_j for values sampled at the sites."""
-    return float(np.dot(alpha, np.asarray(u) * np.asarray(v)))
-
-
 def empirical_norm(alpha: np.ndarray, u: np.ndarray) -> float:
-    """Seminorm ||u||_n = sqrt(<u, u>_n)."""
-    return math.sqrt(max(empirical_inner_product(alpha, u, u), 0.0))
+    """Seminorm ||u||_n = sqrt(sum_j alpha_j u_j^2) of values sampled at the sites."""
+    u = np.asarray(u)
+    return math.sqrt(max(float(np.dot(alpha, u * u)), 0.0))

@@ -35,7 +35,6 @@ from obsfem import (
 from obsfem import analysis
 from obsfem.analysis import ManufacturedCase, points_for
 from obsfem.assembly import sweep
-from obsfem.mesh import triangle_areas
 from test_observations import whole_array_placement
 
 # Degree-5 rule on the reference triangle (barycentric points, weights
@@ -59,7 +58,7 @@ _D5_WEIGHTS = np.array(
 def l2_error_degree5(mesh, case, u):
     """||u0 - u_h||_{L2} with a 7-point degree-5 triangle rule."""
     p = mesh.vertices[mesh.triangles]
-    areas = triangle_areas(mesh)
+    areas = mesh.areas
     total = 0.0
     for lam, w in zip(_D5_POINTS, _D5_WEIGHTS):
         pts = np.einsum("i,tid->td", lam, p)
@@ -228,6 +227,11 @@ class TestEstimateRates:
         with pytest.raises(ValueError):
             estimate_rates([0.1, 0.05], [1.0])
 
+    def test_equal_first_and_last_h(self):
+        # run_study accepts repeated sizes, so the endpoint rate can have no refinement
+        with pytest.raises(ValueError, match=r"first and last h are equal \(h=0\.1\)"):
+            estimate_rates([0.1, 0.05, 0.1], [1.0, 0.5, 0.3])
+
 
 class TestRunCase:
     def test_report_fields(self):
@@ -304,7 +308,8 @@ class TestLevel:
             assert (counts == 0).any()
         obs = observe(level.placement, level.case.g0, model, 17)
         expected = assemble_data_vector(obs)
-        np.testing.assert_allclose(level.data_vector(model, 17), expected, rtol=1e-13,
+        noisy = level.clean.G + assemble_data_vector(observe(level.placement, None, model, 17))
+        np.testing.assert_allclose(noisy, expected, rtol=1e-13,
                                    atol=1e-13 * np.abs(expected).max())
 
     def test_gaussian_trial_allocates_no_block_sized_array(self):

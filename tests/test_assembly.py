@@ -19,13 +19,11 @@ from obsfem import (
     build_square_mesh,
     empirical_norm,
     Placement,
-    mesh_dependent_norms,
     multiplier_at_sites,
     observe,
     place_points,
-    trace_matrix,
 )
-from obsfem.assembly import vh_gram
+from obsfem.assembly import trace_matrix, vh_gram
 from obsfem.mesh import Boundary, TriMesh
 
 
@@ -272,35 +270,35 @@ class TestBoundaryNorms:
         np.testing.assert_allclose(M, expected, atol=1e-15)
 
     def test_constant_on_disk(self, disk10):
-        nq = len(disk10.boundary)
-        up, down = mesh_dependent_norms(disk10, np.ones(nq))
+        # a constant has int_0^1 psi psi dt summing to 1 per element
+        one = np.ones(len(disk10.boundary))
         lengths = disk10.boundary.length
-        assert up == pytest.approx(math.sqrt(nq), rel=1e-12)
-        assert down == pytest.approx(math.sqrt(np.sum(lengths ** 2)), rel=1e-12)
-
-    def test_zero_vector(self, disk10):
-        assert mesh_dependent_norms(disk10, np.zeros(len(disk10.boundary))) == (0.0, 0.0)
+        assert one @ (boundary_mass(disk10, power=0) @ one) == pytest.approx(len(one), rel=1e-12)
+        assert one @ (boundary_mass(disk10, power=2) @ one) == pytest.approx(np.sum(lengths ** 2), rel=1e-12)
 
     def test_hat_function_closed_form(self):
         # uniform square boundary, h=0.25: the hat spans two elements with
-        # ||psi||^2_{L2} = 2h/3, scaled by h^{-1} and h for the two norms
+        # ||psi||^2_{L2} = 2h/3, scaled by h^{-1} and h for the Gram
+        # matrices of the two mesh-dependent norms
         mesh = build_square_mesh(4)
         hat = np.eye(len(mesh.boundary))[3]
         h = 0.25
-        up, down = mesh_dependent_norms(mesh, hat)
         l2_sq = hat @ boundary_mass(mesh, 1) @ hat
         assert l2_sq == pytest.approx(2 * h / 3, rel=1e-12)
-        assert up == pytest.approx(math.sqrt(2.0 / 3.0), rel=1e-12)
-        assert down == pytest.approx(math.sqrt(2 * h * h / 3), rel=1e-12)
+        assert hat @ boundary_mass(mesh, 0) @ hat == pytest.approx(2.0 / 3.0, rel=1e-12)
+        assert hat @ boundary_mass(mesh, 2) @ hat == pytest.approx(2 * h * h / 3, rel=1e-12)
 
     def test_norms_match_gram_quadratic_forms(self, disk10, rng):
-        M_up = boundary_mass(disk10, power=0)
-        M_down = boundary_mass(disk10, power=2)
-        for _ in range(5):
-            mu = rng.standard_normal(len(disk10.boundary))
-            up, down = mesh_dependent_norms(disk10, mu)
-            assert up == pytest.approx(math.sqrt(mu @ (M_up @ mu)), rel=1e-12)
-            assert down == pytest.approx(math.sqrt(mu @ (M_down @ mu)), rel=1e-12)
+        # mu linear on element E from a = mu[v0] to b = mu[v1] has
+        # int_0^1 mu^2 dt = (a^2 + a b + b^2) / 3
+        h = disk10.boundary.length
+        for power in (0, 2):
+            M = boundary_mass(disk10, power=power)
+            for _ in range(5):
+                mu = rng.standard_normal(len(h))
+                a, b = mu, np.roll(mu, -1)
+                closed = np.sum(h ** power * (a * a + a * b + b * b) / 3.0)
+                assert mu @ (M @ mu) == pytest.approx(closed, rel=1e-12)
 
     def test_multiplier_is_linear_interp(self, square4):
         mu = np.arange(len(square4.boundary), dtype=float)
@@ -310,8 +308,6 @@ class TestBoundaryNorms:
         # a multiplier must have one value per boundary vertex of the mesh it is read on
         mu = np.ones(len(disk10.boundary))
         with pytest.raises(ValueError, match=r"shape \(63,\), the boundary has 16 dofs"):
-            mesh_dependent_norms(square4, mu)
-        with pytest.raises(ValueError, match="the boundary has 16 dofs"):
             multiplier_at_sites(mu, place_points(square4, 32))
 
 

@@ -245,10 +245,11 @@ class TestConfigErrors:
         assert code == 2
         assert f"error: {name} must be finite" in capsys.readouterr().err
 
-    def test_zero_trials(self, tmp_path):
+    def test_zero_trials(self, tmp_path, capsys):
         code, _ = run_convergence(tmp_path, "--h", "0.25", "--i", "2",
                                   "--trials", "0")
         assert code == 2
+        assert "error: trials must be positive\n" in capsys.readouterr().err
 
     def test_missing_observation_count(self, tmp_path, capsys):
         code, _ = run_convergence(tmp_path, "--h", "0.25")

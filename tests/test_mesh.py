@@ -27,7 +27,7 @@ from obsfem import (
     sine_case,
     write_mesh_text,
 )
-from obsfem.mesh import _stitch_rings, triangle_areas, triangle_diameters
+from obsfem.mesh import _stitch_rings, triangle_diameters
 
 
 def walk_rings(inner_ids, inner_ang, outer_ids, outer_ang):
@@ -78,7 +78,7 @@ class TestSquareMesh:
 
     def test_area_partition(self):
         mesh = build_square_mesh(2)
-        assert abs(triangle_areas(mesh).sum() - 1.0) <= 1e-14
+        assert abs(mesh.areas.sum() - 1.0) <= 1e-14
 
     def test_k_too_small(self):
         with pytest.raises(MeshError):
@@ -142,7 +142,7 @@ class TestDiskMesh:
     def test_area_close_to_disk(self):
         m = 10
         mesh = build_disk_mesh(m)
-        area = triangle_areas(mesh).sum()
+        area = mesh.areas.sum()
         assert area < math.pi
         assert area >= math.pi * (1 - (2 * math.pi / m) ** 2)
 
@@ -214,6 +214,30 @@ class TestBoundaryPoint:
             assert pts.shape == (nb, 3, 2)
             for e in range(nb):
                 np.testing.assert_array_equal(pts[e], boundary_point(mesh, e, t))
+
+    @pytest.mark.parametrize("mesh_name, e", [("disk10", [5, 5, 2, 5, 0]), ("mixed_mesh", [3, 3, 1, 3, 0])])
+    def test_unsorted_repeated_elements_match_the_gather_formula(self, request, mesh_name, e):
+        # the elements are grouped into runs of equal consecutive entries;
+        # a run may recur, and the result keeps the order of e
+        mesh = request.getfixturevalue(mesh_name)
+        b = mesh.boundary
+        e = np.array(e)
+        t = np.linspace(0.05, 0.95, len(e))
+        p0, p1 = mesh.vertices[b.v0[e]], mesh.vertices[b.v1[e]]
+        expected = p0 + t[:, None] * (p1 - p0)
+        cx, cy, r, th0, th1 = b.arc[e].T
+        th = th0 + t * (th1 - th0)
+        arc = b.curved[e]
+        expected[arc] = np.column_stack([cx + r * np.cos(th), cy + r * np.sin(th)])[arc]
+        assert arc.any() and (mesh_name == "disk10" or not arc.all())
+        assert np.array_equal(boundary_point(mesh, e, t), expected)
+
+    def test_empty_and_scalar_elements(self, disk10):
+        assert boundary_point(disk10, np.zeros(0, dtype=int), 0.5).shape == (0, 2)
+        assert boundary_point(disk10, np.zeros((0, 3), dtype=int), 0.5).shape == (0, 3, 2)
+        pts = boundary_point(disk10, 4, 0.25)
+        assert pts.shape == (2,)
+        assert np.array_equal(pts, boundary_point(disk10, [4], [0.25])[0])
 
     def test_vectorized_t(self, disk10):
         t = np.linspace(0.1, 0.9, 5)
@@ -466,7 +490,7 @@ class TestCachedGeometry:
     def test_consumers_match_gathered_formulas(self, domain, k):
         mesh, case = build_mesh(domain, k), sine_case(domain)
         areas, diam, perimeters, edges = gathered_geometry(mesh)
-        assert np.array_equal(triangle_areas(mesh), areas)
+        assert np.array_equal(mesh.areas, areas)
         assert np.array_equal(triangle_diameters(mesh), diam)
         assert mesh.mesh_size_h == float(diam.max())
         inscribed = 4.0 * areas / perimeters

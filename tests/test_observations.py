@@ -16,7 +16,6 @@ from obsfem import (
     boundary_point,
     build_square_mesh,
     build_observation_set,
-    empirical_inner_product,
     empirical_norm,
     observe,
     place_points,
@@ -249,10 +248,9 @@ class TestPlacement:
         assert (counts == 1).any() or n > 24
         omega = np.concatenate([quadrature_weights(t) for t in np.split(pl.t(0, n), pl.offsets[1:-1])])
         h = np.repeat(mesh.boundary.length, counts)
-        assert np.array_equal(pl.omega(0, n), omega)
         assert np.array_equal(pl.alpha(0, n), omega * h)
         m = n // 2  # a range that starts and ends inside elements
-        assert np.array_equal(pl.omega(m - 3, m + 3), omega[m - 3 : m + 3])
+        assert np.array_equal(pl.alpha(m - 3, m + 3), (omega * h)[m - 3 : m + 3])
 
     @pytest.mark.parametrize("domain, k, n, edge", [
         # on square k=2, site i lands on a vertex when (2i + 1) 8 / n is an
@@ -309,7 +307,20 @@ class TestPlacement:
             hi = n if hi is None else hi
             assert np.array_equal(pl.positions(lo, hi), boundary_point(mesh, elements[lo:hi], pl.t(lo, hi)))
             if lo == hi:
-                assert pl.omega(lo, hi).shape == (0,)
+                assert pl.alpha(lo, hi).shape == (0,)
+
+    @pytest.mark.parametrize("reader", ["t", "alpha", "positions", "evaluate", "values"])
+    def test_range_reads_outside_the_sites_rejected(self, square10, reader):
+        n = 100
+        pl = place_points(square10, n)
+        obs = observe(pl, lambda x, y: x * y, NoiseModel.gaussian(1.0), 3)
+        read = {"t": pl.t, "alpha": pl.alpha, "positions": pl.positions, "values": obs.values,
+                "evaluate": functools.partial(pl.evaluate, lambda x, y: x * y)}[reader]
+        for lo, hi in ((0, n + 5), (-3, 5), (5, 3), (n, n + 2)):
+            with pytest.raises(ValueError, match=rf"^site range \[{lo}, {hi}\) is not within \[0, {n}\]$"):
+                read(lo, hi)
+        for lo in (0, n):
+            assert read(lo, lo).shape[0] == 0
 
     def test_work_array_is_one_noise_block_at_most(self, square10):
         for n, m in ((1000, 1000), (2 ** 20 + 1, 2 ** 20)):
@@ -349,7 +360,6 @@ class TestPlacement:
         w = np.concatenate([quadrature_weights(t) for t in parts])
         assert np.array_equal(pl.positions(0, n), pts)
         assert np.array_equal(pl.evaluate(lambda x, y: x * y - y, 0, n), pts[:, 0] * pts[:, 1] - pts[:, 1])
-        assert np.array_equal(pl.omega(0, n), w)
         assert np.array_equal(pl.alpha(0, n), w * np.repeat(mesh.boundary.length, np.diff(pl.offsets)))
 
     def test_alpha_ratio_bound(self, square10, disk10):
@@ -543,28 +553,28 @@ class TestObservationSet:
 
 
 class TestEmpiricalInnerProduct:
+    # <u, v>_n = sum_j alpha_j u_j v_j, read through ||u||_n^2 = <u, u>_n
     def test_constant_gives_boundary_length(self, disk10):
         obs = build_observation_set(disk10, 123, lambda x, y: 1.0, None)
         one = np.ones(123)
-        assert empirical_inner_product(obs.placement.alpha(0, 123), one, one) == pytest.approx(
+        assert empirical_norm(obs.placement.alpha(0, 123), one) ** 2 == pytest.approx(
             2 * math.pi, abs=1e-10)
 
     def test_zero_factor(self, square10):
         obs = build_observation_set(square10, 64, lambda x, y: 1.0, None)
-        assert empirical_inner_product(obs.placement.alpha(0, 64), np.ones(64), np.zeros(64)) == 0.0
+        assert empirical_norm(obs.placement.alpha(0, 64), np.zeros(64)) == 0.0
 
     def test_approximates_line_integral(self, square10):
         # integral of x^2 over the unit square boundary: 1/3 + 1 + 1/3 + 0
-        obs = build_observation_set(square10, 10 ** 4, lambda x, y: x ** 2, None)
-        assert abs(empirical_inner_product(obs.placement.alpha(0, 10 ** 4), np.ones(10 ** 4), obs.values(0, 10 ** 4))
+        obs = build_observation_set(square10, 10 ** 4, lambda x, y: x, None)
+        assert abs(empirical_norm(obs.placement.alpha(0, 10 ** 4), obs.values(0, 10 ** 4)) ** 2
                    - 5.0 / 3.0) <= 1e-4
 
     def test_norm_is_sqrt_self_product(self, rng):
         alpha = rng.random(40) + 0.1
         u = rng.standard_normal(40)
-        assert empirical_norm(alpha, u) == pytest.approx(
-            math.sqrt(empirical_inner_product(alpha, u, u)))
+        assert empirical_norm(alpha, u) == pytest.approx(math.sqrt(np.sum(alpha * u * u)))
 
     def test_length_mismatch(self):
         with pytest.raises(ValueError):
-            empirical_inner_product(np.ones(3), np.ones(3), np.ones(4))
+            empirical_norm(np.ones(3), np.ones(4))

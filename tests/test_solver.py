@@ -9,9 +9,11 @@ from obsfem import (
     Level,
     NoiseModel,
     SingularSystemError,
+    assemble_data_vector,
     build_observation_set,
     build_saddle_system,
     build_square_mesh,
+    observe,
     solve_saddle,
 )
 
@@ -19,6 +21,11 @@ from obsfem import (
 def make_system(mesh, n, f, g0, model=None, seed=0):
     obs = build_observation_set(mesh, n, g0, model, seed=seed)
     return build_saddle_system(f, obs)
+
+
+def noisy_data_vector(level, model, seed):
+    """G = G0 + G_noise of the level for one noise draw."""
+    return level.clean.G + assemble_data_vector(observe(level.placement, None, model, seed))
 
 
 def dense_blocks(system):
@@ -197,7 +204,7 @@ class TestRankDeficientLevel:
         evals, evecs = np.linalg.eigh(gram)
         kernel = evecs[:, evals <= 1e-12 * evals[-1]]
         assert kernel.shape[1] > 0
-        systems = [dataclasses.replace(clean, G=level.data_vector(self.MODEL, s)) for s in range(3)]
+        systems = [dataclasses.replace(clean, G=noisy_data_vector(level, self.MODEL, s)) for s in range(3)]
         rhs = np.column_stack([np.concatenate([s.F, s.G]) for s in systems])
         x, *_ = np.linalg.lstsq(K, rhs, rcond=None)
         for j, system in enumerate(systems):
@@ -243,7 +250,7 @@ def dense_kernel_solve(system):
 
 def noisy_level_system(domain, k, i=None, n=None):
     level = Level(domain, k, i=i, n=n)
-    return dataclasses.replace(level.clean, G=level.data_vector(NoiseModel.mixture(1.0, 10.0, 0.5), 4))
+    return dataclasses.replace(level.clean, G=noisy_data_vector(level, NoiseModel.mixture(1.0, 10.0, 0.5), 4))
 
 
 class TestCoupledRowKernel:
