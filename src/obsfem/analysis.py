@@ -16,8 +16,8 @@ the placement, A, F, B, the clean data vector G0, the error quadrature
 points, the hat gradients) and, from its first solve on, the saddle LU
 and the ker B^T basis.  A trial observes only its noise, as an
 observation set without g0.  `Level.trials` forms G = G0 + G_noise for
-a chunk of seeds in one sweep over the sites, noise block by noise
-block, then back-solves and integrates the errors of each seed's u and
+a chunk of seeds in one sweep over the sites, piece by piece, then
+back-solves and integrates the errors of each seed's u and
 lambda.  `run_case`, `run_study` and `tail_study` go through
 `Level.trials`; a pool task is one level and a contiguous chunk of
 seeds, so pooled reports equal serial ones.  The study driver, not the
@@ -44,7 +44,7 @@ from .assembly import (  # noqa: F401  (perfbench traces the assemble_* function
     sweep,
 )
 from .mesh import TriMesh, boundary_point, build_disk_mesh, build_square_mesh
-from .observations import _NOISE_BLOCK, NoiseModel, ObservationSet, observe, place_points
+from .observations import NoiseModel, ObservationSet, _generators, observe, place_points
 from .solver import SaddleSolution, SingularSystemError, solve_saddle
 
 logger = logging.getLogger(__name__)
@@ -52,6 +52,13 @@ logger = logging.getLogger(__name__)
 # 3-point Gauss rule on [0, 1]; exact through degree 5.
 _GAUSS_T = np.array([0.5 - math.sqrt(0.15), 0.5, 0.5 + math.sqrt(0.15)])
 _GAUSS_W = np.array([5.0 / 18.0, 8.0 / 18.0, 5.0 / 18.0])
+
+# A sweep holds, per seed, the 2 NB floats of its per-element sums and
+# the state of its live noise generators (about 0.7 KB each, counted as
+# 1 KiB; two for a mixture seed); the seeds of one sweep hold at most
+# _SWEEP_BYTES together.
+_SWEEP_BYTES = 8 << 20
+_GENERATOR_BYTES = 1 << 10
 
 
 @dataclass(frozen=True)
@@ -200,11 +207,11 @@ class Level:
 
     A level holds the mesh, the placement, the clean system (A, B, F, G0)
     and the error quadrature.  It holds no per-site array: the placement
-    derives t and alpha per noise block into its block buffers of at
-    most 2^20 floats, and the build reduces B and G0 in one sweep of
+    derives t and alpha per piece of about 2^16 sites into its piece
+    buffers, and the build reduces B and G0 in one sweep of
     :func:`assembly.sweep` over them (so a g0 that is not finite fails
     here, naming the site).  :meth:`trials` reduces the noise of every
-    seed of a chunk in one more sweep, block by block.  Trial systems are
+    seed of a chunk in one more sweep, piece by piece.  Trial systems are
     derived from the clean system with `dataclasses.replace`, so they
     share its solver `factors`.  The error quadrature is built with the
     level, so a trial evaluates neither the case nor the mesh geometry.
@@ -225,13 +232,14 @@ class Level:
     def trials(self, model: Optional[NoiseModel], seeds: Sequence[int]) -> list:
         """Error reports of one noise draw per seed, in seed order.
 
-        The seeds' data vectors come from sweeps over the sites of at most
-        2^20 / (2 NB) seeds each (the per-seed sums take 2 NB floats), so
-        each block's t and alpha are derived once per sweep; then each seed
-        is solved and measured in turn.  A seed's report does not depend
-        on the other seeds in its sweep.
+        The seeds' data vectors come from sweeps over the sites, each of
+        as many seeds as _SWEEP_BYTES holds (see there), so each piece's t
+        and alpha are derived once per sweep; then each seed is solved and
+        measured in turn.  A seed's report does not depend on the other
+        seeds in its sweep.
         """
-        per_sweep = max(1, _NOISE_BLOCK // (2 * len(self.mesh.boundary)))
+        per_seed = 16 * len(self.mesh.boundary) + _GENERATOR_BYTES * _generators(model)
+        per_sweep = max(1, _SWEEP_BYTES // per_seed)
         reports = []
         for j in range(0, len(seeds), per_sweep):
             chunk = seeds[j : j + per_sweep]
@@ -357,6 +365,12 @@ def estimate_rates(hs: Sequence[float], errors: Sequence[float]) -> RateEstimate
     errors = np.asarray(errors, dtype=float)
     if len(hs) != len(errors) or len(hs) < 2:
         raise ValueError("need at least two (h, error) pairs")
+    for h in hs:
+        if not (math.isfinite(h) and h > 0.0):
+            raise ValueError(f"h must be positive and finite, got {h:g}")
+    for e in errors:
+        if not math.isfinite(e):
+            raise ValueError(f"errors must be finite, got {e:g}")
     if hs[0] == hs[-1]:
         raise ValueError(f"the first and last h are equal (h={hs[0]:g}), so no rate can be taken")
     if np.any(errors <= 0.0):

@@ -63,12 +63,15 @@ def sweep(placement: Placement, sets: Sequence[ObservationSet],
     """(B if `coupling` else None, [G of each set]) from one pass over the
     sites of the placement, whose observation sets `sets` are.
 
-    The pass runs noise block by noise block.  Per block, t and alpha are
-    derived once into the placement's block buffers; then B's per-element
-    sums and, for each set in turn, its values in `placement.work` are
-    reduced.  Every per-element sum is one `np.add.reduceat` per block
-    and added up over the blocks, so a set's G has the same bits whatever
-    else the pass reduces.  Every site only touches the two hat functions
+    The pass runs piece by piece (see :class:`Placement`), so its work
+    arrays stay in cache.  Per piece, t and alpha are derived once into
+    the placement's piece buffers; then B's per-element sums and, for
+    each set in turn, its values in `placement.work`, drawn on from the
+    set's noise stream of the piece's noise block, are reduced.  Every
+    per-element sum is one `np.add.reduceat` per noise block, since no
+    piece splits an element run of a block, and added up over the
+    blocks, so a set's G has the same bits whatever else the pass
+    reduces.  Every site only touches the two hat functions
     of its element on each side, so B has at most three nonzeros per row
     and each element contributes a 2 x 2 block
 
@@ -81,8 +84,10 @@ def sweep(placement: Placement, sets: Sequence[ObservationSet],
     nb = len(mesh.boundary)
     b00, b01, b11 = np.zeros((3, nb))
     left, right = np.zeros((2, len(sets), nb))
-    for lo in range(0, placement.n, _NOISE_BLOCK):
-        hi = min(placement.n, lo + _NOISE_BLOCK)
+    bounds = placement.pieces.tolist()
+    for lo, hi in zip(bounds[:-1], bounds[1:]):
+        if lo % _NOISE_BLOCK == 0:
+            streams = [obs.stream(lo // _NOISE_BLOCK) for obs in sets]
         owners, counts = _element_runs(placement.offsets, lo, hi)
         starts = np.cumsum(counts) - counts
         t, alpha = placement.sites(lo, hi)
@@ -98,8 +103,8 @@ def sweep(placement: Placement, sets: Sequence[ObservationSet],
             b00[owners] += total - moment
             b01[owners] += moment
             b11[owners] += np.add.reduceat(w, starts)  # sum alpha t t
-        for j, obs in enumerate(sets):
-            obs.values(lo, hi, w, t)
+        for j, (obs, noise) in enumerate(zip(sets, streams)):
+            obs.values(lo, hi, w, t, noise)
             w *= alpha
             total = np.add.reduceat(w, starts)
             w *= t

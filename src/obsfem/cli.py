@@ -19,7 +19,7 @@ import sys
 
 from .analysis import estimate_rates, run_study, tail_study
 from .mesh import _fmt, build_disk_mesh, build_square_mesh, mesh_quality, read_mesh_text, write_mesh_text
-from .observations import _NOISE_BLOCK, NoiseModel
+from .observations import _SUB_BLOCK, NoiseModel
 from .solver import SingularSystemError
 
 EXIT_OK = 0
@@ -28,10 +28,18 @@ EXIT_SOLVER = 3
 
 
 # A level holds at least the two coordinates of each mesh vertex (16 B)
-# and three block buffers of min(sites, 2^20) floats (t, alpha and the
-# work array, 24 B per site of a block).
+# and three piece buffers (t, alpha and the work array, 24 B per site of
+# its longest piece).  Pieces group whole element runs up to 2^16 sites,
+# so the longest holds at least min(sites, 2^15): a piece of fewer than
+# 2^15 sites is followed by a run of more.
 _VERTEX_BYTES = 16
-_BLOCK_SITE_BYTES = 24
+_PIECE_SITE_BYTES = 24
+
+
+def _level_bytes(vertices: float, sites: float) -> float:
+    """A lower bound on the bytes one level of this many mesh vertices
+    and observation sites holds."""
+    return _VERTEX_BYTES * vertices + _PIECE_SITE_BYTES * min(sites, _SUB_BLOCK // 2)
 
 
 def _refuse_beyond_memory(what: str, need: float, detail: str) -> None:
@@ -68,8 +76,7 @@ def _mesh_sizes(args, workers: int) -> list[int]:
             sites = float(args.n) if args.n <= sys.float_info.max else math.inf
         else:
             sites = math.prod([k] * args.i) if args.i in (1, 2, 3, 4) else 0.0
-        level = _VERTEX_BYTES * vertices + _BLOCK_SITE_BYTES * min(sites, _NOISE_BLOCK)
-        _refuse_beyond_memory(f"--h: h={h:g}", workers * level,
+        _refuse_beyond_memory(f"--h: h={h:g}", workers * _level_bytes(vertices, sites),
                               f"{vertices:.3g} vertices, {sites:.3g} sites, {workers} worker(s)")
         ks.append(int(round(k)))
     if len(set(ks)) != len(ks):

@@ -12,14 +12,15 @@ derived per range of sites from per-element constants.
 An observation set stores no data: it binds a placement, g0, a noise
 model and a seed, and its data g_j = g0(x_j) + e_j are read through
 `values`.  Noise is generated with a counter-based RNG in fixed-size
-blocks, each drawn over its whole window in the set, so the value at
-point i depends only on (seed, i, n); large observation sets can
-therefore be read in streaming chunks (and in parallel) without
-changing a single bit.
+blocks, each drawn in order from its start, so the value at point i
+depends only on (seed, i, n); large observation sets can therefore be
+read in streaming pieces (and in parallel) without changing a single
+bit.
 """
 
 from __future__ import annotations
 
+import bisect
 import math
 import mmap
 from dataclasses import dataclass, field
@@ -33,8 +34,9 @@ from .mesh import TriMesh, _run_points
 # constant changes every stream, so it is part of the data format.
 _NOISE_BLOCK = 1 << 20
 
-# Sites are read in sub-blocks of this size (dividing _NOISE_BLOCK), so
-# per-site work arrays stay a few MB at any n.
+# Sites are read in sub-blocks of this size (dividing _NOISE_BLOCK), and
+# a sweep in pieces of about this size, so per-site work arrays stay
+# within the L2 cache at any n.
 _SUB_BLOCK = 1 << 16
 
 # Points closer than this to an element endpoint are nudged inward.
@@ -87,46 +89,71 @@ class NoiseModel:
         return math.sqrt(self.p * self.sigma1**2 + (1.0 - self.p) * self.sigma2**2)
 
 
-def _noise_block(model: Optional[NoiseModel], seed: int, block: int, out: np.ndarray) -> np.ndarray:
-    """Fill `out` with noise block `block` of the stream, drawn over
-    len(out) entries, and return it; no noise writes zeros.  The seed
-    is the low 64 bits of the Philox key, so it must lie in [0, 2^64)."""
-    if not 0 <= seed < 1 << 64:
-        raise ValueError(f"seed must lie in [0, 2^64), got {seed}")
-    if model is None or model.kind == "none":
-        out[:] = 0.0
+def _generators(model: Optional[NoiseModel]) -> int:
+    """How many Philox generators a noise stream of `model` holds."""
+    return {"gaussian": 1, "mixture": 2}.get(model.kind, 0) if model is not None else 0
+
+
+class _NoiseStream:
+    """The noise of one block of an n-entry stream, drawn in order.
+
+    Block b covers the window [b B, min(n, (b+1) B)) of m entries and is
+    keyed by the Philox key seed | b << 64.  Gaussian noise is sigma times
+    the normals of that key.  A mixture entry is sigma1 times its normal
+    if its uniform is below p, else sigma2 times it, where the window's m
+    uniforms come first in the key's stream and its m normals after
+    them.  The normals are drawn by a second generator moved past the
+    uniforms (Philox yields 4 per counter step), so drawing a window in
+    pieces gives the bits of one draw over the whole window.  The seed
+    is the low 64 bits of the key, so it must lie in [0, 2^64).
+    """
+
+    def __init__(self, model: Optional[NoiseModel], seed: int, n: int, block: int):
+        if not 0 <= seed < 1 << 64:
+            raise ValueError(f"seed must lie in [0, 2^64), got {seed}")
+        self.model = model
+        self.at = block * _NOISE_BLOCK  # the next entry it draws
+        self.end = min(n, self.at + _NOISE_BLOCK)
+        key = int(seed) | (block << 64)
+        if _generators(model):
+            bits = np.random.Philox(key=key)
+            if model.kind == "mixture":
+                self.uniforms = np.random.Generator(np.random.Philox(key=key))
+                bits.advance((self.end - self.at) // 4)
+                bits.random_raw((self.end - self.at) % 4)
+            self.normals = np.random.Generator(bits)
+
+    def draw(self, lo: int, out: np.ndarray) -> np.ndarray:
+        """Fill `out` with entries [lo, lo + len(out)) of the stream and
+        return it; the entries between the last draw and lo are drawn
+        per sub-block and dropped.  No noise writes zeros."""
+        if not self.at <= lo <= lo + len(out) <= self.end:
+            raise ValueError(f"noise entries [{lo}, {lo + len(out)}) are not within [{self.at}, {self.end}), "
+                             "the undrawn part of their block")
+        while self.at < lo:
+            self.draw(self.at, np.empty(min(lo - self.at, _SUB_BLOCK)))
+        self.at += len(out)
+        model = self.model
+        if not _generators(model):
+            out[:] = 0.0
+        elif model.kind == "gaussian":
+            self.normals.standard_normal(out=out)
+            out *= model.sigma
+        else:
+            pick = self.uniforms.random(out=out) < model.p
+            self.normals.standard_normal(out=out)
+            np.multiply(out, model.sigma1, out=out, where=pick)
+            np.multiply(out, model.sigma2, out=out, where=np.logical_not(pick, out=pick))
         return out
-    key = int(seed) | (block << 64)
-    rng = np.random.Generator(np.random.Philox(key=key))
-    if model.kind == "gaussian":
-        rng.standard_normal(out=out)
-        out *= model.sigma
-        return out
-    # mixture: component indicator first, then one normal per point
-    pick = rng.random(out=out) < model.p
-    rng.standard_normal(out=out)
-    np.multiply(out, model.sigma1, out=out, where=pick)
-    np.multiply(out, model.sigma2, out=out, where=np.logical_not(pick, out=pick))
-    return out
 
 
 def _draw_noise(model: Optional[NoiseModel], seed: int, n: int, lo: int, hi: int,
                 out: np.ndarray) -> np.ndarray:
-    """Write entries [lo, hi) of the noise of an n-entry stream into `out`.
-
-    Block b is always drawn over its whole window [b B, min(n, (b+1) B)):
-    a mixture block draws its uniforms before its normals, so its entries
-    depend on where its draw stops.  A window that [lo, hi) only partly
-    covers is drawn into an array of its own.
-    """
+    """Write entries [lo, hi) of the noise of an n-entry stream into `out`,
+    each noise block it touches drawn from the block's start."""
     for base in range(lo - lo % _NOISE_BLOCK, hi, _NOISE_BLOCK) if lo < hi else ():
-        end = min(n, base + _NOISE_BLOCK)
-        a, b = max(lo, base), min(hi, end)
-        if (a, b) == (base, end):
-            _noise_block(model, seed, base // _NOISE_BLOCK, out[a - lo : b - lo])
-        else:
-            window = _noise_block(model, seed, base // _NOISE_BLOCK, np.empty(end - base))
-            out[a - lo : b - lo] = window[a - base : b - base]
+        a, b = max(lo, base), min(hi, base + _NOISE_BLOCK)
+        _NoiseStream(model, seed, n, base // _NOISE_BLOCK).draw(a, out[a - lo : b - lo])
     return out
 
 
@@ -138,11 +165,12 @@ def sample_noise(model: Optional[NoiseModel], count: int, seed: int) -> np.ndarr
 def _site_array(n: int) -> np.ndarray:
     """An uninitialized float array of n entries in a memory map of its own.
 
-    A placement's three block buffers (t, alpha and the work array) hold
-    up to 2^20 floats, 8 MB, each.  Taken from the malloc heap, they can
-    stay resident after the level is freed, for as long as any smaller
-    allocation above them lives; a map of their own is returned to the
-    system with them.
+    A placement's three piece buffers (t, alpha and the work array) hold
+    as many floats as its longest piece: about 2^16, 512 KB, each, unless
+    one element run of a noise block is longer.  Taken from the malloc
+    heap, they can stay resident after the level is freed, for as long
+    as any smaller allocation above them lives; a map of their own is
+    returned to the system with them.
     """
     buf = mmap.mmap(-1, max(8 * n, 1))
     if hasattr(mmap, "MADV_HUGEPAGE"):
@@ -162,13 +190,17 @@ class Placement:
     the per-element starts and lengths, the site `spacing` and the sites
     nudged off element endpoints (`nudged`, their clipped `nudged_t`).
     `t(lo, hi)`, `alpha(lo, hi)` and `positions(lo, hi)` derive a range
-    of sites from them, the same bits for any range.  `sites(lo, hi)`
-    derives t and alpha of a range within one noise block into the
-    placement's block buffers, and `work` is one more block of scratch
-    for the values a pass reduces; each holds min(n, 2^20) floats (t two
-    more, for its one-site halo) in a memory map of its own (see
-    :func:`_site_array`), so dropping a level returns them to the system.
-    A pass owns the buffers until it returns.
+    of sites from them, the same bits for any range.
+
+    A sweep reads the sites in `pieces`, whose bounds tile [0, n): runs
+    of whole element runs, clipped to noise blocks, of at most 2^16
+    sites together, a longer run being a piece of its own.
+    `sites(lo, hi)` derives t and alpha of at most a piece into the
+    placement's piece buffers, and `work` is one more piece of scratch
+    for the values a pass reduces; each holds as many floats as the
+    longest piece (t two more, for its one-site halo) in a memory map of
+    its own (see :func:`_site_array`), so dropping a level returns them
+    to the system.  A pass owns the buffers until it returns.
     """
 
     mesh: TriMesh
@@ -178,19 +210,22 @@ class Placement:
     nudged: np.ndarray  # (m,) increasing indices of the sites nudged off element endpoints
     nudged_t: np.ndarray  # (m,) their local parameters
     starts: np.ndarray = field(init=False, repr=False, compare=False)  # (NB+1,) element start arclengths
-    t_block: np.ndarray = field(init=False, repr=False, compare=False)
-    alpha_block: np.ndarray = field(init=False, repr=False, compare=False)
+    pieces: np.ndarray = field(init=False, repr=False, compare=False)  # (P+1,) piece bounds
+    t_piece: np.ndarray = field(init=False, repr=False, compare=False)
+    alpha_piece: np.ndarray = field(init=False, repr=False, compare=False)
     work: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         self.starts = np.concatenate([[0.0], np.cumsum(self.mesh.boundary.length)])
-        m = min(self.n, _NOISE_BLOCK)
-        self.t_block, self.alpha_block, self.work = _site_array(m + 2), _site_array(m), _site_array(m)
+        self.pieces = _pieces(self.offsets, self.n)
+        m = int(np.diff(self.pieces).max())
+        self.t_piece, self.alpha_piece, self.work = _site_array(m + 2), _site_array(m), _site_array(m)
 
     def t(self, lo: int, hi: int, out: Optional[np.ndarray] = None) -> np.ndarray:
         """Local parameters of sites [lo, hi), written into `out` if it is
         given: (s - start) / h per 2^16 sub-block, with the nudges applied."""
         _check_range(self.n, lo, hi)
+        _check_out(out, lo, hi)
         out = np.empty(hi - lo) if out is None else out
         h = self.mesh.boundary.length
         for a in range(lo, hi, _SUB_BLOCK):
@@ -211,12 +246,16 @@ class Placement:
         return self._weights(self.t(a, b), a, lo, hi, np.empty(hi - lo))
 
     def sites(self, lo: int, hi: int) -> tuple[np.ndarray, np.ndarray]:
-        """(t, alpha) of sites [lo, hi), a range of at most one noise block,
-        derived once into `t_block` and `alpha_block`; the next call
+        """(t, alpha) of sites [lo, hi), a range of at most one piece,
+        derived once into `t_piece` and `alpha_piece`; the next call
         overwrites them."""
+        _check_range(self.n, lo, hi)
+        if hi - lo > len(self.work):
+            raise ValueError(f"site range [{lo}, {hi}) holds {hi - lo} sites, the piece buffers "
+                             f"{len(self.work)}")
         a, b = max(lo - 1, 0), min(hi + 1, self.n)
-        t = self.t(a, b, self.t_block[: b - a])
-        return t[lo - a : hi - a], self._weights(t, a, lo, hi, self.alpha_block[: hi - lo])
+        t = self.t(a, b, self.t_piece[: b - a])
+        return t[lo - a : hi - a], self._weights(t, a, lo, hi, self.alpha_piece[: hi - lo])
 
     def _weights(self, t: np.ndarray, base: int, lo: int, hi: int, out: np.ndarray) -> np.ndarray:
         """alpha of sites [lo, hi) into `out`, per 2^16 sub-block, from the
@@ -257,6 +296,26 @@ def _check_range(n: int, lo: int, hi: int) -> None:
     """Refuse a site range [lo, hi) that is not within [0, n]."""
     if not 0 <= lo <= hi <= n:
         raise ValueError(f"site range [{lo}, {hi}) is not within [0, {n}]")
+
+
+def _check_out(out: Optional[np.ndarray], lo: int, hi: int) -> None:
+    """Refuse an `out` array that cannot hold the site range [lo, hi)."""
+    if out is not None and len(out) != hi - lo:
+        raise ValueError(f"out has length {len(out)}, the site range [{lo}, {hi}) needs {hi - lo}")
+
+
+def _pieces(offsets: np.ndarray, n: int) -> np.ndarray:
+    """Bounds of the pieces of the flat layout `offsets` over n sites:
+    its element runs, clipped to noise blocks, grouped in order into
+    pieces of at most _SUB_BLOCK sites; a longer run is a piece of its
+    own."""
+    cuts = np.union1d(offsets, np.arange(0, n, _NOISE_BLOCK)).tolist()
+    bounds = [0]
+    while bounds[-1] < n:
+        lo = bounds[-1]
+        j = bisect.bisect_right(cuts, min(lo + _SUB_BLOCK, lo - lo % _NOISE_BLOCK + _NOISE_BLOCK)) - 1
+        bounds.append(cuts[j] if cuts[j] > lo else cuts[j + 1])
+    return np.array(bounds)
 
 
 def _element_runs(offsets: np.ndarray, lo: int, hi: int) -> tuple[np.ndarray, np.ndarray]:
@@ -351,9 +410,10 @@ class ObservationSet:
 
     The set stores no data.  `values` draws the noise of the sites it is
     asked for and adds g0 (if any), into the caller's array if one is
-    given, so reading the set block by block through `placement.work`
-    allocates no array the size of a block.  g0 None means the data are
-    the noise alone; model None means no noise.
+    given, so reading the set piece by piece through `placement.work`,
+    from the noise `stream` of each block, allocates no array the size
+    of a piece.  g0 None means the data are the noise alone; model None
+    means no noise.
     """
 
     placement: Placement
@@ -361,17 +421,25 @@ class ObservationSet:
     model: Optional[NoiseModel]
     seed: int
 
+    def stream(self, block: int) -> _NoiseStream:
+        """The noise of noise block `block` of the set, from its start."""
+        return _NoiseStream(self.model, self.seed, self.placement.n, block)
+
     def values(self, lo: int, hi: int, out: Optional[np.ndarray] = None,
-               t: Optional[np.ndarray] = None) -> np.ndarray:
-        """g at sites [lo, hi), written into `out` if it is given.  Each
-        noise block is drawn over its whole window in the set (see
-        :func:`_draw_noise`), as studies read it.  `t`, if given, holds
-        the sites' parameters, so that g0 is read without deriving them."""
+               t: Optional[np.ndarray] = None, noise: Optional[_NoiseStream] = None) -> np.ndarray:
+        """g at sites [lo, hi), written into `out` if it is given.  The
+        noise comes from `noise`, the :meth:`stream` of the one block that
+        holds [lo, hi), if it is given; else each block is drawn from its
+        start.  `t`, if given, holds the sites' parameters, so that g0 is
+        read without deriving them."""
         n = self.placement.n
         _check_range(n, lo, hi)
-        if out is not None and len(out) != hi - lo:
-            raise ValueError(f"out has length {len(out)}, the site range [{lo}, {hi}) needs {hi - lo}")
-        out = _draw_noise(self.model, self.seed, n, lo, hi, np.empty(hi - lo) if out is None else out)
+        _check_out(out, lo, hi)
+        out = np.empty(hi - lo) if out is None else out
+        if noise is None:
+            _draw_noise(self.model, self.seed, n, lo, hi, out)
+        else:
+            noise.draw(lo, out)
         if self.g0 is not None:
             for a in range(lo, hi, _SUB_BLOCK):
                 b = min(hi, a + _SUB_BLOCK)

@@ -232,6 +232,20 @@ class TestEstimateRates:
         with pytest.raises(ValueError, match=r"first and last h are equal \(h=0\.1\)"):
             estimate_rates([0.1, 0.05, 0.1], [1.0, 0.5, 0.3])
 
+    @pytest.mark.parametrize("hs, errors, message", [
+        ([0.1, 0.0], [1.0, 0.5], "h must be positive and finite, got 0"),
+        ([-0.1, 0.05], [1.0, 0.5], "h must be positive and finite, got -0.1"),
+        ([0.1, math.inf], [1.0, 0.5], "h must be positive and finite, got inf"),
+        ([math.nan, 0.05], [1.0, 0.5], "h must be positive and finite, got nan"),
+        ([0.1, 0.05], [1.0, math.nan], "errors must be finite, got nan"),
+        ([0.1, 0.05], [-math.inf, 0.5], "errors must be finite, got -inf"),
+    ])
+    def test_bad_value_named_before_any_fit(self, capfd, hs, errors, message):
+        # h=0 used to print LAPACK lines to stderr, a NaN error to pass as a rate
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            estimate_rates(hs, errors)
+        assert capfd.readouterr().err == ""
+
 
 class TestRunCase:
     def test_report_fields(self):
@@ -527,6 +541,7 @@ class TestLevelTrials:
         ("square", 4, 2 ** 20 + 5000),  # an element straddles the two noise blocks
         ("square", 10, 100),  # 20 sites nudged off element endpoints
         ("disk", 10, 17),  # empty elements, rank-deficient coupling
+        ("square", 2, 4 * 131073),  # runs longer than a piece, a nudged site at 2^16
     ])
     def test_trials_match_a_whole_array_oracle(self, domain, k, n, model):
         level = Level(domain, k, n=n)
@@ -537,24 +552,49 @@ class TestLevelTrials:
         assert [level.trial(model, s) for s in seeds] == reports
 
     def test_sweeps_of_fewer_seeds_keep_the_bits(self, monkeypatch):
-        # a block of 4 NB floats caps a sweep at 2 seeds: 5 seeds take 3 sweeps
+        # room for 2.5 mixture seeds (2 NB sums and two generators each)
+        # caps a sweep at 2 seeds: 5 seeds take 3 sweeps
         level = Level("disk", 10, n=3 * 2 ** 20 + 5)
         model = NoiseModel.mixture(1.0, 10.0, 0.3)
         whole = level.trials(model, range(5))
         sweeps = []
         monkeypatch.setattr(analysis, "sweep", lambda pl, sets: sweeps.append(len(sets)) or sweep(pl, sets))
-        monkeypatch.setattr(analysis, "_NOISE_BLOCK", 4 * len(level.mesh.boundary))
+        per_seed = 16 * len(level.mesh.boundary) + 2 * analysis._GENERATOR_BYTES
+        monkeypatch.setattr(analysis, "_SWEEP_BYTES", 5 * per_seed // 2)
         assert level.trials(model, range(5)) == whole
         assert sweeps == [2, 2, 1]
 
-    def test_no_array_holds_more_than_a_block(self):
+    @pytest.mark.parametrize("model, seeds", [(NoiseModel.gaussian(1.0), 5041),
+                                              (NoiseModel.mixture(1.0, 10.0, 0.3), 3120)])
+    def test_a_sweep_counts_the_generators_of_its_seeds(self, monkeypatch, model, seeds):
+        # square k=10: 40 elements, 640 B of sums per seed, 1 KiB per generator
+        level = Level("square", 10, n=50)
+        sweeps = []
+        monkeypatch.setattr(analysis, "sweep",
+                            lambda pl, sets: sweeps.append(len(sets)) or (None, [0.0] * len(sets)))
+        monkeypatch.setattr(level, "_solve", lambda G, seed: None)
+        level.trials(model, range(seeds + 1))
+        assert sweeps == [seeds, 1]
+
+    def test_no_array_holds_more_than_a_piece(self):
+        # elements of 196608 sites: a noise block holds 5 whole runs and
+        # the start of a sixth, each a piece of its own
         level = Level("square", 4, n=3 * 2 ** 20 + 5)
         level.trials(NoiseModel.gaussian(1.0), range(2))
         owners = [level, level.placement, level.quadrature, level.clean, level.mesh, level.mesh.boundary]
         sizes = {f"{type(obj).__name__}.{name}": value.size
                  for obj in owners for name, value in vars(obj).items() if isinstance(value, np.ndarray)}
-        assert sizes["Placement.t_block"] == 2 ** 20 + 2
-        assert max(sizes.values()) <= 2 ** 20 + 2, sizes
+        longest = int(np.diff(level.placement.pieces).max())
+        assert longest == np.diff(level.placement.offsets).max() < 2 ** 18
+        assert sizes["Placement.t_piece"] == longest + 2
+        assert max(sizes.values()) <= longest + 2, sizes
+
+    def test_pieces_of_short_runs_hold_2_to_the_16_sites_at_most(self):
+        level = Level("square", 20, i=4)  # 160000 sites in 80 runs of 2000
+        level.trials(NoiseModel.mixture(1.0, 10.0, 0.3), range(2))
+        owners = [level, level.placement, level.quadrature, level.clean, level.mesh, level.mesh.boundary]
+        sizes = [value.size for obj in owners for value in vars(obj).values() if isinstance(value, np.ndarray)]
+        assert max(sizes) == 32 * 2000 + 2
 
     def test_a_level_of_6_noise_blocks_peaks_within_40_MB(self):
         # t and alpha of 6.3 M sites alone would take 100 MB

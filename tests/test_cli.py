@@ -203,23 +203,43 @@ class TestConfigErrors:
         assert "2 worker(s)" in capsys.readouterr().err
 
     def test_k160_i4_fits_the_estimate(self, tmp_path, monkeypatch):
-        # 655 M sites, but a level holds three blocks of 2^20 of them:
-        # 16 B x 161^2 vertices + 24 B x 2^20 = 26 MB per worker
+        # 655 M sites, but a level holds three pieces of at least 2^15 of them:
+        # 16 B x 161^2 vertices + 24 B x 2^15 = 1.2 MB per worker
         class Built(Exception):
             pass
 
         def built(*args):
             raise Built
 
-        pages = {"SC_PHYS_PAGES": 2 ** 14, "SC_PAGE_SIZE": 4096}  # 67 MB
+        pages = {"SC_PHYS_PAGES": 768, "SC_PAGE_SIZE": 4096}  # 3.1 MB
         monkeypatch.setattr(cli.os, "sysconf", pages.__getitem__)
         monkeypatch.setattr(analysis, "build_mesh", built)
         with pytest.raises(Built):
             run_convergence(tmp_path, "--h", "0.00625", "--i", "4")
         args = argparse.Namespace(h="0.00625", i=4, n=None)
         assert cli._mesh_sizes(args, 2) == [160]
-        with pytest.raises(ValueError, match=r"^--h: h=0.00625 needs at least 0.0767 GB .*3 worker\(s\)"):
+        with pytest.raises(ValueError, match=r"^--h: h=0.00625 needs at least 0.0036 GB .*3 worker\(s\)"):
             cli._mesh_sizes(args, 3)
+
+    def test_estimate_is_at_most_what_a_large_level_holds(self):
+        # square k=40, i=4: 2.56 M sites in pieces of 64000.  The level's
+        # growth of the resident set is read while it lives (its peak can
+        # lie below the peak of the imports).
+        program = ("import resource\nimport obsfem\nfrom obsfem import cli\n"
+                   "def resident():\n"
+                   "    return int(open('/proc/self/statm').read().split()[1]) * resource.getpagesize()\n"
+                   "base = resident()\n"
+                   "level = obsfem.Level('square', 40, i=4)\n"
+                   "level.trials(obsfem.NoiseModel.mixture(1.0, 10.0, 0.3), range(2))\n"
+                   "pl = level.placement\n"
+                   "held = sum(a.nbytes for a in (level.mesh.vertices, pl.t_piece, pl.alpha_piece, pl.work))\n"
+                   "print(cli._level_bytes(41 * 41, 40.0 ** 4), held, resident() - base)\n")
+        src = os.path.dirname(os.path.dirname(obsfem.__file__))
+        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+        run = subprocess.run([sys.executable, "-c", program], capture_output=True, check=True,
+                             env={**os.environ, "PYTHONPATH": path, "OPENBLAS_NUM_THREADS": "1"})
+        estimate, held, grown = map(float, run.stdout.split())
+        assert estimate <= min(held, grown), (estimate, held, grown)
 
     def test_h_out_of_range(self, tmp_path, capsys):
         code, _ = run_convergence(tmp_path, "--h", "0.6", "--i", "2")

@@ -22,6 +22,7 @@ from obsfem import (
     quadrature_weights,
     sample_noise,
 )
+from obsfem.observations import _NoiseStream
 
 
 def whole_array_placement(mesh, n):
@@ -76,12 +77,12 @@ def assert_matches_whole_array_placement(mesh, n):
     assert np.array_equal(pl.offsets, offsets)
     assert np.array_equal(pl.t(0, n), t)
     assert np.array_equal(pl.alpha(0, n), alpha)
-    # range reads, and the block buffers of a sweep, keep the bits of the whole pass
+    # range reads, and the piece buffers of a sweep, keep the bits of the whole pass
     for lo, hi in ((n // 3, n // 3 + 1000), (2 ** 16 - 3, 2 ** 16 + 3), (n - 1, n), (n, n)):
         lo, hi = min(max(lo, 0), n), min(max(hi, 0), n)
         assert np.array_equal(pl.t(lo, hi), t[lo:hi]) and np.array_equal(pl.alpha(lo, hi), alpha[lo:hi])
-    for lo in range(0, n, 2 ** 20):
-        hi = min(n, lo + 2 ** 20)
+    bounds = pl.pieces.tolist()
+    for lo, hi in zip(bounds[:-1], bounds[1:]):
         tb, ab = pl.sites(lo, hi)
         assert np.array_equal(tb, t[lo:hi]) and np.array_equal(ab, alpha[lo:hi])
     return nudged
@@ -322,15 +323,60 @@ class TestPlacement:
         for lo in (0, n):
             assert read(lo, lo).shape[0] == 0
 
-    def test_work_array_is_one_noise_block_at_most(self, square10):
-        for n, m in ((1000, 1000), (2 ** 20 + 1, 2 ** 20)):
+    def test_work_array_is_one_piece_of_2_to_the_16_sites_at_most(self, square10):
+        # square k=10 has 40 elements: runs of 25 (one piece in all), about
+        # 26214 (two to a piece) and about 104858 sites (a piece each)
+        for n, runs in ((1000, 40), (2 ** 20 + 1, 2), (4 * 2 ** 20 + 1, 1)):
             pl = place_points(square10, n)
-            assert (pl.work.shape, pl.alpha_block.shape, pl.t_block.shape) == ((m,), (m,), (m + 2,))
+            m = int(np.diff(pl.pieces).max())
+            assert (pl.work.shape, pl.alpha_piece.shape, pl.t_piece.shape) == ((m,), (m,), (m + 2,))
+            assert m == np.diff(pl.offsets)[:runs].sum() <= max(2 ** 16, np.diff(pl.offsets).max())
+
+    @pytest.mark.parametrize("domain, k, n", [
+        ("disk", 10, 17),  # empty and single-site elements
+        ("square", 4, 2 ** 20 + 5000),  # an element run straddles the two noise blocks
+        ("square", 2, 4 * 131073),  # runs longer than 2^16
+        ("square", 40, 40 ** 4),  # 160 runs of 16000 in three noise blocks
+        ("disk", 10, 3 * 2 ** 20 + 5),
+        ("square", 10, 1),
+    ])
+    def test_pieces_tile_the_sites_and_keep_element_runs_whole(self, domain, k, n):
+        pl = place_points(mesh_of(domain, k), n)
+        bounds = pl.pieces
+        assert bounds[0] == 0 and bounds[-1] == n and (np.diff(bounds) > 0).all()
+        blocks = np.arange(0, n, 2 ** 20)
+        # every bound is an element boundary or a noise block edge, and no
+        # piece crosses a block edge
+        assert np.isin(bounds, np.union1d(pl.offsets, blocks)).all()
+        assert np.isin(blocks, bounds).all()
+        # a piece is at most 2^16 sites, or one (element, block) run
+        for lo, hi in zip(bounds[:-1], bounds[1:]):
+            assert hi - lo <= 2 ** 16 or np.searchsorted(pl.offsets, lo, "right") \
+                == np.searchsorted(pl.offsets, hi - 1, "right")
+        # pieces are as long as they can be: no two neighbours fit 2^16 in one block
+        joined = bounds[2:] - bounds[:-2]
+        assert not ((joined <= 2 ** 16) & ~np.isin(bounds[1:-1], blocks)).any()
+
+    def test_sites_refuse_a_range_beyond_the_piece_buffers(self, square10):
+        pl = place_points(square10, 2 ** 20 + 1)
+        m = len(pl.work)
+        assert pl.sites(5, 5 + m)[0].shape == (m,)
+        with pytest.raises(ValueError, match=rf"^site range \[5, {m + 6}\) holds {m + 1} sites, the piece "
+                                             rf"buffers {m}$"):
+            pl.sites(5, m + 6)
+        with pytest.raises(ValueError, match=r"^site range \[-1, 3\) is not within"):
+            pl.sites(-1, 3)
+
+    @pytest.mark.parametrize("size", [3, 6])
+    def test_t_refuses_an_out_of_another_length(self, square10, size):
+        pl = place_points(square10, 100)
+        with pytest.raises(ValueError, match=rf"^out has length {size}, the site range \[0, 5\) needs 5$"):
+            pl.t(0, 5, np.empty(size))
 
     def test_site_arrays_have_maps_of_their_own(self, square10):
         # so that dropping a level returns them to the system
         pl = place_points(square10, 1000)
-        bases = [a.base.obj for a in (pl.t_block, pl.alpha_block, pl.work)]  # frombuffer views a memoryview
+        bases = [a.base.obj for a in (pl.t_piece, pl.alpha_piece, pl.work)]  # frombuffer views a memoryview
         assert all(isinstance(b, mmap.mmap) for b in bases) and len({id(b) for b in bases}) == 3
 
     def test_evaluate_matches_per_element_formula(self, mixed_mesh):
@@ -429,6 +475,45 @@ class TestNoise:
             np.testing.assert_array_equal(out, full[start:stop])
         out = np.full(7, np.nan)
         assert not observe(pl, None, NoiseModel.none(), 3).values(5, 12, out).any()
+
+    @staticmethod
+    def whole_window(model, seed, block, m):
+        """Noise block `block` drawn over its whole window of m entries at
+        once, from one generator: a mixture's m uniforms, then its normals."""
+        rng = np.random.Generator(np.random.Philox(key=seed | block << 64))
+        out = np.empty(m)
+        if model.kind == "gaussian":
+            return rng.standard_normal(out=out) * model.sigma
+        pick = rng.random(out=out) < model.p
+        rng.standard_normal(out=out)
+        return np.where(pick, out * model.sigma1, out * model.sigma2)
+
+    @pytest.mark.parametrize("model", [NoiseModel.gaussian(1.5), NoiseModel.mixture(1.0, 10.0, 0.3)],
+                             ids=["gaussian", "mixture"])
+    @pytest.mark.parametrize("m", [2 ** 20, 65537, 65538, 1000003, 17])  # m mod 4 = 0, 1, 2, 3, 1
+    def test_stream_drawn_in_pieces_keeps_the_whole_window(self, model, m):
+        block = 2  # the window [2^21, 2^21 + m) of a stream of n entries
+        n = 2 * 2 ** 20 + m
+        whole = self.whole_window(model, 9, block, m)
+        stream = _NoiseStream(model, 9, n, block)
+        base, got = 2 * 2 ** 20, []
+        for size in (1, 3, 2 ** 16, 4099, m):
+            size = min(size, n - stream.at)
+            got.append(stream.draw(stream.at, np.empty(size)))
+        assert stream.at == n
+        assert np.array_equal(np.concatenate(got), whole)
+        # a draw that starts further on drops the entries in between
+        later = _NoiseStream(model, 9, n, block).draw(base + m // 2, np.empty(m - m // 2))
+        assert np.array_equal(later, whole[m // 2 :])
+        assert np.array_equal(sample_noise(model, n, 9)[base:], whole)
+
+    def test_stream_refuses_entries_it_has_passed_or_does_not_hold(self):
+        stream = _NoiseStream(NoiseModel.gaussian(1.0), 3, 100, 0)
+        stream.draw(10, np.empty(5))
+        for lo, size in ((12, 2), (20, 81)):
+            with pytest.raises(ValueError, match=rf"^noise entries \[{lo}, {lo + size}\) are not within "
+                                                 rf"\[15, 100\), the undrawn part of their block$"):
+                stream.draw(lo, np.empty(size))
 
     def test_inverted_range_rejected_empty_range_allowed(self, square10):
         obs = observe(place_points(square10, 10), None, NoiseModel.gaussian(1.0), 3)
