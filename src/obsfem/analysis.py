@@ -36,7 +36,6 @@ import numpy as np
 
 from .assembly import (  # noqa: F401  (perfbench traces the assemble_* functions under this module)
     SaddleSystem,
-    _hat,
     assemble_coupling_matrix,
     assemble_data_vector,
     assemble_load,
@@ -52,6 +51,7 @@ logger = logging.getLogger(__name__)
 # 3-point Gauss rule on [0, 1]; exact through degree 5.
 _GAUSS_T = np.array([0.5 - math.sqrt(0.15), 0.5, 0.5 + math.sqrt(0.15)])
 _GAUSS_W = np.array([5.0 / 18.0, 8.0 / 18.0, 5.0 / 18.0])
+_GAUSS_HATS = np.stack([1.0 - _GAUSS_T, _GAUSS_T])  # an element's two hats there
 
 # A sweep holds, per seed, the 2 NB floats of its per-element sums and
 # the state of its live noise generators (about 0.7 KB each, counted as
@@ -137,41 +137,67 @@ class ErrorReport:
 
 class ErrorQuadrature:
     """What the error integrals of one (mesh, case) read that no solution
-    changes; built once per level, so a trial adds only its u and lam."""
+    changes; built once per level, so a trial adds only its u and lam.
+    Field arrays hold a contiguous row per triangle corner i, or per edge
+    from corner i to i + 1 mod 3 (`u0_mid`, `grad_u0_mid`, `hat_grads`
+    x then y); `weights` is |T|/3 per triangle."""
 
     def __init__(self, mesh: TriMesh, case: ManufacturedCase):
-        p = mesh.vertices[mesh.triangles]
-        mids = 0.5 * (p + np.roll(p, -1, axis=1))  # edge midpoints
+        p = mesh.vertices[mesh.triangles].transpose(1, 2, 0)  # (corner, xy, triangle)
+        mids = 0.5 * (p + np.roll(p, -1, axis=0))  # edge midpoints
         self.mesh = mesh
-        self.weights = mesh.areas[:, None] / 3.0
-        self.u0_mid = case.u0(mids[..., 0], mids[..., 1])
-        self.grad_u0_mid = case.grad_u0(mids[..., 0], mids[..., 1])
+        self.weights = mesh.areas / 3.0
+        self.u0_mid = case.u0(mids[:, 0], mids[:, 1])
+        self.grad_u0_mid = case.grad_u0(mids[:, 0], mids[:, 1])
         # grad phi_i = perp(p_k - p_j) / (2 area) with (i, j, k) cyclic
-        e = mesh.edges
-        self.hat_grads = np.stack([-e[..., 1], e[..., 0]], axis=-1) / (2.0 * mesh.areas)[:, None, None]
+        e = mesh.edges.transpose(2, 1, 0)  # (xy, corner, triangle)
+        self.hat_grads = np.stack([-e[1], e[0]]) / (2.0 * mesh.areas)
         self.lengths = mesh.boundary.length
-        self.elements = np.arange(len(self.lengths))[:, None]
-        pts = boundary_point(mesh, self.elements, _GAUSS_T)  # 3 Gauss points per element
+        elements = np.arange(len(self.lengths))
+        self.successor = np.roll(elements, -1)
+        pts = boundary_point(mesh, elements[:, None], _GAUSS_T)  # 3 Gauss points per element
         self.lambda_exact = case.lambda_exact(pts[..., 0], pts[..., 1])
 
 
 def compute_errors(quadrature: ErrorQuadrature, solution: SaddleSolution,
                    h_nominal: float, n: int, seed: int) -> ErrorReport:
-    """Field and multiplier errors of one discrete solution."""
+    """Field and multiplier errors of one discrete solution; a u or lam
+    that does not fit the mesh raises ValueError.  The integrands are
+    formed row by row in place and each field sum runs over a (triangle,
+    edge) array, so the errors keep the bits of the plain formulas."""
     q = quadrature
+    u, lam = solution.u, solution.lam
+    for name, value, size in (("u", u, len(q.mesh.vertices)), ("lam", lam, len(q.lengths))):
+        if np.shape(value) != (size,):
+            raise ValueError(f"solution {name} has shape {np.shape(value)}, the mesh needs ({size},)")
+    uc = u[q.mesh.triangles.T]  # (corner, triangle)
+    terms = np.empty(uc.shape[::-1])  # (triangle, edge), the order of the sums
     # P1 values at the edge midpoints are endpoint averages.
-    uv = solution.u[q.mesh.triangles]
-    uh_mid = 0.5 * (uv + np.roll(uv, -1, axis=1))
-    l2_sq = float(np.sum(q.weights * (q.u0_mid - uh_mid) ** 2))
+    d = np.empty_like(uc)
+    np.add(uc[:2], uc[1:], out=d[:2])
+    np.add(uc[2], uc[0], out=d[2])
+    d *= 0.5
+    np.subtract(q.u0_mid, d, out=d)
+    d *= d
+    np.multiply(d, q.weights, out=terms.T)
+    l2_sq = float(terms.sum())
 
-    uh_grad = np.einsum("ti,tid->td", uv, q.hat_grads)
-    gx, gy = q.grad_u0_mid
-    dx = gx - uh_grad[:, None, 0]
-    dy = gy - uh_grad[:, None, 1]
-    semi_sq = float(np.sum(q.weights * (dx**2 + dy**2)))
+    squares = (d, np.empty_like(d))
+    for hats, exact, sq in zip(q.hat_grads, q.grad_u0_mid, squares):  # x, then y
+        uh = uc[0] * hats[0]  # grad u_h: the corners summed in order 0, 1, 2
+        uh += uc[1] * hats[1]
+        uh += uc[2] * hats[2]
+        np.subtract(exact, uh, out=sq)
+        sq *= sq
+    d += squares[1]
+    np.multiply(d, q.weights, out=terms.T)
+    semi_sq = float(terms.sum())
 
-    approx = _hat(q.mesh, solution.lam, q.elements, _GAUSS_T)
-    lam_l2_e = q.lengths * (((q.lambda_exact - approx) ** 2) @ _GAUSS_W)
+    approx = lam[:, None] * _GAUSS_HATS[0]
+    approx += lam[q.successor][:, None] * _GAUSS_HATS[1]
+    np.subtract(q.lambda_exact, approx, out=approx)
+    approx *= approx
+    lam_l2_e = q.lengths * (approx @ _GAUSS_W)
     lam_l2_sq = float(lam_l2_e.sum())
     lam_half_sq = float(q.lengths @ lam_l2_e)
 
@@ -246,10 +272,6 @@ class Level:
             noise = sweep(self.placement, [observe(self.placement, None, model, s) for s in chunk])[1]
             reports += [self._solve(self.clean.G + g, s) for g, s in zip(noise, chunk)]
         return reports
-
-    def trial(self, model: Optional[NoiseModel], seed: int) -> ErrorReport:
-        """Solve with one noise draw and measure the errors."""
-        return self.trials(model, [seed])[0]
 
     def _solve(self, G: np.ndarray, seed: int) -> ErrorReport:
         try:

@@ -57,15 +57,6 @@ class SaddleSolution:
     residual_constraint: float
 
 
-def _residuals(system: SaddleSystem, u: np.ndarray, lam: np.ndarray) -> tuple[float, float]:
-    rp = np.linalg.norm(system.A @ u + system.B.T @ lam - system.F)
-    rc = np.linalg.norm(system.B @ u - system.G)
-    return (
-        rp / max(1.0, np.linalg.norm(system.F)),
-        rc / max(1.0, np.linalg.norm(system.G)),
-    )
-
-
 def _kernel_basis(system: SaddleSystem):
     """(coupled, N, Q, w0) from one eigensolve of B B^T over the mask
     `coupled` of rows of B that hold a nonzero: orthonormal bases of
@@ -106,13 +97,15 @@ def _cached(system: SaddleSystem, name: str, build):
 def solve_saddle(system: SaddleSystem) -> SaddleSolution:
     """Solve the saddle system for (u, lam) by the range-restricted LU.
 
-    The LU and the ker(B^T)/range(B) bases are built once per (A, B) and
-    cached in `system.factors`.  Non-finite F or G raise ValueError.
-    Residuals above 1e-10 (relative to max(1, |rhs|) blockwise) raise
-    :class:`SingularSystemError` naming the dimension of ker(B^T) and
-    the part of G in it.
+    The LU, the ker(B^T)/range(B) bases and B^T are built once per
+    (A, B) and cached in `system.factors`; F is checked and its norm
+    taken once per F object, which the trial systems of a level share.
+    Non-finite F or G raise ValueError.  Residuals above 1e-10 (relative
+    to max(1, |rhs|) blockwise) raise :class:`SingularSystemError` naming
+    the dimension of ker(B^T) and the part of G in it.
     """
-    for name in ("F", "G"):
+    F, F_scale = system.factors.get("F", (None, None))
+    for name in ("F", "G") if F is not system.F else ("G",):
         bad = np.flatnonzero(~np.isfinite(getattr(system, name)))
         if bad.size:
             raise ValueError(f"saddle system data {name} is not finite at entry {int(bad[0])}")
@@ -120,6 +113,10 @@ def solve_saddle(system: SaddleSystem) -> SaddleSolution:
 
     coupled, N, Q, smallest = _cached(system, "kernel", _kernel_basis)
     lu = _cached(system, "lu", _factorize)
+    BT = _cached(system, "BT", lambda s: s.B.T)
+    if F is not system.F:
+        F_scale = max(1.0, np.linalg.norm(system.F))
+    system.factors["F"] = (system.F, F_scale)  # after _cached, which may empty the cache
     if isinstance(lu, str):
         reason = lu
     else:
@@ -128,7 +125,8 @@ def solve_saddle(system: SaddleSystem) -> SaddleSolution:
         if Q is not None:
             lam = np.zeros(system.n_multiplier)
             lam[coupled] = Q @ x[nv:]
-        rp, rc = _residuals(system, u, lam)
+        rp = np.linalg.norm(system.A @ u + BT @ lam - system.F) / F_scale
+        rc = np.linalg.norm(system.B @ u - system.G) / max(1.0, np.linalg.norm(system.G))
         if np.isfinite(rp) and np.isfinite(rc) and rp <= RESIDUAL_LIMIT and rc <= RESIDUAL_LIMIT:
             return SaddleSolution(u, lam, rp, rc)
         reason = f"direct solve left residuals ({rp:.2e}, {rc:.2e})"

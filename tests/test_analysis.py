@@ -3,6 +3,7 @@ import dataclasses
 import logging
 import math
 import os
+import re
 import subprocess
 import sys
 import tracemalloc
@@ -14,6 +15,7 @@ import scipy.sparse as sp
 import obsfem
 from obsfem import (
     ErrorQuadrature,
+    ErrorReport,
     Level,
     NoiseModel,
     SaddleSolution,
@@ -180,6 +182,17 @@ class TestComputeErrors:
         assert rep.residual_constraint == 4e-15
 
 
+    @pytest.mark.parametrize("u_shape, lam_shape, bad", [
+        ((32,), (16,), "u has shape (32,), the mesh needs (25,)"),
+        ((25, 2), (16,), "u has shape (25, 2), the mesh needs (25,)"),
+        ((25,), (17,), "lam has shape (17,), the mesh needs (16,)"),
+    ])
+    def test_solution_of_the_wrong_shape_is_rejected(self, square4, u_shape, lam_shape, bad):
+        sol = self.fake_solution(np.zeros(u_shape), np.zeros(lam_shape))
+        with pytest.raises(ValueError, match=re.escape(bad)):
+            compute_errors(ErrorQuadrature(square4, sine_case("square")), sol, 0.25, 16, 0)
+
+
 class TestPointsFor:
     def test_explicit_n_wins(self):
         assert points_for(10, 4, 123) == 123
@@ -331,10 +344,10 @@ class TestLevel:
         # array, so a trial's traced peak stays far below one 8 MB block
         level = Level("square", 4, n=2**20 + 5000)
         model = NoiseModel.gaussian(1.0)
-        level.trial(model, 0)  # the first solve factorizes
+        level.trials(model, [0])  # the first solve factorizes
         tracemalloc.start()
         try:
-            level.trial(model, 1)
+            level.trials(model, [1])
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -369,7 +382,7 @@ class TestLevel:
         for trials in (1, 3):
             calls.clear()
             level = Level("square", 6, i=2, case=case)
-            reports = [level.trial(model, s) for s in range(trials)]
+            reports = level.trials(model, range(trials))
             counts.append(dict(calls))
         assert counts[0] == counts[1]
         assert counts[0]["lambda_exact"] == 1
@@ -534,6 +547,53 @@ def oracle_reports(level, model, seeds):
     return reports
 
 
+def measured_by_plain_formulas(level, system, solution, seed):
+    """The report of one solution from the formulas the measure path
+    replaces: einsum hat gradients, np.roll edge midpoints, the element
+    hats at the Gauss points by index arithmetic, and B^T built per call."""
+    mesh, case, u, lam = level.mesh, level.case, solution.u, solution.lam
+    p = mesh.vertices[mesh.triangles]
+    mids = 0.5 * (p + np.roll(p, -1, axis=1))
+    weights = mesh.areas[:, None] / 3.0
+    uv = u[mesh.triangles]
+    uh_mid = 0.5 * (uv + np.roll(uv, -1, axis=1))
+    l2_sq = float(np.sum(weights * (case.u0(mids[..., 0], mids[..., 1]) - uh_mid) ** 2))
+    e = mesh.edges
+    hat_grads = np.stack([-e[..., 1], e[..., 0]], axis=-1) / (2.0 * mesh.areas)[:, None, None]
+    uh_grad = np.einsum("ti,tid->td", uv, hat_grads)
+    gx, gy = case.grad_u0(mids[..., 0], mids[..., 1])
+    semi_sq = float(np.sum(weights * ((gx - uh_grad[:, None, 0]) ** 2 + (gy - uh_grad[:, None, 1]) ** 2)))
+    nb, t = len(mesh.boundary), analysis._GAUSS_T
+    el = np.arange(nb)[:, None]
+    pts = boundary_point(mesh, el, t)
+    approx = (1.0 - t) * lam[el] + t * lam[(el + 1) % nb]
+    lam_l2_e = mesh.boundary.length * (((case.lambda_exact(pts[..., 0], pts[..., 1]) - approx) ** 2)
+                                       @ analysis._GAUSS_W)
+    rp = np.linalg.norm(system.A @ u + system.B.T @ lam - system.F) / max(1.0, np.linalg.norm(system.F))
+    rc = np.linalg.norm(system.B @ u - system.G) / max(1.0, np.linalg.norm(system.G))
+    return ErrorReport(level.h, level.placement.n, seed, math.sqrt(l2_sq), math.sqrt(l2_sq + semi_sq),
+                       math.sqrt(semi_sq), math.sqrt(float(lam_l2_e.sum())),
+                       math.sqrt(float(mesh.boundary.length @ lam_l2_e)), rp, rc)
+
+
+class TestMeasurePath:
+    @pytest.mark.parametrize("domain, k, i, model, seeds", [
+        ("square", 10, 2, NoiseModel.gaussian(2.0), range(5)),
+        ("square", 40, 3, NoiseModel.gaussian(2.0), range(3)),  # the tail study's level
+        ("disk", 10, 1, NoiseModel.mixture(1.0, 10.0, 0.5), range(7, 10)),  # rank-deficient
+        ("disk", 20, 1, NoiseModel.mixture(1.0, 10.0, 0.5), range(7, 10)),  # rank-deficient
+        ("disk", 10, 2, NoiseModel.gaussian(2.0), range(3)),
+    ])
+    def test_reports_keep_the_bits_of_the_plain_formulas(self, domain, k, i, model, seeds):
+        level = Level(domain, k, i=i)
+        noise = sweep(level.placement, [observe(level.placement, None, model, s) for s in seeds])[1]
+        expected = []
+        for g, seed in zip(noise, seeds):
+            system = dataclasses.replace(level.clean, G=level.clean.G + g)
+            expected.append(measured_by_plain_formulas(level, system, solve_saddle(system), seed))
+        assert level.trials(model, seeds) == expected
+
+
 class TestLevelTrials:
     @pytest.mark.parametrize("model", [NoiseModel.gaussian(1.5), NoiseModel.mixture(1.0, 10.0, 0.3)],
                              ids=["gaussian", "mixture"])
@@ -549,7 +609,7 @@ class TestLevelTrials:
         reports = level.trials(model, seeds)
         assert reports == oracle_reports(level, model, seeds)
         assert level.trials(model, seeds[:3]) + level.trials(model, seeds[3:]) == reports
-        assert [level.trial(model, s) for s in seeds] == reports
+        assert sum((level.trials(model, [s]) for s in seeds), []) == reports
 
     def test_sweeps_of_fewer_seeds_keep_the_bits(self, monkeypatch):
         # room for 2.5 mixture seeds (2 NB sums and two generators each)

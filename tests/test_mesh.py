@@ -514,9 +514,9 @@ class TestCachedGeometry:
         assert np.array_equal(assemble_load(mesh, case.f), F)
 
         quad = ErrorQuadrature(mesh, case)
-        assert np.array_equal(quad.weights, areas[:, None] / 3.0)
+        assert np.array_equal(quad.weights, areas / 3.0)
         hat_grads = np.stack([-edges[..., 1], edges[..., 0]], axis=-1) / (2.0 * areas)[:, None, None]
-        assert np.array_equal(quad.hat_grads, hat_grads)
+        assert np.array_equal(quad.hat_grads, hat_grads.transpose(2, 1, 0))  # (xy, corner, triangle)
 
     def test_level_build_computes_the_geometry_once(self, monkeypatch):
         calls = []
@@ -528,5 +528,5 @@ class TestCachedGeometry:
 
         monkeypatch.setattr(obsfem.mesh, "_triangle_geometry", counted)
         level = Level("disk", 20, i=1)
-        level.trial(NoiseModel.gaussian(1.0), 0)
+        level.trials(NoiseModel.gaussian(1.0), [0])
         assert calls == [len(level.mesh.triangles)]

@@ -191,6 +191,33 @@ class TestFactorizationReuse:
         assert base.factors["A"] is stiffer.A
 
 
+    def test_trial_systems_share_the_cached_transpose(self, regular_system):
+        base = dataclasses.replace(regular_system, factors={})
+        solve_saddle(base)
+        BT = base.factors["BT"]
+        trial = dataclasses.replace(base, G=2.0 * base.G)
+        solve_saddle(trial)
+        assert trial.factors["BT"] is BT
+        other = dataclasses.replace(base, B=2.0 * base.B)
+        sol = solve_saddle(other)
+        assert other.factors["BT"] is not BT
+        assert (other.factors["BT"] != other.B.T).nnz == 0
+        rp = np.linalg.norm(other.A @ sol.u + other.B.T @ sol.lam - other.F)
+        assert sol.residual_primal == rp / max(1.0, np.linalg.norm(other.F))
+
+    def test_a_new_F_is_checked_and_scaled_again(self, regular_system):
+        base = dataclasses.replace(regular_system, factors={})
+        solve_saddle(base)
+        bad = base.F.copy()
+        bad[3] = np.inf
+        with pytest.raises(ValueError, match="F is not finite at entry 3"):
+            solve_saddle(dataclasses.replace(base, F=bad))
+        scaled = dataclasses.replace(base, F=1e3 * base.F)
+        sol = solve_saddle(scaled)
+        rp = np.linalg.norm(scaled.A @ sol.u + scaled.B.T @ sol.lam - scaled.F) / np.linalg.norm(scaled.F)
+        assert sol.residual_primal == rp
+
+
 class TestRankDeficientLevel:
     # disk k=20 with i=1 observes 20 sites against 126 multiplier dofs,
     # so ker(B^T) is large and every trial takes the range-restricted LU
@@ -218,7 +245,7 @@ class TestRankDeficientLevel:
         rank = np.linalg.matrix_rank(level.clean.B.toarray())
         assert rank < level.clean.n_multiplier
         for seed in range(3):
-            level.trial(self.MODEL, seed)
+            level.trials(self.MODEL, [seed])
         size = level.clean.n_field + rank
         assert saddle_splu_calls == [(size, size)]
 
