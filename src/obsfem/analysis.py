@@ -143,7 +143,8 @@ class ErrorQuadrature:
     x then y); `weights` is |T|/3 per triangle."""
 
     def __init__(self, mesh: TriMesh, case: ManufacturedCase):
-        p = mesh.vertices[mesh.triangles].transpose(1, 2, 0)  # (corner, xy, triangle)
+        # (corner, xy, triangle), so every midpoint row is contiguous
+        p = np.ascontiguousarray(mesh.vertices[mesh.triangles].transpose(1, 2, 0))
         mids = 0.5 * (p + np.roll(p, -1, axis=0))  # edge midpoints
         self.mesh = mesh
         self.weights = mesh.areas / 3.0
@@ -151,7 +152,7 @@ class ErrorQuadrature:
         self.grad_u0_mid = case.grad_u0(mids[:, 0], mids[:, 1])
         # grad phi_i = perp(p_k - p_j) / (2 area) with (i, j, k) cyclic
         e = mesh.edges.transpose(2, 1, 0)  # (xy, corner, triangle)
-        self.hat_grads = np.stack([-e[1], e[0]]) / (2.0 * mesh.areas)
+        self.hat_grads = np.ascontiguousarray(np.stack([-e[1], e[0]]) / (2.0 * mesh.areas))
         self.lengths = mesh.boundary.length
         elements = np.arange(len(self.lengths))
         self.successor = np.roll(elements, -1)

@@ -98,14 +98,12 @@ def solve_saddle(system: SaddleSystem) -> SaddleSolution:
     """Solve the saddle system for (u, lam) by the range-restricted LU.
 
     The LU, the ker(B^T)/range(B) bases and B^T are built once per
-    (A, B) and cached in `system.factors`; F is checked and its norm
-    taken once per F object, which the trial systems of a level share.
-    Non-finite F or G raise ValueError.  Residuals above 1e-10 (relative
-    to max(1, |rhs|) blockwise) raise :class:`SingularSystemError` naming
-    the dimension of ker(B^T) and the part of G in it.
+    (A, B) and cached in `system.factors`.  Non-finite F or G raise
+    ValueError.  Residuals above 1e-10 (relative to max(1, |rhs|)
+    blockwise) raise :class:`SingularSystemError` naming the dimension
+    of ker(B^T) and the part of G in it.
     """
-    F, F_scale = system.factors.get("F", (None, None))
-    for name in ("F", "G") if F is not system.F else ("G",):
+    for name in ("F", "G"):
         bad = np.flatnonzero(~np.isfinite(getattr(system, name)))
         if bad.size:
             raise ValueError(f"saddle system data {name} is not finite at entry {int(bad[0])}")
@@ -114,9 +112,6 @@ def solve_saddle(system: SaddleSystem) -> SaddleSolution:
     coupled, N, Q, smallest = _cached(system, "kernel", _kernel_basis)
     lu = _cached(system, "lu", _factorize)
     BT = _cached(system, "BT", lambda s: s.B.T)
-    if F is not system.F:
-        F_scale = max(1.0, np.linalg.norm(system.F))
-    system.factors["F"] = (system.F, F_scale)  # after _cached, which may empty the cache
     if isinstance(lu, str):
         reason = lu
     else:
@@ -125,7 +120,7 @@ def solve_saddle(system: SaddleSystem) -> SaddleSolution:
         if Q is not None:
             lam = np.zeros(system.n_multiplier)
             lam[coupled] = Q @ x[nv:]
-        rp = np.linalg.norm(system.A @ u + BT @ lam - system.F) / F_scale
+        rp = np.linalg.norm(system.A @ u + BT @ lam - system.F) / max(1.0, np.linalg.norm(system.F))
         rc = np.linalg.norm(system.B @ u - system.G) / max(1.0, np.linalg.norm(system.G))
         if np.isfinite(rp) and np.isfinite(rc) and rp <= RESIDUAL_LIMIT and rc <= RESIDUAL_LIMIT:
             return SaddleSolution(u, lam, rp, rc)

@@ -181,7 +181,6 @@ class TestComputeErrors:
         assert rep.residual_primal == 3e-14
         assert rep.residual_constraint == 4e-15
 
-
     @pytest.mark.parametrize("u_shape, lam_shape, bad", [
         ((32,), (16,), "u has shape (32,), the mesh needs (25,)"),
         ((25, 2), (16,), "u has shape (25, 2), the mesh needs (25,)"),
@@ -382,7 +381,7 @@ class TestLevel:
         for trials in (1, 3):
             calls.clear()
             level = Level("square", 6, i=2, case=case)
-            reports = level.trials(model, range(trials))
+            reports = sum((level.trials(model, [s]) for s in range(trials)), [])  # a sweep and solve each
             counts.append(dict(calls))
         assert counts[0] == counts[1]
         assert counts[0]["lambda_exact"] == 1
