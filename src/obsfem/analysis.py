@@ -43,7 +43,7 @@ from .assembly import (  # noqa: F401  (perfbench traces the assemble_* function
     sweep,
 )
 from .mesh import TriMesh, boundary_point, build_disk_mesh, build_square_mesh
-from .observations import NoiseModel, ObservationSet, _generators, observe, place_points
+from .observations import NoiseModel, ObservationSet, _check_integer, _generators, observe, place_points
 from .solver import SaddleSolution, SingularSystemError, solve_saddle
 
 logger = logging.getLogger(__name__)
@@ -219,6 +219,7 @@ def compute_errors(quadrature: ErrorQuadrature, solution: SaddleSolution,
 def points_for(k: int, i: Optional[int], n: Optional[int]) -> int:
     """Observation count: explicit n, or round(h^-i) with h = 1/k."""
     if n is not None:
+        _check_integer("n", n)
         if n < 1:
             raise ValueError("n must be positive")
         return int(n)

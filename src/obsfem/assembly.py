@@ -26,7 +26,7 @@ import numpy as np
 import scipy.sparse as sp
 
 from .mesh import TriMesh
-from .observations import _NOISE_BLOCK, ObservationSet, Placement, _element_runs
+from .observations import ObservationSet, Placement, _element_runs
 
 
 def assemble_stiffness(mesh: TriMesh) -> sp.csr_matrix:
@@ -66,14 +66,14 @@ def sweep(placement: Placement, sets: Sequence[ObservationSet],
     The pass runs piece by piece (see :class:`Placement`), so its work
     arrays stay in cache.  Per piece, t and alpha are derived once into
     the placement's piece buffers; then B's per-element sums and, for
-    each set in turn, its values in `placement.work`, drawn on from the
-    set's noise stream of the piece's noise block, are reduced.  Every
-    per-element sum is one `np.add.reduceat` per noise block, since no
-    piece splits an element run of a block, and added up over the
-    blocks, so a set's G has the same bits whatever else the pass
-    reduces.  Every site only touches the two hat functions
-    of its element on each side, so B has at most three nonzeros per row
-    and each element contributes a 2 x 2 block
+    each set in turn, its values in `placement.work` are reduced, the
+    set going on with its own noise stream.  Every per-element sum is
+    one `np.add.reduceat` per noise block, since no piece splits an
+    element run of a block, and added up over the blocks, so a set's G
+    has the same bits whatever else the pass reduces.  Every site only
+    touches the two hat functions of its element on each side, so B has
+    at most three nonzeros per row and each element contributes a 2 x 2
+    block
 
         [[b00, b01], [b01, b11]] = sum_i alpha_i [[(1-t)^2, (1-t) t], [(1-t) t, t^2]],
 
@@ -86,8 +86,6 @@ def sweep(placement: Placement, sets: Sequence[ObservationSet],
     left, right = np.zeros((2, len(sets), nb))
     bounds = placement.pieces.tolist()
     for lo, hi in zip(bounds[:-1], bounds[1:]):
-        if lo % _NOISE_BLOCK == 0:
-            streams = [obs.stream(lo // _NOISE_BLOCK) for obs in sets]
         owners, counts = _element_runs(placement.offsets, lo, hi)
         starts = np.cumsum(counts) - counts
         t, alpha = placement.sites(lo, hi)
@@ -103,8 +101,8 @@ def sweep(placement: Placement, sets: Sequence[ObservationSet],
             b00[owners] += total - moment
             b01[owners] += moment
             b11[owners] += np.add.reduceat(w, starts)  # sum alpha t t
-        for j, (obs, noise) in enumerate(zip(sets, streams)):
-            obs.values(lo, hi, w, t, noise)
+        for j, obs in enumerate(sets):
+            obs.values(lo, hi, w, t)
             w *= alpha
             total = np.add.reduceat(w, starts)
             w *= t

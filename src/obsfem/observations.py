@@ -11,11 +11,10 @@ A placement stores no per-site data: t, alpha and the points are
 derived per range of sites from per-element constants.
 An observation set stores no data: it binds a placement, g0, a noise
 model and a seed, and its data g_j = g0(x_j) + e_j are read through
-`values`.  Noise is generated with a counter-based RNG in fixed-size
-blocks, each drawn in order from its start, so the value at point i
-depends only on (seed, i, n); large observation sets can therefore be
-read in streaming pieces (and in parallel) without changing a single
-bit.
+`values`.  Noise is drawn in fixed-size blocks of a counter-based RNG,
+each in order from its start, so the value at site i depends only on
+(seed, i, n); a set goes on with the stream of the block it read last,
+so pieces read in order draw each block once.
 """
 
 from __future__ import annotations
@@ -23,6 +22,7 @@ from __future__ import annotations
 import bisect
 import math
 import mmap
+import numbers
 from dataclasses import dataclass, field
 from typing import Callable, Optional
 
@@ -46,8 +46,8 @@ _ENDPOINT_NUDGE = 1e-9
 
 @dataclass(frozen=True)
 class NoiseModel:
-    """Observation noise law: none, Gaussian(sigma), or a two-component
-    Gaussian scale mixture (component 1 with prob p, else component 2)."""
+    """Observation noise law: Gaussian(sigma), or a two-component Gaussian
+    scale mixture (component 1 with prob p, else 2); no noise is None."""
 
     kind: str
     sigma: float = 0.0
@@ -56,7 +56,7 @@ class NoiseModel:
     p: float = 0.5
 
     def __post_init__(self):
-        if self.kind not in ("none", "gaussian", "mixture"):
+        if self.kind not in ("gaussian", "mixture"):
             raise ValueError(f"unknown noise kind {self.kind!r}")
         for name in ("sigma", "sigma1", "sigma2", "p"):
             object.__setattr__(self, name, float(getattr(self, name)) + 0.0)  # -0.0 becomes 0.0
@@ -66,10 +66,6 @@ class NoiseModel:
                 raise ValueError(f"{name} must be finite and nonnegative, got {value}")
         if self.kind == "mixture" and not (0.0 <= self.p <= 1.0):
             raise ValueError(f"p (the mixture probability) must lie in [0, 1], got {self.p}")
-
-    @staticmethod
-    def none() -> "NoiseModel":
-        return NoiseModel("none")
 
     @staticmethod
     def gaussian(sigma: float) -> "NoiseModel":
@@ -82,8 +78,6 @@ class NoiseModel:
     @property
     def std(self) -> float:
         """Standard deviation of one noise draw."""
-        if self.kind == "none":
-            return 0.0
         if self.kind == "gaussian":
             return self.sigma
         return math.sqrt(self.p * self.sigma1**2 + (1.0 - self.p) * self.sigma2**2)
@@ -91,7 +85,7 @@ class NoiseModel:
 
 def _generators(model: Optional[NoiseModel]) -> int:
     """How many Philox generators a noise stream of `model` holds."""
-    return {"gaussian": 1, "mixture": 2}.get(model.kind, 0) if model is not None else 0
+    return {"gaussian": 1, "mixture": 2}[model.kind] if model is not None else 0
 
 
 class _NoiseStream:
@@ -105,10 +99,11 @@ class _NoiseStream:
     them.  The normals are drawn by a second generator moved past the
     uniforms (Philox yields 4 per counter step), so drawing a window in
     pieces gives the bits of one draw over the whole window.  The seed
-    is the low 64 bits of the key, so it must lie in [0, 2^64).
+    is the low 64 bits of the key, so it must be an integer in [0, 2^64).
     """
 
     def __init__(self, model: Optional[NoiseModel], seed: int, n: int, block: int):
+        _check_integer("seed", seed)
         if not 0 <= seed < 1 << 64:
             raise ValueError(f"seed must lie in [0, 2^64), got {seed}")
         self.model = model
@@ -147,19 +142,24 @@ class _NoiseStream:
         return out
 
 
-def _draw_noise(model: Optional[NoiseModel], seed: int, n: int, lo: int, hi: int,
-                out: np.ndarray) -> np.ndarray:
-    """Write entries [lo, hi) of the noise of an n-entry stream into `out`,
-    each noise block it touches drawn from the block's start."""
+def _draw_noise(model: Optional[NoiseModel], seed: int, n: int, lo: int, hi: int, out: np.ndarray,
+                stream: Optional[_NoiseStream] = None) -> Optional[_NoiseStream]:
+    """Write entries [lo, hi) of the noise of an n-entry stream into `out`
+    and return the stream it ends on: in each block, `stream` goes on if
+    it is the block's and has not passed the range, else one starts anew."""
     for base in range(lo - lo % _NOISE_BLOCK, hi, _NOISE_BLOCK) if lo < hi else ():
         a, b = max(lo, base), min(hi, base + _NOISE_BLOCK)
-        _NoiseStream(model, seed, n, base // _NOISE_BLOCK).draw(a, out[a - lo : b - lo])
-    return out
+        if stream is None or not stream.at <= a < stream.end:
+            stream = _NoiseStream(model, seed, n, base // _NOISE_BLOCK)
+        stream.draw(a, out[a - lo : b - lo])
+    return stream
 
 
 def sample_noise(model: Optional[NoiseModel], count: int, seed: int) -> np.ndarray:
     """Draw `count` noise values, the whole stream of that length."""
-    return _draw_noise(model, seed, count, 0, count, np.empty(count))
+    out = np.empty(count)
+    _draw_noise(model, seed, count, 0, count, out)
+    return out
 
 
 def _site_array(n: int) -> np.ndarray:
@@ -298,6 +298,12 @@ def _check_range(n: int, lo: int, hi: int) -> None:
         raise ValueError(f"site range [{lo}, {hi}) is not within [0, {n}]")
 
 
+def _check_integer(name: str, value) -> None:
+    """Refuse a seed or site count that is not an integer; numpy integers pass."""
+    if not isinstance(value, numbers.Integral):
+        raise ValueError(f"{name} must be an integer, got {value}")
+
+
 def _check_out(out: Optional[np.ndarray], lo: int, hi: int) -> None:
     """Refuse an `out` array that cannot hold the site range [lo, hi)."""
     if out is not None and len(out) != hi - lo:
@@ -380,6 +386,7 @@ def place_points(mesh: TriMesh, n: int) -> Placement:
     runs and the nudges are computed here; t and the weights are derived
     when a range of sites is read.
     """
+    _check_integer("n", n)
     if n < 1:
         raise ValueError(f"need n >= 1, got {n}")
     h = mesh.boundary.length
@@ -408,38 +415,29 @@ def place_points(mesh: TriMesh, n: int) -> Placement:
 class ObservationSet:
     """Placement plus observed data g_j = g0(x_j) + e_j for one seed.
 
-    The set stores no data.  `values` draws the noise of the sites it is
-    asked for and adds g0 (if any), into the caller's array if one is
-    given, so reading the set piece by piece through `placement.work`,
-    from the noise `stream` of each block, allocates no array the size
-    of a piece.  g0 None means the data are the noise alone; model None
-    means no noise.
+    The set stores no observed data, only the noise stream of the block
+    it read last.  `values` draws the noise and adds g0 (if any), into
+    the caller's array if one is given, so reading the set piece by
+    piece through `placement.work` allocates no array the size of a
+    piece.  g0 None means noise alone; model None, no noise.
     """
 
     placement: Placement
     g0: Optional[Callable]
     model: Optional[NoiseModel]
     seed: int
-
-    def stream(self, block: int) -> _NoiseStream:
-        """The noise of noise block `block` of the set, from its start."""
-        return _NoiseStream(self.model, self.seed, self.placement.n, block)
+    _noise: Optional[_NoiseStream] = field(default=None, init=False, repr=False, compare=False)
 
     def values(self, lo: int, hi: int, out: Optional[np.ndarray] = None,
-               t: Optional[np.ndarray] = None, noise: Optional[_NoiseStream] = None) -> np.ndarray:
-        """g at sites [lo, hi), written into `out` if it is given.  The
-        noise comes from `noise`, the :meth:`stream` of the one block that
-        holds [lo, hi), if it is given; else each block is drawn from its
-        start.  `t`, if given, holds the sites' parameters, so that g0 is
-        read without deriving them."""
-        n = self.placement.n
-        _check_range(n, lo, hi)
+               t: Optional[np.ndarray] = None) -> np.ndarray:
+        """g at sites [lo, hi), written into `out` if it is given, the noise
+        going on from the stream the set kept (see :func:`_draw_noise`).
+        `t`, if given, holds the sites' parameters, so that g0 is read
+        without deriving them."""
+        _check_range(self.placement.n, lo, hi)
         _check_out(out, lo, hi)
         out = np.empty(hi - lo) if out is None else out
-        if noise is None:
-            _draw_noise(self.model, self.seed, n, lo, hi, out)
-        else:
-            noise.draw(lo, out)
+        self._noise = _draw_noise(self.model, self.seed, self.placement.n, lo, hi, out, self._noise)
         if self.g0 is not None:
             for a in range(lo, hi, _SUB_BLOCK):
                 b = min(hi, a + _SUB_BLOCK)
@@ -464,11 +462,9 @@ def build_observation_set(
     model: Optional[NoiseModel] = None,
     seed: int = 0,
 ) -> ObservationSet:
-    """Place n sites on the boundary and observe g0 under the noise model.
-
-    The result is bit-reproducible: identical (mesh, n, g0, model, seed)
-    give identical values, however the set is read.
-    """
+    """Place n sites on the boundary and observe g0 under the noise model;
+    identical (mesh, n, g0, model, seed) give identical values, however
+    the set is read."""
     return observe(place_points(mesh, n), g0, model, seed)
 
 

@@ -98,13 +98,16 @@ def solve_saddle(system: SaddleSystem) -> SaddleSolution:
     """Solve the saddle system for (u, lam) by the range-restricted LU.
 
     The LU, the ker(B^T)/range(B) bases and B^T are built once per
-    (A, B) and cached in `system.factors`.  Non-finite F or G raise
-    ValueError.  Residuals above 1e-10 (relative to max(1, |rhs|)
-    blockwise) raise :class:`SingularSystemError` naming the dimension
-    of ker(B^T) and the part of G in it.
+    (A, B) and cached in `system.factors`.  Misshapen or non-finite F
+    or G raise ValueError.  Residuals above 1e-10 (relative to max(1,
+    |rhs|) blockwise) raise :class:`SingularSystemError` naming the
+    dimension of ker(B^T) and the part of G in it.
     """
-    for name in ("F", "G"):
-        bad = np.flatnonzero(~np.isfinite(getattr(system, name)))
+    for name, size in (("F", system.n_field), ("G", system.n_multiplier)):
+        data = getattr(system, name)
+        if np.shape(data) != (size,):
+            raise ValueError(f"saddle system data {name} has shape {np.shape(data)}, the system needs ({size},)")
+        bad = np.flatnonzero(~np.isfinite(data))
         if bad.size:
             raise ValueError(f"saddle system data {name} is not finite at entry {int(bad[0])}")
     nv = system.n_field

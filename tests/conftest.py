@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from obsfem import Boundary, TriMesh, build_disk_mesh, build_square_mesh
+from obsfem import observations
 
 
 @pytest.fixture(scope="session")
@@ -38,6 +39,20 @@ def mixed_mesh():
     h = math.pi / 2
     arc = [[math.nan] * 5] + [[0.0, 0.0, 1.0, j * h, (j + 1) * h] for j in (1, 2, 3)]
     return TriMesh(verts, tris, Boundary(np.arange(4), [math.sqrt(2.0), h, h, h], arc))
+
+
+@pytest.fixture()
+def stream_opens(monkeypatch):
+    """(seed, block) of every noise stream opened while the test runs."""
+    opens = []
+
+    class CountedStream(observations._NoiseStream):
+        def __init__(self, model, seed, n, block):
+            opens.append((seed, block))
+            super().__init__(model, seed, n, block)
+
+    monkeypatch.setattr(observations, "_NoiseStream", CountedStream)
+    return opens
 
 
 @pytest.fixture()

@@ -195,6 +195,7 @@ class TestComputeErrors:
 class TestPointsFor:
     def test_explicit_n_wins(self):
         assert points_for(10, 4, 123) == 123
+        assert type(points_for(10, 4, np.int64(123))) is int
 
     def test_power_law(self):
         assert points_for(10, 2, None) == 100
@@ -208,6 +209,8 @@ class TestPointsFor:
             points_for(10, 5, None)
         with pytest.raises(ValueError):
             points_for(10, 2, 0)
+        with pytest.raises(ValueError, match="^n must be an integer, got 10.5$"):  # not truncated to 10
+            points_for(10, None, 10.5)
 
 
 class TestEstimateRates:
@@ -387,11 +390,18 @@ class TestLevel:
         assert counts[0]["lambda_exact"] == 1
         assert reports[0] == run_case("square", 6, i=2, model=model, seed=0)
 
-    @pytest.mark.parametrize("i, n, match", [(None, 0, "n must be positive"), (5, None, "got 5")])
+    @pytest.mark.parametrize("i, n, match", [(None, 0, "n must be positive"), (5, None, "got 5"),
+                                             (None, 10.5, "n must be an integer, got 10.5")])
     def test_bad_i_or_n_fails_before_the_mesh(self, monkeypatch, i, n, match):
         monkeypatch.setattr(analysis, "build_mesh", lambda *a: pytest.fail("built a mesh"))
         with pytest.raises(ValueError, match=match):
             Level("square", 4, i=i, n=n)
+
+    def test_seed_that_is_not_an_integer_fails(self):
+        # int(1.5) would report seed 1.5 with seed 1's noise
+        level = Level("square", 4, i=2)
+        with pytest.raises(ValueError, match="^seed must be an integer, got 1.5$"):
+            level.trials(NoiseModel.gaussian(1.0), [1.5])
 
     def test_non_finite_g0_fails_at_level_build(self):
         case = sine_case("square")
@@ -634,6 +644,12 @@ class TestLevelTrials:
         monkeypatch.setattr(level, "_solve", lambda G, seed: None)
         level.trials(model, range(seeds + 1))
         assert sweeps == [seeds, 1]
+
+    def test_a_sweep_opens_one_stream_per_block_and_seed(self, stream_opens):
+        level = Level("square", 4, n=3 * 2 ** 20 + 5)  # four noise blocks
+        stream_opens.clear()
+        level.trials(NoiseModel.mixture(1.0, 10.0, 0.3), range(2))
+        assert stream_opens == [(seed, block) for block in range(4) for seed in range(2)]
 
     def test_no_array_holds_more_than_a_piece(self):
         # elements of 196608 sites: a noise block holds 5 whole runs and

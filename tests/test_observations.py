@@ -1,3 +1,4 @@
+import dataclasses
 import functools
 import math
 import mmap
@@ -224,6 +225,13 @@ class TestPlacement:
         # midpoint offsets (2j+1)/500 are never multiples of 0.1
         assert len(place_points(square10, 1000).nudged) == 0
 
+    @pytest.mark.parametrize("n, match", [(10.5, "n must be an integer, got 10.5"), (10.0, "n must be an integer"),
+                                          (0, "need n >= 1, got 0")])
+    def test_site_count_must_be_a_positive_integer(self, square10, n, match):
+        with pytest.raises(ValueError, match=f"^{match}"):
+            place_points(square10, n)
+        assert place_points(square10, np.int64(10)).n == 10
+
     def test_params_strictly_increasing_per_element(self, disk10):
         pl = place_points(disk10, 500)
         t = pl.t(0, pl.n)
@@ -419,7 +427,10 @@ class TestPlacement:
 class TestNoise:
     def test_none_is_zero(self):
         assert not sample_noise(None, 100, seed=1).any()
-        assert not sample_noise(NoiseModel.none(), 100, seed=1).any()
+
+    def test_no_noise_is_none_not_a_kind(self):
+        with pytest.raises(ValueError, match="^unknown noise kind 'none'$"):
+            NoiseModel("none")
 
     def test_deterministic(self):
         a = sample_noise(NoiseModel.gaussian(2.0), 5000, seed=42)
@@ -434,6 +445,17 @@ class TestNoise:
         with pytest.raises(ValueError, match=f"got {seed}$"):
             sample_noise(NoiseModel.gaussian(1.0), 10, seed)
 
+    @pytest.mark.parametrize("seed", [1.5, 1.0, np.float64(2.0)])
+    def test_seed_that_is_not_an_integer_rejected(self, seed):
+        # int(1.5) would draw seed 1's noise under seed 1.5
+        with pytest.raises(ValueError, match=f"^seed must be an integer, got {seed}$"):
+            sample_noise(NoiseModel.gaussian(1.0), 5, seed)
+
+    def test_numpy_integer_seeds_draw_the_python_seed(self):
+        model = NoiseModel.mixture(1.0, 10.0, 0.3)
+        for seed in (np.int64(3), np.uint64(3), np.int32(3)):
+            assert np.array_equal(sample_noise(model, 50, seed), sample_noise(model, 50, 3))
+
     def test_gaussian_moments(self):
         e = sample_noise(NoiseModel.gaussian(2.0), 10 ** 6, seed=7)
         assert abs(e.mean()) <= 4 * (2 / 10 ** 3)
@@ -446,7 +468,6 @@ class TestNoise:
         assert abs(e.std() - model.std) <= 0.02 * model.std
 
     def test_std_property(self):
-        assert NoiseModel.none().std == 0.0
         assert NoiseModel.gaussian(2.0).std == 2.0
         assert NoiseModel.mixture(1.0, 10.0, 0.5).std == pytest.approx(
             math.sqrt(0.5 * 1 + 0.5 * 100))
@@ -474,7 +495,32 @@ class TestNoise:
             assert obs.values(start, stop, out) is out
             np.testing.assert_array_equal(out, full[start:stop])
         out = np.full(7, np.nan)
-        assert not observe(pl, None, NoiseModel.none(), 3).values(5, 12, out).any()
+        assert not observe(pl, None, None, 3).values(5, 12, out).any()
+
+    def test_set_read_in_order_opens_one_stream_per_block(self, stream_opens):
+        # 3 2^20 + 5 sites: four noise blocks, the last of 5 entries
+        model, n = NoiseModel.mixture(1.0, 10.0, 0.3), 3 * 2 ** 20 + 5
+        obs = observe(place_points(mesh_of("square", 4), n), None, model, 8)
+        got = np.concatenate([obs.values(lo, min(lo + 2 ** 16, n)) for lo in range(0, n, 2 ** 16)])
+        assert stream_opens == [(8, 0), (8, 1), (8, 2), (8, 3)]
+        stream_opens.clear()
+        assert np.array_equal(got, sample_noise(model, n, 8))
+        assert stream_opens == [(8, 0), (8, 1), (8, 2), (8, 3)]
+
+    def test_set_read_back_or_anew_draws_the_block_from_its_start(self, stream_opens):
+        model, n = NoiseModel.gaussian(1.0), 2 ** 20 + 50
+        full = sample_noise(model, n, 4)
+        obs = observe(place_points(mesh_of("square", 4), n), None, model, 4)
+        stream_opens.clear()
+        for lo, hi, opened in ((10, 20, [0]), (20, 30, []), (15, 25, [0]), (2 ** 20 + 3, n, [1]),
+                               (2 ** 20 - 2, 2 ** 20 + 2, [0, 1]), (2 ** 20 + 2, 2 ** 20 + 3, [])):
+            assert np.array_equal(obs.values(lo, hi), full[lo:hi])
+            assert [block for _, block in stream_opens] == opened
+            stream_opens.clear()
+        # the kept stream is not part of the set's value
+        assert obs == observe(obs.placement, None, model, 4)
+        assert "_noise" not in repr(obs)
+        assert dataclasses.replace(obs)._noise is None
 
     @staticmethod
     def whole_window(model, seed, block, m):

@@ -1,4 +1,5 @@
 import dataclasses
+import re
 
 import numpy as np
 import pytest
@@ -244,6 +245,20 @@ class TestNonFiniteData:
         bad[3] = np.nan
         system = dataclasses.replace(regular_system, factors={}, **{name: bad})
         with pytest.raises(ValueError, match=rf"{name} is not finite at entry 3"):
+            solve_saddle(system)
+        assert not system.factors
+
+
+class TestMisshapenData:
+    @pytest.mark.parametrize("name", ["F", "G"])
+    @pytest.mark.parametrize("shape", [lambda size: (3,), lambda size: (size, 1)], ids=["short", "column"])
+    def test_rejected_naming_the_block_and_both_shapes(self, name, shape):
+        clean = Level("square", 4, i=2).clean
+        size = {"F": clean.n_field, "G": clean.n_multiplier}[name]
+        bad = np.zeros(shape(size))
+        system = dataclasses.replace(clean, **{name: bad})
+        with pytest.raises(ValueError, match=rf"^saddle system data {name} has shape {re.escape(str(bad.shape))}, "
+                                             rf"the system needs \({size},\)$"):
             solve_saddle(system)
         assert not system.factors
 
