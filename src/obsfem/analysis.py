@@ -16,7 +16,7 @@ the placement, A, F, B, the clean data vector G0, the error quadrature
 points, the hat gradients) and, from its first solve on, the saddle LU
 and the ker B^T basis.  A trial observes only its noise, as an
 observation set without g0.  `Level.trials` forms G = G0 + G_noise for
-a chunk of seeds in one sweep over the sites, piece by piece, then
+a chunk of seeds in one sweep over the sites, window by window, then
 back-solves and integrates the errors of each seed's u and
 lambda.  `run_case`, `run_study` and `tail_study` go through
 `Level.trials`; a pool task is one level and a contiguous chunk of
@@ -42,8 +42,8 @@ from .assembly import (  # noqa: F401  (perfbench traces the assemble_* function
     assemble_stiffness,
     sweep,
 )
-from .mesh import TriMesh, boundary_point, build_disk_mesh, build_square_mesh
-from .observations import NoiseModel, ObservationSet, _check_integer, _generators, observe, place_points
+from .mesh import TriMesh, _check_integer, boundary_point, build_disk_mesh, build_square_mesh
+from .observations import NoiseModel, ObservationSet, _generators, observe, place_points
 from .solver import SaddleSolution, SingularSystemError, solve_saddle
 
 logger = logging.getLogger(__name__)
@@ -235,14 +235,14 @@ class Level:
 
     A level holds the mesh, the placement, the clean system (A, B, F, G0)
     and the error quadrature.  It holds no per-site array: the placement
-    derives t and alpha per piece of about 2^16 sites into its piece
-    buffers, and the build reduces B and G0 in one sweep of
-    :func:`assembly.sweep` over them (so a g0 that is not finite fails
-    here, naming the site).  :meth:`trials` reduces the noise of every
-    seed of a chunk in one more sweep, piece by piece.  Trial systems are
-    derived from the clean system with `dataclasses.replace`, so they
-    share its solver `factors`.  The error quadrature is built with the
-    level, so a trial evaluates neither the case nor the mesh geometry.
+    derives t and alpha per window of 2^16 sites into its piece buffers,
+    and the build reduces B and G0 in one sweep of :func:`assembly.sweep`
+    over them (so a g0 that is not finite fails here, naming the site).
+    :meth:`trials` reduces the noise of every seed of a chunk in one more
+    sweep, window by window.  Trial systems are derived from the clean
+    system with `dataclasses.replace`, so they share its solver
+    `factors`.  The error quadrature is built with the level, so a trial
+    evaluates neither the case nor the mesh geometry.
     """
 
     def __init__(self, domain: str, k: int, i: Optional[int] = None, n: Optional[int] = None,
@@ -261,7 +261,7 @@ class Level:
         """Error reports of one noise draw per seed, in seed order.
 
         The seeds' data vectors come from sweeps over the sites, each of
-        as many seeds as _SWEEP_BYTES holds (see there), so each piece's t
+        as many seeds as _SWEEP_BYTES holds (see there), so each window's t
         and alpha are derived once per sweep; then each seed is solved and
         measured in turn.  A seed's report does not depend on the other
         seeds in its sweep.
@@ -309,8 +309,9 @@ def _warn_first_chunks(done, chunks: int):
 
 
 def _run_levels(domain: str, ks: Sequence[int], i: Optional[int], n: Optional[int],
-                model: Optional[NoiseModel], seeds: range, workers: int) -> list:
-    """Reports per mesh size k, in seed order.
+                model: Optional[NoiseModel], seed: int, trials: int, workers: int) -> list:
+    """Reports per mesh size k over the seeds seed, ..., seed + trials - 1,
+    in seed order.
 
     A task is one level and a contiguous chunk of the seeds; with
     workers > 1 the chunks go to a process pool, so a worker builds a
@@ -320,7 +321,10 @@ def _run_levels(domain: str, ks: Sequence[int], i: Optional[int], n: Optional[in
     and before the error of a trial that fails, serial or pooled.  The
     serial loop stops at the first level that fails.
     """
-    if not 0 <= seeds.start <= seeds.stop <= 1 << 64:  # before any level is built
+    for name, value in (("seed", seed), ("trials", trials), ("workers", workers)):
+        _check_integer(name, value)  # before any level is built
+    seeds = range(seed, seed + trials)
+    if not 0 <= seeds.start <= seeds.stop <= 1 << 64:
         raise ValueError(f"seeds [{seeds.start}, {seeds.stop}) must lie within [0, 2^64)")
     size = -(-len(seeds) // max(workers, 1))
     chunks = [seeds[j : j + size] for j in range(0, len(seeds), size)]
@@ -342,7 +346,7 @@ def run_case(
     seed: int = 0,
 ) -> ErrorReport:
     """Build, solve and measure one configuration."""
-    return _run_levels(domain, [k], i, n, model, range(seed, seed + 1), 1)[0][0]
+    return _run_levels(domain, [k], i, n, model, seed, 1, 1)[0][0]
 
 
 @dataclass
@@ -422,7 +426,7 @@ def run_study(
     """
     if trials < 1:
         raise ValueError("trials must be positive")
-    reports = _run_levels(domain, ks, i, n, model, range(seed, seed + trials), workers)
+    reports = _run_levels(domain, ks, i, n, model, seed, trials, workers)
     return ConvergenceTable(domain, i, [_reduce_row(k, r) for k, r in zip(ks, reports)])
 
 
@@ -478,7 +482,7 @@ def tail_study(
     """
     if trials < 100:
         raise ValueError("tail study needs at least 100 trials")
-    [reports] = _run_levels(domain, [k], i, n, model, range(seed, seed + trials), workers)
+    [reports] = _run_levels(domain, [k], i, n, model, seed, trials, workers)
     errors = np.array([r.l2 for r in reports])
 
     med = float(np.median(errors))

@@ -29,9 +29,8 @@ EXIT_SOLVER = 3
 
 # A level holds at least the two coordinates of each mesh vertex (16 B)
 # and three piece buffers (t, alpha and the work array, 24 B per site of
-# its longest piece).  Pieces group whole element runs up to 2^16 sites,
-# so the longest holds at least min(sites, 2^15): a piece of fewer than
-# 2^15 sites is followed by a run of more.
+# a window).  A window holds min(sites, 2^16) sites, so min(sites, 2^15)
+# is a lower bound on it.
 _VERTEX_BYTES = 16
 _PIECE_SITE_BYTES = 24
 

@@ -21,6 +21,7 @@ A small text format is supported for round-tripping meshes to disk:
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, field
 from typing import Optional
 
@@ -33,6 +34,13 @@ MAX_DIAMETER_RATIO = 4.0
 
 class MeshError(ValueError):
     """Raised when a mesh violates a structural invariant."""
+
+
+def _check_integer(name: str, value, error: type = ValueError) -> None:
+    """Refuse a size, count or seed that is not an integer with `error`;
+    numpy integers pass."""
+    if not isinstance(value, numbers.Integral):
+        raise error(f"{name} must be an integer, got {value}")
 
 
 @dataclass(frozen=True, eq=False)
@@ -208,6 +216,7 @@ def build_square_mesh(k: int) -> TriMesh:
     The boundary loop consists of 4 k straight segments, ordered
     counterclockwise starting at the origin.
     """
+    _check_integer("k", k, MeshError)
     if k < 2:
         raise MeshError(f"need k >= 2, got {k}")
     xs = np.linspace(0.0, 1.0, k + 1)
@@ -236,6 +245,7 @@ def build_disk_mesh(m: int) -> TriMesh:
     boundary loop is made of circular arcs, so boundary data is placed
     on the true circle rather than on the inscribed polygon.
     """
+    _check_integer("m", m, MeshError)
     if m < 2:
         raise MeshError(f"need m >= 2, got {m}")
     # Ring 0 is the hub vertex, ring i >= 1 holds round(2 pi i) vertices,

@@ -14,29 +14,27 @@ model and a seed, and its data g_j = g0(x_j) + e_j are read through
 `values`.  Noise is drawn in fixed-size blocks of a counter-based RNG,
 each in order from its start, so the value at site i depends only on
 (seed, i, n); a set goes on with the stream of the block it read last,
-so pieces read in order draw each block once.
+so windows read in order draw each block once.
 """
 
 from __future__ import annotations
 
-import bisect
 import math
 import mmap
-import numbers
 from dataclasses import dataclass, field
 from typing import Callable, Optional
 
 import numpy as np
 
-from .mesh import TriMesh, _run_points
+from .mesh import TriMesh, _check_integer, _run_points
 
 # Fixed block size for counter-based noise generation.  Changing this
 # constant changes every stream, so it is part of the data format.
 _NOISE_BLOCK = 1 << 20
 
-# Sites are read in sub-blocks of this size (dividing _NOISE_BLOCK), and
-# a sweep in pieces of about this size, so per-site work arrays stay
-# within the L2 cache at any n.
+# A sweep reads the sites in windows [j W, min(n, (j+1) W)) of this size
+# W, which divides _NOISE_BLOCK, so its per-site work arrays stay within
+# the L2 cache at any n and no window crosses a noise block.
 _SUB_BLOCK = 1 << 16
 
 # Points closer than this to an element endpoint are nudged inward.
@@ -91,14 +89,14 @@ def _generators(model: Optional[NoiseModel]) -> int:
 class _NoiseStream:
     """The noise of one block of an n-entry stream, drawn in order.
 
-    Block b covers the window [b B, min(n, (b+1) B)) of m entries and is
-    keyed by the Philox key seed | b << 64.  Gaussian noise is sigma times
-    the normals of that key.  A mixture entry is sigma1 times its normal
-    if its uniform is below p, else sigma2 times it, where the window's m
+    Block b covers the m entries [b B, min(n, (b+1) B)) and is keyed by
+    the Philox key seed | b << 64.  Gaussian noise is sigma times the
+    normals of that key.  A mixture entry is sigma1 times its normal if
+    its uniform is below p, else sigma2 times it, where the block's m
     uniforms come first in the key's stream and its m normals after
     them.  The normals are drawn by a second generator moved past the
-    uniforms (Philox yields 4 per counter step), so drawing a window in
-    pieces gives the bits of one draw over the whole window.  The seed
+    uniforms (Philox yields 4 per counter step), so drawing a block in
+    parts gives the bits of one draw over the whole block.  The seed
     is the low 64 bits of the key, so it must be an integer in [0, 2^64).
     """
 
@@ -166,16 +164,12 @@ def _site_array(n: int) -> np.ndarray:
     """An uninitialized float array of n entries in a memory map of its own.
 
     A placement's three piece buffers (t, alpha and the work array) hold
-    as many floats as its longest piece: about 2^16, 512 KB, each, unless
-    one element run of a noise block is longer.  Taken from the malloc
-    heap, they can stay resident after the level is freed, for as long
-    as any smaller allocation above them lives; a map of their own is
-    returned to the system with them.
+    a window of min(n, 2^16) floats, 512 KB, each (t two more).  Taken
+    from the malloc heap, they can stay resident after the level is
+    freed, for as long as any smaller allocation above them lives; a map
+    of their own is returned to the system with them.
     """
-    buf = mmap.mmap(-1, max(8 * n, 1))
-    if hasattr(mmap, "MADV_HUGEPAGE"):
-        buf.madvise(mmap.MADV_HUGEPAGE)  # as numpy advises for its own large arrays
-    return np.frombuffer(buf, dtype=float, count=n)
+    return np.frombuffer(mmap.mmap(-1, max(8 * n, 1)), dtype=float, count=n)
 
 
 @dataclass
@@ -192,15 +186,14 @@ class Placement:
     `t(lo, hi)`, `alpha(lo, hi)` and `positions(lo, hi)` derive a range
     of sites from them, the same bits for any range.
 
-    A sweep reads the sites in `pieces`, whose bounds tile [0, n): runs
-    of whole element runs, clipped to noise blocks, of at most 2^16
-    sites together, a longer run being a piece of its own.
-    `sites(lo, hi)` derives t and alpha of at most a piece into the
-    placement's piece buffers, and `work` is one more piece of scratch
-    for the values a pass reduces; each holds as many floats as the
-    longest piece (t two more, for its one-site halo) in a memory map of
-    its own (see :func:`_site_array`), so dropping a level returns them
-    to the system.  A pass owns the buffers until it returns.
+    A sweep reads the sites in windows of 2^16 (see _SUB_BLOCK), which
+    may start and end inside an element run.  `sites(lo, hi)` derives t
+    and alpha of at most a window into the placement's piece buffers,
+    and `work` is one more window of scratch for the values a pass
+    reduces; each holds min(n, 2^16) floats (t two more, for its
+    one-site halo) in a memory map of its own (see :func:`_site_array`),
+    so dropping a level returns them to the system.  A pass owns the
+    buffers until it returns.
     """
 
     mesh: TriMesh
@@ -210,31 +203,25 @@ class Placement:
     nudged: np.ndarray  # (m,) increasing indices of the sites nudged off element endpoints
     nudged_t: np.ndarray  # (m,) their local parameters
     starts: np.ndarray = field(init=False, repr=False, compare=False)  # (NB+1,) element start arclengths
-    pieces: np.ndarray = field(init=False, repr=False, compare=False)  # (P+1,) piece bounds
     t_piece: np.ndarray = field(init=False, repr=False, compare=False)
     alpha_piece: np.ndarray = field(init=False, repr=False, compare=False)
     work: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         self.starts = np.concatenate([[0.0], np.cumsum(self.mesh.boundary.length)])
-        self.pieces = _pieces(self.offsets, self.n)
-        m = int(np.diff(self.pieces).max())
+        m = min(self.n, _SUB_BLOCK)
         self.t_piece, self.alpha_piece, self.work = _site_array(m + 2), _site_array(m), _site_array(m)
 
     def t(self, lo: int, hi: int, out: Optional[np.ndarray] = None) -> np.ndarray:
         """Local parameters of sites [lo, hi), written into `out` if it is
-        given: (s - start) / h per 2^16 sub-block, with the nudges applied."""
+        given: (s - start) / h, with the nudges applied."""
         _check_range(self.n, lo, hi)
         _check_out(out, lo, hi)
-        out = np.empty(hi - lo) if out is None else out
-        h = self.mesh.boundary.length
-        for a in range(lo, hi, _SUB_BLOCK):
-            b = min(hi, a + _SUB_BLOCK)
-            owners, counts = _element_runs(self.offsets, a, b)
-            tb = np.add(np.arange(a, b, dtype=float), 0.5, out=out[a - lo : b - lo])
-            tb *= self.spacing
-            tb -= np.repeat(self.starts[owners], counts)
-            tb /= np.repeat(h[owners], counts)
+        owners, counts = _element_runs(self.offsets, lo, hi)
+        out = np.add(np.arange(lo, hi, dtype=float), 0.5, out=out)
+        out *= self.spacing
+        out -= np.repeat(self.starts[owners], counts)
+        out /= np.repeat(self.mesh.boundary.length[owners], counts)
         moved = slice(*np.searchsorted(self.nudged, (lo, hi)))
         out[self.nudged[moved] - lo] = self.nudged_t[moved]
         return out
@@ -246,7 +233,7 @@ class Placement:
         return self._weights(self.t(a, b), a, lo, hi, np.empty(hi - lo))
 
     def sites(self, lo: int, hi: int) -> tuple[np.ndarray, np.ndarray]:
-        """(t, alpha) of sites [lo, hi), a range of at most one piece,
+        """(t, alpha) of sites [lo, hi), a range of at most one window,
         derived once into `t_piece` and `alpha_piece`; the next call
         overwrites them."""
         _check_range(self.n, lo, hi)
@@ -258,15 +245,12 @@ class Placement:
         return t[lo - a : hi - a], self._weights(t, a, lo, hi, self.alpha_piece[: hi - lo])
 
     def _weights(self, t: np.ndarray, base: int, lo: int, hi: int, out: np.ndarray) -> np.ndarray:
-        """alpha of sites [lo, hi) into `out`, per 2^16 sub-block, from the
-        parameters t of sites [base, base + len(t)): [lo, hi) and its
-        neighbours within [0, n)."""
-        h = self.mesh.boundary.length
-        for a in range(lo, hi, _SUB_BLOCK):
-            b = min(hi, a + _SUB_BLOCK)
-            owners, counts = _element_runs(self.offsets, a, b)
-            w = _local_weights(t, self.offsets - base, a - base, b - base, out[a - lo : b - lo])
-            w *= np.repeat(h[owners], counts)
+        """alpha of sites [lo, hi) into `out`, from the parameters t of
+        sites [base, base + len(t)): [lo, hi) and its neighbours within
+        [0, n)."""
+        owners, counts = _element_runs(self.offsets, lo, hi)
+        w = _local_weights(t, self.offsets - base, lo - base, hi - base, out)
+        w *= np.repeat(self.mesh.boundary.length[owners], counts)
         return out
 
     def positions(self, lo: int, hi: int, t: Optional[np.ndarray] = None) -> np.ndarray:
@@ -278,8 +262,8 @@ class Placement:
         return _run_points(self.mesh, *_element_runs(self.offsets, lo, hi), t)
 
     def evaluate(self, g0: Callable, lo: int, hi: int, t: Optional[np.ndarray] = None) -> np.ndarray:
-        """g0 at sites [lo, hi) in one call of g0; the callers read at most
-        a sub-block of sites at a time.  `t`, if given, holds the sites'
+        """g0 at sites [lo, hi) in one call of g0; a sweep reads at most a
+        window of sites at a time.  `t`, if given, holds the sites'
         parameters."""
         pts = self.positions(lo, hi, t)
         vals = np.asarray(g0(*pts.T), dtype=float)  # contiguous x and y
@@ -298,30 +282,10 @@ def _check_range(n: int, lo: int, hi: int) -> None:
         raise ValueError(f"site range [{lo}, {hi}) is not within [0, {n}]")
 
 
-def _check_integer(name: str, value) -> None:
-    """Refuse a seed or site count that is not an integer; numpy integers pass."""
-    if not isinstance(value, numbers.Integral):
-        raise ValueError(f"{name} must be an integer, got {value}")
-
-
 def _check_out(out: Optional[np.ndarray], lo: int, hi: int) -> None:
     """Refuse an `out` array that cannot hold the site range [lo, hi)."""
     if out is not None and len(out) != hi - lo:
         raise ValueError(f"out has length {len(out)}, the site range [{lo}, {hi}) needs {hi - lo}")
-
-
-def _pieces(offsets: np.ndarray, n: int) -> np.ndarray:
-    """Bounds of the pieces of the flat layout `offsets` over n sites:
-    its element runs, clipped to noise blocks, grouped in order into
-    pieces of at most _SUB_BLOCK sites; a longer run is a piece of its
-    own."""
-    cuts = np.union1d(offsets, np.arange(0, n, _NOISE_BLOCK)).tolist()
-    bounds = [0]
-    while bounds[-1] < n:
-        lo = bounds[-1]
-        j = bisect.bisect_right(cuts, min(lo + _SUB_BLOCK, lo - lo % _NOISE_BLOCK + _NOISE_BLOCK)) - 1
-        bounds.append(cuts[j] if cuts[j] > lo else cuts[j + 1])
-    return np.array(bounds)
 
 
 def _element_runs(offsets: np.ndarray, lo: int, hi: int) -> tuple[np.ndarray, np.ndarray]:
@@ -417,9 +381,9 @@ class ObservationSet:
 
     The set stores no observed data, only the noise stream of the block
     it read last.  `values` draws the noise and adds g0 (if any), into
-    the caller's array if one is given, so reading the set piece by
-    piece through `placement.work` allocates no array the size of a
-    piece.  g0 None means noise alone; model None, no noise.
+    the caller's array if one is given, so reading the set window by
+    window through `placement.work` allocates no array the size of a
+    window.  g0 None means noise alone; model None, no noise.
     """
 
     placement: Placement
@@ -439,10 +403,7 @@ class ObservationSet:
         out = np.empty(hi - lo) if out is None else out
         self._noise = _draw_noise(self.model, self.seed, self.placement.n, lo, hi, out, self._noise)
         if self.g0 is not None:
-            for a in range(lo, hi, _SUB_BLOCK):
-                b = min(hi, a + _SUB_BLOCK)
-                out[a - lo : b - lo] += self.placement.evaluate(
-                    self.g0, a, b, None if t is None else t[a - lo : b - lo])
+            out += self.placement.evaluate(self.g0, lo, hi, t)
         return out
 
 

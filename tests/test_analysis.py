@@ -37,6 +37,7 @@ from obsfem import (
 from obsfem import analysis
 from obsfem.analysis import ManufacturedCase, points_for
 from obsfem.assembly import sweep
+from obsfem.mesh import MeshError, build_disk_mesh, build_square_mesh
 from test_observations import whole_array_placement
 
 # Degree-5 rule on the reference triangle (barycentric points, weights
@@ -438,6 +439,20 @@ class TestRunStudy:
         with pytest.raises(ValueError, match=r"seeds \[-1, 99\)"):
             tail_study("square", 4, i=2, model=model, trials=100, seed=-1)
 
+    @pytest.mark.parametrize("call, error, name, value", [
+        (lambda: run_case("square", 4, i=2, model=NoiseModel.gaussian(1.0), seed=1.5), ValueError, "seed", 1.5),
+        (lambda: run_study("square", [4], i=2, trials=2.5), ValueError, "trials", 2.5),
+        (lambda: tail_study("square", 4, i=2, trials=150.0), ValueError, "trials", 150.0),
+        (lambda: run_study("square", [4], i=2, workers=2.5), ValueError, "workers", 2.5),
+        (lambda: run_study("square", [4.5], i=2), MeshError, "k", 4.5),
+        (lambda: build_square_mesh(4.5), MeshError, "k", 4.5),
+        (lambda: build_disk_mesh(4.5), MeshError, "m", 4.5),
+    ], ids=["run_case-seed", "run_study-trials", "tail_study-trials", "run_study-workers", "run_study-k",
+            "square-k", "disk-m"])
+    def test_non_integral_sizes_fail_naming_the_parameter(self, call, error, name, value):
+        with pytest.raises(error, match=f"^{name} must be an integer, got {value}$"):
+            call()
+
     def test_zero_noise_stds_are_zero(self):
         tab = run_study("square", [4], i=2, trials=2)
         assert tab.rows[0].l2_std == 0.0
@@ -516,7 +531,7 @@ class TestTailStudy:
 def oracle_reports(level, model, seeds):
     """Reports of one trial per seed, each reduced from whole-array t and
     alpha (:func:`test_observations.whole_array_placement`) and a whole
-    noise stream, one reduceat of fresh arrays per 2^20-site block; B is
+    noise stream, one reduceat of fresh arrays per 2^16-site window; B is
     checked against the same reduction."""
     mesh, n = level.mesh, level.placement.n
     t, offsets, _, alpha = whole_array_placement(mesh, n)
@@ -524,8 +539,8 @@ def oracle_reports(level, model, seeds):
 
     def moments(v):
         left, right = np.zeros(nb), np.zeros(nb)
-        for lo in range(0, n, 2 ** 20):
-            hi = min(n, lo + 2 ** 20)
+        for lo in range(0, n, 2 ** 16):
+            hi = min(n, lo + 2 ** 16)
             off = np.clip(offsets, lo, hi) - lo
             owners = np.flatnonzero(off[1:] > off[:-1])
             w = v[lo:hi] * alpha[lo:hi]
@@ -610,7 +625,8 @@ class TestLevelTrials:
         ("square", 4, 2 ** 20 + 5000),  # an element straddles the two noise blocks
         ("square", 10, 100),  # 20 sites nudged off element endpoints
         ("disk", 10, 17),  # empty elements, rank-deficient coupling
-        ("square", 2, 4 * 131073),  # runs longer than a piece, a nudged site at 2^16
+        ("square", 2, 4 * 131073),  # runs longer than a window, a nudged site at 2^16
+        ("square", 40, 40 ** 3),  # the tail study's level, one window
     ])
     def test_trials_match_a_whole_array_oracle(self, domain, k, n, model):
         level = Level(domain, k, n=n)
@@ -652,24 +668,22 @@ class TestLevelTrials:
         assert stream_opens == [(seed, block) for block in range(4) for seed in range(2)]
 
     def test_no_array_holds_more_than_a_piece(self):
-        # elements of 196608 sites: a noise block holds 5 whole runs and
-        # the start of a sixth, each a piece of its own
+        # elements of 196608 sites, each split over windows of 2^16
         level = Level("square", 4, n=3 * 2 ** 20 + 5)
         level.trials(NoiseModel.gaussian(1.0), range(2))
         owners = [level, level.placement, level.quadrature, level.clean, level.mesh, level.mesh.boundary]
         sizes = {f"{type(obj).__name__}.{name}": value.size
                  for obj in owners for name, value in vars(obj).items() if isinstance(value, np.ndarray)}
-        longest = int(np.diff(level.placement.pieces).max())
-        assert longest == np.diff(level.placement.offsets).max() < 2 ** 18
-        assert sizes["Placement.t_piece"] == longest + 2
-        assert max(sizes.values()) <= longest + 2, sizes
+        assert np.diff(level.placement.offsets).max() >= 3 * 2 ** 16
+        assert sizes["Placement.t_piece"] == 2 ** 16 + 2
+        assert max(sizes.values()) <= 2 ** 16 + 2, sizes
 
     def test_pieces_of_short_runs_hold_2_to_the_16_sites_at_most(self):
         level = Level("square", 20, i=4)  # 160000 sites in 80 runs of 2000
         level.trials(NoiseModel.mixture(1.0, 10.0, 0.3), range(2))
         owners = [level, level.placement, level.quadrature, level.clean, level.mesh, level.mesh.boundary]
         sizes = [value.size for obj in owners for value in vars(obj).values() if isinstance(value, np.ndarray)]
-        assert max(sizes) == 32 * 2000 + 2
+        assert max(sizes) == 2 ** 16 + 2
 
     def test_a_level_of_6_noise_blocks_peaks_within_40_MB(self):
         # t and alpha of 6.3 M sites alone would take 100 MB

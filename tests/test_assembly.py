@@ -23,7 +23,7 @@ from obsfem import (
     observe,
     place_points,
 )
-from obsfem.assembly import trace_matrix, vh_gram
+from obsfem.assembly import sweep, trace_matrix, vh_gram
 from obsfem.mesh import Boundary, TriMesh
 
 
@@ -45,22 +45,27 @@ def dense_coupling(placement):
     return B
 
 
-def per_block_noise(model, seed, block, count):
-    """Noise block `block` of the stream, drawn into fresh arrays."""
-    rng = np.random.Generator(np.random.Philox(key=(seed & 0xFFFFFFFFFFFFFFFF) | (block << 64)))
+def per_block_noise(model, seed, n, lo, hi):
+    """Entries [lo, hi) of the noise of an n-entry stream, sliced out of
+    their 2^20-entry block drawn whole into fresh arrays."""
+    base = lo - lo % 2 ** 20
+    count = min(n, base + 2 ** 20) - base
+    rng = np.random.Generator(np.random.Philox(key=(seed & 0xFFFFFFFFFFFFFFFF) | (base >> 20 << 64)))
     if model.kind == "gaussian":
-        return model.sigma * rng.standard_normal(count)
-    pick = rng.random(count) < model.p
-    return np.where(pick, model.sigma1, model.sigma2) * rng.standard_normal(count)
+        block = model.sigma * rng.standard_normal(count)
+    else:
+        pick = rng.random(count) < model.p
+        block = np.where(pick, model.sigma1, model.sigma2) * rng.standard_normal(count)
+    return block[lo - base : hi - base]
 
 
-def per_block_hat_moments(placement, values):
+def per_window_hat_moments(placement, values):
     """Per-element sums of (1 - t) alpha v and t alpha v, one reduceat of
-    fresh arrays per 2^20-site block; `values(lo, hi)` returns v."""
+    fresh arrays per 2^16-site window; `values(lo, hi)` returns v."""
     nb = len(placement.offsets) - 1
     left, right = np.zeros(nb), np.zeros(nb)
-    for lo in range(0, placement.n, 2 ** 20):
-        hi = min(placement.n, lo + 2 ** 20)
+    for lo in range(0, placement.n, 2 ** 16):
+        hi = min(placement.n, lo + 2 ** 16)
         off = np.clip(placement.offsets, lo, hi) - lo
         owners = np.flatnonzero(off[1:] > off[:-1])
         w = placement.alpha(lo, hi) * values(lo, hi)
@@ -192,6 +197,19 @@ class TestCoupling:
             allowed = {bv[(k - 1) % nq], bv[k], bv[(k + 1) % nq]}
             assert cols <= allowed
 
+    def test_a_sweep_reads_one_window_at_a_time(self, monkeypatch):
+        # square k=2: runs of 65536 and 65537 sites, longer than a window
+        pl = place_points(build_square_mesh(2), 4 * 131073)
+        sets = [observe(pl, None, NoiseModel.gaussian(1.0), s) for s in range(2)]
+        reads, sites, values = [], Placement.sites, ObservationSet.values
+        monkeypatch.setattr(Placement, "sites", lambda self, lo, hi: reads.append(hi - lo) or sites(self, lo, hi))
+        monkeypatch.setattr(ObservationSet, "values",
+                            lambda self, lo, hi, *a: reads.append(self.seed) or values(self, lo, hi, *a))
+        sweep(pl, sets, coupling=True)
+        windows = -(-pl.n // 2 ** 16)
+        assert np.diff(pl.offsets).max() > 2 ** 16 and windows == 9
+        assert reads[0::3] == [2 ** 16] * 8 + [4] and reads[1::3] == [0] * windows and reads[2::3] == [1] * windows
+
     def test_interior_columns_vanish(self, square4):
         B = assemble_coupling_matrix(place_points(square4, 80)).tocsc()
         interior = np.setdiff1d(np.arange(len(square4.vertices)), square4.boundary.v0)
@@ -225,8 +243,8 @@ class TestCoupling:
         mesh = build_square_mesh(k) if domain == "square" else build_disk_mesh(k)
         pl = place_points(mesh, 2 ** 20 + 5000)
         t = pl.t(0, pl.n)
-        b00, b01 = per_block_hat_moments(pl, lambda lo, hi: 1.0 - t[lo:hi])
-        _, b11 = per_block_hat_moments(pl, lambda lo, hi: t[lo:hi])
+        b00, b01 = per_window_hat_moments(pl, lambda lo, hi: 1.0 - t[lo:hi])
+        _, b11 = per_window_hat_moments(pl, lambda lo, hi: t[lo:hi])
         e = np.flatnonzero(np.diff(pl.offsets))
         q1 = (e + 1) % len(mesh.boundary)
         v0, v1 = mesh.boundary.v0[e], mesh.boundary.v0[q1]
@@ -245,12 +263,12 @@ class TestCoupling:
 
         for model in (NoiseModel.gaussian(1.5), NoiseModel.mixture(1.0, 10.0, 0.3)):
             for obs, values in (
-                (observe(pl, None, model, 9), lambda lo, hi: per_block_noise(model, 9, lo >> 20, hi - lo)),
+                (observe(pl, None, model, 9), lambda lo, hi: per_block_noise(model, 9, pl.n, lo, hi)),
                 (ObservationSet(pl, g0, None, 0), clean),
                 (observe(pl, g0, model, 9),
-                 lambda lo, hi: per_block_noise(model, 9, lo >> 20, hi - lo) + pl.evaluate(g0, lo, hi)),
+                 lambda lo, hi: per_block_noise(model, 9, pl.n, lo, hi) + pl.evaluate(g0, lo, hi)),
             ):
-                left, right = per_block_hat_moments(pl, values)
+                left, right = per_window_hat_moments(pl, values)
                 assert np.array_equal(assemble_data_vector(obs), left + np.roll(right, 1))
 
 

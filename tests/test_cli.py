@@ -203,8 +203,8 @@ class TestConfigErrors:
         assert "2 worker(s)" in capsys.readouterr().err
 
     def test_k160_i4_fits_the_estimate(self, tmp_path, monkeypatch):
-        # 655 M sites, but a level holds three pieces of at least 2^15 of them:
-        # 16 B x 161^2 vertices + 24 B x 2^15 = 1.2 MB per worker
+        # 655 M sites, but a level holds three windows of 2^16 of them, so at
+        # least 16 B x 161^2 vertices + 24 B x 2^15 = 1.2 MB per worker
         class Built(Exception):
             pass
 
@@ -222,7 +222,7 @@ class TestConfigErrors:
             cli._mesh_sizes(args, 3)
 
     def test_estimate_is_at_most_what_a_large_level_holds(self):
-        # square k=40, i=4: 2.56 M sites in pieces of 64000.  The level's
+        # square k=40, i=4: 2.56 M sites in windows of 2^16.  The level's
         # growth of the resident set is read while it lives (its peak can
         # lie below the peak of the imports).
         program = ("import resource\nimport obsfem\nfrom obsfem import cli\n"

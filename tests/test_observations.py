@@ -14,6 +14,7 @@ from obsfem import (
     NoiseModel,
     TriMesh,
     build_disk_mesh,
+    assemble_coupling_matrix,
     boundary_point,
     build_square_mesh,
     build_observation_set,
@@ -78,12 +79,12 @@ def assert_matches_whole_array_placement(mesh, n):
     assert np.array_equal(pl.offsets, offsets)
     assert np.array_equal(pl.t(0, n), t)
     assert np.array_equal(pl.alpha(0, n), alpha)
-    # range reads, and the piece buffers of a sweep, keep the bits of the whole pass
+    # range reads, and the windows a sweep reads into the piece buffers, keep the bits of the whole pass
     for lo, hi in ((n // 3, n // 3 + 1000), (2 ** 16 - 3, 2 ** 16 + 3), (n - 1, n), (n, n)):
         lo, hi = min(max(lo, 0), n), min(max(hi, 0), n)
         assert np.array_equal(pl.t(lo, hi), t[lo:hi]) and np.array_equal(pl.alpha(lo, hi), alpha[lo:hi])
-    bounds = pl.pieces.tolist()
-    for lo, hi in zip(bounds[:-1], bounds[1:]):
+    for lo in range(0, n, 2 ** 16):
+        hi = min(n, lo + 2 ** 16)
         tb, ab = pl.sites(lo, hi)
         assert np.array_equal(tb, t[lo:hi]) and np.array_equal(ab, alpha[lo:hi])
     return nudged
@@ -332,13 +333,12 @@ class TestPlacement:
             assert read(lo, lo).shape[0] == 0
 
     def test_work_array_is_one_piece_of_2_to_the_16_sites_at_most(self, square10):
-        # square k=10 has 40 elements: runs of 25 (one piece in all), about
-        # 26214 (two to a piece) and about 104858 sites (a piece each)
-        for n, runs in ((1000, 40), (2 ** 20 + 1, 2), (4 * 2 ** 20 + 1, 1)):
+        # square k=10 has 40 elements: runs of 25, about 26214 and about
+        # 104858 sites; the buffers hold a window whatever the runs
+        for n in (1000, 2 ** 16, 2 ** 20 + 1, 4 * 2 ** 20 + 1):
             pl = place_points(square10, n)
-            m = int(np.diff(pl.pieces).max())
+            m = min(n, 2 ** 16)
             assert (pl.work.shape, pl.alpha_piece.shape, pl.t_piece.shape) == ((m,), (m,), (m + 2,))
-            assert m == np.diff(pl.offsets)[:runs].sum() <= max(2 ** 16, np.diff(pl.offsets).max())
 
     @pytest.mark.parametrize("domain, k, n", [
         ("disk", 10, 17),  # empty and single-site elements
@@ -348,22 +348,12 @@ class TestPlacement:
         ("disk", 10, 3 * 2 ** 20 + 5),
         ("square", 10, 1),
     ])
-    def test_pieces_tile_the_sites_and_keep_element_runs_whole(self, domain, k, n):
+    def test_windows_tile_the_sites(self, monkeypatch, domain, k, n):
         pl = place_points(mesh_of(domain, k), n)
-        bounds = pl.pieces
-        assert bounds[0] == 0 and bounds[-1] == n and (np.diff(bounds) > 0).all()
-        blocks = np.arange(0, n, 2 ** 20)
-        # every bound is an element boundary or a noise block edge, and no
-        # piece crosses a block edge
-        assert np.isin(bounds, np.union1d(pl.offsets, blocks)).all()
-        assert np.isin(blocks, bounds).all()
-        # a piece is at most 2^16 sites, or one (element, block) run
-        for lo, hi in zip(bounds[:-1], bounds[1:]):
-            assert hi - lo <= 2 ** 16 or np.searchsorted(pl.offsets, lo, "right") \
-                == np.searchsorted(pl.offsets, hi - 1, "right")
-        # pieces are as long as they can be: no two neighbours fit 2^16 in one block
-        joined = bounds[2:] - bounds[:-2]
-        assert not ((joined <= 2 ** 16) & ~np.isin(bounds[1:-1], blocks)).any()
+        reads = []
+        monkeypatch.setattr(pl, "sites", lambda lo, hi, sites=pl.sites: reads.append((lo, hi)) or sites(lo, hi))
+        assemble_coupling_matrix(pl)
+        assert reads == [(lo, min(n, lo + 2 ** 16)) for lo in range(0, n, 2 ** 16)]
 
     def test_sites_refuse_a_range_beyond_the_piece_buffers(self, square10):
         pl = place_points(square10, 2 ** 20 + 1)
