@@ -42,7 +42,7 @@ from .assembly import (  # noqa: F401  (perfbench traces the assemble_* function
     assemble_stiffness,
     sweep,
 )
-from .mesh import TriMesh, _check_integer, boundary_point, build_disk_mesh, build_square_mesh
+from .mesh import MeshError, TriMesh, _check_integer, boundary_point, build_disk_mesh, build_square_mesh
 from .observations import NoiseModel, ObservationSet, _generators, observe, place_points
 from .solver import SaddleSolution, SingularSystemError, solve_saddle
 
@@ -114,6 +114,7 @@ def sine_case(domain: str) -> ManufacturedCase:
 
 
 def build_mesh(domain: str, k: int) -> TriMesh:
+    _check_integer("k", k, MeshError)
     if domain == "square":
         return build_square_mesh(k)
     if domain == "disk":
@@ -234,10 +235,11 @@ class Level:
     """What the noise trials of one (domain, k, n) level share.
 
     A level holds the mesh, the placement, the clean system (A, B, F, G0)
-    and the error quadrature.  It holds no per-site array: the placement
-    derives t and alpha per window of 2^16 sites into its piece buffers,
-    and the build reduces B and G0 in one sweep of :func:`assembly.sweep`
-    over them (so a g0 that is not finite fails here, naming the site).
+    and the error quadrature.  It holds no per-site array: a pass over
+    the placement derives t and alpha per window of 2^16 sites into
+    buffers of its own, and the build reduces B and G0 in one sweep of
+    :func:`assembly.sweep` (so a g0 that is not finite fails here,
+    naming the site).
     :meth:`trials` reduces the noise of every seed of a chunk in one more
     sweep, window by window.  Trial systems are derived from the clean
     system with `dataclasses.replace`, so they share its solver
@@ -323,10 +325,14 @@ def _run_levels(domain: str, ks: Sequence[int], i: Optional[int], n: Optional[in
     """
     for name, value in (("seed", seed), ("trials", trials), ("workers", workers)):
         _check_integer(name, value)  # before any level is built
+    for k in ks:
+        _check_integer("k", k, MeshError)
+    if workers < 1:
+        raise ValueError(f"workers must be at least 1, got {workers}")
     seeds = range(seed, seed + trials)
     if not 0 <= seeds.start <= seeds.stop <= 1 << 64:
         raise ValueError(f"seeds [{seeds.start}, {seeds.stop}) must lie within [0, 2^64)")
-    size = -(-len(seeds) // max(workers, 1))
+    size = -(-len(seeds) // workers)
     chunks = [seeds[j : j + size] for j in range(0, len(seeds), size)]
     tasks = [(domain, k, i, n, model, chunk) for k in ks for chunk in chunks]
     if workers > 1 and tasks:

@@ -26,7 +26,7 @@ import numpy as np
 import scipy.sparse as sp
 
 from .mesh import TriMesh
-from .observations import _SUB_BLOCK, ObservationSet, Placement, _element_runs
+from .observations import ObservationSet, Placement, _element_runs
 
 
 def assemble_stiffness(mesh: TriMesh) -> sp.csr_matrix:
@@ -63,17 +63,15 @@ def sweep(placement: Placement, sets: Sequence[ObservationSet],
     """(B if `coupling` else None, [G of each set]) from one pass over the
     sites of the placement, whose observation sets `sets` are.
 
-    The pass runs over the windows [lo, lo + 2^16) of the sites (see
-    :class:`Placement`), so its work arrays stay in cache.  Per window,
-    t and alpha are derived once into the placement's piece buffers;
-    then B's per-element sums and, for each set in turn, its values in
-    `placement.work` are reduced, the set going on with its own noise
-    stream.  Every per-element sum is one `np.add.reduceat` per window
-    the element's run meets, added up in window order, so a set's G has
-    the same bits whatever else the pass reduces.  Every site only
-    touches the two hat functions of its element on each side, so B has
-    at most three nonzeros per row and each element contributes a 2 x 2
-    block
+    The pass is one :meth:`Placement.windows`, so its work arrays stay
+    in cache.  Per window, B's per-element sums and, for each set in
+    turn, its values in the pass's work buffer are reduced, the set
+    going on with its own noise stream.  Every per-element sum is one
+    `np.add.reduceat` per window the element's run meets, added up in
+    window order, so a set's G has the same bits whatever else the pass
+    reduces.  Every site only touches the two hat functions of its
+    element on each side, so B has at most three nonzeros per row and
+    each element contributes a 2 x 2 block
 
         [[b00, b01], [b01, b11]] = sum_i alpha_i [[(1-t)^2, (1-t) t], [(1-t) t, t^2]],
 
@@ -84,12 +82,8 @@ def sweep(placement: Placement, sets: Sequence[ObservationSet],
     nb = len(mesh.boundary)
     b00, b01, b11 = np.zeros((3, nb))
     left, right = np.zeros((2, len(sets), nb))
-    for lo in range(0, placement.n, _SUB_BLOCK):
-        hi = min(placement.n, lo + _SUB_BLOCK)
-        owners, counts = _element_runs(placement.offsets, lo, hi)
+    for lo, hi, owners, counts, t, alpha, w in placement.windows():
         starts = np.cumsum(counts) - counts
-        t, alpha = placement.sites(lo, hi)
-        w = placement.work[: hi - lo]
         if coupling:
             np.subtract(1.0, t, out=w)
             w *= alpha

@@ -27,10 +27,10 @@ EXIT_CONFIG = 2
 EXIT_SOLVER = 3
 
 
-# A level holds at least the two coordinates of each mesh vertex (16 B)
-# and three piece buffers (t, alpha and the work array, 24 B per site of
-# a window).  A window holds min(sites, 2^16) sites, so min(sites, 2^15)
-# is a lower bound on it.
+# A level holds at least the two coordinates of each mesh vertex (16 B),
+# and a pass holds three window buffers (t, alpha and the work array,
+# 24 B per site of a window).  A window holds min(sites, 2^16) sites, so
+# min(sites, 2^15) is a lower bound on it.
 _VERTEX_BYTES = 16
 _PIECE_SITE_BYTES = 24
 

@@ -22,7 +22,7 @@ from __future__ import annotations
 import math
 import mmap
 from dataclasses import dataclass, field
-from typing import Callable, Optional
+from typing import Callable, Iterator, Optional
 
 import numpy as np
 
@@ -163,11 +163,11 @@ def sample_noise(model: Optional[NoiseModel], count: int, seed: int) -> np.ndarr
 def _site_array(n: int) -> np.ndarray:
     """An uninitialized float array of n entries in a memory map of its own.
 
-    A placement's three piece buffers (t, alpha and the work array) hold
-    a window of min(n, 2^16) floats, 512 KB, each (t two more).  Taken
-    from the malloc heap, they can stay resident after the level is
-    freed, for as long as any smaller allocation above them lives; a map
-    of their own is returned to the system with them.
+    A pass over the sites holds three window buffers (t, alpha and the
+    work array) of min(n, 2^16) floats, 512 KB, each (t two more).
+    Taken from the malloc heap, they can stay resident after the pass,
+    for as long as any smaller allocation above them lives; a map of
+    their own is returned to the system with them.
     """
     return np.frombuffer(mmap.mmap(-1, max(8 * n, 1)), dtype=float, count=n)
 
@@ -184,16 +184,8 @@ class Placement:
     the per-element starts and lengths, the site `spacing` and the sites
     nudged off element endpoints (`nudged`, their clipped `nudged_t`).
     `t(lo, hi)`, `alpha(lo, hi)` and `positions(lo, hi)` derive a range
-    of sites from them, the same bits for any range.
-
-    A sweep reads the sites in windows of 2^16 (see _SUB_BLOCK), which
-    may start and end inside an element run.  `sites(lo, hi)` derives t
-    and alpha of at most a window into the placement's piece buffers,
-    and `work` is one more window of scratch for the values a pass
-    reduces; each holds min(n, 2^16) floats (t two more, for its
-    one-site halo) in a memory map of its own (see :func:`_site_array`),
-    so dropping a level returns them to the system.  A pass owns the
-    buffers until it returns.
+    of sites from them, the same bits for any range; `windows()` is a
+    pass over all of them.
     """
 
     mesh: TriMesh
@@ -203,14 +195,9 @@ class Placement:
     nudged: np.ndarray  # (m,) increasing indices of the sites nudged off element endpoints
     nudged_t: np.ndarray  # (m,) their local parameters
     starts: np.ndarray = field(init=False, repr=False, compare=False)  # (NB+1,) element start arclengths
-    t_piece: np.ndarray = field(init=False, repr=False, compare=False)
-    alpha_piece: np.ndarray = field(init=False, repr=False, compare=False)
-    work: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         self.starts = np.concatenate([[0.0], np.cumsum(self.mesh.boundary.length)])
-        m = min(self.n, _SUB_BLOCK)
-        self.t_piece, self.alpha_piece, self.work = _site_array(m + 2), _site_array(m), _site_array(m)
 
     def t(self, lo: int, hi: int, out: Optional[np.ndarray] = None) -> np.ndarray:
         """Local parameters of sites [lo, hi), written into `out` if it is
@@ -229,29 +216,34 @@ class Placement:
     def alpha(self, lo: int, hi: int) -> np.ndarray:
         """Global quadrature weights alpha_j = omega_j h_E of sites [lo, hi)."""
         _check_range(self.n, lo, hi)
-        a, b = max(lo - 1, 0), min(hi + 1, self.n)
-        return self._weights(self.t(a, b), a, lo, hi, np.empty(hi - lo))
+        return self._weights(lo, hi, *_element_runs(self.offsets, lo, hi), None, np.empty(hi - lo))[1]
 
-    def sites(self, lo: int, hi: int) -> tuple[np.ndarray, np.ndarray]:
-        """(t, alpha) of sites [lo, hi), a range of at most one window,
-        derived once into `t_piece` and `alpha_piece`; the next call
-        overwrites them."""
-        _check_range(self.n, lo, hi)
-        if hi - lo > len(self.work):
-            raise ValueError(f"site range [{lo}, {hi}) holds {hi - lo} sites, the piece buffers "
-                             f"{len(self.work)}")
-        a, b = max(lo - 1, 0), min(hi + 1, self.n)
-        t = self.t(a, b, self.t_piece[: b - a])
-        return t[lo - a : hi - a], self._weights(t, a, lo, hi, self.alpha_piece[: hi - lo])
+    def windows(self) -> Iterator[tuple]:
+        """One pass over the sites: yields (lo, hi, owners, counts, t,
+        alpha, work) per window [lo, hi) = [j 2^16, min(n, (j+1) 2^16))
+        (see _SUB_BLOCK), with the window's element runs, its sites' t
+        and alpha, and one more window of scratch; the next window
+        overwrites them.  The pass holds three buffers of its own (see
+        :func:`_site_array`), so no two passes share one and they go
+        back to the system when it ends."""
+        m = min(self.n, _SUB_BLOCK)
+        t_buf, alpha_buf, work = _site_array(m + 2), _site_array(m), _site_array(m)
+        for lo in range(0, self.n, _SUB_BLOCK):
+            hi = min(self.n, lo + _SUB_BLOCK)
+            owners, counts = _element_runs(self.offsets, lo, hi)
+            t, alpha = self._weights(lo, hi, owners, counts, t_buf, alpha_buf[: hi - lo])
+            yield lo, hi, owners, counts, t, alpha, work[: hi - lo]
 
-    def _weights(self, t: np.ndarray, base: int, lo: int, hi: int, out: np.ndarray) -> np.ndarray:
-        """alpha of sites [lo, hi) into `out`, from the parameters t of
-        sites [base, base + len(t)): [lo, hi) and its neighbours within
-        [0, n)."""
-        owners, counts = _element_runs(self.offsets, lo, hi)
-        w = _local_weights(t, self.offsets - base, lo - base, hi - base, out)
+    def _weights(self, lo: int, hi: int, owners: np.ndarray, counts: np.ndarray,
+                 t_out: Optional[np.ndarray], out: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """(t, alpha) of sites [lo, hi), whose element runs are (owners,
+        counts), alpha written into `out`: alpha reads t of [lo, hi) and
+        its neighbours within [0, n), derived into `t_out` if it is given."""
+        a, b = max(lo - 1, 0), min(hi + 1, self.n)
+        t = self.t(a, b, None if t_out is None else t_out[: b - a])
+        w = _local_weights(t, self.offsets - a, lo - a, hi - a, out)
         w *= np.repeat(self.mesh.boundary.length[owners], counts)
-        return out
+        return t[lo - a : hi - a], out
 
     def positions(self, lo: int, hi: int, t: Optional[np.ndarray] = None) -> np.ndarray:
         """Points x_j of sites [lo, hi) on the exact boundary, shape (hi - lo, 2), from
@@ -381,9 +373,9 @@ class ObservationSet:
 
     The set stores no observed data, only the noise stream of the block
     it read last.  `values` draws the noise and adds g0 (if any), into
-    the caller's array if one is given, so reading the set window by
-    window through `placement.work` allocates no array the size of a
-    window.  g0 None means noise alone; model None, no noise.
+    the caller's array if one is given, so reading the set into the
+    work buffer of `placement.windows()` allocates no array the size of
+    a window.  g0 None means noise alone; model None, no noise.
     """
 
     placement: Placement

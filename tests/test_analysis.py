@@ -2,6 +2,7 @@ import collections
 import dataclasses
 import logging
 import math
+import mmap
 import os
 import re
 import subprocess
@@ -34,11 +35,11 @@ from obsfem import (
     solve_saddle,
     tail_study,
 )
-from obsfem import analysis
+from obsfem import analysis, observations
 from obsfem.analysis import ManufacturedCase, points_for
 from obsfem.assembly import sweep
 from obsfem.mesh import MeshError, build_disk_mesh, build_square_mesh
-from test_observations import whole_array_placement
+from test_observations import buffer_of, whole_array_placement
 
 # Degree-5 rule on the reference triangle (barycentric points, weights
 # summing to 1); used as an independent check of the error quadrature.
@@ -445,13 +446,38 @@ class TestRunStudy:
         (lambda: tail_study("square", 4, i=2, trials=150.0), ValueError, "trials", 150.0),
         (lambda: run_study("square", [4], i=2, workers=2.5), ValueError, "workers", 2.5),
         (lambda: run_study("square", [4.5], i=2), MeshError, "k", 4.5),
+        (lambda: run_study("disk", [4.5], i=1), MeshError, "k", 4.5),
+        (lambda: Level("disk", 4.5, i=1), MeshError, "k", 4.5),
         (lambda: build_square_mesh(4.5), MeshError, "k", 4.5),
         (lambda: build_disk_mesh(4.5), MeshError, "m", 4.5),
     ], ids=["run_case-seed", "run_study-trials", "tail_study-trials", "run_study-workers", "run_study-k",
-            "square-k", "disk-m"])
+            "run_study-disk-k", "level-disk-k", "square-k", "disk-m"])
     def test_non_integral_sizes_fail_naming_the_parameter(self, call, error, name, value):
         with pytest.raises(error, match=f"^{name} must be an integer, got {value}$"):
             call()
+
+    def test_a_non_integral_size_fails_before_any_level(self, monkeypatch):
+        monkeypatch.setattr(analysis, "build_mesh", lambda *a: pytest.fail("built a mesh"))
+        with pytest.raises(MeshError, match="^k must be an integer, got 8.5$"):
+            run_study("square", [4, 8.5], i=2)
+
+    def test_numpy_integer_sizes_pass(self):
+        assert run_study("disk", [np.int64(4)], i=1) == run_study("disk", [4], i=1)
+
+    @pytest.mark.parametrize("workers", [0, -3])
+    @pytest.mark.parametrize("study", [
+        lambda workers: run_study("square", [4], i=2, workers=workers),
+        lambda workers: tail_study("square", 4, i=2, workers=workers),
+    ], ids=["run_study", "tail_study"])
+    def test_workers_below_1_fail_before_any_level(self, monkeypatch, study, workers):
+        monkeypatch.setattr(analysis, "build_mesh", lambda *a: pytest.fail("built a mesh"))
+        with pytest.raises(ValueError, match=f"^workers must be at least 1, got {workers}$"):
+            study(workers)
+
+    def test_back_to_back_studies_are_equal(self):
+        # the check the benchmark applies to every call of its disk workload
+        kwargs = dict(i=1, model=NoiseModel.mixture(1.0, 10.0, 0.5), trials=5, seed=7)
+        assert run_study("disk", [10, 20, 40, 80], **kwargs) == run_study("disk", [10, 20, 40, 80], **kwargs)
 
     def test_zero_noise_stds_are_zero(self):
         tab = run_study("square", [4], i=2, trials=2)
@@ -526,6 +552,18 @@ class TestTailStudy:
     def test_minimum_trial_count(self):
         with pytest.raises(ValueError, match="at least 100"):
             tail_study("square", 10, i=2, trials=99)
+
+
+def held_arrays(level):
+    """The arrays and sparse matrices that a level, its placement, mesh,
+    quadrature and clean system hold, by owner and field name."""
+    owners = [level, level.placement, level.quadrature, level.clean, level.mesh, level.mesh.boundary]
+    return {f"{type(obj).__name__}.{name}": value for obj in owners for name, value in vars(obj).items()
+            if isinstance(value, np.ndarray) or sp.issparse(value)}
+
+
+def held_array_sizes(level):
+    return {name: value.size for name, value in held_arrays(level).items() if isinstance(value, np.ndarray)}
 
 
 def oracle_reports(level, model, seeds):
@@ -667,23 +705,35 @@ class TestLevelTrials:
         level.trials(NoiseModel.mixture(1.0, 10.0, 0.3), range(2))
         assert stream_opens == [(seed, block) for block in range(4) for seed in range(2)]
 
-    def test_no_array_holds_more_than_a_piece(self):
+    def test_no_array_holds_more_than_a_piece(self, monkeypatch):
         # elements of 196608 sites, each split over windows of 2^16
+        passes = []
+        monkeypatch.setattr(observations, "_site_array",
+                            lambda n, make=observations._site_array: passes.append(n) or make(n))
         level = Level("square", 4, n=3 * 2 ** 20 + 5)
         level.trials(NoiseModel.gaussian(1.0), range(2))
-        owners = [level, level.placement, level.quadrature, level.clean, level.mesh, level.mesh.boundary]
-        sizes = {f"{type(obj).__name__}.{name}": value.size
-                 for obj in owners for name, value in vars(obj).items() if isinstance(value, np.ndarray)}
+        sizes = held_array_sizes(level)
         assert np.diff(level.placement.offsets).max() >= 3 * 2 ** 16
-        assert sizes["Placement.t_piece"] == 2 ** 16 + 2
+        assert passes == [2 ** 16 + 2, 2 ** 16, 2 ** 16] * 2  # the build's pass and the trials'
         assert max(sizes.values()) <= 2 ** 16 + 2, sizes
 
-    def test_pieces_of_short_runs_hold_2_to_the_16_sites_at_most(self):
+    def test_pieces_of_short_runs_hold_2_to_the_16_sites_at_most(self, monkeypatch):
+        passes = []
+        monkeypatch.setattr(observations, "_site_array",
+                            lambda n, make=observations._site_array: passes.append(n) or make(n))
         level = Level("square", 20, i=4)  # 160000 sites in 80 runs of 2000
         level.trials(NoiseModel.mixture(1.0, 10.0, 0.3), range(2))
-        owners = [level, level.placement, level.quadrature, level.clean, level.mesh, level.mesh.boundary]
-        sizes = [value.size for obj in owners for value in vars(obj).values() if isinstance(value, np.ndarray)]
-        assert max(sizes) == 2 ** 16 + 2
+        assert max(passes) == 2 ** 16 + 2
+        assert max(held_array_sizes(level).values()) <= 2 ** 16 + 2
+
+    def test_a_level_holds_no_mapped_array(self):
+        # a pass's buffers go back to the system when it ends
+        level = Level("square", 4, n=3 * 2 ** 16 + 5)
+        level.trials(NoiseModel.gaussian(1.0), range(2))
+        arrays = [getattr(a, name) for a in held_arrays(level).values() if sp.issparse(a)
+                  for name in ("data", "indices", "indptr")]
+        arrays += [a for a in held_arrays(level).values() if isinstance(a, np.ndarray)]
+        assert len(arrays) > 20 and not any(isinstance(buffer_of(a), mmap.mmap) for a in arrays)
 
     def test_a_level_of_6_noise_blocks_peaks_within_40_MB(self):
         # t and alpha of 6.3 M sites alone would take 100 MB

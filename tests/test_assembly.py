@@ -201,8 +201,8 @@ class TestCoupling:
         # square k=2: runs of 65536 and 65537 sites, longer than a window
         pl = place_points(build_square_mesh(2), 4 * 131073)
         sets = [observe(pl, None, NoiseModel.gaussian(1.0), s) for s in range(2)]
-        reads, sites, values = [], Placement.sites, ObservationSet.values
-        monkeypatch.setattr(Placement, "sites", lambda self, lo, hi: reads.append(hi - lo) or sites(self, lo, hi))
+        reads, windows, values = [], Placement.windows, ObservationSet.values
+        monkeypatch.setattr(Placement, "windows", lambda self: (reads.append(w[1] - w[0]) or w for w in windows(self)))
         monkeypatch.setattr(ObservationSet, "values",
                             lambda self, lo, hi, *a: reads.append(self.seed) or values(self, lo, hi, *a))
         sweep(pl, sets, coupling=True)

@@ -230,9 +230,9 @@ class TestConfigErrors:
                    "    return int(open('/proc/self/statm').read().split()[1]) * resource.getpagesize()\n"
                    "base = resident()\n"
                    "level = obsfem.Level('square', 40, i=4)\n"
+                   "pass_buffers = sum(a.nbytes for a in next(level.placement.windows())[4:])\n"
                    "level.trials(obsfem.NoiseModel.mixture(1.0, 10.0, 0.3), range(2))\n"
-                   "pl = level.placement\n"
-                   "held = sum(a.nbytes for a in (level.mesh.vertices, pl.t_piece, pl.alpha_piece, pl.work))\n"
+                   "held = level.mesh.vertices.nbytes + pass_buffers\n"
                    "print(cli._level_bytes(41 * 41, 40.0 ** 4), held, resident() - base)\n")
         src = os.path.dirname(os.path.dirname(obsfem.__file__))
         path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))

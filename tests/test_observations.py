@@ -24,6 +24,7 @@ from obsfem import (
     quadrature_weights,
     sample_noise,
 )
+from obsfem import observations
 from obsfem.observations import _NoiseStream
 
 
@@ -58,6 +59,14 @@ def whole_array_placement(mesh, n):
     return t, offsets, near, omega * h[e]
 
 
+def buffer_of(a):
+    """The object at the end of an array's chain of bases: an array views
+    another array, a frombuffer array a memoryview of its buffer."""
+    while isinstance(a, (np.ndarray, memoryview)):
+        a = a.base if isinstance(a, np.ndarray) else a.obj
+    return a
+
+
 def arclengths(pl):
     """Global arclength coordinate of every site: its element's start plus t h."""
     counts = np.diff(pl.offsets)
@@ -79,13 +88,13 @@ def assert_matches_whole_array_placement(mesh, n):
     assert np.array_equal(pl.offsets, offsets)
     assert np.array_equal(pl.t(0, n), t)
     assert np.array_equal(pl.alpha(0, n), alpha)
-    # range reads, and the windows a sweep reads into the piece buffers, keep the bits of the whole pass
+    # range reads, and the windows of a pass, keep the bits of the whole pass
     for lo, hi in ((n // 3, n // 3 + 1000), (2 ** 16 - 3, 2 ** 16 + 3), (n - 1, n), (n, n)):
         lo, hi = min(max(lo, 0), n), min(max(hi, 0), n)
         assert np.array_equal(pl.t(lo, hi), t[lo:hi]) and np.array_equal(pl.alpha(lo, hi), alpha[lo:hi])
-    for lo in range(0, n, 2 ** 16):
-        hi = min(n, lo + 2 ** 16)
-        tb, ab = pl.sites(lo, hi)
+    owner = np.repeat(np.arange(len(offsets) - 1), np.diff(offsets))
+    for lo, hi, owners, counts, tb, ab, _ in pl.windows():
+        assert np.array_equal(np.repeat(owners, counts), owner[lo:hi])
         assert np.array_equal(tb, t[lo:hi]) and np.array_equal(ab, alpha[lo:hi])
     return nudged
 
@@ -332,13 +341,18 @@ class TestPlacement:
         for lo in (0, n):
             assert read(lo, lo).shape[0] == 0
 
-    def test_work_array_is_one_piece_of_2_to_the_16_sites_at_most(self, square10):
+    def test_work_array_is_one_piece_of_2_to_the_16_sites_at_most(self, monkeypatch, square10):
         # square k=10 has 40 elements: runs of 25, about 26214 and about
-        # 104858 sites; the buffers hold a window whatever the runs
+        # 104858 sites; a pass's buffers hold a window whatever the runs
+        sizes = []
+        monkeypatch.setattr(observations, "_site_array",
+                            lambda n, make=observations._site_array: sizes.append(n) or make(n))
         for n in (1000, 2 ** 16, 2 ** 20 + 1, 4 * 2 ** 20 + 1):
-            pl = place_points(square10, n)
             m = min(n, 2 ** 16)
-            assert (pl.work.shape, pl.alpha_piece.shape, pl.t_piece.shape) == ((m,), (m,), (m + 2,))
+            sizes.clear()
+            for _, _, _, _, t, alpha, work in place_points(square10, n).windows():
+                assert sizes == [m + 2, m, m]
+                assert len(t) == len(alpha) == len(work) <= m
 
     @pytest.mark.parametrize("domain, k, n", [
         ("disk", 10, 17),  # empty and single-site elements
@@ -351,19 +365,9 @@ class TestPlacement:
     def test_windows_tile_the_sites(self, monkeypatch, domain, k, n):
         pl = place_points(mesh_of(domain, k), n)
         reads = []
-        monkeypatch.setattr(pl, "sites", lambda lo, hi, sites=pl.sites: reads.append((lo, hi)) or sites(lo, hi))
+        monkeypatch.setattr(pl, "windows", lambda windows=pl.windows: (reads.append(w[:2]) or w for w in windows()))
         assemble_coupling_matrix(pl)
         assert reads == [(lo, min(n, lo + 2 ** 16)) for lo in range(0, n, 2 ** 16)]
-
-    def test_sites_refuse_a_range_beyond_the_piece_buffers(self, square10):
-        pl = place_points(square10, 2 ** 20 + 1)
-        m = len(pl.work)
-        assert pl.sites(5, 5 + m)[0].shape == (m,)
-        with pytest.raises(ValueError, match=rf"^site range \[5, {m + 6}\) holds {m + 1} sites, the piece "
-                                             rf"buffers {m}$"):
-            pl.sites(5, m + 6)
-        with pytest.raises(ValueError, match=r"^site range \[-1, 3\) is not within"):
-            pl.sites(-1, 3)
 
     @pytest.mark.parametrize("size", [3, 6])
     def test_t_refuses_an_out_of_another_length(self, square10, size):
@@ -372,10 +376,22 @@ class TestPlacement:
             pl.t(0, 5, np.empty(size))
 
     def test_site_arrays_have_maps_of_their_own(self, square10):
-        # so that dropping a level returns them to the system
-        pl = place_points(square10, 1000)
-        bases = [a.base.obj for a in (pl.t_piece, pl.alpha_piece, pl.work)]  # frombuffer views a memoryview
+        # so that a pass that ends returns them to the system
+        _, _, _, _, t, alpha, work = next(place_points(square10, 1000).windows())
+        bases = [buffer_of(a) for a in (t, alpha, work)]
         assert all(isinstance(b, mmap.mmap) for b in bases) and len({id(b) for b in bases}) == 3
+
+    def test_passes_in_lockstep_keep_the_bits_of_a_pass_alone(self, square10):
+        # the work of one pass never lands in the buffers of another
+        pl = place_points(square10, 3 * 2 ** 16 + 5)
+        alone = [tuple(np.copy(a) for a in window[:6]) for window in pl.windows()]
+        for j, windows in enumerate(zip(pl.windows(), pl.windows())):
+            for window, junk in zip(windows, (np.nan, np.inf)):
+                window[6][:] = junk
+            for window in windows:
+                assert all(np.array_equal(a, b) for a, b in zip(window[:6], alone[j]))
+            assert not any(np.shares_memory(a, b) for a in windows[0][4:] for b in windows[1][4:])
+        assert j == len(alone) - 1 == 3
 
     def test_evaluate_matches_per_element_formula(self, mixed_mesh):
         # 70000 sites span two sub-blocks of the straight chord and the three arcs
