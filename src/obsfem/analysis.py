@@ -35,7 +35,9 @@ from typing import Callable, Optional, Sequence
 import numpy as np
 
 from .assembly import (  # noqa: F401  (perfbench traces the assemble_* functions under this module)
+    TRACE_HATS,
     SaddleSystem,
+    _coupling,
     assemble_coupling_matrix,
     assemble_data_vector,
     assemble_load,
@@ -218,17 +220,21 @@ def compute_errors(quadrature: ErrorQuadrature, solution: SaddleSolution,
 
 
 def points_for(k: int, i: Optional[int], n: Optional[int]) -> int:
-    """Observation count: explicit n, or round(h^-i) with h = 1/k."""
-    if n is not None:
+    """Observation count: explicit n, or round(h^-i) with h = 1/k; at most
+    2^52, so that every site's parameter t is exact (see place_points)."""
+    if n is None:
+        if i is None:
+            raise ValueError("need either i or n")
+        if i not in (1, 2, 3, 4):
+            raise ValueError(f"exponent i must be in 1..4, got {i}")
+        n = round(float(k) ** i)  # a k below 2 fails at the mesh
+    else:
         _check_integer("n", n)
         if n < 1:
             raise ValueError("n must be positive")
-        return int(n)
-    if i is None:
-        raise ValueError("need either i or n")
-    if i not in (1, 2, 3, 4):
-        raise ValueError(f"exponent i must be in 1..4, got {i}")
-    return int(round(float(k) ** i))
+    if n > 1 << 52:
+        raise ValueError(f"n must be at most 2^52, got {n}")
+    return int(n)
 
 
 class Level:
@@ -253,10 +259,10 @@ class Level:
         self.mesh = build_mesh(domain, k)
         self.case = case if case is not None else sine_case(domain)
         self.h = 1.0 / k
-        self.placement = place_points(self.mesh, n)
+        pl = self.placement = place_points(self.mesh, n)
         A, F = assemble_stiffness(self.mesh), assemble_load(self.mesh, self.case.f)
-        B, [G0] = sweep(self.placement, [ObservationSet(self.placement, self.case.g0, None, 0)], coupling=True)
-        self.clean = SaddleSystem(A, B, F, G0)
+        left, right = sweep(pl, [*TRACE_HATS, ObservationSet(pl, self.case.g0, None, 0).values])  # B and G0
+        self.clean = SaddleSystem(A, _coupling(pl, left, right), F, left[2] + np.roll(right[2], 1))
         self.quadrature = ErrorQuadrature(self.mesh, self.case)
 
     def trials(self, model: Optional[NoiseModel], seeds: Sequence[int]) -> list:
@@ -273,8 +279,8 @@ class Level:
         reports = []
         for j in range(0, len(seeds), per_sweep):
             chunk = seeds[j : j + per_sweep]
-            noise = sweep(self.placement, [observe(self.placement, None, model, s) for s in chunk])[1]
-            reports += [self._solve(self.clean.G + g, s) for g, s in zip(noise, chunk)]
+            left, right = sweep(self.placement, [observe(self.placement, None, model, s).values for s in chunk])
+            reports += [self._solve(self.clean.G + g, s) for g, s in zip(left + np.roll(right, 1, axis=1), chunk)]
         return reports
 
     def _solve(self, G: np.ndarray, seed: int) -> ErrorReport:
@@ -327,6 +333,7 @@ def _run_levels(domain: str, ks: Sequence[int], i: Optional[int], n: Optional[in
         _check_integer(name, value)  # before any level is built
     for k in ks:
         _check_integer("k", k, MeshError)
+        points_for(k, i, n)
     if workers < 1:
         raise ValueError(f"workers must be at least 1, got {workers}")
     seeds = range(seed, seed + trials)

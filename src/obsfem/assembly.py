@@ -20,13 +20,16 @@ every observation site contributes a 2 x 2 block.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Optional, Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 import scipy.sparse as sp
 
 from .mesh import TriMesh
 from .observations import ObservationSet, Placement, _element_runs
+
+# The field hats at an element's two ends, 1 - t and t, as sweep readers.
+TRACE_HATS = (lambda lo, hi, out, t: np.subtract(1.0, t, out=out), lambda lo, hi, out, t: np.copyto(out, t))
 
 
 def assemble_stiffness(mesh: TriMesh) -> sp.csr_matrix:
@@ -58,74 +61,65 @@ def assemble_load(mesh: TriMesh, f) -> np.ndarray:
     return F
 
 
-def sweep(placement: Placement, sets: Sequence[ObservationSet],
-          coupling: bool = False) -> tuple[Optional[sp.csr_matrix], list]:
-    """(B if `coupling` else None, [G of each set]) from one pass over the
-    sites of the placement, whose observation sets `sets` are.
+def sweep(placement: Placement, readers: Sequence[Callable]) -> np.ndarray:
+    """Per-element sums (sum alpha (1-t) g, sum alpha t g) of the values g
+    of each reader, that is g paired with the element's first and second
+    multiplier hat, as one (2, len(readers), NB) array from one pass over
+    the sites.
 
-    The pass is one :meth:`Placement.windows`, so its work arrays stay
-    in cache.  Per window, B's per-element sums and, for each set in
-    turn, its values in the pass's work buffer are reduced, the set
-    going on with its own noise stream.  Every per-element sum is one
-    `np.add.reduceat` per window the element's run meets, added up in
-    window order, so a set's G has the same bits whatever else the pass
-    reduces.  Every site only touches the two hat functions of its
+    A reader `read(lo, hi, out, t)` writes g at sites [lo, hi), whose
+    parameters are t, into the pass's work buffer `out`: TRACE_HATS write
+    the field hats 1 - t and t, an observation set's `values` its data,
+    its cursor going on with its own noise.  The pass is one
+    :meth:`Placement.windows`, so its work arrays stay in cache.  Every
+    per-element sum is one `np.add.reduceat` per window the element's run
+    meets, added up in window order, so a reader's sums have the same bits
+    whatever else the pass reads.  A set's G is left + roll(right, 1).
+    """
+    left, right = sums = np.zeros((2, len(readers), len(placement.mesh.boundary)))
+    for lo, hi, owners, counts, t, alpha, w in placement.windows():
+        starts = np.cumsum(counts) - counts
+        for j, read in enumerate(readers):
+            read(lo, hi, w, t)
+            w *= alpha
+            total = np.add.reduceat(w, starts)  # sum alpha g
+            w *= t
+            moment = np.add.reduceat(w, starts)  # sum alpha t g
+            left[j, owners] += total - moment
+            right[j, owners] += moment
+    return sums
+
+
+def _coupling(placement: Placement, left: np.ndarray, right: np.ndarray) -> sp.csr_matrix:
+    """B from the sweep sums (`left`, `right`) whose first two readers are
+    TRACE_HATS.  Every site only touches the two hat functions of its
     element on each side, so B has at most three nonzeros per row and
     each element contributes a 2 x 2 block
 
         [[b00, b01], [b01, b11]] = sum_i alpha_i [[(1-t)^2, (1-t) t], [(1-t) t, t^2]],
 
-    while a set adds sum_i (1 - t) alpha g and sum_i t alpha g to the first
-    and second hat of the element: times alpha, summed, times t, summed.
-    """
-    mesh = placement.mesh
-    nb = len(mesh.boundary)
-    b00, b01, b11 = np.zeros((3, nb))
-    left, right = np.zeros((2, len(sets), nb))
-    for lo, hi, owners, counts, t, alpha, w in placement.windows():
-        starts = np.cumsum(counts) - counts
-        if coupling:
-            np.subtract(1.0, t, out=w)
-            w *= alpha
-            total = np.add.reduceat(w, starts)  # sum alpha (1-t)
-            w *= t
-            moment = np.add.reduceat(w, starts)  # sum alpha (1-t) t
-            np.multiply(alpha, t, out=w)
-            w *= t
-            b00[owners] += total - moment
-            b01[owners] += moment
-            b11[owners] += np.add.reduceat(w, starts)  # sum alpha t t
-        for j, obs in enumerate(sets):
-            obs.values(lo, hi, w, t)
-            w *= alpha
-            total = np.add.reduceat(w, starts)
-            w *= t
-            moment = np.add.reduceat(w, starts)
-            left[j, owners] += total - moment
-            right[j, owners] += moment
-    G = [left[j] + np.roll(right[j], 1) for j in range(len(sets))]
-    if not coupling:
-        return None, G
+    b00 and b01 the left and right sums of 1 - t, b11 the right sum of t."""
+    mesh, nb = placement.mesh, len(left[0])
     e = np.flatnonzero(np.diff(placement.offsets))  # elements with sites
     q1 = (e + 1) % nb
     v0, v1 = mesh.boundary.v0[e], mesh.boundary.v0[q1]
-    rows = np.concatenate([e, e, q1, q1])
-    cols = np.concatenate([v0, v1, v0, v1])
-    vals = np.concatenate([b00[e], b01[e], b01[e], b11[e]])
-    return sp.coo_matrix((vals, (rows, cols)), shape=(nb, len(mesh.vertices))).tocsr(), G
+    rows, cols = np.concatenate([e, e, q1, q1]), np.concatenate([v0, v1, v0, v1])
+    vals = np.concatenate([left[0, e], right[0, e], right[0, e], right[1, e]])  # b00, b01, b01, b11
+    return sp.coo_matrix((vals, (rows, cols)), shape=(nb, len(mesh.vertices))).tocsr()
 
 
 def assemble_coupling_matrix(placement: Placement) -> sp.csr_matrix:
     """Empirical coupling matrix B (independent of the observed data), from
     one :func:`sweep` over the sites."""
-    return sweep(placement, [], coupling=True)[0]
+    return _coupling(placement, *sweep(placement, TRACE_HATS))
 
 
 def assemble_data_vector(obs: ObservationSet) -> np.ndarray:
     """Right-hand side G[k] = sum_i alpha_i psi_k(x_i) g_i, from one
     :func:`sweep` over the sites: G costs the set's draws but no
     length-n array."""
-    return sweep(obs.placement, [obs])[1][0]
+    left, right = sweep(obs.placement, [obs.values])[:, 0]
+    return left + np.roll(right, 1)
 
 
 def trace_matrix(mesh: TriMesh) -> sp.csr_matrix:
@@ -200,7 +194,9 @@ class SaddleSystem:
 
 
 def build_saddle_system(f, obs: ObservationSet) -> SaddleSystem:
-    """The saddle system for load f and the observation set's data."""
-    mesh = obs.placement.mesh
-    return SaddleSystem(assemble_stiffness(mesh), assemble_coupling_matrix(obs.placement),
-                        assemble_load(mesh, f), assemble_data_vector(obs))
+    """The saddle system for load f and the observation set's data, B and
+    G from one sweep."""
+    pl, mesh = obs.placement, obs.placement.mesh
+    left, right = sweep(pl, [*TRACE_HATS, obs.values])
+    return SaddleSystem(assemble_stiffness(mesh), _coupling(pl, left, right),
+                        assemble_load(mesh, f), left[2] + np.roll(right[2], 1))

@@ -32,13 +32,13 @@ EXIT_SOLVER = 3
 # 24 B per site of a window).  A window holds min(sites, 2^16) sites, so
 # min(sites, 2^15) is a lower bound on it.
 _VERTEX_BYTES = 16
-_PIECE_SITE_BYTES = 24
+_WINDOW_SITE_BYTES = 24
 
 
 def _level_bytes(vertices: float, sites: float) -> float:
     """A lower bound on the bytes one level of this many mesh vertices
     and observation sites holds."""
-    return _VERTEX_BYTES * vertices + _PIECE_SITE_BYTES * min(sites, _SUB_BLOCK // 2)
+    return _VERTEX_BYTES * vertices + _WINDOW_SITE_BYTES * min(sites, _SUB_BLOCK // 2)
 
 
 def _refuse_beyond_memory(what: str, need: float, detail: str) -> None:

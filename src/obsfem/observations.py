@@ -13,8 +13,8 @@ An observation set stores no data: it binds a placement, g0, a noise
 model and a seed, and its data g_j = g0(x_j) + e_j are read through
 `values`.  Noise is drawn in fixed-size blocks of a counter-based RNG,
 each in order from its start, so the value at site i depends only on
-(seed, i, n); a set goes on with the stream of the block it read last,
-so windows read in order draw each block once.
+(seed, i, n); a set's cursor goes on from where it stands, so windows
+read in order draw each block once.
 """
 
 from __future__ import annotations
@@ -87,7 +87,7 @@ def _generators(model: Optional[NoiseModel]) -> int:
 
 
 class _NoiseStream:
-    """The noise of one block of an n-entry stream, drawn in order.
+    """A cursor over the noise of an n-entry stream, drawn in blocks.
 
     Block b covers the m entries [b B, min(n, (b+1) B)) and is keyed by
     the Philox key seed | b << 64.  Gaussian noise is sigma times the
@@ -100,64 +100,56 @@ class _NoiseStream:
     is the low 64 bits of the key, so it must be an integer in [0, 2^64).
     """
 
-    def __init__(self, model: Optional[NoiseModel], seed: int, n: int, block: int):
+    def __init__(self, model: Optional[NoiseModel], seed: int, n: int):
         _check_integer("seed", seed)
         if not 0 <= seed < 1 << 64:
             raise ValueError(f"seed must lie in [0, 2^64), got {seed}")
-        self.model = model
-        self.at = block * _NOISE_BLOCK  # the next entry it draws
-        self.end = min(n, self.at + _NOISE_BLOCK)
-        key = int(seed) | (block << 64)
-        if _generators(model):
-            bits = np.random.Philox(key=key)
-            if model.kind == "mixture":
-                self.uniforms = np.random.Generator(np.random.Philox(key=key))
-                bits.advance((self.end - self.at) // 4)
-                bits.random_raw((self.end - self.at) % 4)
-            self.normals = np.random.Generator(bits)
+        self.model, self.seed, self.n = model, int(seed), n
+        self.at = self.end = 0  # the next entry it draws, the end of its block
+
+    def _open(self, block: int) -> None:
+        """Stand at the start of block `block`."""
+        self.at = block * _NOISE_BLOCK
+        self.end = min(self.n, self.at + _NOISE_BLOCK)
+        key = self.seed | (block << 64)
+        bits = np.random.Philox(key=key)
+        if self.model.kind == "mixture":
+            self.uniforms = np.random.Generator(np.random.Philox(key=key))
+            bits.advance((self.end - self.at) // 4)
+            bits.random_raw((self.end - self.at) % 4)
+        self.normals = np.random.Generator(bits)
 
     def draw(self, lo: int, out: np.ndarray) -> np.ndarray:
         """Fill `out` with entries [lo, lo + len(out)) of the stream and
-        return it; the entries between the last draw and lo are drawn
-        per sub-block and dropped.  No noise writes zeros."""
-        if not self.at <= lo <= lo + len(out) <= self.end:
-            raise ValueError(f"noise entries [{lo}, {lo + len(out)}) are not within [{self.at}, {self.end}), "
-                             "the undrawn part of their block")
-        while self.at < lo:
-            self.draw(self.at, np.empty(min(lo - self.at, _SUB_BLOCK)))
-        self.at += len(out)
-        model = self.model
-        if not _generators(model):
+        return it.  In each block the cursor goes on from where it stands
+        if that is not past the entries, and opens the block anew
+        otherwise; the entries it skips are drawn per window and dropped.
+        No noise writes zeros."""
+        model, a, hi = self.model, lo, lo + len(out)
+        if model is None:
             out[:] = 0.0
-        elif model.kind == "gaussian":
-            self.normals.standard_normal(out=out)
-            out *= model.sigma
-        else:
-            pick = self.uniforms.random(out=out) < model.p
-            self.normals.standard_normal(out=out)
-            np.multiply(out, model.sigma1, out=out, where=pick)
-            np.multiply(out, model.sigma2, out=out, where=np.logical_not(pick, out=pick))
+            return out
+        while a < hi:
+            if not self.at <= a < self.end:
+                self._open(a // _NOISE_BLOCK)
+            while self.at < a:
+                self.draw(self.at, np.empty(min(a - self.at, _SUB_BLOCK)))
+            part = out[a - lo : min(hi, self.end) - lo]
+            self.at = a = a + len(part)
+            if model.kind == "gaussian":
+                self.normals.standard_normal(out=part)
+                part *= model.sigma
+            else:
+                pick = self.uniforms.random(out=part) < model.p
+                self.normals.standard_normal(out=part)
+                np.multiply(part, model.sigma1, out=part, where=pick)
+                np.multiply(part, model.sigma2, out=part, where=np.logical_not(pick, out=pick))
         return out
-
-
-def _draw_noise(model: Optional[NoiseModel], seed: int, n: int, lo: int, hi: int, out: np.ndarray,
-                stream: Optional[_NoiseStream] = None) -> Optional[_NoiseStream]:
-    """Write entries [lo, hi) of the noise of an n-entry stream into `out`
-    and return the stream it ends on: in each block, `stream` goes on if
-    it is the block's and has not passed the range, else one starts anew."""
-    for base in range(lo - lo % _NOISE_BLOCK, hi, _NOISE_BLOCK) if lo < hi else ():
-        a, b = max(lo, base), min(hi, base + _NOISE_BLOCK)
-        if stream is None or not stream.at <= a < stream.end:
-            stream = _NoiseStream(model, seed, n, base // _NOISE_BLOCK)
-        stream.draw(a, out[a - lo : b - lo])
-    return stream
 
 
 def sample_noise(model: Optional[NoiseModel], count: int, seed: int) -> np.ndarray:
     """Draw `count` noise values, the whole stream of that length."""
-    out = np.empty(count)
-    _draw_noise(model, seed, count, 0, count, out)
-    return out
+    return _NoiseStream(model, seed, count).draw(0, np.empty(count))
 
 
 def _site_array(n: int) -> np.ndarray:
@@ -343,8 +335,8 @@ def place_points(mesh: TriMesh, n: int) -> Placement:
     when a range of sites is read.
     """
     _check_integer("n", n)
-    if n < 1:
-        raise ValueError(f"need n >= 1, got {n}")
+    if not 1 <= n <= 1 << 52:  # i + 1/2, and so t, is exact for i < 2^52 (see Placement.t)
+        raise ValueError(f"need n >= 1, got {n}" if n < 1 else f"need n <= 2^52, got {n}")
     h = mesh.boundary.length
     starts = np.concatenate([[0.0], np.cumsum(h)])
     spacing = float(h.sum()) / n
@@ -371,29 +363,31 @@ def place_points(mesh: TriMesh, n: int) -> Placement:
 class ObservationSet:
     """Placement plus observed data g_j = g0(x_j) + e_j for one seed.
 
-    The set stores no observed data, only the noise stream of the block
-    it read last.  `values` draws the noise and adds g0 (if any), into
-    the caller's array if one is given, so reading the set into the
-    work buffer of `placement.windows()` allocates no array the size of
-    a window.  g0 None means noise alone; model None, no noise.
+    The set stores no observed data, only its noise cursor, made with the
+    set, so a bad seed fails here.  `values` draws the noise and adds g0
+    (if any), into the caller's array if one is given, so reading the set
+    into the work buffer of `placement.windows()` allocates no array the
+    size of a window.  g0 None means noise alone; model None, no noise.
     """
 
     placement: Placement
     g0: Optional[Callable]
     model: Optional[NoiseModel]
     seed: int
-    _noise: Optional[_NoiseStream] = field(default=None, init=False, repr=False, compare=False)
+    _noise: _NoiseStream = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        self._noise = _NoiseStream(self.model, self.seed, self.placement.n)
 
     def values(self, lo: int, hi: int, out: Optional[np.ndarray] = None,
                t: Optional[np.ndarray] = None) -> np.ndarray:
         """g at sites [lo, hi), written into `out` if it is given, the noise
-        going on from the stream the set kept (see :func:`_draw_noise`).
+        drawn by the set's cursor (see :meth:`_NoiseStream.draw`).
         `t`, if given, holds the sites' parameters, so that g0 is read
         without deriving them."""
         _check_range(self.placement.n, lo, hi)
         _check_out(out, lo, hi)
-        out = np.empty(hi - lo) if out is None else out
-        self._noise = _draw_noise(self.model, self.seed, self.placement.n, lo, hi, out, self._noise)
+        out = self._noise.draw(lo, np.empty(hi - lo) if out is None else out)
         if self.g0 is not None:
             out += self.placement.evaluate(self.g0, lo, hi, t)
         return out

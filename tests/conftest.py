@@ -43,15 +43,14 @@ def mixed_mesh():
 
 @pytest.fixture()
 def stream_opens(monkeypatch):
-    """(seed, block) of every noise stream opened while the test runs."""
-    opens = []
+    """(seed, block) of every noise block a cursor opened while the test runs."""
+    opens, open_block = [], observations._NoiseStream._open
 
-    class CountedStream(observations._NoiseStream):
-        def __init__(self, model, seed, n, block):
-            opens.append((seed, block))
-            super().__init__(model, seed, n, block)
+    def counted(self, block):
+        opens.append((self.seed, block))
+        open_block(self, block)
 
-    monkeypatch.setattr(observations, "_NoiseStream", CountedStream)
+    monkeypatch.setattr(observations._NoiseStream, "_open", counted)
     return opens
 
 

@@ -166,7 +166,7 @@ def test_criterion_5_quadrature_properties(square10, disk10, capsys):
         # two end intervals account exactly for the difference
         q = float(np.sum(w * t))
         nodes = np.concatenate([[0.0], t, [1.0]])
-        trap = float(np.trapezoid(nodes, nodes))
+        trap = float(np.sum(np.diff(nodes) * (nodes[1:] + nodes[:-1]) / 2.0))  # numpy 1.x has no trapezoid
         corr = 0.5 * (t[0] - 0.0) * (t[0] - 0.0) + 0.5 * (1.0 - t[-1]) * (t[-1] - 1.0)
         worst_identity = max(worst_identity, abs((q - trap) - corr))
     alpha_errs = {}

@@ -214,6 +214,13 @@ class TestPointsFor:
         with pytest.raises(ValueError, match="^n must be an integer, got 10.5$"):  # not truncated to 10
             points_for(10, None, 10.5)
 
+    def test_site_counts_above_2_to_the_52_refused(self):
+        # a site's parameter derives from i + 1/2, exact in floats only for i < 2^52
+        assert points_for(4, None, 2 ** 52) == 2 ** 52 and points_for(8192, 4, None) == 2 ** 52
+        for i, n, got in ((None, 2 ** 52 + 1, 2 ** 52 + 1), (None, 10 ** 20, 10 ** 20), (4, None, 8193 ** 4)):
+            with pytest.raises(ValueError, match=f"^n must be at most 2\\^52, got {got}$"):
+                points_for(8193, i, n)
+
 
 class TestEstimateRates:
     def test_published_table_pairs(self):
@@ -430,6 +437,12 @@ class TestRunStudy:
     def test_trials_must_be_positive(self):
         with pytest.raises(ValueError):
             run_study("square", [4], i=2, trials=0)
+
+    def test_site_count_above_2_to_the_52_fails_before_any_level(self, monkeypatch):
+        # 8193^4 > 2^52: refused before the k = 4 level is built
+        monkeypatch.setattr(analysis, "build_mesh", lambda *a: pytest.fail("built a mesh"))
+        with pytest.raises(ValueError, match=f"^n must be at most 2\\^52, got {8193 ** 4}$"):
+            run_study("square", [4, 8193], i=4, model=NoiseModel.gaussian(1.0))
 
     def test_seeds_beyond_64_bits_fail_before_any_level(self, monkeypatch):
         # seed 2^64 would alias seed 0
@@ -648,7 +661,8 @@ class TestMeasurePath:
     ])
     def test_reports_keep_the_bits_of_the_plain_formulas(self, domain, k, i, model, seeds):
         level = Level(domain, k, i=i)
-        noise = sweep(level.placement, [observe(level.placement, None, model, s) for s in seeds])[1]
+        left, right = sweep(level.placement, [observe(level.placement, None, model, s).values for s in seeds])
+        noise = left + np.roll(right, 1, axis=1)
         expected = []
         for g, seed in zip(noise, seeds):
             system = dataclasses.replace(level.clean, G=level.clean.G + g)
@@ -681,7 +695,7 @@ class TestLevelTrials:
         model = NoiseModel.mixture(1.0, 10.0, 0.3)
         whole = level.trials(model, range(5))
         sweeps = []
-        monkeypatch.setattr(analysis, "sweep", lambda pl, sets: sweeps.append(len(sets)) or sweep(pl, sets))
+        monkeypatch.setattr(analysis, "sweep", lambda pl, readers: sweeps.append(len(readers)) or sweep(pl, readers))
         per_seed = 16 * len(level.mesh.boundary) + 2 * analysis._GENERATOR_BYTES
         monkeypatch.setattr(analysis, "_SWEEP_BYTES", 5 * per_seed // 2)
         assert level.trials(model, range(5)) == whole
@@ -694,7 +708,7 @@ class TestLevelTrials:
         level = Level("square", 10, n=50)
         sweeps = []
         monkeypatch.setattr(analysis, "sweep",
-                            lambda pl, sets: sweeps.append(len(sets)) or (None, [0.0] * len(sets)))
+                            lambda pl, readers: sweeps.append(len(readers)) or np.zeros((2, len(readers), 1)))
         monkeypatch.setattr(level, "_solve", lambda G, seed: None)
         level.trials(model, range(seeds + 1))
         assert sweeps == [seeds, 1]

@@ -23,7 +23,7 @@ from obsfem import (
     observe,
     place_points,
 )
-from obsfem.assembly import sweep, trace_matrix, vh_gram
+from obsfem.assembly import TRACE_HATS, sweep, trace_matrix, vh_gram
 from obsfem.mesh import Boundary, TriMesh
 
 
@@ -205,7 +205,7 @@ class TestCoupling:
         monkeypatch.setattr(Placement, "windows", lambda self: (reads.append(w[1] - w[0]) or w for w in windows(self)))
         monkeypatch.setattr(ObservationSet, "values",
                             lambda self, lo, hi, *a: reads.append(self.seed) or values(self, lo, hi, *a))
-        sweep(pl, sets, coupling=True)
+        sweep(pl, [*TRACE_HATS, *(obs.values for obs in sets)])
         windows = -(-pl.n // 2 ** 16)
         assert np.diff(pl.offsets).max() > 2 ** 16 and windows == 9
         assert reads[0::3] == [2 ** 16] * 8 + [4] and reads[1::3] == [0] * windows and reads[2::3] == [1] * windows

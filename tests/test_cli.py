@@ -191,6 +191,13 @@ class TestConfigErrors:
         assert code == 2 and not out.exists()
         assert len(err.splitlines()) == 1 and err.startswith("error: seeds [")
 
+    @pytest.mark.parametrize("n", [2 ** 52 + 1, 10 ** 20])
+    def test_site_count_above_2_to_the_52_refused_before_any_mesh(self, tmp_path, capsys, monkeypatch, n):
+        monkeypatch.setattr(analysis, "build_mesh", lambda *a: pytest.fail("built a mesh"))
+        code, out = run_convergence(tmp_path, "--h", "0.5", "--n", str(n), "--trials", "1")
+        assert code == 2 and not out.exists()
+        assert capsys.readouterr().err == f"error: n must be at most 2^52, got {n}\n"
+
     def test_memory_estimate_counts_the_workers(self, tmp_path, capsys, monkeypatch):
         # h=0.1, i=4: at least 16 B x 121 vertices + 24 B x 10^4 sites = 242 kB per level
         pages = {"SC_PHYS_PAGES": 80, "SC_PAGE_SIZE": 4096}  # 328 kB

@@ -107,7 +107,7 @@ def trapezoid_on_partition(t, w_at_t, w0, w1):
     """
     nodes = np.concatenate([[0.0], t, [1.0]])
     vals = np.concatenate([[w0], w_at_t, [w1]])
-    return float(np.trapezoid(vals, nodes))
+    return float(np.sum(np.diff(nodes) * (vals[1:] + vals[:-1]) / 2.0))  # numpy 1.x has no trapezoid
 
 
 class TestQuadratureWeights:
@@ -241,6 +241,17 @@ class TestPlacement:
         with pytest.raises(ValueError, match=f"^{match}"):
             place_points(square10, n)
         assert place_points(square10, np.int64(10)).n == 10
+
+    @pytest.mark.parametrize("domain, k", [("square", 2), ("disk", 10)])
+    def test_up_to_2_to_the_52_sites_keep_t_increasing_inside_each_element(self, domain, k):
+        # a site's t derives from i + 1/2, exact in floats only for i < 2^52
+        pl = place_points(mesh_of(domain, k), 2 ** 52)
+        for lo, hi in zip(pl.offsets[:-1], pl.offsets[1:]):
+            for a, b in ((lo, lo + 2000), (hi - 2000, hi)):
+                t = pl.t(a, b)
+                assert 0.0 < t[0] and t[-1] < 1.0 and (np.diff(t) > 0.0).all()
+        with pytest.raises(ValueError, match=f"^need n <= 2\\^52, got {2 ** 52 + 1}$"):
+            place_points(pl.mesh, 2 ** 52 + 1)
 
     def test_params_strictly_increasing_per_element(self, disk10):
         pl = place_points(disk10, 500)
@@ -450,6 +461,10 @@ class TestNoise:
         # the seed is the low 64 bits of the Philox key; -1 would alias 2^64 - 1
         with pytest.raises(ValueError, match=f"got {seed}$"):
             sample_noise(NoiseModel.gaussian(1.0), 10, seed)
+        pl = place_points(mesh_of("square", 4), 10)
+        for model in (NoiseModel.gaussian(1.0), None):  # the set's cursor refuses it, before any read
+            with pytest.raises(ValueError, match=f"^seed must lie in \\[0, 2\\^64\\), got {seed}$"):
+                observe(pl, None, model, seed)
 
     @pytest.mark.parametrize("seed", [1.5, 1.0, np.float64(2.0)])
     def test_seed_that_is_not_an_integer_rejected(self, seed):
@@ -523,10 +538,11 @@ class TestNoise:
             assert np.array_equal(obs.values(lo, hi), full[lo:hi])
             assert [block for _, block in stream_opens] == opened
             stream_opens.clear()
-        # the kept stream is not part of the set's value
+        # the cursor is not part of the set's value, and a copy gets a cursor of its own
         assert obs == observe(obs.placement, None, model, 4)
         assert "_noise" not in repr(obs)
-        assert dataclasses.replace(obs)._noise is None
+        copy = dataclasses.replace(obs)
+        assert copy._noise is not obs._noise and copy._noise.at == 0
 
     @staticmethod
     def whole_window(model, seed, block, m):
@@ -547,25 +563,29 @@ class TestNoise:
         block = 2  # the window [2^21, 2^21 + m) of a stream of n entries
         n = 2 * 2 ** 20 + m
         whole = self.whole_window(model, 9, block, m)
-        stream = _NoiseStream(model, 9, n, block)
+        stream = _NoiseStream(model, 9, n)
         base, got = 2 * 2 ** 20, []
+        at = base
         for size in (1, 3, 2 ** 16, 4099, m):
-            size = min(size, n - stream.at)
-            got.append(stream.draw(stream.at, np.empty(size)))
+            size = min(size, n - at)
+            got.append(stream.draw(at, np.empty(size)))
+            at += size
         assert stream.at == n
         assert np.array_equal(np.concatenate(got), whole)
         # a draw that starts further on drops the entries in between
-        later = _NoiseStream(model, 9, n, block).draw(base + m // 2, np.empty(m - m // 2))
+        later = _NoiseStream(model, 9, n).draw(base + m // 2, np.empty(m - m // 2))
         assert np.array_equal(later, whole[m // 2 :])
         assert np.array_equal(sample_noise(model, n, 9)[base:], whole)
 
-    def test_stream_refuses_entries_it_has_passed_or_does_not_hold(self):
-        stream = _NoiseStream(NoiseModel.gaussian(1.0), 3, 100, 0)
-        stream.draw(10, np.empty(5))
-        for lo, size in ((12, 2), (20, 81)):
-            with pytest.raises(ValueError, match=rf"^noise entries \[{lo}, {lo + size}\) are not within "
-                                                 rf"\[15, 100\), the undrawn part of their block$"):
-                stream.draw(lo, np.empty(size))
+    def test_stream_read_behind_its_cursor_redraws_the_block(self, stream_opens):
+        model, n = NoiseModel.mixture(1.0, 10.0, 0.3), 2 ** 20 + 100
+        full = sample_noise(model, n, 3)
+        stream = _NoiseStream(model, 3, n)
+        stream_opens.clear()
+        for lo, size, opened in ((10, 5, [0]), (12, 2, [0]), (2 ** 20 - 3, 50, [1]), (0, n, [0, 1])):
+            assert np.array_equal(stream.draw(lo, np.empty(size)), full[lo : lo + size])
+            assert stream_opens == [(3, block) for block in opened]
+            stream_opens.clear()
 
     def test_inverted_range_rejected_empty_range_allowed(self, square10):
         obs = observe(place_points(square10, 10), None, NoiseModel.gaussian(1.0), 3)
