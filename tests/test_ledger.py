@@ -30,7 +30,7 @@ from obsfem import NoiseModel
 from obsfem.analysis import ErrorReport, Level
 
 LEDGER = pathlib.Path(__file__).with_name("ledger.json")
-FIELDS = [f for f in ErrorReport.__dataclass_fields__]
+FIELDS = list(ErrorReport.__dataclass_fields__)
 RTOL = 1e-12
 
 # name -> (domain, mesh sizes k, exponent i, site count n, noise model, seeds)
