@@ -220,14 +220,15 @@ def compute_errors(quadrature: ErrorQuadrature, solution: SaddleSolution,
 
 
 def points_for(k: int, i: Optional[int], n: Optional[int]) -> int:
-    """Observation count: explicit n, or round(h^-i) with h = 1/k; at most
+    """Observation count: explicit n, or h^-i = k^i with h = 1/k; at most
     2^52, so that every site's parameter t is exact (see place_points)."""
+    _check_integer("k", k, MeshError)
     if n is None:
         if i is None:
             raise ValueError("need either i or n")
         if i not in (1, 2, 3, 4):
             raise ValueError(f"exponent i must be in 1..4, got {i}")
-        n = round(float(k) ** i)  # a k below 2 fails at the mesh
+        n = int(k) ** int(i)  # exact, so a huge k gets the 2^52 message; a k below 2 fails at the mesh
     else:
         _check_integer("n", n)
         if n < 1:
@@ -332,7 +333,6 @@ def _run_levels(domain: str, ks: Sequence[int], i: Optional[int], n: Optional[in
     for name, value in (("seed", seed), ("trials", trials), ("workers", workers)):
         _check_integer(name, value)  # before any level is built
     for k in ks:
-        _check_integer("k", k, MeshError)
         points_for(k, i, n)
     if workers < 1:
         raise ValueError(f"workers must be at least 1, got {workers}")

@@ -26,10 +26,10 @@ import numpy as np
 import scipy.sparse as sp
 
 from .mesh import TriMesh
-from .observations import ObservationSet, Placement, _element_runs
+from .observations import ObservationSet, Placement
 
 # The field hats at an element's two ends, 1 - t and t, as sweep readers.
-TRACE_HATS = (lambda lo, hi, out, t: np.subtract(1.0, t, out=out), lambda lo, hi, out, t: np.copyto(out, t))
+TRACE_HATS = (lambda w, out: np.subtract(1.0, w.t, out=out), lambda w, out: np.copyto(out, w.t))
 
 
 def assemble_stiffness(mesh: TriMesh) -> sp.csr_matrix:
@@ -67,26 +67,26 @@ def sweep(placement: Placement, readers: Sequence[Callable]) -> np.ndarray:
     multiplier hat, as one (2, len(readers), NB) array from one pass over
     the sites.
 
-    A reader `read(lo, hi, out, t)` writes g at sites [lo, hi), whose
-    parameters are t, into the pass's work buffer `out`: TRACE_HATS write
-    the field hats 1 - t and t, an observation set's `values` its data,
-    its cursor going on with its own noise.  The pass is one
+    A reader `read(w, out)` writes g at the sites of the window `w` into
+    the pass's work buffer `out`: TRACE_HATS write the field hats 1 - t
+    and t, an observation set's `values` its data, its cursor going on
+    with its own noise.  The pass is one
     :meth:`Placement.windows`, so its work arrays stay in cache.  Every
     per-element sum is one `np.add.reduceat` per window the element's run
     meets, added up in window order, so a reader's sums have the same bits
     whatever else the pass reads.  A set's G is left + roll(right, 1).
     """
     left, right = sums = np.zeros((2, len(readers), len(placement.mesh.boundary)))
-    for lo, hi, owners, counts, t, alpha, w in placement.windows():
-        starts = np.cumsum(counts) - counts
+    for w, out in placement.windows():
+        starts = np.cumsum(w.counts) - w.counts
         for j, read in enumerate(readers):
-            read(lo, hi, w, t)
-            w *= alpha
-            total = np.add.reduceat(w, starts)  # sum alpha g
-            w *= t
-            moment = np.add.reduceat(w, starts)  # sum alpha t g
-            left[j, owners] += total - moment
-            right[j, owners] += moment
+            read(w, out)
+            out *= w.alpha
+            total = np.add.reduceat(out, starts)  # sum alpha g
+            out *= w.t
+            moment = np.add.reduceat(out, starts)  # sum alpha t g
+            left[j, w.owners] += total - moment
+            right[j, w.owners] += moment
     return sums
 
 
@@ -159,8 +159,8 @@ def _hat(mesh: TriMesh, mu, e, t) -> np.ndarray:
 
 def multiplier_at_sites(mu: np.ndarray, placement: Placement) -> np.ndarray:
     """Values of a multiplier dof vector at every observation site."""
-    n = placement.n
-    return _hat(placement.mesh, mu, np.repeat(*_element_runs(placement.offsets, 0, n)), placement.t(0, n))
+    w = placement.window(0, placement.n)
+    return _hat(placement.mesh, mu, np.repeat(w.owners, w.counts), w.t)
 
 
 def vh_gram(mesh: TriMesh) -> sp.csr_matrix:

@@ -8,7 +8,7 @@ inside its boundary element, and a global weight
 
 so that sum_j alpha_j u(x_j) v(x_j) approximates the L2(Gamma) pairing.
 A placement stores no per-site data: t, alpha and the points are
-derived per range of sites from per-element constants.
+derived per window of sites from per-element constants.
 An observation set stores no data: it binds a placement, g0, a noise
 model and a seed, and its data g_j = g0(x_j) + e_j are read through
 `values`.  Noise is drawn in fixed-size blocks of a counter-based RNG,
@@ -22,7 +22,7 @@ from __future__ import annotations
 import math
 import mmap
 from dataclasses import dataclass, field
-from typing import Callable, Iterator, Optional
+from typing import Callable, Iterator, NamedTuple, Optional
 
 import numpy as np
 
@@ -149,6 +149,9 @@ class _NoiseStream:
 
 def sample_noise(model: Optional[NoiseModel], count: int, seed: int) -> np.ndarray:
     """Draw `count` noise values, the whole stream of that length."""
+    _check_integer("count", count)
+    if count < 0:
+        raise ValueError(f"count must be nonnegative, got {count}")
     return _NoiseStream(model, seed, count).draw(0, np.empty(count))
 
 
@@ -164,6 +167,19 @@ def _site_array(n: int) -> np.ndarray:
     return np.frombuffer(mmap.mmap(-1, max(8 * n, 1)), dtype=float, count=n)
 
 
+class Window(NamedTuple):
+    """Sites [lo, hi): the elements that own them in loop order, how many
+    each owns, their t and alpha.  A window of a pass holds its buffers,
+    which the next window overwrites, so no reader keeps one past its step."""
+
+    lo: int
+    hi: int
+    owners: np.ndarray
+    counts: np.ndarray
+    t: np.ndarray
+    alpha: np.ndarray
+
+
 @dataclass
 class Placement:
     """Observation sites on the boundary loop, bucketed by element.
@@ -175,9 +191,8 @@ class Placement:
     A placement holds no per-site data, only what derives it: `offsets`,
     the per-element starts and lengths, the site `spacing` and the sites
     nudged off element endpoints (`nudged`, their clipped `nudged_t`).
-    `t(lo, hi)`, `alpha(lo, hi)` and `positions(lo, hi)` derive a range
-    of sites from them, the same bits for any range; `windows()` is a
-    pass over all of them.
+    `window(lo, hi)` derives a :class:`Window` of sites from them, the
+    same bits for any range; `windows()` is a pass over all of them.
     """
 
     mesh: TriMesh
@@ -191,72 +206,55 @@ class Placement:
     def __post_init__(self):
         self.starts = np.concatenate([[0.0], np.cumsum(self.mesh.boundary.length)])
 
-    def t(self, lo: int, hi: int, out: Optional[np.ndarray] = None) -> np.ndarray:
-        """Local parameters of sites [lo, hi), written into `out` if it is
-        given: (s - start) / h, with the nudges applied."""
+    def window(self, lo: int, hi: int) -> Window:
+        """Sites [lo, hi) as a window of arrays of its own, the bits of a pass."""
         _check_range(self.n, lo, hi)
-        _check_out(out, lo, hi)
-        owners, counts = _element_runs(self.offsets, lo, hi)
-        out = np.add(np.arange(lo, hi, dtype=float), 0.5, out=out)
-        out *= self.spacing
-        out -= np.repeat(self.starts[owners], counts)
-        out /= np.repeat(self.mesh.boundary.length[owners], counts)
-        moved = slice(*np.searchsorted(self.nudged, (lo, hi)))
-        out[self.nudged[moved] - lo] = self.nudged_t[moved]
-        return out
+        return self._window(lo, hi, np.empty(hi - lo + 2), np.empty(hi - lo))
 
-    def alpha(self, lo: int, hi: int) -> np.ndarray:
-        """Global quadrature weights alpha_j = omega_j h_E of sites [lo, hi)."""
-        _check_range(self.n, lo, hi)
-        return self._weights(lo, hi, *_element_runs(self.offsets, lo, hi), None, np.empty(hi - lo))[1]
-
-    def windows(self) -> Iterator[tuple]:
-        """One pass over the sites: yields (lo, hi, owners, counts, t,
-        alpha, work) per window [lo, hi) = [j 2^16, min(n, (j+1) 2^16))
-        (see _SUB_BLOCK), with the window's element runs, its sites' t
-        and alpha, and one more window of scratch; the next window
-        overwrites them.  The pass holds three buffers of its own (see
-        :func:`_site_array`), so no two passes share one and they go
-        back to the system when it ends."""
+    def windows(self) -> Iterator[tuple[Window, np.ndarray]]:
+        """One pass over the sites: yields (window, work) per window [lo, hi)
+        = [j 2^16, min(n, (j+1) 2^16)) (see _SUB_BLOCK), work one more window
+        of scratch, both overwritten by the next window.  The pass holds three
+        buffers of its own, returned to the system when it ends (see :func:`_site_array`)."""
         m = min(self.n, _SUB_BLOCK)
         t_buf, alpha_buf, work = _site_array(m + 2), _site_array(m), _site_array(m)
         for lo in range(0, self.n, _SUB_BLOCK):
             hi = min(self.n, lo + _SUB_BLOCK)
-            owners, counts = _element_runs(self.offsets, lo, hi)
-            t, alpha = self._weights(lo, hi, owners, counts, t_buf, alpha_buf[: hi - lo])
-            yield lo, hi, owners, counts, t, alpha, work[: hi - lo]
+            yield self._window(lo, hi, t_buf, alpha_buf[: hi - lo]), work[: hi - lo]
 
-    def _weights(self, lo: int, hi: int, owners: np.ndarray, counts: np.ndarray,
-                 t_out: Optional[np.ndarray], out: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """(t, alpha) of sites [lo, hi), whose element runs are (owners,
-        counts), alpha written into `out`: alpha reads t of [lo, hi) and
-        its neighbours within [0, n), derived into `t_out` if it is given."""
+    def _window(self, lo: int, hi: int, t_buf: np.ndarray, alpha_out: np.ndarray) -> Window:
+        """The window [lo, hi), alpha written into `alpha_out`.  alpha reads
+        t of [lo, hi) and its neighbours within [0, n), derived into `t_buf`
+        as (s - start) / h, with the nudges applied."""
         a, b = max(lo - 1, 0), min(hi + 1, self.n)
-        t = self.t(a, b, None if t_out is None else t_out[: b - a])
-        w = _local_weights(t, self.offsets - a, lo - a, hi - a, out)
-        w *= np.repeat(self.mesh.boundary.length[owners], counts)
-        return t[lo - a : hi - a], out
+        owners, counts = _element_runs(self.offsets, a, b)
+        t = np.add(np.arange(a, b, dtype=float), 0.5, out=t_buf[: b - a])
+        t *= self.spacing
+        t -= np.repeat(self.starts[owners], counts)
+        t /= np.repeat(self.mesh.boundary.length[owners], counts)
+        moved = slice(*np.searchsorted(self.nudged, (a, b)))
+        t[self.nudged[moved] - a] = self.nudged_t[moved]
+        owners, counts = _element_runs(self.offsets, lo, hi)
+        alpha = _local_weights(t, self.offsets - a, lo - a, hi - a, alpha_out)
+        alpha *= np.repeat(self.mesh.boundary.length[owners], counts)
+        return Window(lo, hi, owners, counts, t[lo - a : hi - a], alpha)
 
-    def positions(self, lo: int, hi: int, t: Optional[np.ndarray] = None) -> np.ndarray:
-        """Points x_j of sites [lo, hi) on the exact boundary, shape (hi - lo, 2), from
-        the kernel of :func:`boundary_point`, per element run, columns contiguous.
-        `t`, if given, holds the sites' parameters."""
-        _check_range(self.n, lo, hi)
-        t = self.t(lo, hi) if t is None else t
-        return _run_points(self.mesh, *_element_runs(self.offsets, lo, hi), t)
+    def positions(self, w: Window) -> np.ndarray:
+        """Points x_j of the window's sites on the exact boundary, shape (hi - lo, 2),
+        from the kernel of :func:`boundary_point` per element run, columns contiguous."""
+        return _run_points(self.mesh, w.owners, w.counts, w.t)
 
-    def evaluate(self, g0: Callable, lo: int, hi: int, t: Optional[np.ndarray] = None) -> np.ndarray:
-        """g0 at sites [lo, hi) in one call of g0; a sweep reads at most a
-        window of sites at a time.  `t`, if given, holds the sites'
-        parameters."""
-        pts = self.positions(lo, hi, t)
+    def evaluate(self, g0: Callable, w: Window) -> np.ndarray:
+        """g0 at the window's sites in one call of g0; a sweep reads at most
+        a window of 2^16 sites at a time."""
+        pts = self.positions(w)
         vals = np.asarray(g0(*pts.T), dtype=float)  # contiguous x and y
-        if vals.shape not in ((), (hi - lo,)):
+        if vals.shape not in ((), (w.hi - w.lo,)):
             raise ValueError("g0 must map coordinate arrays to a value array")
-        vals = np.broadcast_to(vals, (hi - lo,))
+        vals = np.broadcast_to(vals, (w.hi - w.lo,))
         bad = np.flatnonzero(~np.isfinite(vals))
         if bad.size:
-            raise ValueError(f"g0 is not finite at site {lo + bad[0]} {tuple(pts[bad[0]].tolist())}")
+            raise ValueError(f"g0 is not finite at site {w.lo + bad[0]} {tuple(pts[bad[0]].tolist())}")
         return vals
 
 
@@ -335,7 +333,7 @@ def place_points(mesh: TriMesh, n: int) -> Placement:
     when a range of sites is read.
     """
     _check_integer("n", n)
-    if not 1 <= n <= 1 << 52:  # i + 1/2, and so t, is exact for i < 2^52 (see Placement.t)
+    if not 1 <= n <= 1 << 52:  # i + 1/2, and so t, is exact for i < 2^52 (see Placement._window)
         raise ValueError(f"need n >= 1, got {n}" if n < 1 else f"need n <= 2^52, got {n}")
     h = mesh.boundary.length
     starts = np.concatenate([[0.0], np.cumsum(h)])
@@ -379,17 +377,14 @@ class ObservationSet:
     def __post_init__(self):
         self._noise = _NoiseStream(self.model, self.seed, self.placement.n)
 
-    def values(self, lo: int, hi: int, out: Optional[np.ndarray] = None,
-               t: Optional[np.ndarray] = None) -> np.ndarray:
-        """g at sites [lo, hi), written into `out` if it is given, the noise
-        drawn by the set's cursor (see :meth:`_NoiseStream.draw`).
-        `t`, if given, holds the sites' parameters, so that g0 is read
-        without deriving them."""
-        _check_range(self.placement.n, lo, hi)
-        _check_out(out, lo, hi)
-        out = self._noise.draw(lo, np.empty(hi - lo) if out is None else out)
+    def values(self, w: Window, out: Optional[np.ndarray] = None) -> np.ndarray:
+        """g at the sites of window `w`, written into `out` if it is given,
+        the noise drawn by the set's cursor (see :meth:`_NoiseStream.draw`)."""
+        _check_range(self.placement.n, w.lo, w.hi)
+        _check_out(out, w.lo, w.hi)
+        out = self._noise.draw(w.lo, np.empty(w.hi - w.lo) if out is None else out)
         if self.g0 is not None:
-            out += self.placement.evaluate(self.g0, lo, hi, t)
+            out += self.placement.evaluate(self.g0, w)
         return out
 
 

@@ -444,6 +444,17 @@ class TestRunStudy:
         with pytest.raises(ValueError, match=f"^n must be at most 2\\^52, got {8193 ** 4}$"):
             run_study("square", [4, 8193], i=4, model=NoiseModel.gaussian(1.0))
 
+    @pytest.mark.parametrize("call, n", [
+        (lambda: run_study("square", [10 ** 80], i=4), 10 ** 320),
+        (lambda: Level("square", 10 ** 80, i=4), 10 ** 320),
+        (lambda: run_study("square", [10 ** 400], i=1), 10 ** 400),
+    ], ids=["run_study-i4", "level-i4", "run_study-i1"])
+    def test_a_huge_k_gets_the_2_to_the_52_message_before_any_level(self, monkeypatch, call, n):
+        # k^i is computed in integers, so it neither overflows a float nor rounds
+        monkeypatch.setattr(analysis, "build_mesh", lambda *a: pytest.fail("built a mesh"))
+        with pytest.raises(ValueError, match=f"^n must be at most 2\\^52, got {n}$"):
+            call()
+
     def test_seeds_beyond_64_bits_fail_before_any_level(self, monkeypatch):
         # seed 2^64 would alias seed 0
         monkeypatch.setattr(analysis, "build_mesh", lambda *a: pytest.fail("built a mesh"))

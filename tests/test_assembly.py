@@ -32,7 +32,7 @@ def dense_coupling(placement):
     mesh = placement.mesh
     nq = len(mesh.boundary)
     B = np.zeros((nq, len(mesh.vertices)))
-    ts, alphas = placement.t(0, placement.n), placement.alpha(0, placement.n)
+    ts, alphas = placement.window(0, placement.n)[4:]
     for e in range(nq):
         q0, q1 = e, (e + 1) % nq
         v0, v1 = mesh.boundary.v0[e], mesh.boundary.v1[e]
@@ -68,9 +68,10 @@ def per_window_hat_moments(placement, values):
         hi = min(placement.n, lo + 2 ** 16)
         off = np.clip(placement.offsets, lo, hi) - lo
         owners = np.flatnonzero(off[1:] > off[:-1])
-        w = placement.alpha(lo, hi) * values(lo, hi)
+        window = placement.window(lo, hi)
+        w = window.alpha * values(lo, hi)
         total = np.add.reduceat(w, off[owners])
-        moment = np.add.reduceat(w * placement.t(lo, hi), off[owners])
+        moment = np.add.reduceat(w * window.t, off[owners])
         left[owners] += total - moment
         right[owners] += moment
     return left, right
@@ -181,7 +182,7 @@ class TestCoupling:
         nq = len(square4.boundary)
         psi = np.stack([multiplier_at_sites(np.eye(nq)[k], pl) for k in range(nq)])
         np.testing.assert_allclose(np.asarray(B.sum(axis=1)).ravel(),
-                                   psi @ pl.alpha(0, 64), atol=1e-14)
+                                   psi @ pl.window(0, 64).alpha, atol=1e-14)
 
     def test_matches_dense_brute_force(self, square4):
         pl = place_points(square4, 64)
@@ -202,9 +203,9 @@ class TestCoupling:
         pl = place_points(build_square_mesh(2), 4 * 131073)
         sets = [observe(pl, None, NoiseModel.gaussian(1.0), s) for s in range(2)]
         reads, windows, values = [], Placement.windows, ObservationSet.values
-        monkeypatch.setattr(Placement, "windows", lambda self: (reads.append(w[1] - w[0]) or w for w in windows(self)))
-        monkeypatch.setattr(ObservationSet, "values",
-                            lambda self, lo, hi, *a: reads.append(self.seed) or values(self, lo, hi, *a))
+        monkeypatch.setattr(Placement, "windows",
+                            lambda self: (reads.append(w.hi - w.lo) or (w, out) for w, out in windows(self)))
+        monkeypatch.setattr(ObservationSet, "values", lambda self, w, *a: reads.append(self.seed) or values(self, w, *a))
         sweep(pl, [*TRACE_HATS, *(obs.values for obs in sets)])
         windows = -(-pl.n // 2 ** 16)
         assert np.diff(pl.offsets).max() > 2 ** 16 and windows == 9
@@ -225,10 +226,10 @@ class TestCoupling:
                                     None, seed=0)
         G = assemble_data_vector(obs)
         pl = obs.placement
-        g = obs.values(0, pl.n)
+        g = obs.values(pl.window(0, pl.n))
         nq = len(disk10.boundary)
         expected = np.zeros(nq)
-        t, alpha = pl.t(0, pl.n), pl.alpha(0, pl.n)
+        t, alpha = pl.window(0, pl.n)[4:]
         for e in range(nq):
             q0, q1 = e, (e + 1) % nq
             for i in range(pl.offsets[e], pl.offsets[e + 1]):
@@ -242,7 +243,7 @@ class TestCoupling:
         # 2^20 + 5000 sites: one element straddles the two noise blocks
         mesh = build_square_mesh(k) if domain == "square" else build_disk_mesh(k)
         pl = place_points(mesh, 2 ** 20 + 5000)
-        t = pl.t(0, pl.n)
+        t = pl.window(0, pl.n).t
         b00, b01 = per_window_hat_moments(pl, lambda lo, hi: 1.0 - t[lo:hi])
         _, b11 = per_window_hat_moments(pl, lambda lo, hi: t[lo:hi])
         e = np.flatnonzero(np.diff(pl.offsets))
@@ -259,14 +260,14 @@ class TestCoupling:
             return np.sin(5.0 * x + 1.0) * np.sin(5.0 * y + 1.0)
 
         def clean(lo, hi):
-            return 0.0 + pl.evaluate(g0, lo, hi)
+            return 0.0 + pl.evaluate(g0, pl.window(lo, hi))
 
         for model in (NoiseModel.gaussian(1.5), NoiseModel.mixture(1.0, 10.0, 0.3)):
             for obs, values in (
                 (observe(pl, None, model, 9), lambda lo, hi: per_block_noise(model, 9, pl.n, lo, hi)),
                 (ObservationSet(pl, g0, None, 0), clean),
                 (observe(pl, g0, model, 9),
-                 lambda lo, hi: per_block_noise(model, 9, pl.n, lo, hi) + pl.evaluate(g0, lo, hi)),
+                 lambda lo, hi: per_block_noise(model, 9, pl.n, lo, hi) + pl.evaluate(g0, pl.window(lo, hi))),
             ):
                 left, right = per_window_hat_moments(pl, values)
                 assert np.array_equal(assemble_data_vector(obs), left + np.roll(right, 1))
@@ -348,7 +349,7 @@ class TestMultiplierAtSites:
         pl = place_points(disk10, 150)
         nq = len(disk10.boundary)
         mu = rng.standard_normal(nq)
-        vals, t = multiplier_at_sites(mu, pl), pl.t(0, pl.n)
+        vals, t = multiplier_at_sites(mu, pl), pl.window(0, pl.n).t
         for e in (0, 17, 40, nq - 1):
             sl = slice(pl.offsets[e], pl.offsets[e + 1])
             np.testing.assert_allclose(vals[sl], (1 - t[sl]) * mu[e] + t[sl] * mu[(e + 1) % nq])
@@ -411,7 +412,7 @@ class TestEmpiricalNormEquivalence:
         M1 = boundary_mass(mesh, power=1)
         for _ in range(20):
             mu = rng.standard_normal(len(mesh.boundary))
-            num = empirical_norm(pl.alpha(0, pl.n), multiplier_at_sites(mu, pl))
+            num = empirical_norm(pl.window(0, pl.n).alpha, multiplier_at_sites(mu, pl))
             den = math.sqrt(mu @ (M1 @ mu))
             assert 0.5 <= num / den <= 2.0
 

@@ -237,7 +237,9 @@ class TestConfigErrors:
                    "    return int(open('/proc/self/statm').read().split()[1]) * resource.getpagesize()\n"
                    "base = resident()\n"
                    "level = obsfem.Level('square', 40, i=4)\n"
-                   "pass_buffers = sum(a.nbytes for a in next(level.placement.windows())[4:])\n"
+                   "w, work = next(level.placement.windows())\n"
+                   "pass_buffers = w.t.nbytes + w.alpha.nbytes + work.nbytes\n"
+                   "del w, work\n"
                    "level.trials(obsfem.NoiseModel.mixture(1.0, 10.0, 0.3), range(2))\n"
                    "held = level.mesh.vertices.nbytes + pass_buffers\n"
                    "print(cli._level_bytes(41 * 41, 40.0 ** 4), held, resident() - base)\n")

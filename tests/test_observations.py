@@ -70,7 +70,7 @@ def buffer_of(a):
 def arclengths(pl):
     """Global arclength coordinate of every site: its element's start plus t h."""
     counts = np.diff(pl.offsets)
-    return np.repeat(pl.starts[:-1], counts) + pl.t(0, pl.n) * np.repeat(pl.mesh.boundary.length, counts)
+    return np.repeat(pl.starts[:-1], counts) + pl.window(0, pl.n).t * np.repeat(pl.mesh.boundary.length, counts)
 
 
 @functools.lru_cache(maxsize=None)
@@ -86,17 +86,30 @@ def assert_matches_whole_array_placement(mesh, n):
     t, offsets, nudged, alpha = whole_array_placement(mesh, n)
     assert np.array_equal(pl.nudged, np.flatnonzero(nudged))
     assert np.array_equal(pl.offsets, offsets)
-    assert np.array_equal(pl.t(0, n), t)
-    assert np.array_equal(pl.alpha(0, n), alpha)
+    assert np.array_equal(pl.window(0, n).t, t)
+    assert np.array_equal(pl.window(0, n).alpha, alpha)
     # range reads, and the windows of a pass, keep the bits of the whole pass
     for lo, hi in ((n // 3, n // 3 + 1000), (2 ** 16 - 3, 2 ** 16 + 3), (n - 1, n), (n, n)):
         lo, hi = min(max(lo, 0), n), min(max(hi, 0), n)
-        assert np.array_equal(pl.t(lo, hi), t[lo:hi]) and np.array_equal(pl.alpha(lo, hi), alpha[lo:hi])
+        w = pl.window(lo, hi)
+        assert np.array_equal(w.t, t[lo:hi]) and np.array_equal(w.alpha, alpha[lo:hi])
     owner = np.repeat(np.arange(len(offsets) - 1), np.diff(offsets))
-    for lo, hi, owners, counts, tb, ab, _ in pl.windows():
-        assert np.array_equal(np.repeat(owners, counts), owner[lo:hi])
-        assert np.array_equal(tb, t[lo:hi]) and np.array_equal(ab, alpha[lo:hi])
+    for w, _ in pl.windows():
+        assert np.array_equal(np.repeat(w.owners, w.counts), owner[w.lo : w.hi])
+        assert np.array_equal(w.t, t[w.lo : w.hi]) and np.array_equal(w.alpha, alpha[w.lo : w.hi])
     return nudged
+
+
+@functools.lru_cache(maxsize=None)
+def pass_of(domain, k, n):
+    """(placement, clean set, per-site arrays) of one `windows()` pass,
+    each window copied out before the next overwrites it: t, alpha, the
+    owning element, the positions and the clean set's values."""
+    pl = place_points(mesh_of(domain, k), n)
+    obs = observe(pl, lambda x, y: np.sin(5.0 * x + 1.0) * np.sin(5.0 * y + 1.0), None, 0)
+    parts = [(w.t.copy(), w.alpha.copy(), np.repeat(w.owners, w.counts), pl.positions(w), obs.values(w, work).copy())
+             for w, work in pl.windows()]
+    return pl, obs, [np.concatenate(a) for a in zip(*parts)]
 
 
 def trapezoid_on_partition(t, w_at_t, w0, w1):
@@ -199,7 +212,7 @@ class TestPlacement:
         pl = place_points(mesh, 8)
         assert pl.n == 8
         np.testing.assert_array_equal(pl.offsets, np.arange(9))
-        np.testing.assert_allclose(pl.t(0, 8), 0.5, atol=1e-12)
+        np.testing.assert_allclose(pl.window(0, 8).t, 0.5, atol=1e-12)
 
     def test_equal_counts_k10_n1000(self, square10):
         pl = place_points(square10, 1000)
@@ -229,7 +242,7 @@ class TestPlacement:
         pl = place_points(mesh, 4)
         assert len(pl.nudged) == 4
         np.testing.assert_allclose(arclengths(pl), [0.5, 1.5, 2.5, 3.5], atol=1e-8)
-        assert (pl.t(0, 4) > 0).all() and (pl.t(0, 4) < 1).all()
+        assert (pl.window(0, 4).t > 0).all() and (pl.window(0, 4).t < 1).all()
 
     def test_no_nudge_when_clean(self, square10):
         # midpoint offsets (2j+1)/500 are never multiples of 0.1
@@ -248,21 +261,21 @@ class TestPlacement:
         pl = place_points(mesh_of(domain, k), 2 ** 52)
         for lo, hi in zip(pl.offsets[:-1], pl.offsets[1:]):
             for a, b in ((lo, lo + 2000), (hi - 2000, hi)):
-                t = pl.t(a, b)
+                t = pl.window(a, b).t
                 assert 0.0 < t[0] and t[-1] < 1.0 and (np.diff(t) > 0.0).all()
         with pytest.raises(ValueError, match=f"^need n <= 2\\^52, got {2 ** 52 + 1}$"):
             place_points(pl.mesh, 2 ** 52 + 1)
 
     def test_params_strictly_increasing_per_element(self, disk10):
         pl = place_points(disk10, 500)
-        t = pl.t(0, pl.n)
+        t = pl.window(0, pl.n).t
         for e in range(len(disk10.boundary)):
             te = t[pl.offsets[e]:pl.offsets[e + 1]]
             assert (np.diff(te) > 0).all()
 
     def test_positions_on_true_boundary(self, disk10):
         pl = place_points(disk10, 100)
-        pts = pl.positions(0, pl.n)
+        pts = pl.positions(pl.window(0, pl.n))
         np.testing.assert_allclose(np.hypot(pts[:, 0], pts[:, 1]), 1.0, atol=1e-12)
 
     @pytest.mark.parametrize("domain, k, n", [
@@ -276,11 +289,11 @@ class TestPlacement:
         counts = np.diff(pl.offsets)
         assert (counts == 0).any() or domain == "square"
         assert (counts == 1).any() or n > 24
-        omega = np.concatenate([quadrature_weights(t) for t in np.split(pl.t(0, n), pl.offsets[1:-1])])
+        omega = np.concatenate([quadrature_weights(t) for t in np.split(pl.window(0, n).t, pl.offsets[1:-1])])
         h = np.repeat(mesh.boundary.length, counts)
-        assert np.array_equal(pl.alpha(0, n), omega * h)
+        assert np.array_equal(pl.window(0, n).alpha, omega * h)
         m = n // 2  # a range that starts and ends inside elements
-        assert np.array_equal(pl.alpha(m - 3, m + 3), (omega * h)[m - 3 : m + 3])
+        assert np.array_equal(pl.window(m - 3, m + 3).alpha, (omega * h)[m - 3 : m + 3])
 
     @pytest.mark.parametrize("domain, k, n, edge", [
         # on square k=2, site i lands on a vertex when (2i + 1) 8 / n is an
@@ -311,6 +324,22 @@ class TestPlacement:
         domain, k, n = config
         assert_matches_whole_array_placement(mesh_of(domain, k), n)
 
+    # the last level nudges four sites, among them site 2^16, the first of a window
+    @given(st.sampled_from([("square", 2, 600_000), ("disk", 10, 17), ("square", 2, 4 * 131073)]), st.data())
+    @settings(max_examples=60, deadline=None)
+    def test_a_window_keeps_the_bits_of_a_pass(self, level, data):
+        pl, obs, (t, alpha, owner, points, values) = pass_of(*level)
+        n = pl.n
+        # ranges anywhere, and ranges that start or end near a 2^16 edge or a nudged site
+        anchors = st.sampled_from([*range(0, n, 2 ** 16), *pl.nudged.tolist(), n])
+        site = st.one_of(st.integers(0, n), st.builds(lambda a, d: min(max(a + d, 0), n), anchors, st.integers(-3, 3)))
+        lo, hi = sorted(data.draw(st.one_of(st.tuples(site, site), site.map(lambda s: (s, s)))))
+        w = pl.window(lo, hi)
+        assert (w.lo, w.hi) == (lo, hi)
+        assert np.array_equal(w.t, t[lo:hi]) and np.array_equal(w.alpha, alpha[lo:hi])
+        assert np.array_equal(np.repeat(w.owners, w.counts), owner[lo:hi]) and (w.counts > 0).all()
+        assert np.array_equal(pl.positions(w), points[lo:hi]) and np.array_equal(obs.values(w), values[lo:hi])
+
     def test_several_sites_within_the_endpoint_tolerance(self):
         # An equilateral triangle of side 1.6e-7, near the smallest that
         # the 1e-14 area floor of mesh validation admits, with sites 4e-13
@@ -335,22 +364,30 @@ class TestPlacement:
         elements = np.repeat(np.arange(len(mesh.boundary)), np.diff(pl.offsets))
         for lo, hi in [*windows, (0, 0), (n, n)]:
             hi = n if hi is None else hi
-            assert np.array_equal(pl.positions(lo, hi), boundary_point(mesh, elements[lo:hi], pl.t(lo, hi)))
+            w = pl.window(lo, hi)
+            assert np.array_equal(pl.positions(w), boundary_point(mesh, elements[lo:hi], w.t))
             if lo == hi:
-                assert pl.alpha(lo, hi).shape == (0,)
+                assert w.alpha.shape == (0,)
 
     @pytest.mark.parametrize("reader", ["t", "alpha", "positions", "evaluate", "values"])
     def test_range_reads_outside_the_sites_rejected(self, square10, reader):
+        # the range is checked where it enters: by `window`, through which
+        # t, alpha, positions and evaluate read a range, and by `values`,
+        # which refuses a window of a larger placement or one made by hand
         n = 100
-        pl = place_points(square10, n)
+        pl, larger = place_points(square10, n), place_points(square10, n + 5)
         obs = observe(pl, lambda x, y: x * y, NoiseModel.gaussian(1.0), 3)
-        read = {"t": pl.t, "alpha": pl.alpha, "positions": pl.positions, "values": obs.values,
-                "evaluate": functools.partial(pl.evaluate, lambda x, y: x * y)}[reader]
+        read = {"t": lambda w: w.t, "alpha": lambda w: w.alpha, "positions": pl.positions,
+                "evaluate": functools.partial(pl.evaluate, lambda x, y: x * y), "values": obs.values}[reader]
         for lo, hi in ((0, n + 5), (-3, 5), (5, 3), (n, n + 2)):
             with pytest.raises(ValueError, match=rf"^site range \[{lo}, {hi}\) is not within \[0, {n}\]$"):
-                read(lo, hi)
+                read(pl.window(lo, hi))
+            if reader == "values":
+                w = larger.window(lo, hi) if 0 <= lo <= hi else observations.Window(lo, hi, *larger.window(0, 0)[2:])
+                with pytest.raises(ValueError, match=rf"^site range \[{lo}, {hi}\) is not within \[0, {n}\]$"):
+                    read(w)
         for lo in (0, n):
-            assert read(lo, lo).shape[0] == 0
+            assert read(pl.window(lo, lo)).shape[0] == 0
 
     def test_work_array_is_one_piece_of_2_to_the_16_sites_at_most(self, monkeypatch, square10):
         # square k=10 has 40 elements: runs of 25, about 26214 and about
@@ -361,9 +398,9 @@ class TestPlacement:
         for n in (1000, 2 ** 16, 2 ** 20 + 1, 4 * 2 ** 20 + 1):
             m = min(n, 2 ** 16)
             sizes.clear()
-            for _, _, _, _, t, alpha, work in place_points(square10, n).windows():
+            for w, work in place_points(square10, n).windows():
                 assert sizes == [m + 2, m, m]
-                assert len(t) == len(alpha) == len(work) <= m
+                assert len(w.t) == len(w.alpha) == len(work) <= m
 
     @pytest.mark.parametrize("domain, k, n", [
         ("disk", 10, 17),  # empty and single-site elements
@@ -376,32 +413,27 @@ class TestPlacement:
     def test_windows_tile_the_sites(self, monkeypatch, domain, k, n):
         pl = place_points(mesh_of(domain, k), n)
         reads = []
-        monkeypatch.setattr(pl, "windows", lambda windows=pl.windows: (reads.append(w[:2]) or w for w in windows()))
+        monkeypatch.setattr(pl, "windows", lambda windows=pl.windows: (reads.append(w[0][:2]) or w for w in windows()))
         assemble_coupling_matrix(pl)
         assert reads == [(lo, min(n, lo + 2 ** 16)) for lo in range(0, n, 2 ** 16)]
 
-    @pytest.mark.parametrize("size", [3, 6])
-    def test_t_refuses_an_out_of_another_length(self, square10, size):
-        pl = place_points(square10, 100)
-        with pytest.raises(ValueError, match=rf"^out has length {size}, the site range \[0, 5\) needs 5$"):
-            pl.t(0, 5, np.empty(size))
-
     def test_site_arrays_have_maps_of_their_own(self, square10):
         # so that a pass that ends returns them to the system
-        _, _, _, _, t, alpha, work = next(place_points(square10, 1000).windows())
-        bases = [buffer_of(a) for a in (t, alpha, work)]
+        w, work = next(place_points(square10, 1000).windows())
+        bases = [buffer_of(a) for a in (w.t, w.alpha, work)]
         assert all(isinstance(b, mmap.mmap) for b in bases) and len({id(b) for b in bases}) == 3
 
     def test_passes_in_lockstep_keep_the_bits_of_a_pass_alone(self, square10):
         # the work of one pass never lands in the buffers of another
         pl = place_points(square10, 3 * 2 ** 16 + 5)
-        alone = [tuple(np.copy(a) for a in window[:6]) for window in pl.windows()]
+        alone = [tuple(np.copy(a) for a in w) for w, _ in pl.windows()]
         for j, windows in enumerate(zip(pl.windows(), pl.windows())):
-            for window, junk in zip(windows, (np.nan, np.inf)):
-                window[6][:] = junk
-            for window in windows:
-                assert all(np.array_equal(a, b) for a, b in zip(window[:6], alone[j]))
-            assert not any(np.shares_memory(a, b) for a in windows[0][4:] for b in windows[1][4:])
+            for (_, work), junk in zip(windows, (np.nan, np.inf)):
+                work[:] = junk
+            for w, _ in windows:
+                assert all(np.array_equal(a, b) for a, b in zip(w, alone[j]))
+            (w0, work0), (w1, work1) = windows
+            assert not any(np.shares_memory(a, b) for a in (w0.t, w0.alpha, work0) for b in (w1.t, w1.alpha, work1))
         assert j == len(alone) - 1 == 3
 
     def test_evaluate_matches_per_element_formula(self, mixed_mesh):
@@ -410,7 +442,7 @@ class TestPlacement:
         b = mixed_mesh.boundary
         g0 = lambda x, y: np.sin(5.0 * x + 1.0) * np.sin(5.0 * y + 1.0)  # noqa: E731
         parts = []
-        for e, t in enumerate(np.split(pl.t(0, pl.n), pl.offsets[1:-1])):
+        for e, t in enumerate(np.split(pl.window(0, pl.n).t, pl.offsets[1:-1])):
             if b.curved[e]:
                 cx, cy, r, th0, th1 = b.arc[e]
                 th = th0 + t * (th1 - th0)
@@ -419,25 +451,25 @@ class TestPlacement:
                 p0, p1 = mixed_mesh.vertices[b.v0[e]], mixed_mesh.vertices[b.v1[e]]
                 x, y = p0[0] + t * (p1[0] - p0[0]), p0[1] + t * (p1[1] - p0[1])
             parts.append(g0(x, y))
-        assert np.array_equal(pl.evaluate(g0, 0, pl.n), np.concatenate(parts))
-        assert np.array_equal(pl.evaluate(g0, 65000, 66000), np.concatenate(parts)[65000:66000])
+        assert np.array_equal(pl.evaluate(g0, pl.window(0, pl.n)), np.concatenate(parts))
+        assert np.array_equal(pl.evaluate(g0, pl.window(65000, 66000)), np.concatenate(parts)[65000:66000])
 
     @pytest.mark.parametrize("mesh_name, n", [("disk10", 40), ("mixed_mesh", 9), ("square10", 2 ** 16 + 7)])
     def test_range_reads_match_the_per_element_formulas(self, request, mesh_name, n):
         mesh = request.getfixturevalue(mesh_name)
         pl = place_points(mesh, n)
-        parts = np.split(pl.t(0, n), pl.offsets[1:-1])
+        parts = np.split(pl.window(0, n).t, pl.offsets[1:-1])
         pts = np.concatenate([boundary_point(mesh, k, t) for k, t in enumerate(parts)])
         w = np.concatenate([quadrature_weights(t) for t in parts])
-        assert np.array_equal(pl.positions(0, n), pts)
-        assert np.array_equal(pl.evaluate(lambda x, y: x * y - y, 0, n), pts[:, 0] * pts[:, 1] - pts[:, 1])
-        assert np.array_equal(pl.alpha(0, n), w * np.repeat(mesh.boundary.length, np.diff(pl.offsets)))
+        assert np.array_equal(pl.positions(pl.window(0, n)), pts)
+        assert np.array_equal(pl.evaluate(lambda x, y: x * y - y, pl.window(0, n)), pts[:, 0] * pts[:, 1] - pts[:, 1])
+        assert np.array_equal(pl.window(0, n).alpha, w * np.repeat(mesh.boundary.length, np.diff(pl.offsets)))
 
     def test_alpha_ratio_bound(self, square10, disk10):
         # end-interval weights are at most 3x the interior ones
         for mesh, ns in ((square10, (40, 100, 397)), (disk10, (63, 200))):
             for n in ns:
-                alpha = place_points(mesh, n).alpha(0, n)
+                alpha = place_points(mesh, n).window(0, n).alpha
                 assert alpha.max() / alpha.min() <= 3.0
 
 
@@ -472,6 +504,13 @@ class TestNoise:
         with pytest.raises(ValueError, match=f"^seed must be an integer, got {seed}$"):
             sample_noise(NoiseModel.gaussian(1.0), 5, seed)
 
+    @pytest.mark.parametrize("count, match", [(-1, "nonnegative, got -1"), (2.5, "an integer, got 2.5")])
+    def test_a_bad_count_is_named(self, count, match):
+        with pytest.raises(ValueError, match=f"^count must be {match}$"):
+            sample_noise(NoiseModel.gaussian(1.0), count, 0)
+        for model in (NoiseModel.gaussian(1.0), NoiseModel.mixture(1.0, 10.0, 0.3), None):
+            assert sample_noise(model, 0, 0).shape == (0,)
+
     def test_numpy_integer_seeds_draw_the_python_seed(self):
         model = NoiseModel.mixture(1.0, 10.0, 0.3)
         for seed in (np.int64(3), np.uint64(3), np.int32(3)):
@@ -500,7 +539,7 @@ class TestNoise:
         full = sample_noise(model, n, seed=3)
         obs = observe(place_points(mesh_of("square", 4), n), None, model, 3)
         for start, stop in ((0, 100), (2 ** 20 - 5, 2 ** 20 + 5), (2 ** 21, 2 ** 21 + 13)):
-            np.testing.assert_array_equal(obs.values(start, stop), full[start:stop])
+            np.testing.assert_array_equal(obs.values(obs.placement.window(start, stop)), full[start:stop])
 
     @pytest.mark.parametrize("model", [NoiseModel.gaussian(1.5), NoiseModel.mixture(1.0, 10.0, 0.3)])
     def test_range_written_into_out(self, model):
@@ -513,16 +552,17 @@ class TestNoise:
         # whole window's values
         for start, stop in ((0, 2 ** 20), (2 ** 20 - 5, 2 ** 21), (2 ** 21 + 3, 2 ** 21 + 13)):
             out = np.full(stop - start, np.nan)
-            assert obs.values(start, stop, out) is out
+            assert obs.values(pl.window(start, stop), out) is out
             np.testing.assert_array_equal(out, full[start:stop])
         out = np.full(7, np.nan)
-        assert not observe(pl, None, None, 3).values(5, 12, out).any()
+        assert not observe(pl, None, None, 3).values(pl.window(5, 12), out).any()
 
     def test_set_read_in_order_opens_one_stream_per_block(self, stream_opens):
         # 3 2^20 + 5 sites: four noise blocks, the last of 5 entries
         model, n = NoiseModel.mixture(1.0, 10.0, 0.3), 3 * 2 ** 20 + 5
         obs = observe(place_points(mesh_of("square", 4), n), None, model, 8)
-        got = np.concatenate([obs.values(lo, min(lo + 2 ** 16, n)) for lo in range(0, n, 2 ** 16)])
+        pl = obs.placement
+        got = np.concatenate([obs.values(pl.window(lo, min(lo + 2 ** 16, n))) for lo in range(0, n, 2 ** 16)])
         assert stream_opens == [(8, 0), (8, 1), (8, 2), (8, 3)]
         stream_opens.clear()
         assert np.array_equal(got, sample_noise(model, n, 8))
@@ -535,7 +575,7 @@ class TestNoise:
         stream_opens.clear()
         for lo, hi, opened in ((10, 20, [0]), (20, 30, []), (15, 25, [0]), (2 ** 20 + 3, n, [1]),
                                (2 ** 20 - 2, 2 ** 20 + 2, [0, 1]), (2 ** 20 + 2, 2 ** 20 + 3, [])):
-            assert np.array_equal(obs.values(lo, hi), full[lo:hi])
+            assert np.array_equal(obs.values(obs.placement.window(lo, hi)), full[lo:hi])
             assert [block for _, block in stream_opens] == opened
             stream_opens.clear()
         # the cursor is not part of the set's value, and a copy gets a cursor of its own
@@ -589,9 +629,9 @@ class TestNoise:
 
     def test_inverted_range_rejected_empty_range_allowed(self, square10):
         obs = observe(place_points(square10, 10), None, NoiseModel.gaussian(1.0), 3)
-        assert obs.values(5, 5).size == 0
+        assert obs.values(obs.placement.window(5, 5)).size == 0
         with pytest.raises(ValueError, match=r"^site range \[5, 4\) is not within \[0, 10\]$"):
-            obs.values(5, 4)
+            obs.values(obs.placement.window(5, 4))
 
     def test_negative_sigma_rejected(self):
         with pytest.raises(ValueError):
@@ -625,59 +665,60 @@ class TestObservationSet:
         g0 = lambda x, y: x + y  # noqa: E731
         for mesh, total in ((square10, 4.0), (disk10, 2 * math.pi)):
             obs = build_observation_set(mesh, 500, g0, None, seed=0)
-            assert abs(obs.placement.alpha(0, 500).sum() - total) <= 1e-10
+            assert abs(obs.placement.window(0, 500).alpha.sum() - total) <= 1e-10
 
     def test_equispaced_alpha_uniform(self, square10):
         obs = build_observation_set(square10, 1000, lambda x, y: x, None, seed=0)
-        np.testing.assert_allclose(obs.placement.alpha(0, 1000), 4.0 / 1000, atol=1e-12)
+        np.testing.assert_allclose(obs.placement.window(0, 1000).alpha, 4.0 / 1000, atol=1e-12)
 
     def test_constant_data_no_noise(self, square10):
         obs = build_observation_set(square10, 100, lambda x, y: 3.25, None, seed=0)
-        np.testing.assert_array_equal(obs.values(0, 100), np.full(100, 3.25))
+        np.testing.assert_array_equal(obs.values(obs.placement.window(0, 100)), np.full(100, 3.25))
 
     def test_noise_decomposition(self, disk10):
         model = NoiseModel.gaussian(2.0)
         obs = build_observation_set(disk10, 300, lambda x, y: x * y, model, seed=5)
-        clean = obs.placement.evaluate(obs.g0, 0, obs.placement.n)
+        clean = obs.placement.evaluate(obs.g0, obs.placement.window(0, obs.placement.n))
         noise = sample_noise(model, 300, seed=5)
-        np.testing.assert_allclose(obs.values(0, 300) - clean, noise, atol=1e-15)
+        np.testing.assert_allclose(obs.values(obs.placement.window(0, 300)) - clean, noise, atol=1e-15)
 
     def test_bit_identical_rebuild(self, disk10):
         model = NoiseModel.mixture(1.0, 10.0, 0.5)
         a = build_observation_set(disk10, 777, lambda x, y: x, model, seed=9)
         b = build_observation_set(disk10, 777, lambda x, y: x, model, seed=9)
-        np.testing.assert_array_equal(a.values(0, 777), b.values(0, 777))
-        np.testing.assert_array_equal(a.placement.alpha(0, 777), b.placement.alpha(0, 777))
-        np.testing.assert_array_equal(a.placement.t(0, 777), b.placement.t(0, 777))
+        np.testing.assert_array_equal(a.values(a.placement.window(0, 777)), b.values(b.placement.window(0, 777)))
+        for x, y in zip(a.placement.window(0, 777), b.placement.window(0, 777)):
+            np.testing.assert_array_equal(x, y)
 
     def test_non_finite_g0_names_first_bad_site(self, square10):
         placement = place_points(square10, 100)
-        pts = placement.positions(0, placement.n)
+        pts = placement.positions(placement.window(0, placement.n))
         first = int(np.flatnonzero(pts[:, 1] > 0.5)[0])
         point = (float(pts[first, 0]), float(pts[first, 1]))
         obs = observe(placement, lambda x, y: np.where(y > 0.5, np.inf, y), None, 0)
         with pytest.raises(ValueError, match=rf"^g0 is not finite at site {first} {re.escape(str(point))}$"):
-            obs.values(0, placement.n)
+            obs.values(placement.window(0, placement.n))
 
     def test_non_finite_g0_in_a_later_sub_block(self, square10):
         # the top edge's left half starts past site 2^16
         placement = place_points(square10, 2 ** 17)
-        pts = placement.positions(0, placement.n)
+        pts = placement.positions(placement.window(0, placement.n))
         first = int(np.flatnonzero((pts[:, 0] < 0.5) & (pts[:, 1] == 1.0))[0])
         assert first > 2 ** 16
         point = (float(pts[first, 0]), float(pts[first, 1]))
         with pytest.raises(ValueError, match=rf"^g0 is not finite at site {first} {re.escape(str(point))}$"):
-            placement.evaluate(lambda x, y: np.where((x < 0.5) & (y == 1.0), np.nan, x), 0, placement.n)
+            placement.evaluate(lambda x, y: np.where((x < 0.5) & (y == 1.0), np.nan, x), placement.window(0, placement.n))
 
     def test_noise_only_set_is_streamed(self, disk10):
         placement = place_points(disk10, 300)
         model = NoiseModel.mixture(1.0, 10.0, 0.3)
         noise = observe(placement, None, model, 5)
         # a read draws the set's whole noise window, [0, 300) here
-        np.testing.assert_array_equal(noise.values(17, 211), sample_noise(model, 300, 5)[17:211])
+        np.testing.assert_array_equal(noise.values(placement.window(17, 211)), sample_noise(model, 300, 5)[17:211])
         data = observe(placement, lambda x, y: x * y, model, 5)
         clean = observe(placement, lambda x, y: x * y, None, 0)
-        np.testing.assert_array_equal(data.values(0, 300), clean.values(0, 300) + noise.values(0, 300))
+        w = placement.window(0, 300)
+        np.testing.assert_array_equal(data.values(w), clean.values(w) + noise.values(w))
 
     def test_values_written_into_out(self, disk10):
         placement = place_points(disk10, 300)
@@ -686,27 +727,30 @@ class TestObservationSet:
                     observe(placement, None, model, 5),  # noise alone
                     observe(placement, lambda x, y: x * y, None, 0)):  # g0 alone
             out = np.full(194, np.nan)
-            assert obs.values(17, 211, out) is out
-            np.testing.assert_array_equal(out, obs.values(17, 211))
+            assert obs.values(placement.window(17, 211), out) is out
+            np.testing.assert_array_equal(out, obs.values(placement.window(17, 211)))
 
     @pytest.mark.parametrize("size", [193, 195])
     def test_out_of_another_length_rejected(self, disk10, size):
         obs = observe(place_points(disk10, 300), lambda x, y: x * y, NoiseModel.gaussian(2.0), 5)
         with pytest.raises(ValueError, match=rf"^out has length {size}, the site range \[17, 211\) needs 194$"):
-            obs.values(17, 211, np.zeros(size))
+            obs.values(obs.placement.window(17, 211), np.zeros(size))
 
     @pytest.mark.parametrize("g0", [None, lambda x, y: x * y])
     @pytest.mark.parametrize("lo, hi", [(0, 15), (-2, 4), (11, 11), (-1, -1)])
     def test_values_outside_the_set_rejected(self, disk10, g0, lo, hi):
+        # a window of a larger placement, or one that no placement checked
         obs = observe(place_points(disk10, 10), g0, NoiseModel.mixture(1.0, 10.0, 0.3), 5)
+        larger = place_points(disk10, 20)
+        w = larger.window(lo, hi) if 0 <= lo <= hi else observations.Window(lo, hi, *larger.window(0, 0)[2:])
         with pytest.raises(ValueError, match=rf"^site range \[{lo}, {hi}\) is not within \[0, 10\]$"):
-            obs.values(lo, hi)
-        assert obs.values(10, 10).size == 0
+            obs.values(w)
+        assert obs.values(obs.placement.window(10, 10)).size == 0
 
     def test_clean_values_on_true_boundary(self, disk10):
         # g0 must be sampled on the circle, not the chord polygon
         obs = build_observation_set(disk10, 200, lambda x, y: x ** 2 + y ** 2, None)
-        np.testing.assert_allclose(obs.values(0, 200), 1.0, atol=1e-12)
+        np.testing.assert_allclose(obs.values(obs.placement.window(0, 200)), 1.0, atol=1e-12)
 
 
 class TestEmpiricalInnerProduct:
@@ -714,18 +758,18 @@ class TestEmpiricalInnerProduct:
     def test_constant_gives_boundary_length(self, disk10):
         obs = build_observation_set(disk10, 123, lambda x, y: 1.0, None)
         one = np.ones(123)
-        assert empirical_norm(obs.placement.alpha(0, 123), one) ** 2 == pytest.approx(
+        assert empirical_norm(obs.placement.window(0, 123).alpha, one) ** 2 == pytest.approx(
             2 * math.pi, abs=1e-10)
 
     def test_zero_factor(self, square10):
         obs = build_observation_set(square10, 64, lambda x, y: 1.0, None)
-        assert empirical_norm(obs.placement.alpha(0, 64), np.zeros(64)) == 0.0
+        assert empirical_norm(obs.placement.window(0, 64).alpha, np.zeros(64)) == 0.0
 
     def test_approximates_line_integral(self, square10):
         # integral of x^2 over the unit square boundary: 1/3 + 1 + 1/3 + 0
         obs = build_observation_set(square10, 10 ** 4, lambda x, y: x, None)
-        assert abs(empirical_norm(obs.placement.alpha(0, 10 ** 4), obs.values(0, 10 ** 4)) ** 2
-                   - 5.0 / 3.0) <= 1e-4
+        w = obs.placement.window(0, 10 ** 4)
+        assert abs(empirical_norm(w.alpha, obs.values(w)) ** 2 - 5.0 / 3.0) <= 1e-4
 
     def test_norm_is_sqrt_self_product(self, rng):
         alpha = rng.random(40) + 0.1
