@@ -28,9 +28,7 @@ from .assembly import (
     assemble_data_vector,
     assemble_load,
     assemble_stiffness,
-    boundary_mass,
     build_saddle_system,
-    multiplier_at_sites,
 )
 from .mesh import (
     Boundary,
@@ -49,7 +47,6 @@ from .observations import (
     ObservationSet,
     Placement,
     build_observation_set,
-    empirical_norm,
     observe,
     place_points,
     quadrature_weights,

@@ -44,7 +44,7 @@ from .assembly import (  # noqa: F401  (perfbench traces the assemble_* function
     assemble_stiffness,
     sweep,
 )
-from .mesh import MeshError, TriMesh, _check_integer, boundary_point, build_disk_mesh, build_square_mesh
+from .mesh import MeshError, TriMesh, _check_integer, _count_text, boundary_point, build_disk_mesh, build_square_mesh
 from .observations import NoiseModel, ObservationSet, _generators, observe, place_points
 from .solver import SaddleSolution, SingularSystemError, solve_saddle
 
@@ -234,7 +234,7 @@ def points_for(k: int, i: Optional[int], n: Optional[int]) -> int:
         if n < 1:
             raise ValueError("n must be positive")
     if n > 1 << 52:
-        raise ValueError(f"n must be at most 2^52, got {n}")
+        raise ValueError(f"n must be at most 2^52, got {_count_text(n)}")
     return int(n)
 
 
@@ -257,14 +257,14 @@ class Level:
     def __init__(self, domain: str, k: int, i: Optional[int] = None, n: Optional[int] = None,
                  case: Optional[ManufacturedCase] = None):
         n = points_for(k, i, n)  # before the mesh, so a bad i or n fails fast
-        self.mesh = build_mesh(domain, k)
+        mesh = self.mesh = build_mesh(domain, k)
         self.case = case if case is not None else sine_case(domain)
         self.h = 1.0 / k
-        pl = self.placement = place_points(self.mesh, n)
-        A, F = assemble_stiffness(self.mesh), assemble_load(self.mesh, self.case.f)
+        pl = self.placement = place_points(mesh, n)
+        A, F = assemble_stiffness(mesh), assemble_load(mesh, self.case.f)
         left, right = sweep(pl, [*TRACE_HATS, ObservationSet(pl, self.case.g0, None, 0).values])  # B and G0
-        self.clean = SaddleSystem(A, _coupling(pl, left, right), F, left[2] + np.roll(right[2], 1))
-        self.quadrature = ErrorQuadrature(self.mesh, self.case)
+        self.clean = SaddleSystem(A, _coupling(pl, left, right), F, left[2] + np.roll(right[2], 1), mesh.vertices)
+        self.quadrature = ErrorQuadrature(mesh, self.case)
 
     def trials(self, model: Optional[NoiseModel], seeds: Sequence[int]) -> list:
         """Error reports of one noise draw per seed, in seed order.
@@ -338,7 +338,7 @@ def _run_levels(domain: str, ks: Sequence[int], i: Optional[int], n: Optional[in
         raise ValueError(f"workers must be at least 1, got {workers}")
     seeds = range(seed, seed + trials)
     if not 0 <= seeds.start <= seeds.stop <= 1 << 64:
-        raise ValueError(f"seeds [{seeds.start}, {seeds.stop}) must lie within [0, 2^64)")
+        raise ValueError(f"seeds [{_count_text(seeds.start)}, {_count_text(seeds.stop)}) must lie within [0, 2^64)")
     size = -(-len(seeds) // workers)
     chunks = [seeds[j : j + size] for j in range(0, len(seeds), size)]
     tasks = [(domain, k, i, n, model, chunk) for k in ks for chunk in chunks]

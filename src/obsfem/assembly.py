@@ -122,66 +122,21 @@ def assemble_data_vector(obs: ObservationSet) -> np.ndarray:
     return left + np.roll(right, 1)
 
 
-def trace_matrix(mesh: TriMesh) -> sp.csr_matrix:
-    """Selection matrix T with (T u)_k = u[boundary vertex k]."""
-    v0 = mesh.boundary.v0
-    return sp.csr_matrix(
-        (np.ones(len(v0)), (np.arange(len(v0)), v0)), shape=(len(v0), len(mesh.vertices))
-    )
-
-
-def boundary_mass(mesh: TriMesh, power: int = 1) -> sp.csr_matrix:
-    """Gram matrix sum_E h_E^power int_0^1 psi_a psi_b dt on Q_h dofs.
-
-    power=1 gives the L2(Gamma) mass (one h_E from the parametrization
-    speed); power=0 and power=2 are the Gram matrices of the 1/2 and
-    -1/2 mesh-dependent norms.
-    """
-    nb = len(mesh.boundary)
-    q0 = np.arange(nb)
-    q1 = (q0 + 1) % nb
-    c = mesh.boundary.length**power
-    rows = np.concatenate([q0, q0, q1, q1])
-    cols = np.concatenate([q0, q1, q0, q1])
-    vals = np.concatenate([c / 3.0, c / 6.0, c / 6.0, c / 3.0])
-    return sp.coo_matrix((vals, (rows, cols)), shape=(nb, nb)).tocsr()
-
-
-def _hat(mesh: TriMesh, mu, e, t) -> np.ndarray:
-    """A multiplier dof vector mu on boundary element(s) e at parameters
-    t: the element's two hats are 1 - t and t."""
-    mu = np.asarray(mu, dtype=float)
-    nb = len(mesh.boundary)
-    if mu.shape != (nb,):
-        raise ValueError(f"multiplier vector has shape {mu.shape}, the boundary has {nb} dofs")
-    return (1.0 - t) * mu[e] + t * mu[(e + 1) % nb]
-
-
-def multiplier_at_sites(mu: np.ndarray, placement: Placement) -> np.ndarray:
-    """Values of a multiplier dof vector at every observation site."""
-    w = placement.window(0, placement.n)
-    return _hat(placement.mesh, mu, np.repeat(w.owners, w.counts), w.t)
-
-
-def vh_gram(mesh: TriMesh) -> sp.csr_matrix:
-    """Gram matrix of the field norm ||grad v||^2 + ||tr v||^2_{1/2,h}."""
-    T = trace_matrix(mesh)
-    return (assemble_stiffness(mesh) + T.T @ boundary_mass(mesh, power=0) @ T).tocsr()
-
-
 @dataclass
 class SaddleSystem:
     """Blocks of the discrete saddle problem
     [[A, B^T], [B, 0]] [u, lam] = [F, G].
 
-    `factors` is the solver's cache for the current (A, B); systems
-    derived with dataclasses.replace share it.
+    `points` holds the (NV, 2) coordinates of the field unknowns, from
+    which the solver orders them.  `factors` is the solver's cache for the
+    current (A, B); systems derived with dataclasses.replace share it.
     """
 
     A: sp.csr_matrix
     B: sp.csr_matrix
     F: np.ndarray
     G: np.ndarray
+    points: np.ndarray
     factors: dict = field(default_factory=dict, repr=False, compare=False)
 
     @property
@@ -199,4 +154,4 @@ def build_saddle_system(f, obs: ObservationSet) -> SaddleSystem:
     pl, mesh = obs.placement, obs.placement.mesh
     left, right = sweep(pl, [*TRACE_HATS, obs.values])
     return SaddleSystem(assemble_stiffness(mesh), _coupling(pl, left, right),
-                        assemble_load(mesh, f), left[2] + np.roll(right[2], 1))
+                        assemble_load(mesh, f), left[2] + np.roll(right[2], 1), mesh.vertices)

@@ -43,6 +43,14 @@ def _check_integer(name: str, value, error: type = ValueError) -> None:
         raise error(f"{name} must be an integer, got {value}")
 
 
+def _count_text(n: int) -> str:
+    """n as text, or its digit count if it has more than 1,000 digits
+    (Python turns no integer of more than 4,300 digits into text)."""
+    digits = int((abs(n).bit_length() - 1) * math.log10(2)) + 1
+    digits += abs(n) >= 10**digits
+    return str(n) if digits <= 1000 else f"{'a negative' if n < 0 else 'a'} number of {digits} digits"
+
+
 @dataclass(frozen=True, eq=False)
 class Boundary:
     """The boundary loop as arrays over its NB elements, in loop order.
@@ -218,7 +226,7 @@ def build_square_mesh(k: int) -> TriMesh:
     """
     _check_integer("k", k, MeshError)
     if k < 2:
-        raise MeshError(f"need k >= 2, got {k}")
+        raise MeshError(f"need k >= 2, got {_count_text(k)}")
     xs = np.linspace(0.0, 1.0, k + 1)
     xv, yv = np.meshgrid(xs, xs, indexing="xy")
     vertices = np.column_stack([xv.ravel(), yv.ravel()])
@@ -247,7 +255,7 @@ def build_disk_mesh(m: int) -> TriMesh:
     """
     _check_integer("m", m, MeshError)
     if m < 2:
-        raise MeshError(f"need m >= 2, got {m}")
+        raise MeshError(f"need m >= 2, got {_count_text(m)}")
     # Ring 0 is the hub vertex, ring i >= 1 holds round(2 pi i) vertices,
     # numbered from first[i] in angle order.
     sizes = np.concatenate([[1], np.rint(2.0 * math.pi * np.arange(1, m + 1)).astype(np.int64)])

@@ -26,7 +26,7 @@ from typing import Callable, Iterator, NamedTuple, Optional
 
 import numpy as np
 
-from .mesh import TriMesh, _check_integer, _run_points
+from .mesh import TriMesh, _check_integer, _count_text, _run_points
 
 # Fixed block size for counter-based noise generation.  Changing this
 # constant changes every stream, so it is part of the data format.
@@ -103,7 +103,7 @@ class _NoiseStream:
     def __init__(self, model: Optional[NoiseModel], seed: int, n: int):
         _check_integer("seed", seed)
         if not 0 <= seed < 1 << 64:
-            raise ValueError(f"seed must lie in [0, 2^64), got {seed}")
+            raise ValueError(f"seed must lie in [0, 2^64), got {_count_text(seed)}")
         self.model, self.seed, self.n = model, int(seed), n
         self.at = self.end = 0  # the next entry it draws, the end of its block
 
@@ -151,7 +151,7 @@ def sample_noise(model: Optional[NoiseModel], count: int, seed: int) -> np.ndarr
     """Draw `count` noise values, the whole stream of that length."""
     _check_integer("count", count)
     if count < 0:
-        raise ValueError(f"count must be nonnegative, got {count}")
+        raise ValueError(f"count must be nonnegative, got {_count_text(count)}")
     return _NoiseStream(model, seed, count).draw(0, np.empty(count))
 
 
@@ -334,7 +334,7 @@ def place_points(mesh: TriMesh, n: int) -> Placement:
     """
     _check_integer("n", n)
     if not 1 <= n <= 1 << 52:  # i + 1/2, and so t, is exact for i < 2^52 (see Placement._window)
-        raise ValueError(f"need n >= 1, got {n}" if n < 1 else f"need n <= 2^52, got {n}")
+        raise ValueError(f"need n {'>= 1' if n < 1 else '<= 2^52'}, got {_count_text(n)}")
     h = mesh.boundary.length
     starts = np.concatenate([[0.0], np.cumsum(h)])
     spacing = float(h.sum()) / n
@@ -409,8 +409,3 @@ def build_observation_set(
     the set is read."""
     return observe(place_points(mesh, n), g0, model, seed)
 
-
-def empirical_norm(alpha: np.ndarray, u: np.ndarray) -> float:
-    """Seminorm ||u||_n = sqrt(sum_j alpha_j u_j^2) of values sampled at the sites."""
-    u = np.asarray(u)
-    return math.sqrt(max(float(np.dot(alpha, u * u)), 0.0))

@@ -17,6 +17,9 @@ multiplier returned, lam = Q lam~, is the canonical one orthogonal to
 the kernel, which matches what a dense pseudoinverse solve of the same
 system produces.  The residual contract is checked against the original
 blocks, so data with a component in ker(B^T) are rejected.
+
+K is factored with the field unknowns in a nested-dissection order of
+the mesh (:func:`dissection_order`) and the multipliers last.
 """
 
 from __future__ import annotations
@@ -72,12 +75,50 @@ def _kernel_basis(system: SaddleSystem):
     return coupled, v[:, ~kept], v[:, kept], 0.0
 
 
-def _factorize(system: SaddleSystem):
-    """Sparse LU of the saddle matrix restricted to range(B), or why it failed."""
+def dissection_order(points: np.ndarray, A: sp.csr_matrix) -> np.ndarray:
+    """Nested-dissection order of the vertices at `points` in the graph of
+    A's off-diagonal pattern (George, SIAM J. Numer. Anal. 1973).
+
+    Morton codes of D = 2 ceil(log4(NV / 64)) bits (x and y interleaved,
+    most significant first, in the bounding box) leave about 64 vertices
+    per leaf cell.  An edge first separates at the highest bit where its
+    codes differ, and its endpoint with a 0 there separates that split; a
+    vertex's split depth is the shallowest it separates (D if none).  The
+    base-3 key, the code's bits above that depth, a 2, then zeros, sorts
+    both halves of every cell before their separator (a stable sort).
+    """
+    nv = len(points)
+    half = -(-((nv - 1) // 64).bit_length() // 2)  # bits per axis
+    D = 2 * half
+    lo, span = points.min(axis=0), np.ptp(points, axis=0)
+    cells = (points - lo) / np.where(span > 0, span, 1.0) * (1 << half)
+    cells = np.minimum(cells, (1 << half) - 1).astype(np.int64)
+    code = np.zeros(nv, dtype=np.int64)
+    for b in range(half - 1, -1, -1):
+        code = code << 2 | (cells[:, 0] >> b & 1) << 1 | cells[:, 1] >> b & 1
+    rows = np.repeat(np.arange(nv), np.diff(A.indptr))
+    differ = code[rows] ^ code[A.indices]
+    rows, differ = rows[differ > 0], differ[differ > 0]  # an edge within a leaf cell separates nothing
+    top = np.zeros(len(differ), dtype=np.int64)  # the highest bit where the codes differ
+    for b in range(1, D):
+        top += differ >> b > 0
+    cut = code[rows] >> top & 1 == 0
+    depth = np.full(nv, D)
+    np.minimum.at(depth, rows[cut], D - 1 - top[cut])
+    key = np.zeros(nv, dtype=np.int64)
+    for j in range(D + 1):
+        key = 3 * key + np.where(j < depth, code >> max(D - 1 - j, 0) & 1, 2 * (j == depth))
+    return np.argsort(key, kind="stable")
+
+
+def _factorize(system: SaddleSystem, order: np.ndarray):
+    """Sparse LU of the saddle matrix restricted to range(B), the field
+    unknowns in `order` and the multipliers last, or why it failed."""
     coupled, _, Q, _ = _cached(system, "kernel", _kernel_basis)
-    B = system.B if Q is None else sp.csr_matrix(Q.T) @ system.B[coupled]
+    B = (system.B if Q is None else sp.csr_matrix(Q.T) @ system.B[coupled])[:, order]
     try:
-        return spla.splu(sp.bmat([[system.A, B.T], [B, None]], format="csc"))
+        return spla.splu(sp.bmat([[system.A[order][:, order], B.T], [B, None]], format="csc"),
+                         permc_spec="NATURAL")
     except (RuntimeError, ValueError) as exc:
         return f"sparse factorization failed ({exc})"
 
@@ -97,29 +138,31 @@ def _cached(system: SaddleSystem, name: str, build):
 def solve_saddle(system: SaddleSystem) -> SaddleSolution:
     """Solve the saddle system for (u, lam) by the range-restricted LU.
 
-    The LU, the ker(B^T)/range(B) bases and B^T are built once per
-    (A, B) and cached in `system.factors`.  Misshapen or non-finite F
-    or G raise ValueError.  Residuals above 1e-10 (relative to max(1,
-    |rhs|) blockwise) raise :class:`SingularSystemError` naming the
-    dimension of ker(B^T) and the part of G in it.
+    The LU, its order, the ker(B^T)/range(B) bases and B^T are built
+    once per (A, B) and cached in `system.factors`.  Misshapen or
+    non-finite F, G or points raise ValueError.  Residuals above 1e-10
+    (relative to max(1, |rhs|) blockwise) raise :class:`SingularSystemError`
+    naming the dimension of ker(B^T) and the part of G in it.
     """
-    for name, size in (("F", system.n_field), ("G", system.n_multiplier)):
+    nv = system.n_field
+    for name, shape in (("F", (nv,)), ("G", (system.n_multiplier,)), ("points", (nv, 2))):
         data = getattr(system, name)
-        if np.shape(data) != (size,):
-            raise ValueError(f"saddle system data {name} has shape {np.shape(data)}, the system needs ({size},)")
+        if np.shape(data) != shape:
+            raise ValueError(f"saddle system data {name} has shape {np.shape(data)}, the system needs {shape}")
         bad = np.flatnonzero(~np.isfinite(data))
         if bad.size:
             raise ValueError(f"saddle system data {name} is not finite at entry {int(bad[0])}")
-    nv = system.n_field
 
     coupled, N, Q, smallest = _cached(system, "kernel", _kernel_basis)
-    lu = _cached(system, "lu", _factorize)
+    order = _cached(system, "order", lambda s: dissection_order(s.points, s.A))
+    lu = _cached(system, "lu", lambda s: _factorize(s, order))
     BT = _cached(system, "BT", lambda s: s.B.T)
     if isinstance(lu, str):
         reason = lu
     else:
-        x = lu.solve(np.concatenate([system.F, system.G if Q is None else Q.T @ system.G[coupled]]))
-        u, lam = x[:nv], x[nv:]
+        x = lu.solve(np.concatenate([system.F[order], system.G if Q is None else Q.T @ system.G[coupled]]))
+        u, lam = np.empty(nv), x[nv:]
+        u[order] = x[:nv]
         if Q is not None:
             lam = np.zeros(system.n_multiplier)
             lam[coupled] = Q @ x[nv:]

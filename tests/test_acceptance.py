@@ -14,13 +14,10 @@ import pytest
 
 from obsfem import (
     NoiseModel,
-    boundary_mass,
     build_mesh,
     build_observation_set,
     build_saddle_system,
-    empirical_norm,
     estimate_rates,
-    multiplier_at_sites,
     place_points,
     quadrature_weights,
     run_study,
@@ -28,7 +25,9 @@ from obsfem import (
     solve_saddle,
     tail_study,
 )
-from obsfem.assembly import assemble_coupling_matrix, vh_gram
+from obsfem.assembly import assemble_coupling_matrix
+
+from norms import boundary_mass, empirical_norm, multiplier_at_sites, vh_gram
 
 KS = [10, 20, 40, 80]
 SEED = 7
@@ -248,7 +247,7 @@ def test_criterion_8_exactness(square_suite, disk_suite, zero_noise_table,
         worst_u = max(worst_u, float(np.abs(sol.u - c).max()))
         worst_lam = max(worst_lam, float(np.abs(sol.lam).max()))
         zero = type(system)(system.A, system.B, np.zeros_like(system.F),
-                            np.zeros_like(system.G))
+                            np.zeros_like(system.G), system.points)
         zsol = solve_saddle(zero)
         assert np.abs(zsol.u).max() <= 1e-12
         assert np.abs(zsol.lam).max() <= 1e-12

@@ -455,6 +455,21 @@ class TestRunStudy:
         with pytest.raises(ValueError, match=f"^n must be at most 2\\^52, got {n}$"):
             call()
 
+    @pytest.mark.parametrize("call, digits", [
+        (lambda: run_study("square", [10 ** 1100], i=4), 4401),
+        (lambda: run_study("square", [4], n=10 ** 5000), 5001),
+    ], ids=["k", "n"])
+    def test_a_count_too_long_to_print_is_named_by_its_digits(self, monkeypatch, call, digits):
+        # Python turns no integer of more than 4,300 digits into text
+        monkeypatch.setattr(analysis, "build_mesh", lambda *a: pytest.fail("built a mesh"))
+        with pytest.raises(ValueError, match=f"^n must be at most 2\\^52, got a number of {digits} digits$"):
+            call()
+
+    def test_a_seed_too_long_to_print_is_named_by_its_digits(self, monkeypatch):
+        monkeypatch.setattr(analysis, "build_mesh", lambda *a: pytest.fail("built a mesh"))
+        with pytest.raises(ValueError, match=r"^seeds \[a number of 5001 digits, a number of 5001 digits\) "):
+            run_study("square", [4], i=2, seed=10 ** 5000)
+
     def test_seeds_beyond_64_bits_fail_before_any_level(self, monkeypatch):
         # seed 2^64 would alias seed 0
         monkeypatch.setattr(analysis, "build_mesh", lambda *a: pytest.fail("built a mesh"))

@@ -12,19 +12,18 @@ from obsfem import (
     assemble_data_vector,
     assemble_load,
     assemble_stiffness,
-    boundary_mass,
     build_observation_set,
     build_disk_mesh,
     build_saddle_system,
     build_square_mesh,
-    empirical_norm,
     Placement,
-    multiplier_at_sites,
     observe,
     place_points,
 )
-from obsfem.assembly import TRACE_HATS, sweep, trace_matrix, vh_gram
+from obsfem.assembly import TRACE_HATS, sweep
 from obsfem.mesh import Boundary, TriMesh
+
+from norms import boundary_mass, empirical_norm, multiplier_at_sites, trace_matrix, vh_gram
 
 
 def dense_coupling(placement):

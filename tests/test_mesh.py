@@ -530,3 +530,10 @@ class TestCachedGeometry:
         level = Level("disk", 20, i=1)
         level.trials(NoiseModel.gaussian(1.0), [0])
         assert calls == [len(level.mesh.triangles)]
+
+
+@pytest.mark.parametrize("build, name", [(build_square_mesh, "k"), (build_disk_mesh, "m")])
+def test_a_size_too_long_to_print_is_named_by_its_digits(build, name):
+    # Python turns no integer of more than 4,300 digits into text
+    with pytest.raises(MeshError, match=f"^need {name} >= 2, got a negative number of 5001 digits$"):
+        build(-10 ** 5000)

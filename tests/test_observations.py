@@ -18,7 +18,6 @@ from obsfem import (
     boundary_point,
     build_square_mesh,
     build_observation_set,
-    empirical_norm,
     observe,
     place_points,
     quadrature_weights,
@@ -26,6 +25,8 @@ from obsfem import (
 )
 from obsfem import observations
 from obsfem.observations import _NoiseStream
+
+from norms import empirical_norm
 
 
 def whole_array_placement(mesh, n):
@@ -243,6 +244,17 @@ class TestPlacement:
         assert len(pl.nudged) == 4
         np.testing.assert_allclose(arclengths(pl), [0.5, 1.5, 2.5, 3.5], atol=1e-8)
         assert (pl.window(0, 4).t > 0).all() and (pl.window(0, 4).t < 1).all()
+
+    @pytest.mark.parametrize("n, text", [(10 ** 5000, "<= 2\\^52, got a number"),
+                                         (-10 ** 5000, ">= 1, got a negative number")], ids=["huge", "negative"])
+    def test_a_count_too_long_to_print_is_named_by_its_digits(self, square10, n, text):
+        # Python turns no integer of more than 4,300 digits into text
+        with pytest.raises(ValueError, match=f"^need n {text} of 5001 digits$"):
+            place_points(square10, n)
+
+    def test_a_seed_too_long_to_print_is_named_by_its_digits(self, square10):
+        with pytest.raises(ValueError, match="^seed must lie in \\[0, 2\\^64\\), got a number of 5001 digits$"):
+            observe(place_points(square10, 4), None, None, 10 ** 5000)
 
     def test_no_nudge_when_clean(self, square10):
         # midpoint offsets (2j+1)/500 are never multiples of 0.1
@@ -510,6 +522,10 @@ class TestNoise:
             sample_noise(NoiseModel.gaussian(1.0), count, 0)
         for model in (NoiseModel.gaussian(1.0), NoiseModel.mixture(1.0, 10.0, 0.3), None):
             assert sample_noise(model, 0, 0).shape == (0,)
+
+    def test_a_count_too_long_to_print_is_named_by_its_digits(self):
+        with pytest.raises(ValueError, match="^count must be nonnegative, got a negative number of 5001 digits$"):
+            sample_noise(NoiseModel.gaussian(1.0), -10 ** 5000, 0)
 
     def test_numpy_integer_seeds_draw_the_python_seed(self):
         model = NoiseModel.mixture(1.0, 10.0, 0.3)

@@ -11,12 +11,18 @@ from obsfem import (
     NoiseModel,
     SingularSystemError,
     assemble_data_vector,
+    assemble_stiffness,
+    build_disk_mesh,
+    build_mesh,
     build_observation_set,
     build_saddle_system,
     build_square_mesh,
     observe,
+    read_mesh_text,
     solve_saddle,
+    write_mesh_text,
 )
+from obsfem.solver import dissection_order
 
 
 def make_system(mesh, n, f, g0, model=None, seed=0):
@@ -59,7 +65,7 @@ class TestBasicSolves:
     def test_zero_rhs_gives_zero(self, regular_system, rank_deficient_system):
         for base in (regular_system, rank_deficient_system):
             system = type(base)(base.A, base.B, np.zeros_like(base.F),
-                                np.zeros_like(base.G))
+                                np.zeros_like(base.G), base.points)
             sol = solve_saddle(system)
             assert np.abs(sol.u).max() <= 1e-12
             assert np.abs(sol.lam).max() <= 1e-12
@@ -80,7 +86,7 @@ class TestBasicSolves:
         base = solve_saddle(regular_system)
         scaled = type(regular_system)(
             regular_system.A, regular_system.B,
-            2.0 * regular_system.F, 2.0 * regular_system.G)
+            2.0 * regular_system.F, 2.0 * regular_system.G, regular_system.points)
         sol = solve_saddle(scaled)
         np.testing.assert_allclose(sol.u, 2.0 * base.u, rtol=1e-12, atol=1e-13)
 
@@ -121,7 +127,7 @@ class TestSingularHandling:
         bad_G = rank_deficient_system.G + evecs[:, 0]
         system = type(rank_deficient_system)(
             rank_deficient_system.A, rank_deficient_system.B,
-            rank_deficient_system.F, bad_G)
+            rank_deficient_system.F, bad_G, rank_deficient_system.points)
         with pytest.raises(SingularSystemError) as err:
             solve_saddle(system)
         assert "observation sites" in str(err.value)
@@ -263,18 +269,36 @@ class TestMisshapenData:
         assert not system.factors
 
 
+class TestPoints:
+    def test_misshapen_or_non_finite_points_rejected_before_factoring(self, regular_system):
+        nv, points = regular_system.n_field, regular_system.points
+        short = dataclasses.replace(regular_system, points=points[:-1], factors={})
+        with pytest.raises(ValueError, match=rf"^saddle system data points has shape \({nv - 1}, 2\), "
+                                             rf"the system needs \({nv}, 2\)$"):
+            solve_saddle(short)
+        bad = points.copy()
+        bad[3, 1] = np.nan
+        system = dataclasses.replace(regular_system, points=bad, factors={})
+        with pytest.raises(ValueError, match=r"^saddle system data points is not finite at entry 7$"):
+            solve_saddle(system)
+        assert not short.factors and not system.factors
+
+
 def dense_kernel_solve(system):
     """(N, u, lam): a basis of ker(B^T) from a dense eigh of the whole
     B B^T, and the saddle solve with the multiplier restricted to its
-    complement, by the same LU as the solver."""
+    complement, by the same LU as the solver, in the solver's order."""
     w, v = np.linalg.eigh((system.B @ system.B.T).toarray())
     kept = w > max(w[-1], 1.0) * 1e-12
     Q = None if kept.all() else v[:, kept]
-    B = system.B if Q is None else sp.csr_matrix(Q.T) @ system.B
-    lu = spla.splu(sp.bmat([[system.A, B.T], [B, None]], format="csc"))
-    x = lu.solve(np.concatenate([system.F, system.G if Q is None else Q.T @ system.G]))
+    order = dissection_order(system.points, system.A)
+    B = (system.B if Q is None else sp.csr_matrix(Q.T) @ system.B)[:, order]
+    lu = spla.splu(sp.bmat([[system.A[order][:, order], B.T], [B, None]], format="csc"), permc_spec="NATURAL")
+    x = lu.solve(np.concatenate([system.F[order], system.G if Q is None else Q.T @ system.G]))
     nv = system.n_field
-    return v[:, ~kept], x[:nv], x[nv:] if Q is None else Q @ x[nv:]
+    u = np.empty(nv)
+    u[order] = x[:nv]
+    return v[:, ~kept], u, x[nv:] if Q is None else Q @ x[nv:]
 
 
 def noisy_level_system(domain, k, i=None, n=None):
@@ -313,3 +337,37 @@ class TestCoupledRowKernel:
         assert N.shape[1] == 0
         sol = solve_saddle(system)
         assert np.array_equal(sol.u, u) and np.array_equal(sol.lam, lam)
+
+
+class TestDissectionOrder:
+    @pytest.mark.parametrize("domain, k", [("square", 2), ("disk", 2), ("disk", 10), ("disk", 20), ("disk", 40),
+                                           ("disk", 80), ("square", 10), ("square", 20), ("square", 40)])
+    def test_is_a_permutation(self, domain, k):
+        # the smallest meshes and the benchmark's disk and square levels
+        mesh = build_mesh(domain, k)
+        order = dissection_order(mesh.vertices, assemble_stiffness(mesh))
+        assert np.array_equal(np.sort(order), np.arange(len(mesh.vertices)))
+
+    def test_is_a_permutation_of_a_mesh_read_back(self, tmp_path):
+        path = str(tmp_path / "disk.txt")
+        write_mesh_text(build_disk_mesh(12), path)
+        mesh = read_mesh_text(path)
+        order = dissection_order(mesh.vertices, assemble_stiffness(mesh))
+        assert np.array_equal(np.sort(order), np.arange(len(mesh.vertices)))
+
+    def test_is_the_same_on_a_rerun(self):
+        first, again = build_disk_mesh(40), build_disk_mesh(40)
+        order = dissection_order(first.vertices, assemble_stiffness(first))
+        assert np.array_equal(order, dissection_order(again.vertices, assemble_stiffness(again)))
+        assert not np.array_equal(order, np.arange(len(order)))
+
+    def test_fills_less_than_a_default_splu(self):
+        # disk k=40, i=1: counts of the nonzeros of L + U, not times
+        clean = dataclasses.replace(Level("disk", 40, i=1).clean, factors={})
+        solve_saddle(clean)
+        lu = clean.factors["lu"]
+        coupled, _, Q, _ = clean.factors["kernel"]
+        B = sp.csr_matrix(Q.T) @ clean.B[coupled]
+        default = spla.splu(sp.bmat([[clean.A, B.T], [B, None]], format="csc"))
+        assert lu.shape == default.shape
+        assert lu.L.nnz + lu.U.nnz < default.L.nnz + default.U.nnz
