@@ -61,6 +61,7 @@ _GAUSS_HATS = np.stack([1.0 - _GAUSS_T, _GAUSS_T])  # an element's two hats ther
 # _SWEEP_BYTES together.
 _SWEEP_BYTES = 8 << 20
 _GENERATOR_BYTES = 1 << 10
+_BLOCK = 4096  # triangles per block of compute_errors's scratch, which stays in cache
 
 
 @dataclass(frozen=True)
@@ -146,16 +147,17 @@ class ErrorQuadrature:
     x then y); `weights` is |T|/3 per triangle."""
 
     def __init__(self, mesh: TriMesh, case: ManufacturedCase):
-        # (corner, xy, triangle), so every midpoint row is contiguous
-        p = np.ascontiguousarray(mesh.vertices[mesh.triangles].transpose(1, 2, 0))
-        mids = 0.5 * (p + np.roll(p, -1, axis=0))  # edge midpoints
+        p = np.take(mesh.vertices.T, mesh.triangles.T, axis=1).transpose(1, 0, 2)  # (corner, xy, triangle)
+        mids = np.add(p, np.roll(p, -1, axis=0), out=np.empty(p.shape))  # edge midpoints, rows contiguous
+        mids *= 0.5
         self.mesh = mesh
         self.weights = mesh.areas / 3.0
         self.u0_mid = case.u0(mids[:, 0], mids[:, 1])
         self.grad_u0_mid = case.grad_u0(mids[:, 0], mids[:, 1])
         # grad phi_i = perp(p_k - p_j) / (2 area) with (i, j, k) cyclic
         e = mesh.edges.transpose(2, 1, 0)  # (xy, corner, triangle)
-        self.hat_grads = np.ascontiguousarray(np.stack([-e[1], e[0]]) / (2.0 * mesh.areas))
+        self.hat_grads = np.stack([-e[1], e[0]])
+        self.hat_grads /= 2.0 * mesh.areas
         self.lengths = mesh.boundary.length
         elements = np.arange(len(self.lengths))
         self.successor = np.roll(elements, -1)
@@ -167,35 +169,38 @@ def compute_errors(quadrature: ErrorQuadrature, solution: SaddleSolution,
                    h_nominal: float, n: int, seed: int) -> ErrorReport:
     """Field and multiplier errors of one discrete solution; a u or lam
     that does not fit the mesh raises ValueError.  The integrands are
-    formed row by row in place and each field sum runs over a (triangle,
-    edge) array, so the errors keep the bits of the plain formulas."""
+    formed in place, _BLOCK triangles at a time in one scratch, into a
+    (triangle, edge) array per field norm that one sum reduces, so the
+    errors keep the bits of the plain formulas."""
     q = quadrature
     u, lam = solution.u, solution.lam
     for name, value, size in (("u", u, len(q.mesh.vertices)), ("lam", lam, len(q.lengths))):
         if np.shape(value) != (size,):
             raise ValueError(f"solution {name} has shape {np.shape(value)}, the mesh needs ({size},)")
-    uc = u[q.mesh.triangles.T]  # (corner, triangle)
-    terms = np.empty(uc.shape[::-1])  # (triangle, edge), the order of the sums
-    # P1 values at the edge midpoints are endpoint averages.
-    d = np.empty_like(uc)
-    np.add(uc[:2], uc[1:], out=d[:2])
-    np.add(uc[2], uc[0], out=d[2])
-    d *= 0.5
-    np.subtract(q.u0_mid, d, out=d)
-    d *= d
-    np.multiply(d, q.weights, out=terms.T)
-    l2_sq = float(terms.sum())
-
-    squares = (d, np.empty_like(d))
-    for hats, exact, sq in zip(q.hat_grads, q.grad_u0_mid, squares):  # x, then y
-        uh = uc[0] * hats[0]  # grad u_h: the corners summed in order 0, 1, 2
-        uh += uc[1] * hats[1]
-        uh += uc[2] * hats[2]
-        np.subtract(exact, uh, out=sq)
-        sq *= sq
-    d += squares[1]
-    np.multiply(d, q.weights, out=terms.T)
-    semi_sq = float(terms.sum())
+    triangles = q.mesh.triangles
+    terms = np.empty((2, len(triangles), 3))  # the l2 and H1-seminorm terms, in the order of the sums
+    scratch = np.empty((11, min(len(triangles), _BLOCK)))
+    for lo in range(0, len(triangles), _BLOCK):
+        hi = min(lo + _BLOCK, len(triangles))
+        block = scratch[:, : hi - lo]
+        uc, d, sq, (uh, product) = block[:3], block[3:6], block[6:9], block[9:]
+        np.take(u, triangles[lo:hi].T, out=uc, mode="clip")  # (corner, triangle); the mesh checked the indices
+        # P1 values at the edge midpoints are endpoint averages.
+        np.add(uc[:2], uc[1:], out=d[:2])
+        np.add(uc[2], uc[0], out=d[2])
+        d *= 0.5
+        np.subtract(q.u0_mid[:, lo:hi], d, out=d)
+        d *= d
+        np.multiply(d, q.weights[lo:hi], out=terms[0, lo:hi].T)
+        for hats, exact, square in zip(q.hat_grads[..., lo:hi], q.grad_u0_mid, (d, sq)):  # x, then y
+            np.multiply(uc[0], hats[0], out=uh)  # grad u_h: the corners summed in order 0, 1, 2
+            uh += np.multiply(uc[1], hats[1], out=product)
+            uh += np.multiply(uc[2], hats[2], out=product)
+            np.subtract(exact[:, lo:hi], uh, out=square)
+            square *= square
+        d += sq
+        np.multiply(d, q.weights[lo:hi], out=terms[1, lo:hi].T)
+    l2_sq, semi_sq = float(terms[0].sum()), float(terms[1].sum())
 
     approx = lam[:, None] * _GAUSS_HATS[0]
     approx += lam[q.successor][:, None] * _GAUSS_HATS[1]

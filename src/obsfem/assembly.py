@@ -34,11 +34,15 @@ TRACE_HATS = (lambda w, out: np.subtract(1.0, w.t, out=out), lambda w, out: np.c
 
 def assemble_stiffness(mesh: TriMesh) -> sp.csr_matrix:
     """Stiffness matrix (grad u, grad v) over the triangulation."""
-    nv = len(mesh.vertices)
-    # A_local[a, b] = (e_a . e_b) / (4 area) with e the opposite-edge vectors.
-    local = np.einsum("tad,tbd->tab", mesh.edges, mesh.edges) / (4.0 * mesh.areas)[:, None, None]
-    rows = np.repeat(mesh.triangles, 3, axis=1).ravel()
-    cols = np.tile(mesh.triangles, (1, 3)).ravel()
+    nv, nt = len(mesh.vertices), len(mesh.triangles)
+    # A_local[a, b] = (e_a . e_b) / (4 area) with e the opposite-edge vectors
+    e, scale = mesh.edges, 4.0 * mesh.areas
+    local, dot, term = np.empty((nt, 3, 3)), np.empty(nt), np.empty(nt)
+    for a, b in zip(*np.triu_indices(3)):
+        np.add(0.0, np.multiply(e[:, a, 0], e[:, b, 0], out=term), out=dot)  # from +0, as np.einsum sums
+        dot += np.multiply(e[:, a, 1], e[:, b, 1], out=term)
+        local[:, b, a] = np.divide(dot, scale, out=local[:, a, b])
+    rows, cols = np.repeat(mesh.triangles, 3, axis=1).ravel(), np.tile(mesh.triangles, (1, 3)).ravel()
     return sp.coo_matrix((local.ravel(), (rows, cols)), shape=(nv, nv)).tocsr()
 
 

@@ -142,24 +142,27 @@ class TriMesh:
 def _triangle_geometry(vertices: np.ndarray, triangles: np.ndarray) -> tuple:
     """(edges, areas, edge_lengths) of every triangle, see :class:`TriMesh`,
     once the triangles are checked to index finite vertices.  All three
-    are views of one block: as arrays of their own they added about 3 MB
-    to the peak RSS of repeated disk studies."""
-    bad = np.flatnonzero(~np.isfinite(vertices).all(axis=1))
-    if bad.size:
-        raise MeshError(f"vertex {bad[0]} is not finite")
+    are views of one (10, NT) block, written row by row: as arrays of
+    their own they added about 3 MB to the peak RSS of disk studies."""
+    if not np.isfinite(vertices).all():
+        raise MeshError(f"vertex {np.flatnonzero(~np.isfinite(vertices).all(axis=1))[0]} is not finite")
     if len(triangles) == 0:
         raise MeshError("mesh has no triangles")
     if triangles.min() < 0 or triangles.max() >= len(vertices):
         raise MeshError("triangle vertex index out of range")
-    p = vertices[triangles]
-    edges = np.stack([p[:, 2] - p[:, 1], p[:, 0] - p[:, 2], p[:, 1] - p[:, 0]], axis=1)
-    areas = 0.5 * (edges[:, 1, 0] * edges[:, 2, 1] - edges[:, 1, 1] * edges[:, 2, 0])  # e1 x e2 / 2
-    geometry = np.column_stack([edges.reshape(-1, 6), areas, np.linalg.norm(edges, axis=2)])
-    return geometry[:, :6].reshape(-1, 3, 2), geometry[:, 6], geometry[:, 7:]
+    p = np.take(vertices.T, triangles.T, axis=1)  # (xy, corner, triangle)
+    block = np.empty((10, len(triangles)))
+    edges, areas, lengths = block[:6].reshape(3, 2, -1), block[6], block[7:]
+    for a in range(3):  # the edge opposite corner a runs from corner a + 1 to a + 2
+        np.subtract(p[:, (a + 2) % 3], p[:, (a + 1) % 3], out=edges[a])
+    np.subtract(edges[1, 0] * edges[2, 1], edges[1, 1] * edges[2, 0], out=areas)
+    areas *= 0.5  # e1 x e2 / 2
+    np.sqrt(np.add(np.square(edges[:, 0]), np.square(edges[:, 1]), out=lengths), out=lengths)  # as np.linalg.norm
+    return edges.transpose(2, 0, 1), areas, lengths.T
 
 
 def triangle_diameters(mesh: TriMesh) -> np.ndarray:
-    return mesh.edge_lengths.max(axis=1)
+    return mesh.edge_lengths.max(axis=1)  # the rows of the block, so maxima of contiguous columns
 
 
 def _validate(mesh: TriMesh) -> None:
@@ -264,38 +267,39 @@ def build_disk_mesh(m: int) -> TriMesh:
     r = np.repeat(np.arange(m + 1) / m, sizes)
     vertices = np.column_stack([r * np.cos(ang), r * np.sin(ang)])
 
-    def ring(i):
-        return np.arange(first[i], first[i + 1])
-
-    pieces = [np.column_stack([np.zeros(sizes[1], dtype=np.int64), ring(1), np.roll(ring(1), -1)])]
-    for i in range(1, m):
-        pieces.append(_stitch_rings(ring(i), ang[ring(i)], ring(i + 1), ang[ring(i + 1)]))
-    triangles = np.concatenate(pieces)
+    ids, ring1 = np.arange(first[-1]), np.arange(1, first[2])
+    triangles = np.concatenate([np.column_stack([0 * ring1, ring1, np.roll(ring1, -1)]),  # the hub's fan, then
+                                _stitch_rings(ids[1:first[m]], ang[1:first[m]],  # rings 1..m-1 to 2..m
+                                              ids[first[2]:], ang[first[2]:])])
 
     n_out = sizes[-1]
     theta = 2.0 * math.pi * np.arange(n_out + 1) / n_out
     arc = np.column_stack([np.zeros(n_out), np.zeros(n_out), np.ones(n_out), theta[:-1], theta[1:]])
-    return TriMesh(vertices, triangles, Boundary(ring(m), np.diff(theta), arc))
+    return TriMesh(vertices, triangles, Boundary(ids[first[m]:], np.diff(theta), arc))
 
 
 def _stitch_rings(inner_ids, inner_ang, outer_ids, outer_ang) -> np.ndarray:
-    """Triangulate the annulus between two vertex rings.
+    """Triangulate the annuli between pairs of vertex rings, given as many
+    inner and outer rings back to back, each a run of increasing angles.
 
-    Walks both rings in angle simultaneously, always advancing on the
-    ring whose next vertex comes first (the inner one on a tie); this
-    keeps triangles close to isoceles even when the rings carry different
-    vertex counts.  The walk is a stable merge of the two rings' next
-    angles: step s advances the inner ring if `inner[s]`, and a[s], b[s]
-    count the steps taken on each ring, step s included.
-    """
-    iid = np.append(inner_ids, inner_ids[0])
-    oid = np.append(outer_ids, outer_ids[0])
-    nxt = np.concatenate([inner_ang[1:], [inner_ang[0] + 2.0 * math.pi],
-                          outer_ang[1:], [outer_ang[0] + 2.0 * math.pi]])
-    inner = np.argsort(nxt, kind="stable") < len(inner_ids)
-    a, b = np.cumsum(inner), np.cumsum(~inner)
-    ids = np.concatenate([iid, oid])
-    return np.column_stack([iid[a - inner], oid[b - ~inner], ids[np.where(inner, a, len(iid) + b)]])
+    Each pair is walked in angle on both rings at once, always advancing
+    on the ring whose next vertex comes first (the inner one on a tie);
+    this keeps triangles close to isoceles even when the rings carry
+    different vertex counts.  All walks are one stable merge of complex
+    (pair, next angle) keys: a step makes the triangle of its vertex, its
+    successor and the vertex after the other ring's steps so far."""
+    n = len(inner_ids)
+    ids, ang = np.concatenate([inner_ids, outer_ids]), np.concatenate([inner_ang, outer_ang])
+    start = np.diff(ang, prepend=np.inf) <= 0  # where a ring starts
+    start[n] = True
+    first = np.flatnonzero(start)
+    last, ring, rings = np.append(first[1:], len(ang)) - 1, np.cumsum(start) - 1, len(first) // 2
+    key, succ = ring % rings + 1j * np.append(ang[1:], 0.0), np.append(ids[1:], 0)  # each vertex's successor
+    key.imag[last], succ[last] = ang[first] + 2.0 * math.pi, ids[first]
+    merge = np.argsort(key, kind="stable")
+    other, partner = np.arange(len(merge)) - merge + n, (ring[merge] + rings) % (2 * rings)
+    other, mine, inner = ids[np.where(other <= last[partner], other, first[partner])], ids[merge], merge < n
+    return np.column_stack([np.where(inner, mine, other), np.where(inner, other, mine), succ[merge]])
 
 
 def boundary_point(mesh: TriMesh, e, t) -> np.ndarray:

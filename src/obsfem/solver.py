@@ -82,29 +82,28 @@ def dissection_order(points: np.ndarray, A: sp.csr_matrix) -> np.ndarray:
     Morton codes of D = 2 ceil(log4(NV / 64)) bits (x and y interleaved,
     most significant first, in the bounding box) leave about 64 vertices
     per leaf cell.  An edge first separates at the highest bit where its
-    codes differ, and its endpoint with a 0 there separates that split; a
-    vertex's split depth is the shallowest it separates (D if none).  The
-    base-3 key, the code's bits above that depth, a 2, then zeros, sorts
-    both halves of every cell before their separator (a stable sort).
+    codes differ, and its endpoint with a 0 there (the smaller code)
+    separates that split; a vertex's split depth is the shallowest it
+    separates (D if none).  The base-3 key, the code's bits above that
+    depth, a 2, then zeros, sorts both halves of every cell before their
+    separator (a stable sort).
     """
     nv = len(points)
     half = -(-((nv - 1) // 64).bit_length() // 2)  # bits per axis
     D = 2 * half
-    lo, span = points.min(axis=0), np.ptp(points, axis=0)
-    cells = (points - lo) / np.where(span > 0, span, 1.0) * (1 << half)
-    cells = np.minimum(cells, (1 << half) - 1).astype(np.int64)
     code = np.zeros(nv, dtype=np.int64)
-    for b in range(half - 1, -1, -1):
-        code = code << 2 | (cells[:, 0] >> b & 1) << 1 | cells[:, 1] >> b & 1
-    rows = np.repeat(np.arange(nv), np.diff(A.indptr))
-    differ = code[rows] ^ code[A.indices]
-    rows, differ = rows[differ > 0], differ[differ > 0]  # an edge within a leaf cell separates nothing
-    top = np.zeros(len(differ), dtype=np.int64)  # the highest bit where the codes differ
-    for b in range(1, D):
-        top += differ >> b > 0
-    cut = code[rows] >> top & 1 == 0
+    for shift, x in zip((1, 0), points.T):  # bit b of the cell index along x is bit 2 b + 1 of the code
+        lo, span = x.min(), x.max() - x.min()
+        cells = np.minimum((x - lo) / (span if span > 0 else 1.0) * (1 << half), (1 << half) - 1).astype(np.int64)
+        for b in range(half):
+            code |= (cells >> b & 1) << 2 * b + shift
+    own, other = np.repeat(code, np.diff(A.indptr)), code[A.indices]
+    cut = own < other  # the row has the 0 at the highest bit where the codes differ
+    rows = np.repeat(np.arange(nv), np.diff(A.indptr))[cut]  # ascending
+    split = D - np.frexp(own[cut] ^ other[cut])[1]  # D - 1 - that bit, exact below 2^53
+    first = np.flatnonzero(np.diff(rows, prepend=-1))
     depth = np.full(nv, D)
-    np.minimum.at(depth, rows[cut], D - 1 - top[cut])
+    depth[rows[first]] = np.minimum.reduceat(split, first)
     key = np.zeros(nv, dtype=np.int64)
     for j in range(D + 1):
         key = 3 * key + np.where(j < depth, code >> max(D - 1 - j, 0) & 1, 2 * (j == depth))
@@ -113,12 +112,19 @@ def dissection_order(points: np.ndarray, A: sp.csr_matrix) -> np.ndarray:
 
 def _factorize(system: SaddleSystem, order: np.ndarray):
     """Sparse LU of the saddle matrix restricted to range(B), the field
-    unknowns in `order` and the multipliers last, or why it failed."""
+    unknowns in `order` and the multipliers last, or why it failed.  K
+    has the canonical CSC arrays of `sp.bmat`: rows sorted in each column."""
     coupled, _, Q, _ = _cached(system, "kernel", _kernel_basis)
-    B = (system.B if Q is None else sp.csr_matrix(Q.T) @ system.B[coupled])[:, order]
+    B = system.B if Q is None else sp.csr_matrix(Q.T) @ system.B[coupled]
+    place = np.empty(len(order), dtype=system.A.indices.dtype)  # of each field unknown in K
+    place[order] = np.arange(len(order))
+    field = sp.vstack([system.A[order], B], format="csr")  # K's field columns [A; B~], rows in K's order
+    field = sp.csr_matrix((field.data, place[field.indices], field.indptr), shape=field.shape)
+    lagrange = field[len(order):].sorted_indices()  # B~, whose rows are K's multiplier columns
+    K = sp.hstack([field.tocsc(), sp.csc_matrix((lagrange.data, lagrange.indices, lagrange.indptr),
+                                                (field.shape[0], lagrange.shape[0]))], format="csc")
     try:
-        return spla.splu(sp.bmat([[system.A[order][:, order], B.T], [B, None]], format="csc"),
-                         permc_spec="NATURAL")
+        return spla.splu(K, permc_spec="NATURAL")
     except (RuntimeError, ValueError) as exc:
         return f"sparse factorization failed ({exc})"
 

@@ -684,6 +684,7 @@ class TestMeasurePath:
         ("disk", 10, 1, NoiseModel.mixture(1.0, 10.0, 0.5), range(7, 10)),  # rank-deficient
         ("disk", 20, 1, NoiseModel.mixture(1.0, 10.0, 0.5), range(7, 10)),  # rank-deficient
         ("disk", 10, 2, NoiseModel.gaussian(2.0), range(3)),
+        ("disk", 40, 1, NoiseModel.gaussian(2.0), range(2)),  # 10,053 triangles: blocks of scratch and a short one
     ])
     def test_reports_keep_the_bits_of_the_plain_formulas(self, domain, k, i, model, seeds):
         level = Level(domain, k, i=i)
@@ -694,6 +695,36 @@ class TestMeasurePath:
             system = dataclasses.replace(level.clean, G=level.clean.G + g)
             expected.append(measured_by_plain_formulas(level, system, solve_saddle(system), seed))
         assert level.trials(model, seeds) == expected
+
+
+def poisoned(empty):
+    """`empty` (or `empty_like`) handing out arrays full of NaN, or of the
+    largest value of an integer or boolean type."""
+    def make(*args, **kwargs):
+        array = empty(*args, **kwargs)
+        array.fill(np.nan if array.dtype.kind in "fc" else True if array.dtype.kind == "b"
+                   else np.iinfo(array.dtype).max)
+        return array
+    return make
+
+
+def test_kernels_write_their_scratch_before_reading_it(monkeypatch):
+    level = Level("disk", 40, i=1)  # 10,053 triangles: blocks of scratch and a short one
+    mesh, case, solution = level.mesh, level.case, solve_saddle(level.clean)
+    kernels = {
+        "compute_errors": lambda: dataclasses.astuple(compute_errors(level.quadrature, solution, level.h, 40, 7)),
+        "_triangle_geometry": lambda: obsfem.mesh._triangle_geometry(mesh.vertices, mesh.triangles),
+        "assemble_stiffness": lambda: (lambda A: (A.indptr, A.indices, A.data))(obsfem.assemble_stiffness(mesh)),
+        "ErrorQuadrature": lambda: (lambda q: (q.weights, q.u0_mid, *q.grad_u0_mid, q.hat_grads, q.lambda_exact))(
+            ErrorQuadrature(mesh, case)),
+    }
+    for name, kernel in kernels.items():
+        clean = [np.asarray(a).tobytes() for a in kernel()]
+        with monkeypatch.context() as patch:
+            patch.setattr(np, "empty", poisoned(np.empty))
+            patch.setattr(np, "empty_like", poisoned(np.empty_like))
+            dirty = [np.asarray(a).tobytes() for a in kernel()]
+        assert dirty == clean, name
 
 
 class TestLevelTrials:

@@ -164,6 +164,20 @@ class TestDiskMesh:
             assert np.array_equal(_stitch_rings(inner, inner_ang, outer, outer_ang),
                                   walk_rings(inner, inner_ang, outer, outer_ang))
 
+    def test_whole_disks_match_the_ring_walk(self):
+        # every disk up to m = 160 is the hub's fan, then the walk of each
+        # pair of consecutive rings: one merge of all the pairs at once
+        sizes = [round(2 * math.pi * i) for i in range(1, 161)]
+        first = np.cumsum([1] + sizes)
+        ring1 = np.arange(1, first[0] + sizes[0])
+        walks = [np.column_stack([np.zeros(sizes[0], dtype=np.int64), ring1, np.roll(ring1, -1)])]
+        for i in range(159):
+            inner, outer = np.arange(first[i], first[i + 1]), np.arange(first[i + 1], first[i + 2])
+            walks.append(walk_rings(inner, 2 * math.pi * np.arange(sizes[i]) / sizes[i],
+                                    outer, 2 * math.pi * np.arange(sizes[i + 1]) / sizes[i + 1]))
+        for m in range(2, 161):
+            assert np.array_equal(build_disk_mesh(m).triangles, np.concatenate(walks[:m])), m
+
     def test_ring_counts(self, disk10):
         # ring i holds round(2*pi*i) vertices; total includes the hub vertex
         expected = 1 + sum(round(2 * math.pi * i) for i in range(1, 11))
@@ -469,7 +483,7 @@ def gathered_geometry(mesh):
     return areas, np.maximum(e0, np.maximum(e1, e2)), e0 + e1 + e2, edges
 
 
-GEOMETRY_MESHES = [("square", 10), ("square", 33), ("disk", 10), ("disk", 40)]
+GEOMETRY_MESHES = [("square", 10), ("square", 33), ("disk", 10), ("disk", 40), ("disk", 80)]
 
 
 class TestCachedGeometry:

@@ -371,3 +371,57 @@ class TestDissectionOrder:
         default = spla.splu(sp.bmat([[clean.A, B.T], [B, None]], format="csc"))
         assert lu.shape == default.shape
         assert lu.L.nnz + lu.U.nnz < default.L.nnz + default.U.nnz
+
+    @pytest.mark.parametrize("domain, k", [("square", 2), ("disk", 2), ("disk", 13), ("disk", 80), ("square", 40),
+                                           ("square", 33)])
+    def test_equals_the_order_of_shift_passes(self, domain, k):
+        mesh = build_mesh(domain, k)
+        A = assemble_stiffness(mesh)
+        assert np.array_equal(dissection_order(mesh.vertices, A), shift_pass_order(mesh.vertices, A))
+
+
+def shift_pass_order(points, A):
+    """dissection_order as first written: the Morton code built one bit
+    pair at a time, and each edge's highest differing bit counted by one
+    shift pass per bit."""
+    nv = len(points)
+    half = -(-((nv - 1) // 64).bit_length() // 2)
+    D = 2 * half
+    lo, span = points.min(axis=0), np.ptp(points, axis=0)
+    cells = (points - lo) / np.where(span > 0, span, 1.0) * (1 << half)
+    cells = np.minimum(cells, (1 << half) - 1).astype(np.int64)
+    code = np.zeros(nv, dtype=np.int64)
+    for b in range(half - 1, -1, -1):
+        code = code << 2 | (cells[:, 0] >> b & 1) << 1 | cells[:, 1] >> b & 1
+    rows = np.repeat(np.arange(nv), np.diff(A.indptr))
+    differ = code[rows] ^ code[A.indices]
+    rows, differ = rows[differ > 0], differ[differ > 0]
+    top = np.zeros(len(differ), dtype=np.int64)
+    for b in range(1, D):
+        top += differ >> b > 0
+    cut = code[rows] >> top & 1 == 0
+    depth = np.full(nv, D)
+    np.minimum.at(depth, rows[cut], D - 1 - top[cut])
+    key = np.zeros(nv, dtype=np.int64)
+    for j in range(D + 1):
+        key = 3 * key + np.where(j < depth, code >> max(D - 1 - j, 0) & 1, 2 * (j == depth))
+    return np.argsort(key, kind="stable")
+
+
+class TestSaddleMatrix:
+    @pytest.mark.parametrize("domain, k, i, n", [("disk", 40, 1, None), ("disk", 10, None, 17),
+                                                 ("square", 10, 2, None), ("square", 2, None, 600_000)])
+    def test_is_the_matrix_bmat_builds(self, monkeypatch, domain, k, i, n):
+        # the rank-deficient disks (B~ = Q^T B) and full-rank squares (B~ = B)
+        clean = Level(domain, k, i, n).clean
+        factor, matrices = spla.splu, []
+        monkeypatch.setattr(spla, "splu", lambda K, **options: matrices.append(K) or factor(K, **options))
+        solve_saddle(clean)
+        order, (coupled, _, Q, _) = clean.factors["order"], clean.factors["kernel"]
+        B = (clean.B if Q is None else sp.csr_matrix(Q.T) @ clean.B[coupled])[:, order]
+        expected = sp.bmat([[clean.A[order][:, order], B.T], [B, None]], format="csc")
+        [K] = matrices
+        assert K.format == "csc" and K.shape == expected.shape
+        for attr in ("indptr", "indices", "data"):
+            got, want = getattr(K, attr), getattr(expected, attr)
+            assert got.dtype == want.dtype and np.array_equal(got, want), attr
