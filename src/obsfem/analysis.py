@@ -182,8 +182,7 @@ def compute_errors(quadrature: ErrorQuadrature, solution: SaddleSolution,
     scratch = np.empty((11, min(len(triangles), _BLOCK)))
     for lo in range(0, len(triangles), _BLOCK):
         hi = min(lo + _BLOCK, len(triangles))
-        block = scratch[:, : hi - lo]
-        uc, d, sq, (uh, product) = block[:3], block[3:6], block[6:9], block[9:]
+        uc, d, sq, (uh, product) = np.split(scratch[:, : hi - lo], [3, 6, 9])
         np.take(u, triangles[lo:hi].T, out=uc, mode="clip")  # (corner, triangle); the mesh checked the indices
         # P1 values at the edge midpoints are endpoint averages.
         np.add(uc[:2], uc[1:], out=d[:2])

@@ -172,8 +172,9 @@ def solve_saddle(system: SaddleSystem) -> SaddleSolution:
         if Q is not None:
             lam = np.zeros(system.n_multiplier)
             lam[coupled] = Q @ x[nv:]
-        rp = np.linalg.norm(system.A @ u + BT @ lam - system.F) / max(1.0, np.linalg.norm(system.F))
-        rc = np.linalg.norm(system.B @ u - system.G) / max(1.0, np.linalg.norm(system.G))
+        # norms by numpy's pairwise sum: a BLAS dot's bits depend on the BLAS thread count
+        rp, rc = (np.sqrt(np.square(r).sum()) / max(1.0, np.sqrt(np.square(b).sum()))
+                  for r, b in ((system.A @ u + BT @ lam - system.F, system.F), (system.B @ u - system.G, system.G)))
         if np.isfinite(rp) and np.isfinite(rc) and rp <= RESIDUAL_LIMIT and rc <= RESIDUAL_LIMIT:
             return SaddleSolution(u, lam, rp, rc)
         reason = f"direct solve left residuals ({rp:.2e}, {rc:.2e})"

@@ -2,6 +2,7 @@
 the boundary Gram matrices of the mesh-dependent norms, the field Gram
 matrix, multiplier values at the sites and the empirical seminorm.  No
 solve needs them; acceptance criteria 6 and 7 and the unit tests do.
+`residual_norm` is the 2-norm of the solver's residual contract.
 """
 
 import math
@@ -10,6 +11,13 @@ import numpy as np
 import scipy.sparse as sp
 
 from obsfem import Placement, TriMesh, assemble_stiffness
+
+
+def residual_norm(v: np.ndarray) -> float:
+    """|v|_2 by numpy's pairwise sum, as `solve_saddle` takes its residual
+    norms: np.linalg.norm's BLAS dot splits a long vector across the BLAS
+    threads, so its bits depend on the thread count."""
+    return np.sqrt(np.sum(v * v))
 
 
 def trace_matrix(mesh: TriMesh) -> sp.csr_matrix:

@@ -21,11 +21,15 @@ and lists the changed cases in CHANGES.md.
 import hashlib
 import json
 import math
+import os
 import pathlib
+import subprocess
+import sys
 
 import numpy as np
 import scipy
 
+import obsfem
 from obsfem import NoiseModel
 from obsfem.analysis import ErrorReport, Level
 
@@ -117,6 +121,21 @@ def test_reports_and_blocks_match_the_ledger(capsys):
     for name in CASES:
         problem = first_difference(name, record_case(name), ledger["cases"][name], exact)
         assert problem is None, problem
+
+
+def test_reports_do_not_depend_on_the_blas_thread_count():
+    # a disk k=80, i=1 report: its residuals are norms of NV = 20,359
+    # entries, a length whose BLAS dot OpenBLAS splits across its threads
+    program = ("from obsfem import NoiseModel; from obsfem.analysis import Level; "
+               "[r] = Level('disk', 80, i=1).trials(NoiseModel.mixture(1.0, 10.0, 0.5), [8]); "
+               "print(*(float(v).hex() for v in vars(r).values()))")
+    src = os.path.dirname(os.path.dirname(obsfem.__file__))
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    reports = [subprocess.run([sys.executable, "-c", program], capture_output=True, check=True, text=True,
+                              env={**os.environ, "PYTHONPATH": path, "OPENBLAS_NUM_THREADS": threads,
+                                   "OMP_NUM_THREADS": threads}).stdout.split()
+               for threads in ("1", "2")]
+    assert dict(zip(FIELDS, reports[0])) == dict(zip(FIELDS, reports[1]))
 
 
 if __name__ == "__main__":
