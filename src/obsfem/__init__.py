@@ -28,7 +28,6 @@ from .assembly import (
     assemble_data_vector,
     assemble_load,
     assemble_stiffness,
-    build_saddle_system,
 )
 from .mesh import (
     Boundary,
@@ -46,7 +45,6 @@ from .observations import (
     NoiseModel,
     ObservationSet,
     Placement,
-    build_observation_set,
     observe,
     place_points,
     quadrature_weights,

@@ -150,12 +150,3 @@ class SaddleSystem:
     @property
     def n_multiplier(self) -> int:
         return self.B.shape[0]
-
-
-def build_saddle_system(f, obs: ObservationSet) -> SaddleSystem:
-    """The saddle system for load f and the observation set's data, B and
-    G from one sweep."""
-    pl, mesh = obs.placement, obs.placement.mesh
-    left, right = sweep(pl, [*TRACE_HATS, obs.values])
-    return SaddleSystem(assemble_stiffness(mesh), _coupling(pl, left, right),
-                        assemble_load(mesh, f), left[2] + np.roll(right[2], 1), mesh.vertices)

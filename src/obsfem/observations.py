@@ -395,17 +395,3 @@ def observe(placement: Placement, g0: Optional[Callable], model: Optional[NoiseM
     drawn or evaluated here; the data are read through
     :meth:`ObservationSet.values`."""
     return ObservationSet(placement, g0, model, seed)
-
-
-def build_observation_set(
-    mesh: TriMesh,
-    n: int,
-    g0: Callable,
-    model: Optional[NoiseModel] = None,
-    seed: int = 0,
-) -> ObservationSet:
-    """Place n sites on the boundary and observe g0 under the noise model;
-    identical (mesh, n, g0, model, seed) give identical values, however
-    the set is read."""
-    return observe(place_points(mesh, n), g0, model, seed)
-

@@ -13,19 +13,22 @@ import numpy as np
 import pytest
 
 from obsfem import (
+    Level,
     NoiseModel,
+    SaddleSystem,
+    assemble_coupling_matrix,
+    assemble_data_vector,
+    assemble_load,
+    assemble_stiffness,
     build_mesh,
-    build_observation_set,
-    build_saddle_system,
     estimate_rates,
+    observe,
     place_points,
     quadrature_weights,
     run_study,
-    sine_case,
     solve_saddle,
     tail_study,
 )
-from obsfem.assembly import assemble_coupling_matrix
 
 from norms import boundary_mass, empirical_norm, multiplier_at_sites, vh_gram
 
@@ -241,8 +244,9 @@ def test_criterion_8_exactness(square_suite, disk_suite, zero_noise_table,
     worst_u = worst_lam = 0.0
     for domain in ("square", "disk"):
         mesh = build_mesh(domain, 8)
-        obs = build_observation_set(mesh, 64, lambda x, y: c, None)
-        system = build_saddle_system(lambda x, y: 0.0, obs)
+        obs = observe(place_points(mesh, 64), lambda x, y: c, None, 0)
+        system = SaddleSystem(assemble_stiffness(mesh), assemble_coupling_matrix(obs.placement),
+                              assemble_load(mesh, lambda x, y: 0.0), assemble_data_vector(obs), mesh.vertices)
         sol = solve_saddle(system)
         worst_u = max(worst_u, float(np.abs(sol.u - c).max()))
         worst_lam = max(worst_lam, float(np.abs(sol.lam).max()))
@@ -283,11 +287,8 @@ def test_criterion_9_tail_concentration(tail_report, capsys):
 
 
 def test_criterion_10_oracle_equivalence(capsys):
-    mesh = build_mesh("square", 4)
-    case = sine_case("square")
-
-    obs = build_observation_set(mesh, 16, case.g0, None)
-    system = build_saddle_system(case.f, obs)
+    level = Level("square", 4, n=16)
+    mesh, system = level.mesh, level.clean
     nv, nq = system.n_field, system.n_multiplier
     K = np.zeros((nv + nq, nv + nq))
     K[:nv, :nv] = system.A.toarray()

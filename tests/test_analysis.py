@@ -1,9 +1,11 @@
 import collections
 import dataclasses
+import keyword
 import logging
 import math
 import mmap
 import os
+import pathlib
 import re
 import subprocess
 import sys
@@ -21,8 +23,6 @@ from obsfem import (
     NoiseModel,
     SaddleSolution,
     build_mesh,
-    build_observation_set,
-    build_saddle_system,
     assemble_data_vector,
     compute_errors,
     estimate_rates,
@@ -288,13 +288,10 @@ class TestRunCase:
     def test_error_quadrature_agrees_with_degree5(self):
         # the midpoint-rule L2 error must match an independent
         # higher-order recomputation of the same discrete solution
-        mesh = build_mesh("square", 10)
-        case = sine_case("square")
-        obs = build_observation_set(mesh, 100, case.g0, None, seed=0)
-        system = build_saddle_system(case.f, obs)
-        sol = solve_saddle(system)
-        rep = compute_errors(ErrorQuadrature(mesh, case), sol, 0.1, 100, 0)
-        independent = l2_error_degree5(mesh, case, sol.u)
+        level = Level("square", 10, n=100)
+        sol = solve_saddle(level.clean)
+        rep = compute_errors(level.quadrature, sol, 0.1, 100, 0)
+        independent = l2_error_degree5(level.mesh, level.case, sol.u)
         assert rep.l2 / independent == pytest.approx(1.0, abs=0.25)
 
     def test_mean_l2_window_fine_sampling(self):
@@ -820,3 +817,14 @@ class TestLevelTrials:
         run = subprocess.run([sys.executable, "-c", program], capture_output=True, check=True,
                              env={**os.environ, "PYTHONPATH": path, "OPENBLAS_NUM_THREADS": "1"})
         assert int(run.stdout) < 40 * 1024  # ru_maxrss is in kB
+
+
+def test_readme_lower_level_pieces_are_live_exports():
+    # every name that README's paragraph on the lower-level pieces shows
+    # bare or called, as `place_points` or `observe(placement, ...)`
+    readme = (pathlib.Path(__file__).parents[1] / "README.md").read_text()
+    [paragraph] = re.findall(r"^Lower-level pieces .*?(?=\n\n)", readme, re.M | re.S)
+    names = {name for name in re.findall(r"`([A-Za-z_]\w*)(?:\([^`]*\))?`", paragraph)
+             if not keyword.iskeyword(name)}  # not the model `None`
+    assert len(names) >= 10
+    assert sorted(name for name in names if not hasattr(obsfem, name)) == []

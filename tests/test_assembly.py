@@ -6,15 +6,14 @@ import scipy.linalg
 import scipy.sparse as sp
 
 from obsfem import (
+    Level,
     NoiseModel,
     ObservationSet,
     assemble_coupling_matrix,
     assemble_data_vector,
     assemble_load,
     assemble_stiffness,
-    build_observation_set,
     build_disk_mesh,
-    build_saddle_system,
     build_square_mesh,
     Placement,
     observe,
@@ -216,13 +215,12 @@ class TestCoupling:
         assert B[:, interior].nnz == 0
 
     def test_constant_data_vector(self, square4):
-        obs = build_observation_set(square4, 48, lambda x, y: 3.0, None)
+        obs = observe(place_points(square4, 48), lambda x, y: 3.0, None, 0)
         B, G = assemble_coupling_matrix(obs.placement), assemble_data_vector(obs)
         np.testing.assert_allclose(G, 3.0 * (B @ np.ones(len(square4.vertices))), atol=1e-14)
 
     def test_data_vector_brute_force(self, disk10, rng):
-        obs = build_observation_set(disk10, 200, lambda x, y: x * y - y,
-                                    None, seed=0)
+        obs = observe(place_points(disk10, 200), lambda x, y: x * y - y, None, 0)
         G = assemble_data_vector(obs)
         pl = obs.placement
         g = obs.values(pl.window(0, pl.n))
@@ -418,13 +416,18 @@ class TestEmpiricalNormEquivalence:
 
 class TestSaddleSystem:
     def test_blocks_and_shapes(self, square4):
+        # a level reads B and G0 in one sweep: they keep the bits of the
+        # blocks assembled one by one
         nv, nq = len(square4.vertices), len(square4.boundary)
-        obs = build_observation_set(square4, 32, lambda x, y: x, None)
-        sys = build_saddle_system(lambda x, y: np.ones_like(x), obs)
+        level = Level("square", 4, n=32)
+        sys, pl = level.clean, level.placement
         assert sys.n_field == nv
         assert sys.n_multiplier == nq
         assert sys.A.shape == (nv, nv)
         assert sys.B.shape == (nq, nv)
         assert sys.F.shape == (nv,)
         assert sys.G.shape == (nq,)
-        np.testing.assert_array_equal(sys.G, assemble_data_vector(obs))
+        B = assemble_coupling_matrix(pl)
+        for name in ("data", "indices", "indptr"):
+            np.testing.assert_array_equal(getattr(sys.B, name), getattr(B, name))
+        np.testing.assert_array_equal(sys.G, assemble_data_vector(observe(pl, level.case.g0, None, 0)))

@@ -17,7 +17,6 @@ from obsfem import (
     assemble_coupling_matrix,
     boundary_point,
     build_square_mesh,
-    build_observation_set,
     observe,
     place_points,
     quadrature_weights,
@@ -678,30 +677,27 @@ class TestNoise:
 
 class TestObservationSet:
     def test_alpha_sums_to_boundary_length(self, square10, disk10):
-        g0 = lambda x, y: x + y  # noqa: E731
         for mesh, total in ((square10, 4.0), (disk10, 2 * math.pi)):
-            obs = build_observation_set(mesh, 500, g0, None, seed=0)
-            assert abs(obs.placement.window(0, 500).alpha.sum() - total) <= 1e-10
+            assert abs(place_points(mesh, 500).window(0, 500).alpha.sum() - total) <= 1e-10
 
     def test_equispaced_alpha_uniform(self, square10):
-        obs = build_observation_set(square10, 1000, lambda x, y: x, None, seed=0)
-        np.testing.assert_allclose(obs.placement.window(0, 1000).alpha, 4.0 / 1000, atol=1e-12)
+        np.testing.assert_allclose(place_points(square10, 1000).window(0, 1000).alpha, 4.0 / 1000, atol=1e-12)
 
     def test_constant_data_no_noise(self, square10):
-        obs = build_observation_set(square10, 100, lambda x, y: 3.25, None, seed=0)
+        obs = observe(place_points(square10, 100), lambda x, y: 3.25, None, 0)
         np.testing.assert_array_equal(obs.values(obs.placement.window(0, 100)), np.full(100, 3.25))
 
     def test_noise_decomposition(self, disk10):
         model = NoiseModel.gaussian(2.0)
-        obs = build_observation_set(disk10, 300, lambda x, y: x * y, model, seed=5)
+        obs = observe(place_points(disk10, 300), lambda x, y: x * y, model, 5)
         clean = obs.placement.evaluate(obs.g0, obs.placement.window(0, obs.placement.n))
         noise = sample_noise(model, 300, seed=5)
         np.testing.assert_allclose(obs.values(obs.placement.window(0, 300)) - clean, noise, atol=1e-15)
 
     def test_bit_identical_rebuild(self, disk10):
         model = NoiseModel.mixture(1.0, 10.0, 0.5)
-        a = build_observation_set(disk10, 777, lambda x, y: x, model, seed=9)
-        b = build_observation_set(disk10, 777, lambda x, y: x, model, seed=9)
+        a = observe(place_points(disk10, 777), lambda x, y: x, model, 9)
+        b = observe(place_points(disk10, 777), lambda x, y: x, model, 9)
         np.testing.assert_array_equal(a.values(a.placement.window(0, 777)), b.values(b.placement.window(0, 777)))
         for x, y in zip(a.placement.window(0, 777), b.placement.window(0, 777)):
             np.testing.assert_array_equal(x, y)
@@ -765,25 +761,23 @@ class TestObservationSet:
 
     def test_clean_values_on_true_boundary(self, disk10):
         # g0 must be sampled on the circle, not the chord polygon
-        obs = build_observation_set(disk10, 200, lambda x, y: x ** 2 + y ** 2, None)
+        obs = observe(place_points(disk10, 200), lambda x, y: x ** 2 + y ** 2, None, 0)
         np.testing.assert_allclose(obs.values(obs.placement.window(0, 200)), 1.0, atol=1e-12)
 
 
 class TestEmpiricalInnerProduct:
     # <u, v>_n = sum_j alpha_j u_j v_j, read through ||u||_n^2 = <u, u>_n
     def test_constant_gives_boundary_length(self, disk10):
-        obs = build_observation_set(disk10, 123, lambda x, y: 1.0, None)
         one = np.ones(123)
-        assert empirical_norm(obs.placement.window(0, 123).alpha, one) ** 2 == pytest.approx(
+        assert empirical_norm(place_points(disk10, 123).window(0, 123).alpha, one) ** 2 == pytest.approx(
             2 * math.pi, abs=1e-10)
 
     def test_zero_factor(self, square10):
-        obs = build_observation_set(square10, 64, lambda x, y: 1.0, None)
-        assert empirical_norm(obs.placement.window(0, 64).alpha, np.zeros(64)) == 0.0
+        assert empirical_norm(place_points(square10, 64).window(0, 64).alpha, np.zeros(64)) == 0.0
 
     def test_approximates_line_integral(self, square10):
         # integral of x^2 over the unit square boundary: 1/3 + 1 + 1/3 + 0
-        obs = build_observation_set(square10, 10 ** 4, lambda x, y: x, None)
+        obs = observe(place_points(square10, 10 ** 4), lambda x, y: x, None, 0)
         w = obs.placement.window(0, 10 ** 4)
         assert abs(empirical_norm(w.alpha, obs.values(w)) ** 2 - 5.0 / 3.0) <= 1e-4
 

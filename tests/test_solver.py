@@ -9,15 +9,17 @@ import scipy.sparse.linalg as spla
 from obsfem import (
     Level,
     NoiseModel,
+    SaddleSystem,
     SingularSystemError,
+    assemble_coupling_matrix,
     assemble_data_vector,
+    assemble_load,
     assemble_stiffness,
     build_disk_mesh,
     build_mesh,
-    build_observation_set,
-    build_saddle_system,
     build_square_mesh,
     observe,
+    place_points,
     read_mesh_text,
     solve_saddle,
     write_mesh_text,
@@ -27,8 +29,9 @@ from norms import residual_norm
 
 
 def make_system(mesh, n, f, g0, model=None, seed=0):
-    obs = build_observation_set(mesh, n, g0, model, seed=seed)
-    return build_saddle_system(f, obs)
+    obs = observe(place_points(mesh, n), g0, model, seed)
+    return SaddleSystem(assemble_stiffness(mesh), assemble_coupling_matrix(obs.placement),
+                        assemble_load(mesh, f), assemble_data_vector(obs), mesh.vertices)
 
 
 def noisy_data_vector(level, model, seed):
