@@ -3,8 +3,9 @@ of the levels that cross noise blocks and windows, as recorded in
 `ledger.json`, so a change that moves a bit fails here, naming the case,
 the seed and the first field that differs.
 
-Where numpy, scipy and numpy's SIMD features equal the recorded ones,
-every report field and the hashes of B and G0 must match exactly.
+Where numpy, scipy, numpy's SIMD features and the OpenBLAS cores equal
+the recorded ones, every report field and the hashes of B and G0 must
+match exactly.
 Elsewhere (numpy's float64 `sin` and the SuperLU and BLAS builds may
 round differently) the report fields must agree to 1e-12 relative, the
 residuals, which are rounding noise already scaled by max(1, norm), to
@@ -18,15 +19,18 @@ A change that moves bits on purpose re-records the ledger with
 and lists the changed cases in CHANGES.md.
 """
 
+import ctypes
 import hashlib
 import json
 import math
 import os
 import pathlib
+import platform
 import subprocess
 import sys
 
 import numpy as np
+import pytest
 import scipy
 
 import obsfem
@@ -52,15 +56,32 @@ CASES = {
 }
 
 
+def blas_core(package):
+    """The name of the core whose kernels the OpenBLAS in `package`'s
+    wheel runs (OPENBLAS_CORETYPE may force one), or None where no library
+    in `<package>.libs` exports it."""
+    libs = pathlib.Path(package.__file__).parent.with_name(f"{package.__name__}.libs")
+    for lib in sorted(libs.glob("*openblas*")):
+        handle = ctypes.CDLL(str(lib))
+        for symbol in ("scipy_openblas_get_corename", "scipy_openblas_get_corename64_"):  # scipy's, numpy's
+            read = getattr(handle, symbol, None)
+            if read is not None:
+                read.argtypes, read.restype = [], ctypes.c_char_p
+                return read().decode()
+    return None
+
+
 def environment() -> dict:
     """What the bits may depend on beyond the code: the numpy and scipy
-    versions and the SIMD features numpy dispatches to."""
+    versions, the SIMD features numpy dispatches to and the cores of
+    numpy's and scipy's OpenBLAS."""
     try:
         from numpy._core import _multiarray_umath as umath
     except ImportError:  # numpy < 2
         from numpy.core import _multiarray_umath as umath
     simd = sorted(name for name, on in umath.__cpu_features__.items() if on)
-    return {"numpy": np.__version__, "scipy": scipy.__version__, "simd": simd}
+    return {"numpy": np.__version__, "scipy": scipy.__version__, "simd": simd,
+            "blas_core": {"numpy": blas_core(np), "scipy": blas_core(scipy)}}
 
 
 def _sha256(*arrays) -> str:
@@ -136,6 +157,24 @@ def test_reports_do_not_depend_on_the_blas_thread_count():
                                    "OMP_NUM_THREADS": threads}).stdout.split()
                for threads in ("1", "2")]
     assert dict(zip(FIELDS, reports[0])) == dict(zip(FIELDS, reports[1]))
+
+
+def test_a_forced_blas_core_is_compared_to_the_tolerance():
+    # another OpenBLAS core is another environment: a case recorded under
+    # it must take the 1e-12 comparison, and pass it.  Prescott's kernels
+    # (SSE3) run on any x86-64.
+    if platform.machine().lower() not in ("x86_64", "amd64") or None in environment()["blas_core"].values():
+        pytest.skip("needs x86-64 and an OpenBLAS that names its core")
+    name = "disk-k10-n17"
+    program = f"import json, test_ledger as t; print(json.dumps([t.environment(), t.record_case({name!r})]))"
+    src = os.path.dirname(os.path.dirname(obsfem.__file__))
+    path = os.pathsep.join(filter(None, [src, os.path.dirname(__file__), os.environ.get("PYTHONPATH")]))
+    run = subprocess.run([sys.executable, "-c", program], capture_output=True, check=True, text=True,
+                         env={**os.environ, "PYTHONPATH": path, "OPENBLAS_CORETYPE": "Prescott"})
+    forced, got = json.loads(run.stdout)
+    ledger = json.loads(LEDGER.read_text())
+    assert forced["blas_core"] != ledger["environment"]["blas_core"]  # so the 1e-12 comparison applies
+    assert first_difference(name, got, ledger["cases"][name], exact=False) is None
 
 
 if __name__ == "__main__":
