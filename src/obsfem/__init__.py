@@ -14,7 +14,6 @@ from .analysis import (
     ManufacturedCase,
     RateEstimate,
     TailReport,
-    build_mesh,
     compute_errors,
     estimate_rates,
     run_case,
@@ -34,8 +33,10 @@ from .mesh import (
     MeshError,
     QualityReport,
     TriMesh,
+    boundary_normal,
     boundary_point,
     build_disk_mesh,
+    build_mesh,
     build_square_mesh,
     mesh_quality,
     read_mesh_text,

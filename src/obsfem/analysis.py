@@ -44,7 +44,7 @@ from .assembly import (  # noqa: F401  (perfbench traces the assemble_* function
     assemble_stiffness,
     sweep,
 )
-from .mesh import MeshError, TriMesh, _check_integer, _count_text, boundary_point, build_disk_mesh, build_square_mesh
+from .mesh import MeshError, TriMesh, _check_integer, _count_text, boundary_normal, boundary_point, build_mesh
 from .observations import NoiseModel, ObservationSet, _generators, observe, place_points
 from .solver import SaddleSolution, SingularSystemError, solve_saddle
 
@@ -66,63 +66,27 @@ _BLOCK = 4096  # triangles per block of compute_errors's scratch, which stays in
 
 @dataclass(frozen=True)
 class ManufacturedCase:
-    """Exact solution data on one of the two reference domains."""
+    """An exact solution u0 of -Lap u0 = f, whose trace is the boundary data g0."""
 
-    domain: str  # "square" or "disk"
     u0: Callable
     grad_u0: Callable  # (x, y) -> (du/dx, du/dy)
     f: Callable
 
-    def __post_init__(self):
-        if self.domain not in ("square", "disk"):
-            raise ValueError(f"unknown domain {self.domain!r}")
 
-    def g0(self, x, y):
-        return self.u0(x, y)
-
-    def normal(self, x, y):
-        """Outward unit normal at boundary points (never at corners)."""
-        x = np.asarray(x, dtype=float)
-        y = np.asarray(y, dtype=float)
-        if self.domain == "disk":
-            r = np.hypot(x, y)
-            return x / r, y / r
-        nx = np.where(np.abs(x - 1.0) < 1e-9, 1.0, np.where(np.abs(x) < 1e-9, -1.0, 0.0))
-        ny = np.where(np.abs(y - 1.0) < 1e-9, 1.0, np.where(np.abs(y) < 1e-9, -1.0, 0.0))
-        return nx, ny
-
-    def lambda_exact(self, x, y):
-        """Multiplier -du0/dnu on the boundary."""
-        gx, gy = self.grad_u0(x, y)
-        nx, ny = self.normal(x, y)
-        return -(gx * nx + gy * ny)
-
-
-def sine_case(domain: str) -> ManufacturedCase:
+def sine_case() -> ManufacturedCase:
     """The oscillatory reference solution sin(5x+1) sin(5y+1)."""
 
     def u0(x, y):
         return np.sin(5.0 * x + 1.0) * np.sin(5.0 * y + 1.0)
 
     def grad(x, y):
-        return (
-            5.0 * np.cos(5.0 * x + 1.0) * np.sin(5.0 * y + 1.0),
-            5.0 * np.sin(5.0 * x + 1.0) * np.cos(5.0 * y + 1.0),
-        )
+        return (5.0 * np.cos(5.0 * x + 1.0) * np.sin(5.0 * y + 1.0),
+                5.0 * np.sin(5.0 * x + 1.0) * np.cos(5.0 * y + 1.0))
 
     def f(x, y):
         return 50.0 * np.sin(5.0 * x + 1.0) * np.sin(5.0 * y + 1.0)
 
-    return ManufacturedCase(domain, u0, grad, f)
-
-
-def build_mesh(domain: str, k: int) -> TriMesh:
-    _check_integer("k", k, MeshError)
-    if domain == "square":
-        return build_square_mesh(k)
-    if domain == "disk":
-        return build_disk_mesh(k)
-    raise ValueError(f"unknown domain {domain!r}")
+    return ManufacturedCase(u0, grad, f)
 
 
 @dataclass
@@ -162,7 +126,8 @@ class ErrorQuadrature:
         elements = np.arange(len(self.lengths))
         self.successor = np.roll(elements, -1)
         pts = boundary_point(mesh, elements[:, None], _GAUSS_T)  # 3 Gauss points per element
-        self.lambda_exact = case.lambda_exact(pts[..., 0], pts[..., 1])
+        (gx, gy), normal = case.grad_u0(pts[..., 0], pts[..., 1]), boundary_normal(mesh, elements[:, None], _GAUSS_T)
+        self.lambda_exact = -(gx * normal[..., 0] + gy * normal[..., 1])  # -du0/dnu, nu from the mesh boundary
 
 
 def compute_errors(quadrature: ErrorQuadrature, solution: SaddleSolution,
@@ -262,11 +227,11 @@ class Level:
                  case: Optional[ManufacturedCase] = None):
         n = points_for(k, i, n)  # before the mesh, so a bad i or n fails fast
         mesh = self.mesh = build_mesh(domain, k)
-        self.case = case if case is not None else sine_case(domain)
+        self.case = case if case is not None else sine_case()
         self.h = 1.0 / k
         pl = self.placement = place_points(mesh, n)
         A, F = assemble_stiffness(mesh), assemble_load(mesh, self.case.f)
-        left, right = sweep(pl, [*TRACE_HATS, ObservationSet(pl, self.case.g0, None, 0).values])  # B and G0
+        left, right = sweep(pl, [*TRACE_HATS, ObservationSet(pl, self.case.u0, None, 0).values])  # B and G0
         self.clean = SaddleSystem(A, _coupling(pl, left, right), F, left[2] + np.roll(right[2], 1), mesh.vertices)
         self.quadrature = ErrorQuadrature(mesh, self.case)
 
@@ -441,6 +406,7 @@ def run_study(
     of seeds are solved by a process pool; the reports match the serial
     run exactly.
     """
+    _check_integer("trials", trials)  # before it is compared
     if trials < 1:
         raise ValueError("trials must be positive")
     reports = _run_levels(domain, ks, i, n, model, seed, trials, workers)
@@ -497,6 +463,7 @@ def tail_study(
     the survival curve P(err > z * median) is fit as log P = a - b z^2.
     A sub-Gaussian tail shows up as b > 0 with good R^2.
     """
+    _check_integer("trials", trials)  # before it is compared
     if trials < 100:
         raise ValueError("tail study needs at least 100 trials")
     [reports] = _run_levels(domain, [k], i, n, model, seed, trials, workers)

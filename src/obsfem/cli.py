@@ -18,7 +18,7 @@ import os
 import sys
 
 from .analysis import estimate_rates, run_study, tail_study
-from .mesh import _fmt, build_disk_mesh, build_square_mesh, mesh_quality, read_mesh_text, write_mesh_text
+from .mesh import _fmt, build_mesh, mesh_quality, read_mesh_text, write_mesh_text
 from .observations import _SUB_BLOCK, NoiseModel
 from .solver import SingularSystemError
 
@@ -210,7 +210,7 @@ def cmd_mesh(args) -> int:
     side = args.k + 1.0 if args.k < sys.float_info.max else math.inf
     vertices = side * side  # no more than either domain has
     _refuse_beyond_memory(f"--k: k={args.k}", _VERTEX_BYTES * vertices, f"{vertices:.3g} vertices")
-    mesh = build_square_mesh(args.k) if args.domain == "square" else build_disk_mesh(args.k)
+    mesh = build_mesh(args.domain, args.k)
     write_mesh_text(mesh, args.out)
     q = mesh_quality(read_mesh_text(args.out))
     sys.stdout.write(

@@ -1,13 +1,13 @@
 """Triangular meshes with parametrized boundary loops.
 
-Two generators are provided: a uniform right-triangle mesh of the unit
-square and a polar-ring mesh of the unit disk.  Both produce a single
-closed boundary loop whose elements carry an explicit constant-speed
-parametrization F_E : [0, 1] -> Gamma, so that downstream code can place
-and integrate point data on the exact boundary (straight segments for
-the square, circular arcs for the disk).  The loop is one
-:class:`Boundary` of arrays over its elements (start vertex, arclength,
-arc parameters), so every consumer reads it with array code.
+Two generators are provided, by domain name through `build_mesh`: a
+uniform right-triangle mesh of the unit square and a polar-ring mesh of
+the unit disk.  Both produce a single closed boundary loop whose elements
+carry an explicit constant-speed parametrization F_E : [0, 1] -> Gamma,
+so that downstream code can place and integrate point data on the exact
+boundary (straight segments for the square, circular arcs for the disk).
+The loop is one :class:`Boundary` of arrays over its elements, and
+`boundary_point` and `boundary_normal` read its geometry with array code.
 
 A small text format is supported for round-tripping meshes to disk:
 
@@ -62,17 +62,21 @@ class Boundary:
     arc[e] = (cx, cy, r, theta0, theta1) makes F_E the circular arc
     c + r (cos theta, sin theta) with theta = theta0 + t (theta1 - theta0);
     a row of NaN (the default for every element) the straight segment
-    x_v0 + t (x_v1 - x_v0).  The arrays are read-only copies.
+    x_v0 + t (x_v1 - x_v0).  starts[e] is the arclength where element e
+    starts, the loop length last.  The arrays are read-only copies.
     """
 
     v0: np.ndarray
     length: np.ndarray
     arc: Optional[np.ndarray] = None
+    starts: np.ndarray = field(init=False, repr=False)
 
+    @np.errstate(invalid="ignore")  # starts of lengths inf, -inf: the mesh names the element
     def __post_init__(self):
-        v0 = np.array(self.v0, dtype=np.int64)
+        v0, length = np.array(self.v0, dtype=np.int64), np.array(self.length, dtype=float)
         arc = np.full((len(v0), 5), np.nan) if self.arc is None else np.array(self.arc, dtype=float)
-        for name, value in (("v0", v0), ("length", np.array(self.length, dtype=float)), ("arc", arc)):
+        starts = np.concatenate([[0.0], np.cumsum(length)])
+        for name, value in (("v0", v0), ("length", length), ("arc", arc), ("starts", starts)):
             value.setflags(write=False)
             object.__setattr__(self, name, value)
 
@@ -302,6 +306,16 @@ def _stitch_rings(inner_ids, inner_ang, outer_ids, outer_ang) -> np.ndarray:
     return np.column_stack([np.where(inner, mine, other), np.where(inner, other, mine), succ[merge]])
 
 
+def build_mesh(domain: str, k: int) -> TriMesh:
+    """The mesh of a domain by name: "square" (k cells a side) or "disk" (k rings)."""
+    _check_integer("k", k, MeshError)
+    if domain == "square":
+        return build_square_mesh(k)
+    if domain == "disk":
+        return build_disk_mesh(k)
+    raise ValueError(f"unknown domain {domain!r}")
+
+
 def boundary_point(mesh: TriMesh, e, t) -> np.ndarray:
     """Points F_E(t) of the boundary parametrization.
 
@@ -319,6 +333,17 @@ def boundary_point(mesh: TriMesh, e, t) -> np.ndarray:
     first = np.flatnonzero(np.concatenate([[e.size > 0], e[1:] != e[:-1]]))  # runs of equal e
     pts = _run_points(mesh, e[first], np.diff(np.append(first, e.size)), t)
     return pts.reshape(shape + (2,))
+
+
+def boundary_normal(mesh: TriMesh, e, t) -> np.ndarray:
+    """Outward unit normals at F_E(t), shaped as :func:`boundary_point`'s: a segment's chord (dx, dy)
+    turned to (dy, -dx); on an arc, x - c times sign(theta1 - theta0), so a clockwise arc faces c."""
+    b, pts = mesh.boundary, boundary_point(mesh, e, t)
+    e = np.broadcast_to(e, pts.shape[:-1])
+    d, arc, curved = mesh.vertices[b.v1[e]] - mesh.vertices[b.v0[e]], b.arc[e], b.curved[e]
+    normal = np.stack([d[..., 1], -d[..., 0]], axis=-1)
+    normal[curved] = (pts[curved] - arc[curved, :2]) * np.sign(arc[curved, 4:] - arc[curved, 3:4])
+    return normal / np.hypot(normal[..., 0], normal[..., 1])[..., None]
 
 
 def _run_points(mesh: TriMesh, owners: np.ndarray, counts: np.ndarray, t: np.ndarray) -> np.ndarray:

@@ -188,11 +188,11 @@ class Placement:
     the slice [offsets[e], offsets[e+1]) of the sites.  Within an element
     the local parameters t are strictly increasing.
 
-    A placement holds no per-site data, only what derives it: `offsets`,
-    the per-element starts and lengths, the site `spacing` and the sites
-    nudged off element endpoints (`nudged`, their clipped `nudged_t`).
-    `window(lo, hi)` derives a :class:`Window` of sites from them, the
-    same bits for any range; `windows()` is a pass over all of them.
+    A placement holds no per-site data, only what derives it with the
+    boundary's element starts and lengths: `offsets`, the site `spacing`
+    and the sites nudged off element endpoints (`nudged`, their clipped
+    `nudged_t`).  `window(lo, hi)` derives a :class:`Window` of sites from
+    them, the same bits for any range; `windows()` is a pass over them all.
     """
 
     mesh: TriMesh
@@ -201,10 +201,6 @@ class Placement:
     spacing: float  # arclength between neighbouring sites
     nudged: np.ndarray  # (m,) increasing indices of the sites nudged off element endpoints
     nudged_t: np.ndarray  # (m,) their local parameters
-    starts: np.ndarray = field(init=False, repr=False, compare=False)  # (NB+1,) element start arclengths
-
-    def __post_init__(self):
-        self.starts = np.concatenate([[0.0], np.cumsum(self.mesh.boundary.length)])
 
     def window(self, lo: int, hi: int) -> Window:
         """Sites [lo, hi) as a window of arrays of its own, the bits of a pass."""
@@ -230,7 +226,7 @@ class Placement:
         owners, counts = _element_runs(self.offsets, a, b)
         t = np.add(np.arange(a, b, dtype=float), 0.5, out=t_buf[: b - a])
         t *= self.spacing
-        t -= np.repeat(self.starts[owners], counts)
+        t -= np.repeat(self.mesh.boundary.starts[owners], counts)
         t /= np.repeat(self.mesh.boundary.length[owners], counts)
         moved = slice(*np.searchsorted(self.nudged, (a, b)))
         t[self.nudged[moved] - a] = self.nudged_t[moved]
@@ -335,8 +331,7 @@ def place_points(mesh: TriMesh, n: int) -> Placement:
     _check_integer("n", n)
     if not 1 <= n <= 1 << 52:  # i + 1/2, and so t, is exact for i < 2^52 (see Placement._window)
         raise ValueError(f"need n {'>= 1' if n < 1 else '<= 2^52'}, got {_count_text(n)}")
-    h = mesh.boundary.length
-    starts = np.concatenate([[0.0], np.cumsum(h)])
+    h, starts = mesh.boundary.length, mesh.boundary.starts
     spacing = float(h.sum()) / n
 
     def locate(s):

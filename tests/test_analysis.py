@@ -37,9 +37,11 @@ from obsfem import (
 )
 from obsfem import analysis, observations
 from obsfem.analysis import ManufacturedCase, points_for
+from obsfem.mesh import Boundary, TriMesh, boundary_normal
 from obsfem.assembly import sweep
 from obsfem.mesh import MeshError, build_disk_mesh, build_square_mesh
 from norms import residual_norm
+from test_mesh import builder_normals, concave_arc_mesh
 from test_observations import buffer_of, whole_array_placement
 
 # Degree-5 rule on the reference triangle (barycentric points, weights
@@ -76,7 +78,7 @@ def l2_error_degree5(mesh, case, u):
 class TestManufacturedCase:
     def test_laplacian_consistency(self, rng):
         # -Lap u0 = f checked by central differences at interior points
-        case = sine_case("square")
+        case = sine_case()
         d = 1e-4
         for _ in range(10):
             x, y = rng.uniform(0.05, 0.95, size=2)
@@ -86,7 +88,7 @@ class TestManufacturedCase:
             assert -lap == pytest.approx(case.f(x, y), abs=1e-4)
 
     def test_gradient_consistency(self, rng):
-        case = sine_case("disk")
+        case = sine_case()
         d = 1e-6
         x, y = 0.3, -0.4
         gx, gy = case.grad_u0(x, y)
@@ -96,34 +98,80 @@ class TestManufacturedCase:
                                    abs=1e-6)
 
     def test_boundary_data_is_trace(self):
-        case = sine_case("square")
-        assert case.g0(0.0, 0.25) == case.u0(0.0, 0.25)
+        # a level observes g0 = u0 at its sites
+        level = Level("square", 4, i=2)
+        g0 = assemble_data_vector(observe(level.placement, sine_case().u0, None, 0))
+        assert np.array_equal(level.clean.G, g0)
 
-    def test_square_normals(self):
-        case = sine_case("square")
-        assert case.normal(0.5, 0.0) == (0.0, -1.0)
-        assert case.normal(1.0, 0.5) == (1.0, 0.0)
-        assert case.normal(0.5, 1.0) == (0.0, 1.0)
-        assert case.normal(0.0, 0.5) == (-1.0, 0.0)
+    def test_fields_are_the_solution_alone(self):
+        # the geometry (domain, normals) belongs to the mesh
+        assert [f.name for f in dataclasses.fields(ManufacturedCase)] == ["u0", "grad_u0", "f"]
 
-    def test_disk_normal_is_radial(self):
-        case = sine_case("disk")
+    def test_square_normals(self, square4):
+        # the normals come from the mesh boundary: one element per side
+        for e, side in ((1, (0.0, -1.0)), (5, (1.0, 0.0)), (9, (0.0, 1.0)), (13, (-1.0, 0.0))):
+            assert tuple(boundary_normal(square4, e, 0.5)) == side
+
+    def test_disk_normal_is_radial(self, disk10):
         th = 0.7
-        nx, ny = case.normal(math.cos(th), math.sin(th))
+        th0, th1 = disk10.boundary.arc[7, 3:]  # 63 elements: the eighth holds th
+        nx, ny = boundary_normal(disk10, 7, (th - th0) / (th1 - th0))
         assert nx == pytest.approx(math.cos(th), abs=1e-14)
         assert ny == pytest.approx(math.sin(th), abs=1e-14)
 
-    def test_multiplier_is_minus_normal_derivative(self):
+    def test_multiplier_is_minus_normal_derivative(self, disk10):
         # at (1, 0) on the disk: lambda = -d u0/dx = -5 cos(6) sin(1)
-        case = sine_case("disk")
-        expected = -5.0 * math.cos(6.0) * math.sin(1.0)
-        assert case.lambda_exact(1.0, 0.0) == pytest.approx(expected, abs=1e-14)
+        gx, gy = sine_case().grad_u0(1.0, 0.0)
+        nx, ny = boundary_normal(disk10, 0, 0.0)
+        assert -(gx * nx + gy * ny) == pytest.approx(-5.0 * math.cos(6.0) * math.sin(1.0), abs=1e-14)
+
+    @pytest.mark.parametrize("geometry", ["square [0, 2]^2", "disk centred at (3, 0)", "clockwise arc"])
+    def test_exact_multiplier_uses_the_mesh_geometry(self, tmp_path, geometry):
+        # normals guessed from coordinates fit only the unit square and the
+        # disk at the origin: on [0, 2]^2 they read 0 on 8 of 16 elements
+        mesh, normals = meshes_off_the_unit_domains(tmp_path)[geometry]
+        pts = boundary_point(mesh, np.arange(len(mesh.boundary))[:, None], analysis._GAUSS_T)
+        gx, gy = sine_case().grad_u0(pts[..., 0], pts[..., 1])
+        nx, ny = normals(pts)
+        lam = ErrorQuadrature(mesh, sine_case()).lambda_exact
+        np.testing.assert_allclose(lam, -(gx * nx + gy * ny), rtol=1e-12, atol=1e-12)
+        assert (np.abs(lam) > 1e-2).any(axis=1).all()
 
     def test_unknown_domain_rejected(self):
         with pytest.raises(ValueError):
-            sine_case("annulus")
-        with pytest.raises(ValueError):
             build_mesh("annulus", 4)
+
+
+def meshes_off_the_unit_domains(tmp_path):
+    """Meshes whose normals no guess from the unit domains' coordinates
+    gives, each with its outward normals (nx, ny) at points (..., 2) of
+    its elements, known from how it was built."""
+    square, disk = build_square_mesh(4), build_disk_mesh(4)
+    sides = np.repeat([[0.0, -1.0], [1.0, 0.0], [0.0, 1.0], [-1.0, 0.0]], 4, axis=0)  # loop from the origin
+    arc = disk.boundary.arc.copy()
+    arc[:, 0] += 3.0
+    concave = concave_arc_mesh(tmp_path / "concave.txt")
+    centre = concave.boundary.arc[2, :2]
+
+    def radial(pts, c, sign=1.0):
+        d = sign * (pts - c)
+        r = np.hypot(d[..., 0], d[..., 1])
+        return d[..., 0] / r, d[..., 1] / r
+
+    def concave_normals(pts):
+        nx, ny = np.repeat(sides[::4, None], 3, axis=1).transpose(2, 0, 1)  # bottom, right, top, left
+        nx[2], ny[2] = radial(pts[2], centre, -1.0)  # the arc faces its centre
+        return nx, ny
+
+    return {
+        "square [0, 2]^2": (TriMesh(2.0 * square.vertices, square.triangles,
+                                    Boundary(square.boundary.v0, 2.0 * square.boundary.length)),
+                            lambda pts: tuple(np.repeat(sides[:, None], 3, axis=1).transpose(2, 0, 1))),
+        "disk centred at (3, 0)": (TriMesh(disk.vertices + [3.0, 0.0], disk.triangles,
+                                           Boundary(disk.boundary.v0, disk.boundary.length, arc)),
+                                   lambda pts: radial(pts, [3.0, 0.0])),
+        "clockwise arc": (concave, concave_normals),
+    }
 
 
 class TestComputeErrors:
@@ -134,7 +182,6 @@ class TestComputeErrors:
     def test_exact_constant(self, square8):
         c = 1.75
         case = ManufacturedCase(
-            "square",
             lambda x, y: np.full_like(np.asarray(x, dtype=float), c),
             lambda x, y: (np.zeros_like(np.asarray(x, dtype=float)),) * 2,
             lambda x, y: np.zeros_like(np.asarray(x, dtype=float)),
@@ -152,7 +199,6 @@ class TestComputeErrors:
     def test_exact_linear_field(self, square8):
         # P1 reproduces a + 2x - y, so the field errors vanish identically
         case = ManufacturedCase(
-            "square",
             lambda x, y: 1.0 + 2.0 * x - y,
             lambda x, y: (np.full_like(np.asarray(x, dtype=float), 2.0),
                           np.full_like(np.asarray(x, dtype=float), -1.0)),
@@ -166,7 +212,7 @@ class TestComputeErrors:
         assert rep.semi_h1 <= 1e-12
 
     def test_h1_combines_l2_and_seminorm(self, square8):
-        case = sine_case("square")
+        case = sine_case()
         u = np.zeros(len(square8.vertices))
         lam = np.zeros(len(square8.boundary))
         rep = compute_errors(ErrorQuadrature(square8, case), self.fake_solution(u, lam),
@@ -175,7 +221,7 @@ class TestComputeErrors:
         assert rep.l2 > 0 and rep.lam_l2 > 0
 
     def test_metadata_passthrough(self, square8):
-        case = sine_case("square")
+        case = sine_case()
         sol = SaddleSolution(np.zeros(len(square8.vertices)),
                              np.zeros(len(square8.boundary)),
                              3e-14, 4e-15)
@@ -192,7 +238,7 @@ class TestComputeErrors:
     def test_solution_of_the_wrong_shape_is_rejected(self, square4, u_shape, lam_shape, bad):
         sol = self.fake_solution(np.zeros(u_shape), np.zeros(lam_shape))
         with pytest.raises(ValueError, match=re.escape(bad)):
-            compute_errors(ErrorQuadrature(square4, sine_case("square")), sol, 0.25, 16, 0)
+            compute_errors(ErrorQuadrature(square4, sine_case()), sol, 0.25, 16, 0)
 
 
 class TestPointsFor:
@@ -342,7 +388,7 @@ class TestLevel:
         counts = np.diff(level.placement.offsets)
         if n < len(counts):
             assert (counts == 0).any()
-        obs = observe(level.placement, level.case.g0, model, 17)
+        obs = observe(level.placement, level.case.u0, model, 17)
         expected = assemble_data_vector(obs)
         noisy = level.clean.G + assemble_data_vector(observe(level.placement, None, model, 17))
         np.testing.assert_allclose(noisy, expected, rtol=1e-13,
@@ -372,7 +418,7 @@ class TestLevel:
     def test_trials_do_not_evaluate_the_case(self):
         # the error quadrature is built with the level: more trials, same calls
         calls = collections.Counter()
-        sine = sine_case("square")
+        sine = sine_case()
 
         def counted(name, fn):
             def wrapper(x, y):
@@ -380,12 +426,7 @@ class TestLevel:
                 return fn(x, y)
             return wrapper
 
-        class CountingCase(ManufacturedCase):
-            def lambda_exact(self, x, y):
-                calls["lambda_exact"] += 1
-                return super().lambda_exact(x, y)
-
-        case = CountingCase("square", counted("u0", sine.u0), counted("grad_u0", sine.grad_u0), sine.f)
+        case = ManufacturedCase(counted("u0", sine.u0), counted("grad_u0", sine.grad_u0), sine.f)
         model = NoiseModel.gaussian(1.0)
         counts = []
         for trials in (1, 3):
@@ -394,7 +435,7 @@ class TestLevel:
             reports = sum((level.trials(model, [s]) for s in range(trials)), [])  # a sweep and solve each
             counts.append(dict(calls))
         assert counts[0] == counts[1]
-        assert counts[0]["lambda_exact"] == 1
+        assert counts[0]["grad_u0"] == 2  # at the edge midpoints and at the boundary Gauss points
         assert reports[0] == run_case("square", 6, i=2, model=model, seed=0)
 
     @pytest.mark.parametrize("i, n, match", [(None, 0, "n must be positive"), (5, None, "got 5"),
@@ -411,8 +452,8 @@ class TestLevel:
             level.trials(NoiseModel.gaussian(1.0), [1.5])
 
     def test_non_finite_g0_fails_at_level_build(self):
-        case = sine_case("square")
-        bad = ManufacturedCase("square", lambda x, y: np.where(x < 0.5, np.nan, x), case.grad_u0, case.f)
+        case = sine_case()
+        bad = ManufacturedCase(lambda x, y: np.where(x < 0.5, np.nan, x), case.grad_u0, case.f)
         with pytest.raises(ValueError, match="g0 is not finite at site 0 "):
             Level("square", 4, i=2, case=bad)
 
@@ -481,13 +522,18 @@ class TestRunStudy:
         (lambda: run_case("square", 4, i=2, model=NoiseModel.gaussian(1.0), seed=1.5), ValueError, "seed", 1.5),
         (lambda: run_study("square", [4], i=2, trials=2.5), ValueError, "trials", 2.5),
         (lambda: tail_study("square", 4, i=2, trials=150.0), ValueError, "trials", 150.0),
+        (lambda: run_study("square", [4], i=2, trials=None), ValueError, "trials", None),
+        (lambda: run_study("square", [4], i=2, trials="3"), ValueError, "trials", 3),
+        (lambda: tail_study("square", 4, i=2, trials=None), ValueError, "trials", None),
+        (lambda: tail_study("square", 4, i=2, trials="300"), ValueError, "trials", 300),
         (lambda: run_study("square", [4], i=2, workers=2.5), ValueError, "workers", 2.5),
         (lambda: run_study("square", [4.5], i=2), MeshError, "k", 4.5),
         (lambda: run_study("disk", [4.5], i=1), MeshError, "k", 4.5),
         (lambda: Level("disk", 4.5, i=1), MeshError, "k", 4.5),
         (lambda: build_square_mesh(4.5), MeshError, "k", 4.5),
         (lambda: build_disk_mesh(4.5), MeshError, "m", 4.5),
-    ], ids=["run_case-seed", "run_study-trials", "tail_study-trials", "run_study-workers", "run_study-k",
+    ], ids=["run_case-seed", "run_study-trials", "tail_study-trials", "run_study-trials-none", "run_study-trials-text",
+            "tail_study-trials-none", "tail_study-trials-text", "run_study-workers", "run_study-k",
             "run_study-disk-k", "level-disk-k", "square-k", "disk-m"])
     def test_non_integral_sizes_fail_naming_the_parameter(self, call, error, name, value):
         with pytest.raises(error, match=f"^{name} must be an integer, got {value}$"):
@@ -636,7 +682,7 @@ def oracle_reports(level, model, seeds):
     for name in ("data", "indices", "indptr"):
         assert np.array_equal(getattr(level.clean.B, name), getattr(B, name))
     pts = boundary_point(mesh, np.repeat(np.arange(nb), np.diff(offsets)), t)
-    left, right = moments(0.0 + level.case.g0(pts[:, 0], pts[:, 1]))
+    left, right = moments(0.0 + level.case.u0(pts[:, 0], pts[:, 1]))
     G0 = left + np.roll(right, 1)
     reports = []
     for seed in seeds:
@@ -649,8 +695,9 @@ def oracle_reports(level, model, seeds):
 def measured_by_plain_formulas(level, system, solution, seed):
     """The report of one solution from the formulas the measure path
     replaces: einsum hat gradients, np.roll edge midpoints, the element
-    hats at the Gauss points by index arithmetic, and B^T built per call;
-    the residual norms are those of the solver's contract."""
+    hats at the Gauss points by index arithmetic, the normals from the
+    coordinates of the unit domains, and B^T built per call; the residual
+    norms are those of the solver's contract."""
     mesh, case, u, lam = level.mesh, level.case, solution.u, solution.lam
     p = mesh.vertices[mesh.triangles]
     mids = 0.5 * (p + np.roll(p, -1, axis=1))
@@ -667,8 +714,10 @@ def measured_by_plain_formulas(level, system, solution, seed):
     el = np.arange(nb)[:, None]
     pts = boundary_point(mesh, el, t)
     approx = (1.0 - t) * lam[el] + t * lam[(el + 1) % nb]
-    lam_l2_e = mesh.boundary.length * (((case.lambda_exact(pts[..., 0], pts[..., 1]) - approx) ** 2)
-                                       @ analysis._GAUSS_W)
+    gx, gy = case.grad_u0(pts[..., 0], pts[..., 1])
+    normal = builder_normals(mesh, pts)
+    lam_exact = -(gx * normal[..., 0] + gy * normal[..., 1])
+    lam_l2_e = mesh.boundary.length * (((lam_exact - approx) ** 2) @ analysis._GAUSS_W)
     rp = residual_norm(system.A @ u + system.B.T @ lam - system.F) / max(1.0, residual_norm(system.F))
     rc = residual_norm(system.B @ u - system.G) / max(1.0, residual_norm(system.G))
     return ErrorReport(level.h, level.placement.n, seed, math.sqrt(l2_sq), math.sqrt(l2_sq + semi_sq),

@@ -430,4 +430,4 @@ class TestSaddleSystem:
         B = assemble_coupling_matrix(pl)
         for name in ("data", "indices", "indptr"):
             np.testing.assert_array_equal(getattr(sys.B, name), getattr(B, name))
-        np.testing.assert_array_equal(sys.G, assemble_data_vector(observe(pl, level.case.g0, None, 0)))
+        np.testing.assert_array_equal(sys.G, assemble_data_vector(observe(pl, level.case.u0, None, 0)))

@@ -314,8 +314,7 @@ class TestConfigErrors:
 
     @pytest.mark.parametrize("domain", ["square", "disk"])
     def test_huge_k_refused_before_any_mesh(self, tmp_path, capsys, monkeypatch, domain):
-        for builder in ("build_square_mesh", "build_disk_mesh"):
-            monkeypatch.setattr(cli, builder, lambda *a: pytest.fail("built a mesh"))
+        monkeypatch.setattr(cli, "build_mesh", lambda *a: pytest.fail("built a mesh"))
         out = tmp_path / "m.txt"
         code = cli.main(["mesh", "--domain", domain, "--k", "1000000000000", "--out", str(out)])
         err = capsys.readouterr().err
@@ -394,6 +393,15 @@ class TestMeshCommand:
         cli.main(["mesh", "--domain", "disk", "--k", "4", "--out", str(a)])
         cli.main(["mesh", "--domain", "disk", "--k", "4", "--out", str(b)])
         assert a.read_bytes() == b.read_bytes()
+
+    @pytest.mark.parametrize("domain", ["square", "disk"])
+    def test_builds_through_the_domain_map(self, tmp_path, monkeypatch, domain):
+        # the studies and the mesh command name their domains in one place
+        calls, build = [], cli.build_mesh
+        monkeypatch.setattr(cli, "build_mesh", lambda *a: calls.append(a) or build(*a))
+        assert cli.main(["mesh", "--domain", domain, "--k", "3", "--out", str(tmp_path / "m.txt")]) == 0
+        assert calls == [(domain, 3)]
+        assert read_mesh_text(str(tmp_path / "m.txt")).boundary.curved.all() == (domain == "disk")
 
 
 class TestSolverFailureExit:

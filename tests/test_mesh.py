@@ -8,6 +8,7 @@ import scipy.sparse as sp
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+import obsfem.analysis
 import obsfem.mesh
 from obsfem import (
     Boundary,
@@ -18,6 +19,7 @@ from obsfem import (
     TriMesh,
     assemble_load,
     assemble_stiffness,
+    boundary_normal,
     boundary_point,
     build_disk_mesh,
     build_mesh,
@@ -61,6 +63,32 @@ def quarter_arcs():
     """Boundary of four quarter-circle arcs through vertices 0..3."""
     h = math.pi / 2
     return Boundary(np.arange(4), np.full(4, h), [[0.0, 0.0, 1.0, j * h, (j + 1) * h] for j in range(4)])
+
+
+def concave_arc_mesh(path):
+    """The unit square with its top bent in along a clockwise arc of the
+    circle of radius 1.3 about (0.5, 2.2), written to `path` in the text
+    format and read back: the loop runs bottom, right, the arc from (1, 1)
+    to (0, 1) with decreasing angle, left."""
+    cx, cy, r = 0.5, 2.2, 1.3
+    arc = [cx, cy, r, math.atan2(1.0 - cy, 1.0 - cx), math.atan2(1.0 - cy, 0.0 - cx)]
+    path.write_text("5 4 4\n0 0\n1 0\n1 1\n0 1\n0.5 0.45\n0 1 4\n1 2 4\n2 3 4\n3 0 4\n0 1 S\n1 2 S\n"
+                    f"2 3 A {' '.join(f'{x:.17g}' for x in arc)}\n3 0 S\n")
+    return read_mesh_text(str(path))
+
+
+def builder_normals(mesh, pts):
+    """Outward normals at points of the unit square's or the unit disk's
+    boundary from their coordinates alone, as they were found before the
+    mesh boundary owned them: +-1 or 0 by thresholds on the square, x / r
+    on the disk."""
+    x, y = pts[..., 0], pts[..., 1]
+    if mesh.boundary.curved.all():
+        r = np.hypot(x, y)
+        return np.stack([x / r, y / r], axis=-1)
+    nx = np.where(np.abs(x - 1.0) < 1e-9, 1.0, np.where(np.abs(x) < 1e-9, -1.0, 0.0))
+    ny = np.where(np.abs(y - 1.0) < 1e-9, 1.0, np.where(np.abs(y) < 1e-9, -1.0, 0.0))
+    return np.stack([nx, ny], axis=-1)
 
 
 class TestSquareMesh:
@@ -260,6 +288,50 @@ class TestBoundaryPoint:
         np.testing.assert_allclose(np.hypot(pts[:, 0], pts[:, 1]), 1.0, atol=1e-13)
 
 
+class TestBoundaryNormal:
+    @pytest.mark.parametrize("domain, k", [("square", 2), ("square", 10), ("square", 33),
+                                           ("disk", 2), ("disk", 10), ("disk", 80)])
+    def test_unit_and_the_bits_of_the_builders_formulas(self, domain, k):
+        mesh = build_mesh(domain, k)
+        e = np.arange(len(mesh.boundary))[:, None]
+        t = np.concatenate([obsfem.analysis._GAUSS_T, [1e-6, 0.25, 0.5, 1.0 - 1e-6]])  # inside the elements
+        normal = boundary_normal(mesh, e, t)
+        assert normal.shape == (len(mesh.boundary), 7, 2)
+        assert np.array_equal(normal, builder_normals(mesh, boundary_point(mesh, e, t)))
+        np.testing.assert_allclose(np.hypot(normal[..., 0], normal[..., 1]), 1.0, rtol=0.0, atol=4e-16)
+
+    def test_chord_and_arcs(self, mixed_mesh):
+        t = np.array([0.0, 0.3, 1.0])
+        np.testing.assert_allclose(boundary_normal(mixed_mesh, 0, t), np.full((3, 2), math.sqrt(0.5)),
+                                   rtol=0.0, atol=1e-15)
+        for e in (1, 2, 3):  # quarter arcs of the unit circle: the normal is the point
+            np.testing.assert_allclose(boundary_normal(mixed_mesh, e, t), boundary_point(mixed_mesh, e, t),
+                                       rtol=0.0, atol=1e-15)
+
+    def test_clockwise_arc_faces_its_centre(self, tmp_path):
+        # a clockwise arc of the counterclockwise loop bends the domain in,
+        # so its outward normal points to the centre, not away from it
+        mesh = concave_arc_mesh(tmp_path / "concave.txt")
+        arc = mesh.boundary.arc
+        assert np.isnan(arc[[0, 1, 3]]).all() and arc[2, 4] < arc[2, 3]
+        t = np.array([0.1, 0.5, 0.9])
+        to_centre = arc[2, :2] - boundary_point(mesh, 2, t)
+        np.testing.assert_allclose(boundary_normal(mesh, 2, t), to_centre / 1.3, rtol=0.0, atol=1e-15)
+        for e, side in ((0, [0.0, -1.0]), (1, [1.0, 0.0]), (3, [-1.0, 0.0])):
+            np.testing.assert_array_equal(boundary_normal(mesh, e, t), np.tile(side, (3, 1)))
+
+    def test_shapes_follow_boundary_point(self, disk10):
+        assert boundary_normal(disk10, np.zeros(0, dtype=int), 0.5).shape == (0, 2)
+        assert boundary_normal(disk10, np.zeros((0, 3), dtype=int), 0.5).shape == (0, 3, 2)
+        e, t = np.array([5, 5, 2, 5, 0]), np.linspace(0.05, 0.95, 5)  # unsorted, repeated
+        normal = boundary_normal(disk10, e, t)
+        assert normal.shape == (5, 2)
+        for j in range(5):
+            assert np.array_equal(normal[j], boundary_normal(disk10, e[j], t[j]))
+        with pytest.raises(ValueError):
+            boundary_normal(disk10, 0, 1.5)
+
+
 class TestValidation:
     def test_degenerate_triangle_rejected(self):
         verts = np.array([[0.0, 0.0], [1.0, 0.0], [2.0, 0.0], [0.0, 1.0]])
@@ -311,6 +383,16 @@ class TestValidation:
             warnings.simplefilter("error")
             with pytest.raises(MeshError, match=r"^boundary element 2 is not finite"):
                 TriMesh(mesh.vertices, mesh.triangles, Boundary(b.v0, lengths, arcs))
+
+    def test_infinite_lengths_of_both_signs_named_without_warnings(self):
+        # the element starts sum them to inf - inf
+        b = quarter_arc_mesh().boundary
+        lengths = b.length.copy()
+        lengths[1:3] = math.inf, -math.inf
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(MeshError, match=r"^boundary element 1 is not finite"):
+                TriMesh(quarter_arc_mesh().vertices, quarter_arc_mesh().triangles, Boundary(b.v0, lengths, b.arc))
 
     @pytest.mark.parametrize("line, text", [
         (2, "inf 0"),
@@ -500,9 +582,14 @@ class TestCachedGeometry:
             with pytest.raises(ValueError):
                 array[0] = 0
 
+    def test_element_starts_are_read_only_sums_of_the_lengths(self, disk10):
+        b = disk10.boundary
+        assert np.array_equal(b.starts, np.concatenate([[0.0], np.cumsum(b.length)]))
+        assert len(b.starts) == len(b) + 1 and not b.starts.flags.writeable
+
     @pytest.mark.parametrize("domain, k", GEOMETRY_MESHES)
     def test_consumers_match_gathered_formulas(self, domain, k):
-        mesh, case = build_mesh(domain, k), sine_case(domain)
+        mesh, case = build_mesh(domain, k), sine_case()
         areas, diam, perimeters, edges = gathered_geometry(mesh)
         assert np.array_equal(mesh.areas, areas)
         assert np.array_equal(triangle_diameters(mesh), diam)

@@ -70,7 +70,7 @@ def buffer_of(a):
 def arclengths(pl):
     """Global arclength coordinate of every site: its element's start plus t h."""
     counts = np.diff(pl.offsets)
-    return np.repeat(pl.starts[:-1], counts) + pl.window(0, pl.n).t * np.repeat(pl.mesh.boundary.length, counts)
+    return np.repeat(pl.mesh.boundary.starts[:-1], counts) + pl.window(0, pl.n).t * np.repeat(pl.mesh.boundary.length, counts)
 
 
 @functools.lru_cache(maxsize=None)
