@@ -22,7 +22,6 @@ from .analysis import (
     tail_study,
 )
 from .assembly import (
-    SaddleSystem,
     assemble_coupling_matrix,
     assemble_data_vector,
     assemble_load,
@@ -51,6 +50,6 @@ from .observations import (
     quadrature_weights,
     sample_noise,
 )
-from .solver import SaddleSolution, SingularSystemError, solve_saddle
+from .solver import SaddleSolution, SaddleSystem, SingularSystemError, solve_saddle
 
 __version__ = "0.1.0"

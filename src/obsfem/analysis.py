@@ -29,14 +29,13 @@ from __future__ import annotations
 import logging
 import math
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Callable, Optional, Sequence
 
 import numpy as np
 
 from .assembly import (  # noqa: F401  (perfbench traces the assemble_* functions under this module)
     TRACE_HATS,
-    SaddleSystem,
     _coupling,
     assemble_coupling_matrix,
     assemble_data_vector,
@@ -46,7 +45,7 @@ from .assembly import (  # noqa: F401  (perfbench traces the assemble_* function
 )
 from .mesh import MeshError, TriMesh, _check_integer, _count_text, boundary_normal, boundary_point, build_mesh
 from .observations import NoiseModel, ObservationSet, _generators, observe, place_points
-from .solver import SaddleSolution, SingularSystemError, solve_saddle
+from .solver import SaddleSolution, SaddleSystem, SingularSystemError, solve_saddle
 
 logger = logging.getLogger(__name__)
 
@@ -217,10 +216,9 @@ class Level:
     :func:`assembly.sweep` (so a g0 that is not finite fails here,
     naming the site).
     :meth:`trials` reduces the noise of every seed of a chunk in one more
-    sweep, window by window.  Trial systems are derived from the clean
-    system with `dataclasses.replace`, so they share its solver
-    `factors`.  The error quadrature is built with the level, so a trial
-    evaluates neither the case nor the mesh geometry.
+    sweep, window by window, and solves the clean system for each seed's
+    G, so the level factors once.  The error quadrature is built with the
+    level, so a trial evaluates neither the case nor the mesh geometry.
     """
 
     def __init__(self, domain: str, k: int, i: Optional[int] = None, n: Optional[int] = None,
@@ -255,7 +253,7 @@ class Level:
 
     def _solve(self, G: np.ndarray, seed: int) -> ErrorReport:
         try:
-            solution = solve_saddle(replace(self.clean, G=G))
+            solution = solve_saddle(self.clean, G=G)
         except SingularSystemError as exc:
             raise SingularSystemError(
                 f"h={self.h:g} n={self.placement.n}: {exc}", estimate=exc.estimate

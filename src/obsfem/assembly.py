@@ -19,7 +19,6 @@ every observation site contributes a 2 x 2 block.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
 import numpy as np
@@ -124,29 +123,3 @@ def assemble_data_vector(obs: ObservationSet) -> np.ndarray:
     length-n array."""
     left, right = sweep(obs.placement, [obs.values])[:, 0]
     return left + np.roll(right, 1)
-
-
-@dataclass
-class SaddleSystem:
-    """Blocks of the discrete saddle problem
-    [[A, B^T], [B, 0]] [u, lam] = [F, G].
-
-    `points` holds the (NV, 2) coordinates of the field unknowns, from
-    which the solver orders them.  `factors` is the solver's cache for the
-    current (A, B); systems derived with dataclasses.replace share it.
-    """
-
-    A: sp.csr_matrix
-    B: sp.csr_matrix
-    F: np.ndarray
-    G: np.ndarray
-    points: np.ndarray
-    factors: dict = field(default_factory=dict, repr=False, compare=False)
-
-    @property
-    def n_field(self) -> int:
-        return self.A.shape[0]
-
-    @property
-    def n_multiplier(self) -> int:
-        return self.B.shape[0]

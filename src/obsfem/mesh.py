@@ -322,9 +322,13 @@ def boundary_point(mesh: TriMesh, e, t) -> np.ndarray:
     e is a boundary element index or an integer array of them, t a
     scalar or array of parameters in [0, 1], broadcast against e.  The
     result has the broadcast shape of (e, t) plus a trailing 2.  The
-    speed |F_E'| is the constant `mesh.boundary.length[e]`.
+    speed |F_E'| is the constant `mesh.boundary.length[e]`.  An e that is
+    not an integer in [0, NB) raises ValueError.
     """
-    t = np.asarray(t, dtype=float)
+    e, t, nb = np.asarray(e), np.asarray(t, dtype=float), len(mesh.boundary)
+    bad = e[(e < 0) | (e >= nb)] if e.dtype.kind in "iu" else e.ravel()
+    if bad.size or e.dtype.kind not in "iu":
+        raise ValueError(f"boundary element {bad[0] if bad.size else e} must be an integer in [0, NB), NB = {nb}")
     if np.any(t < 0.0) or np.any(t > 1.0):
         raise ValueError("parameter t must lie in [0, 1]")
     e, t = np.broadcast_arrays(e, t)

@@ -19,18 +19,21 @@ system produces.  The residual contract is checked against the original
 blocks, so data with a component in ker(B^T) are rejected.
 
 K is factored with the field unknowns in a nested-dissection order of
-the mesh (:func:`dissection_order`) and the multipliers last.
+the mesh (:func:`dissection_order`) and the multipliers last, once per
+:class:`SaddleSystem`, which keeps it; a noise trial solves the same
+system for its own G.
 """
 
 from __future__ import annotations
 
+from collections import namedtuple
 from dataclasses import dataclass
+from functools import cached_property
+from typing import Optional
 
 import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
-
-from .assembly import SaddleSystem
 
 RESIDUAL_LIMIT = 1e-10
 
@@ -58,21 +61,6 @@ class SaddleSolution:
     lam: np.ndarray
     residual_primal: float
     residual_constraint: float
-
-
-def _kernel_basis(system: SaddleSystem):
-    """(coupled, N, Q, w0) from one eigensolve of B B^T over the mask
-    `coupled` of rows of B that hold a nonzero: orthonormal bases of
-    ker(B^T) and range(B) on those rows, Q None when B has full row rank,
-    and the smallest eigenvalue (0 when B is rank-deficient).
-    """
-    coupled = np.diff(system.B.indptr) > 0
-    B = system.B[coupled]
-    w, v = np.linalg.eigh((B @ B.T).toarray())
-    kept = w > w.max(initial=1.0) * _KERNEL_RTOL
-    if coupled.all() and kept.all():
-        return coupled, v[:, ~kept], None, float(w[0])
-    return coupled, v[:, ~kept], v[:, kept], 0.0
 
 
 def dissection_order(points: np.ndarray, A: sp.csr_matrix) -> np.ndarray:
@@ -110,63 +98,92 @@ def dissection_order(points: np.ndarray, A: sp.csr_matrix) -> np.ndarray:
     return np.argsort(key, kind="stable")
 
 
-def _factorize(system: SaddleSystem, order: np.ndarray):
-    """Sparse LU of the saddle matrix restricted to range(B), the field
-    unknowns in `order` and the multipliers last, or why it failed.  K
-    has the canonical CSC arrays of `sp.bmat`: rows sorted in each column."""
-    coupled, _, Q, _ = _cached(system, "kernel", _kernel_basis)
-    B = system.B if Q is None else sp.csr_matrix(Q.T) @ system.B[coupled]
-    place = np.empty(len(order), dtype=system.A.indices.dtype)  # of each field unknown in K
-    place[order] = np.arange(len(order))
-    field = sp.vstack([system.A[order], B], format="csr")  # K's field columns [A; B~], rows in K's order
-    field = sp.csr_matrix((field.data, place[field.indices], field.indptr), shape=field.shape)
-    lagrange = field[len(order):].sorted_indices()  # B~, whose rows are K's multiplier columns
-    K = sp.hstack([field.tocsc(), sp.csc_matrix((lagrange.data, lagrange.indices, lagrange.indptr),
-                                                (field.shape[0], lagrange.shape[0]))], format="csc")
-    try:
-        return spla.splu(K, permc_spec="NATURAL")
-    except (RuntimeError, ValueError) as exc:
-        return f"sparse factorization failed ({exc})"
+# What every solve of one (A, B) reads; see SaddleSystem.factorization.
+Factorization = namedtuple("Factorization", "coupled N Q smallest order lu BT")
 
 
-def _cached(system: SaddleSystem, name: str, build):
-    """`build(system)` once per (A, B), kept in `system.factors`; a
-    system with other blocks empties the cache first."""
-    cache = system.factors
-    if cache.get("A") is not system.A or cache.get("B") is not system.B:
-        cache.clear()
-        cache.update(A=system.A, B=system.B)
-    if name not in cache:
-        cache[name] = build(system)
-    return cache[name]
+@dataclass(frozen=True, eq=False)
+class SaddleSystem:
+    """Blocks of the discrete saddle problem
+    [[A, B^T], [B, 0]] [u, lam] = [F, G].
 
-
-def solve_saddle(system: SaddleSystem) -> SaddleSolution:
-    """Solve the saddle system for (u, lam) by the range-restricted LU.
-
-    The LU, its order, the ker(B^T)/range(B) bases and B^T are built
-    once per (A, B) and cached in `system.factors`.  Misshapen or
-    non-finite F, G or points raise ValueError.  Residuals above 1e-10
-    (relative to max(1, |rhs|) blockwise) raise :class:`SingularSystemError`
-    naming the dimension of ker(B^T) and the part of G in it.
+    `points` holds the (NV, 2) coordinates of the field unknowns, from
+    which the solver orders them.  The system is frozen, and its
+    `factorization` of (A, B) is built at its first solve and kept; a
+    system with other blocks is another system, factored anew.
     """
-    nv = system.n_field
+
+    A: sp.csr_matrix
+    B: sp.csr_matrix
+    F: np.ndarray
+    G: np.ndarray
+    points: np.ndarray
+
+    @property
+    def n_field(self) -> int:
+        return self.A.shape[0]
+
+    @property
+    def n_multiplier(self) -> int:
+        return self.B.shape[0]
+
+    @cached_property
+    def factorization(self) -> Factorization:
+        """The range-restricted LU of (A, B) and what its solves read,
+        built at the first solve.
+
+        One eigensolve of B B^T over the mask `coupled` of rows of B that
+        hold a nonzero gives orthonormal bases N of ker(B^T) and Q of
+        range(B) on those rows (Q None when B has full row rank), and the
+        smallest eigenvalue (0 when B is rank-deficient).  `lu` is the
+        sparse LU of K, the field unknowns in `order` and the multipliers
+        last, or why it failed; K has the canonical CSC arrays of
+        `sp.bmat`, rows sorted in each column.
+        """
+        A, B = self.A, self.B
+        coupled = np.diff(B.indptr) > 0
+        w, v = np.linalg.eigh((B[coupled] @ B[coupled].T).toarray())
+        kept = w > w.max(initial=1.0) * _KERNEL_RTOL
+        Q = None if coupled.all() and kept.all() else v[:, kept]
+        order = dissection_order(self.points, A)
+        place = np.empty(len(order), dtype=A.indices.dtype)  # of each field unknown in K
+        place[order] = np.arange(len(order))
+        field = sp.vstack([A[order], B if Q is None else sp.csr_matrix(Q.T) @ B[coupled]], format="csr")
+        field = sp.csr_matrix((field.data, place[field.indices], field.indptr), shape=field.shape)  # [A; B~]
+        lagrange = field[len(order):].sorted_indices()  # B~, whose rows are K's multiplier columns
+        K = sp.hstack([field.tocsc(), sp.csc_matrix((lagrange.data, lagrange.indices, lagrange.indptr),
+                                                    (field.shape[0], lagrange.shape[0]))], format="csc")
+        try:
+            lu = spla.splu(K, permc_spec="NATURAL")
+        except (RuntimeError, ValueError) as exc:
+            lu = f"sparse factorization failed ({exc})"
+        return Factorization(coupled, v[:, ~kept], Q, float(w[0]) if Q is None else 0.0, order, lu, B.T)
+
+
+def solve_saddle(system: SaddleSystem, G: Optional[np.ndarray] = None) -> SaddleSolution:
+    """Solve the saddle system, with the data G in place of `system.G`
+    if given, for (u, lam) by the range-restricted LU.
+
+    Misshapen or non-finite F, G or points raise ValueError before
+    anything is factored; then the system's `factorization` is built,
+    once.  Residuals above 1e-10 (relative to max(1, |rhs|) blockwise)
+    raise :class:`SingularSystemError` naming the dimension of ker(B^T)
+    and the part of G in it.
+    """
+    G, nv = system.G if G is None else G, system.n_field
     for name, shape in (("F", (nv,)), ("G", (system.n_multiplier,)), ("points", (nv, 2))):
-        data = getattr(system, name)
+        data = G if name == "G" else getattr(system, name)
         if np.shape(data) != shape:
             raise ValueError(f"saddle system data {name} has shape {np.shape(data)}, the system needs {shape}")
         bad = np.flatnonzero(~np.isfinite(data))
         if bad.size:
             raise ValueError(f"saddle system data {name} is not finite at entry {int(bad[0])}")
 
-    coupled, N, Q, smallest = _cached(system, "kernel", _kernel_basis)
-    order = _cached(system, "order", lambda s: dissection_order(s.points, s.A))
-    lu = _cached(system, "lu", lambda s: _factorize(s, order))
-    BT = _cached(system, "BT", lambda s: s.B.T)
+    coupled, N, Q, smallest, order, lu, BT = system.factorization
     if isinstance(lu, str):
         reason = lu
     else:
-        x = lu.solve(np.concatenate([system.F[order], system.G if Q is None else Q.T @ system.G[coupled]]))
+        x = lu.solve(np.concatenate([system.F[order], G if Q is None else Q.T @ G[coupled]]))
         u, lam = np.empty(nv), x[nv:]
         u[order] = x[:nv]
         if Q is not None:
@@ -174,12 +191,12 @@ def solve_saddle(system: SaddleSystem) -> SaddleSolution:
             lam[coupled] = Q @ x[nv:]
         # norms by numpy's pairwise sum: a BLAS dot's bits depend on the BLAS thread count
         rp, rc = (np.sqrt(np.square(r).sum()) / max(1.0, np.sqrt(np.square(b).sum()))
-                  for r, b in ((system.A @ u + BT @ lam - system.F, system.F), (system.B @ u - system.G, system.G)))
+                  for r, b in ((system.A @ u + BT @ lam - system.F, system.F), (system.B @ u - G, G)))
         if np.isfinite(rp) and np.isfinite(rc) and rp <= RESIDUAL_LIMIT and rc <= RESIDUAL_LIMIT:
             return SaddleSolution(u, lam, rp, rc)
         reason = f"direct solve left residuals ({rp:.2e}, {rc:.2e})"
 
-    in_kernel = np.concatenate([system.G[~coupled], N.T @ system.G[coupled]])
+    in_kernel = np.concatenate([G[~coupled], N.T @ G[coupled]])
     dim, outside = len(in_kernel), float(np.linalg.norm(in_kernel))
     est = float(np.sqrt(max(smallest, 0.0)))
     raise SingularSystemError(

@@ -409,7 +409,7 @@ class TestSolverFailureExit:
         # square h=0.1 with n=100 nudges 20 sites; the level's warning is
         # held while it is built and must still be printed when a trial fails
         program = ("import sys; from obsfem import analysis, cli; from obsfem.solver import SingularSystemError\n"
-                   "def stall(system):\n    raise SingularSystemError('stalled')\n"
+                   "def stall(system, G=None):\n    raise SingularSystemError('stalled')\n"
                    "analysis.solve_saddle = stall\n"
                    "sys.exit(cli.main(sys.argv[1:]))\n")
         argv = [sys.executable, "-c", program, "convergence", "--domain", "square", "--h", "0.1",

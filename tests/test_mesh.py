@@ -1,4 +1,5 @@
 import math
+import re
 import warnings
 
 import numpy as np
@@ -286,6 +287,16 @@ class TestBoundaryPoint:
         pts = boundary_point(disk10, 3, t)
         assert pts.shape == (5, 2)
         np.testing.assert_allclose(np.hypot(pts[:, 0], pts[:, 1]), 1.0, atol=1e-13)
+
+
+@pytest.mark.parametrize("function", [boundary_point, boundary_normal])
+@pytest.mark.parametrize("e, named", [(-1, "-1"), (8, "8"), (0.5, "0.5"), ([3, 9, -2], "9"), (np.array([1.0]), "1.0")])
+def test_element_outside_the_loop_or_not_an_integer_is_named(function, e, named):
+    # the 8-element loop of the square k=2: a negative e is refused, not
+    # wrapped to the last element, and e = 8 or 0.5 is named, not left to numpy
+    with pytest.raises(ValueError, match=rf"^boundary element {re.escape(named)} must be an integer in \[0, NB\), "
+                                         rf"NB = 8$"):
+        function(build_square_mesh(2), e, 0.5)
 
 
 class TestBoundaryNormal:

@@ -182,38 +182,43 @@ def saddle_splu_calls(monkeypatch):
 
 
 class TestFactorizationReuse:
-    def test_derived_systems_share_one_factorization(self, regular_system, saddle_splu_calls):
-        base = dataclasses.replace(regular_system, factors={})
+    def test_trial_data_share_one_factorization(self, regular_system, saddle_splu_calls):
+        base = dataclasses.replace(regular_system)  # a copy holds no factorization yet
         for scale in (1.0, -2.0, 0.5):
-            system = dataclasses.replace(base, G=scale * base.G)
-            K, rhs = dense_blocks(system)
-            sol = solve_saddle(system)
-            np.testing.assert_allclose(sol.u, np.linalg.solve(K, rhs)[:system.n_field], atol=1e-12)
+            K, rhs = dense_blocks(dataclasses.replace(base, G=scale * base.G))
+            sol = solve_saddle(base, G=scale * base.G)
+            np.testing.assert_allclose(sol.u, np.linalg.solve(K, rhs)[:base.n_field], atol=1e-12)
         assert len(saddle_splu_calls) == 1
 
+    @pytest.mark.parametrize("scale", [1.0, -2.0, 0.5])
+    def test_given_data_solve_as_a_system_holding_them(self, regular_system, scale):
+        G = scale * regular_system.G
+        sol, held = solve_saddle(regular_system, G=G), solve_saddle(dataclasses.replace(regular_system, G=G))
+        for name in ("u", "lam", "residual_primal", "residual_constraint"):
+            assert np.array_equal(getattr(sol, name), getattr(held, name)), name
+
     def test_changed_blocks_are_factored_anew(self, regular_system, saddle_splu_calls):
-        base = dataclasses.replace(regular_system, factors={})
+        base = dataclasses.replace(regular_system)
         solve_saddle(base)
         stiffer = dataclasses.replace(base, A=2.0 * base.A)
         K, rhs = dense_blocks(stiffer)
         sol = solve_saddle(stiffer)
         np.testing.assert_allclose(sol.u, np.linalg.solve(K, rhs)[:stiffer.n_field], atol=1e-12)
         assert len(saddle_splu_calls) == 2
-        assert base.factors["A"] is stiffer.A
+        assert base.factorization.lu is not stiffer.factorization.lu
 
-    def test_trial_systems_share_the_cached_transpose(self, regular_system):
-        base = dataclasses.replace(regular_system, factors={})
+    def test_other_coupling_solves_with_its_own_transpose(self, regular_system):
+        base = dataclasses.replace(regular_system)
         solve_saddle(base)
-        BT = base.factors["BT"]
-        trial = dataclasses.replace(base, G=2.0 * base.G)
-        solve_saddle(trial)
-        assert trial.factors["BT"] is BT
         other = dataclasses.replace(base, B=2.0 * base.B)
         sol = solve_saddle(other)
-        assert other.factors["BT"] is not BT
-        assert (other.factors["BT"] != other.B.T).nnz == 0
         rp = residual_norm(other.A @ sol.u + other.B.T @ sol.lam - other.F)
         assert sol.residual_primal == rp / max(1.0, residual_norm(other.F))
+
+    def test_blocks_and_data_cannot_be_assigned(self, regular_system):
+        for name in ("A", "B", "F", "G", "points"):
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                setattr(regular_system, name, getattr(regular_system, name))
 
 
 class TestRankDeficientLevel:
@@ -250,42 +255,47 @@ class TestRankDeficientLevel:
 
 class TestNonFiniteData:
     @pytest.mark.parametrize("name", ["F", "G"])
-    def test_rejected_before_factoring(self, regular_system, name):
+    def test_rejected_before_factoring(self, regular_system, name, saddle_splu_calls):
         bad = getattr(regular_system, name).copy()
         bad[3] = np.nan
-        system = dataclasses.replace(regular_system, factors={}, **{name: bad})
+        held, fresh = dataclasses.replace(regular_system, **{name: bad}), dataclasses.replace(regular_system)
         with pytest.raises(ValueError, match=rf"{name} is not finite at entry 3"):
-            solve_saddle(system)
-        assert not system.factors
+            solve_saddle(held)
+        if name == "G":  # or given to the solve
+            with pytest.raises(ValueError, match=r"G is not finite at entry 3"):
+                solve_saddle(fresh, G=bad)
+        assert not saddle_splu_calls and "factorization" not in vars(held) | vars(fresh)
 
 
 class TestMisshapenData:
     @pytest.mark.parametrize("name", ["F", "G"])
     @pytest.mark.parametrize("shape", [lambda size: (3,), lambda size: (size, 1)], ids=["short", "column"])
-    def test_rejected_naming_the_block_and_both_shapes(self, name, shape):
+    def test_rejected_naming_the_block_and_both_shapes(self, name, shape, saddle_splu_calls):
         clean = Level("square", 4, i=2).clean
         size = {"F": clean.n_field, "G": clean.n_multiplier}[name]
         bad = np.zeros(shape(size))
-        system = dataclasses.replace(clean, **{name: bad})
-        with pytest.raises(ValueError, match=rf"^saddle system data {name} has shape {re.escape(str(bad.shape))}, "
-                                             rf"the system needs \({size},\)$"):
-            solve_saddle(system)
-        assert not system.factors
+        message = rf"^saddle system data {name} has shape {re.escape(str(bad.shape))}, the system needs \({size},\)$"
+        with pytest.raises(ValueError, match=message):
+            solve_saddle(dataclasses.replace(clean, **{name: bad}))
+        if name == "G":
+            with pytest.raises(ValueError, match=message):
+                solve_saddle(clean, G=bad)
+        assert not saddle_splu_calls and "factorization" not in vars(clean)
 
 
 class TestPoints:
-    def test_misshapen_or_non_finite_points_rejected_before_factoring(self, regular_system):
+    def test_misshapen_or_non_finite_points_rejected_before_factoring(self, regular_system, saddle_splu_calls):
         nv, points = regular_system.n_field, regular_system.points
-        short = dataclasses.replace(regular_system, points=points[:-1], factors={})
+        short = dataclasses.replace(regular_system, points=points[:-1])
         with pytest.raises(ValueError, match=rf"^saddle system data points has shape \({nv - 1}, 2\), "
                                              rf"the system needs \({nv}, 2\)$"):
             solve_saddle(short)
         bad = points.copy()
         bad[3, 1] = np.nan
-        system = dataclasses.replace(regular_system, points=bad, factors={})
+        system = dataclasses.replace(regular_system, points=bad)
         with pytest.raises(ValueError, match=r"^saddle system data points is not finite at entry 7$"):
             solve_saddle(system)
-        assert not short.factors and not system.factors
+        assert not saddle_splu_calls
 
 
 def dense_kernel_solve(system):
@@ -323,15 +333,14 @@ class TestCoupledRowKernel:
             system = noisy_level_system("square", 10, n=7)
         N, u, lam = dense_kernel_solve(system)
         assert N.shape[1] > 0
-        sol = solve_saddle(dataclasses.replace(system, factors={}))
+        sol = solve_saddle(dataclasses.replace(system))
         assert np.abs(sol.u - u).max() <= 1e-12 * np.abs(u).max()
         assert np.abs(sol.lam - lam).max() <= 1e-12 * np.abs(lam).max()
         assert np.abs(N.T @ sol.lam).max() <= 1e-12 * np.abs(sol.lam).max()
         # data pushed along a kernel vector are rejected, naming the same dimension
-        bad = dataclasses.replace(system, G=system.G + N[:, 0], factors={})
         with pytest.raises(SingularSystemError, match=rf"ker\(B\^T\) has dimension {N.shape[1]} and "
                                                       r"the data G have a component of norm 1\.00e\+00"):
-            solve_saddle(bad)
+            solve_saddle(system, G=system.G + N[:, 0])
 
     @pytest.mark.parametrize("domain, k, i", [("disk", 10, 2), ("square", 10, 2)])
     def test_full_rank_level_is_bit_identical(self, domain, k, i):
@@ -367,10 +376,9 @@ class TestDissectionOrder:
 
     def test_fills_less_than_a_default_splu(self):
         # disk k=40, i=1: counts of the nonzeros of L + U, not times
-        clean = dataclasses.replace(Level("disk", 40, i=1).clean, factors={})
+        clean = Level("disk", 40, i=1).clean
         solve_saddle(clean)
-        lu = clean.factors["lu"]
-        coupled, _, Q, _ = clean.factors["kernel"]
+        lu, coupled, Q = clean.factorization.lu, clean.factorization.coupled, clean.factorization.Q
         B = sp.csr_matrix(Q.T) @ clean.B[coupled]
         default = spla.splu(sp.bmat([[clean.A, B.T], [B, None]], format="csc"))
         assert lu.shape == default.shape
@@ -421,7 +429,7 @@ class TestSaddleMatrix:
         factor, matrices = spla.splu, []
         monkeypatch.setattr(spla, "splu", lambda K, **options: matrices.append(K) or factor(K, **options))
         solve_saddle(clean)
-        order, (coupled, _, Q, _) = clean.factors["order"], clean.factors["kernel"]
+        coupled, _, Q, _, order, _, _ = clean.factorization
         B = (clean.B if Q is None else sp.csr_matrix(Q.T) @ clean.B[coupled])[:, order]
         expected = sp.bmat([[clean.A[order][:, order], B.T], [B, None]], format="csc")
         [K] = matrices
