@@ -129,8 +129,7 @@ class SaddleSystem:
 
     @cached_property
     def factorization(self) -> Factorization:
-        """The range-restricted LU of (A, B) and what its solves read,
-        built at the first solve.
+        """The range-restricted LU of (A, B) and what its solves read.
 
         One eigensolve of B B^T over the mask `coupled` of rows of B that
         hold a nonzero gives orthonormal bases N of ker(B^T) and Q of
@@ -148,8 +147,9 @@ class SaddleSystem:
         order = dissection_order(self.points, A)
         place = np.empty(len(order), dtype=A.indices.dtype)  # of each field unknown in K
         place[order] = np.arange(len(order))
-        field = sp.vstack([A[order], B if Q is None else sp.csr_matrix(Q.T) @ B[coupled]], format="csr")
-        field = sp.csr_matrix((field.data, place[field.indices], field.indptr), shape=field.shape)  # [A; B~]
+        B_tilde = B if Q is None else sp.csr_matrix(Q.T) @ B[coupled]
+        field = sp.vstack([A[order], B_tilde], format="csr")  # K's field columns [A; B~], rows in K's order
+        field = sp.csr_matrix((field.data, place[field.indices], field.indptr), shape=field.shape)
         lagrange = field[len(order):].sorted_indices()  # B~, whose rows are K's multiplier columns
         K = sp.hstack([field.tocsc(), sp.csc_matrix((lagrange.data, lagrange.indices, lagrange.indptr),
                                                     (field.shape[0], lagrange.shape[0]))], format="csc")
@@ -170,7 +170,7 @@ def solve_saddle(system: SaddleSystem, G: Optional[np.ndarray] = None) -> Saddle
     raise :class:`SingularSystemError` naming the dimension of ker(B^T)
     and the part of G in it.
     """
-    G, nv = system.G if G is None else G, system.n_field
+    G, nv = np.asarray(system.G if G is None else G), system.n_field
     for name, shape in (("F", (nv,)), ("G", (system.n_multiplier,)), ("points", (nv, 2))):
         data = G if name == "G" else getattr(system, name)
         if np.shape(data) != shape:

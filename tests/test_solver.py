@@ -190,12 +190,19 @@ class TestFactorizationReuse:
             np.testing.assert_allclose(sol.u, np.linalg.solve(K, rhs)[:base.n_field], atol=1e-12)
         assert len(saddle_splu_calls) == 1
 
-    @pytest.mark.parametrize("scale", [1.0, -2.0, 0.5])
-    def test_given_data_solve_as_a_system_holding_them(self, regular_system, scale):
-        G = scale * regular_system.G
-        sol, held = solve_saddle(regular_system, G=G), solve_saddle(dataclasses.replace(regular_system, G=G))
-        for name in ("u", "lam", "residual_primal", "residual_constraint"):
-            assert np.array_equal(getattr(sol, name), getattr(held, name)), name
+    @pytest.mark.parametrize("case", ["full rank", "rank-deficient level"])
+    def test_given_data_solve_as_a_system_holding_them(self, regular_system, case):
+        if case == "full rank":
+            clean, data = regular_system, [scale * regular_system.G for scale in (1.0, -2.0, 0.5)]
+        else:  # disk k=20, i=1: empty rows of B and a kernel, so the range-restricted path
+            level = Level("disk", 20, i=1)
+            clean = level.clean
+            data = [noisy_data_vector(level, NoiseModel.mixture(1.0, 10.0, 0.5), seed) for seed in range(3)]
+        for G in data:
+            held = solve_saddle(dataclasses.replace(clean, G=G))
+            for sol in (solve_saddle(clean, G=G), solve_saddle(clean, G=list(G))):
+                for name in ("u", "lam", "residual_primal", "residual_constraint"):
+                    assert np.array_equal(getattr(sol, name), getattr(held, name)), name
 
     def test_changed_blocks_are_factored_anew(self, regular_system, saddle_splu_calls):
         base = dataclasses.replace(regular_system)
