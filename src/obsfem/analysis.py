@@ -43,7 +43,8 @@ from .assembly import (  # noqa: F401  (perfbench traces the assemble_* function
     assemble_stiffness,
     sweep,
 )
-from .mesh import MeshError, TriMesh, _check_integer, _count_text, boundary_normal, boundary_point, build_mesh
+from .mesh import (MeshError, TriMesh, _check_integer, _count_text, _evaluate, boundary_normal, boundary_point,
+                   build_mesh)
 from .observations import NoiseModel, ObservationSet, _generators, observe, place_points
 from .solver import SaddleSolution, SaddleSystem, SingularSystemError, solve_saddle
 
@@ -107,7 +108,8 @@ class ErrorQuadrature:
     changes; built once per level, so a trial adds only its u and lam.
     Field arrays hold a contiguous row per triangle corner i, or per edge
     from corner i to i + 1 mod 3 (`u0_mid`, `grad_u0_mid`, `hat_grads`
-    x then y); `weights` is |T|/3 per triangle."""
+    x then y); `weights` is |T|/3 per triangle.  A bad case value is named
+    at edge a of a triangle, or at Gauss point g of a boundary element."""
 
     def __init__(self, mesh: TriMesh, case: ManufacturedCase):
         p = np.take(mesh.vertices.T, mesh.triangles.T, axis=1).transpose(1, 0, 2)  # (corner, xy, triangle)
@@ -115,17 +117,19 @@ class ErrorQuadrature:
         mids *= 0.5
         self.mesh = mesh
         self.weights = mesh.areas / 3.0
-        self.u0_mid = case.u0(mids[:, 0], mids[:, 1])
-        self.grad_u0_mid = case.grad_u0(mids[:, 0], mids[:, 1])
+        x, y, edge = mids[:, 0], mids[:, 1], lambda a, t: f"edge {a} of triangle {t}"
+        self.u0_mid = _evaluate("u0", case.u0, x, y, edge)
+        self.grad_u0_mid = _evaluate("grad_u0", case.grad_u0, x, y, edge, pair=True)
         # grad phi_i = perp(p_k - p_j) / (2 area) with (i, j, k) cyclic
         e = mesh.edges.transpose(2, 1, 0)  # (xy, corner, triangle)
         self.hat_grads = np.stack([-e[1], e[0]])
         self.hat_grads /= 2.0 * mesh.areas
         self.lengths = mesh.boundary.length
         elements = np.arange(len(self.lengths))
-        self.successor = np.roll(elements, -1)
         pts = boundary_point(mesh, elements[:, None], _GAUSS_T)  # 3 Gauss points per element
-        (gx, gy), normal = case.grad_u0(pts[..., 0], pts[..., 1]), boundary_normal(mesh, elements[:, None], _GAUSS_T)
+        gx, gy = _evaluate("grad_u0", case.grad_u0, pts[..., 0], pts[..., 1],
+                           lambda e, g: f"Gauss point {g} of boundary element {e}", pair=True)
+        normal = boundary_normal(mesh, elements[:, None], _GAUSS_T)
         self.lambda_exact = -(gx * normal[..., 0] + gy * normal[..., 1])  # -du0/dnu, nu from the mesh boundary
 
 
@@ -166,7 +170,7 @@ def compute_errors(quadrature: ErrorQuadrature, solution: SaddleSolution,
     l2_sq, semi_sq = float(terms[0].sum()), float(terms[1].sum())
 
     approx = lam[:, None] * _GAUSS_HATS[0]
-    approx += lam[q.successor][:, None] * _GAUSS_HATS[1]
+    approx += np.roll(lam, -1)[:, None] * _GAUSS_HATS[1]  # each element's second dof is the next one's first
     np.subtract(q.lambda_exact, approx, out=approx)
     approx *= approx
     lam_l2_e = q.lengths * (approx @ _GAUSS_W)
@@ -213,13 +217,11 @@ class Level:
     and the error quadrature.  It holds no per-site array: a pass over
     the placement derives t and alpha per window of 2^16 sites into
     buffers of its own, and the build reduces B and G0 in one sweep of
-    :func:`assembly.sweep` (so a g0 that is not finite fails here,
-    naming the site).
-    :meth:`trials` reduces the noise of every seed of a chunk in one more
-    sweep, window by window, and solves the clean system for each seed's
-    G, so the level factors once.  The error quadrature is built with the
-    level, so a trial evaluates neither the case nor the mesh geometry.
-    """
+    :func:`assembly.sweep`.  :meth:`trials` reduces the noise of every
+    seed of a chunk in one more sweep, window by window, and solves the
+    clean system for each seed's G, so the level factors once.  Only the
+    build reads the case (through :func:`mesh._evaluate`, so a bad f, g0,
+    u0 or grad_u0 fails here) and the mesh geometry, not a trial."""
 
     def __init__(self, domain: str, k: int, i: Optional[int] = None, n: Optional[int] = None,
                  case: Optional[ManufacturedCase] = None):
@@ -299,6 +301,7 @@ def _run_levels(domain: str, ks: Sequence[int], i: Optional[int], n: Optional[in
     """
     for name, value in (("seed", seed), ("trials", trials), ("workers", workers)):
         _check_integer(name, value)  # before any level is built
+    seed, trials, workers = int(seed), int(trials), int(workers)  # numpy integers would overflow in seed + trials
     for k in ks:
         points_for(k, i, n)
     if workers < 1:

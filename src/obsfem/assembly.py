@@ -24,7 +24,7 @@ from typing import Callable, Sequence
 import numpy as np
 import scipy.sparse as sp
 
-from .mesh import TriMesh
+from .mesh import TriMesh, _evaluate
 from .observations import ObservationSet, Placement
 
 # The field hats at an element's two ends, 1 - t and t, as sweep readers.
@@ -48,14 +48,7 @@ def assemble_stiffness(mesh: TriMesh) -> sp.csr_matrix:
 def assemble_load(mesh: TriMesh, f) -> np.ndarray:
     """Load vector (I_h f, v_h) using the consistent P1 mass matrix."""
     nv = len(mesh.vertices)
-    fv = np.asarray(f(mesh.vertices[:, 0], mesh.vertices[:, 1]), dtype=float)
-    if fv.ndim == 0:
-        fv = np.full(nv, float(fv))
-    elif fv.shape != (nv,):
-        raise ValueError("f must map coordinate arrays to a value array")
-    if not np.all(np.isfinite(fv)):
-        bad = int(np.flatnonzero(~np.isfinite(fv))[0])
-        raise ValueError(f"f is not finite at vertex {bad} {tuple(mesh.vertices[bad])}")
+    fv = _evaluate("f", f, mesh.vertices[:, 0], mesh.vertices[:, 1], lambda j: f"vertex {j}")
     tf = fv[mesh.triangles]
     # local_i = area/12 * (2 f_i + f_j + f_k) = area/12 * (f_i + sum f)
     local = (mesh.areas[:, None] / 12.0) * (tf + tf.sum(axis=1, keepdims=True))

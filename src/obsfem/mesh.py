@@ -23,7 +23,7 @@ from __future__ import annotations
 import math
 import numbers
 from dataclasses import dataclass, field
-from typing import Optional
+from typing import Callable, Optional
 
 import numpy as np
 
@@ -41,6 +41,22 @@ def _check_integer(name: str, value, error: type = ValueError) -> None:
     numpy integers pass."""
     if not isinstance(value, numbers.Integral):
         raise error(f"{name} must be an integer, got {value}")
+
+
+def _evaluate(name: str, fn: Callable, x: np.ndarray, y: np.ndarray, where: Callable, pair: bool = False):
+    """fn(x, y) from one call, as floats shaped like x, a scalar broadcast (a pair of them if `pair`, a
+    gradient).  Another shape raises ValueError "<name> must map coordinate arrays to a value array", a
+    value that is not finite "<name> is not finite at <where(*index)> (x, y)" at its first point x[index]."""
+    value = fn(x, y) if pair else (fn(x, y),)
+    parts = [np.asarray(v, dtype=float) for v in value] if np.iterable(value) else []
+    if len(parts) != 1 + pair or any(v.shape not in ((), x.shape) for v in parts):
+        raise ValueError(f"{name} must map coordinate arrays to a value array")
+    parts = [np.broadcast_to(v, x.shape) for v in parts]
+    finite = np.logical_and.reduce([np.isfinite(v) for v in parts])
+    if not finite.all():
+        index = np.unravel_index(np.argmin(finite), x.shape)
+        raise ValueError(f"{name} is not finite at {where(*map(int, index))} {(float(x[index]), float(y[index]))}")
+    return tuple(parts) if pair else parts[0]
 
 
 def _count_text(n: int) -> str:
@@ -323,13 +339,13 @@ def boundary_point(mesh: TriMesh, e, t) -> np.ndarray:
     scalar or array of parameters in [0, 1], broadcast against e.  The
     result has the broadcast shape of (e, t) plus a trailing 2.  The
     speed |F_E'| is the constant `mesh.boundary.length[e]`.  An e that is
-    not an integer in [0, NB) raises ValueError.
+    not an integer in [0, NB), or a t not in [0, 1] (NaN too), raises ValueError.
     """
     e, t, nb = np.asarray(e), np.asarray(t, dtype=float), len(mesh.boundary)
     bad = e[(e < 0) | (e >= nb)] if e.dtype.kind in "iu" else e.ravel()
     if bad.size or e.dtype.kind not in "iu":
         raise ValueError(f"boundary element {bad[0] if bad.size else e} must be an integer in [0, NB), NB = {nb}")
-    if np.any(t < 0.0) or np.any(t > 1.0):
+    if not np.all((t >= 0.0) & (t <= 1.0)):  # so a NaN fails too
         raise ValueError("parameter t must lie in [0, 1]")
     e, t = np.broadcast_arrays(e, t)
     shape = e.shape

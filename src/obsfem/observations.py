@@ -26,7 +26,7 @@ from typing import Callable, Iterator, NamedTuple, Optional
 
 import numpy as np
 
-from .mesh import TriMesh, _check_integer, _count_text, _run_points
+from .mesh import TriMesh, _check_integer, _count_text, _evaluate, _run_points
 
 # Fixed block size for counter-based noise generation.  Changing this
 # constant changes every stream, so it is part of the data format.
@@ -241,29 +241,16 @@ class Placement:
         return _run_points(self.mesh, w.owners, w.counts, w.t)
 
     def evaluate(self, g0: Callable, w: Window) -> np.ndarray:
-        """g0 at the window's sites in one call of g0; a sweep reads at most
-        a window of 2^16 sites at a time."""
-        pts = self.positions(w)
-        vals = np.asarray(g0(*pts.T), dtype=float)  # contiguous x and y
-        if vals.shape not in ((), (w.hi - w.lo,)):
-            raise ValueError("g0 must map coordinate arrays to a value array")
-        vals = np.broadcast_to(vals, (w.hi - w.lo,))
-        bad = np.flatnonzero(~np.isfinite(vals))
-        if bad.size:
-            raise ValueError(f"g0 is not finite at site {w.lo + bad[0]} {tuple(pts[bad[0]].tolist())}")
-        return vals
+        """g0 at the window's sites in one call of g0, checked by :func:`mesh._evaluate`;
+        a sweep reads at most a window of 2^16 sites at a time."""
+        x, y = self.positions(w).T  # contiguous rows
+        return _evaluate("g0", g0, x, y, lambda j: f"site {w.lo + j}")
 
 
 def _check_range(n: int, lo: int, hi: int) -> None:
     """Refuse a site range [lo, hi) that is not within [0, n]."""
     if not 0 <= lo <= hi <= n:
         raise ValueError(f"site range [{lo}, {hi}) is not within [0, {n}]")
-
-
-def _check_out(out: Optional[np.ndarray], lo: int, hi: int) -> None:
-    """Refuse an `out` array that cannot hold the site range [lo, hi)."""
-    if out is not None and len(out) != hi - lo:
-        raise ValueError(f"out has length {len(out)}, the site range [{lo}, {hi}) needs {hi - lo}")
 
 
 def _element_runs(offsets: np.ndarray, lo: int, hi: int) -> tuple[np.ndarray, np.ndarray]:
@@ -376,7 +363,8 @@ class ObservationSet:
         """g at the sites of window `w`, written into `out` if it is given,
         the noise drawn by the set's cursor (see :meth:`_NoiseStream.draw`)."""
         _check_range(self.placement.n, w.lo, w.hi)
-        _check_out(out, w.lo, w.hi)
+        if out is not None and len(out) != w.hi - w.lo:
+            raise ValueError(f"out has length {len(out)}, the site range [{w.lo}, {w.hi}) needs {w.hi - w.lo}")
         out = self._noise.draw(w.lo, np.empty(w.hi - w.lo) if out is None else out)
         if self.g0 is not None:
             out += self.placement.evaluate(self.g0, w)

@@ -457,6 +457,48 @@ class TestLevel:
         with pytest.raises(ValueError, match="g0 is not finite at site 0 "):
             Level("square", 4, i=2, case=bad)
 
+    def test_a_constant_case_runs(self):
+        # scalars are broadcast at every point set, the quadrature's too
+        case = ManufacturedCase(lambda x, y: 1.0, lambda x, y: (0.0, 0.0), lambda x, y: 0.0)
+        reports = Level("square", 6, i=2, case=case).trials(NoiseModel.gaussian(1.0), [0, 1])
+        assert all(math.isfinite(value) for r in reports for value in dataclasses.astuple(r))
+        array_case = ManufacturedCase(lambda x, y: np.ones_like(x), lambda x, y: (0 * x, 0 * y), lambda x, y: 0 * x)
+        assert reports == Level("square", 6, i=2, case=array_case).trials(NoiseModel.gaussian(1.0), [0, 1])
+
+    def test_case_values_that_are_not_finite_name_the_function_and_the_point(self):
+        sine, mesh = sine_case(), build_square_mesh(6)
+        p = mesh.vertices[mesh.triangles]
+        mids = (p + np.roll(p, -1, axis=1)) / 2  # (triangle, edge a from corner a to a + 1, xy)
+
+        def named(x, y):
+            return re.escape(str((float(x), float(y))))
+
+        # a NaN gradient where x > 0.9: first met at the edge midpoints
+        nan_grad = ManufacturedCase(sine.u0, lambda x, y: (np.where(x > 0.9, np.nan, x), y), sine.f)
+        bad = mids[..., 0] > 0.9
+        a, t = min((a, int(np.flatnonzero(bad[:, a])[0])) for a in range(3) if bad[:, a].any())  # (edge, triangle) order
+        with pytest.raises(ValueError, match=rf"^grad_u0 is not finite at edge {a} of triangle {t} {named(*mids[t, a])}$"):
+            Level("square", 6, i=2, case=nan_grad)
+        # a u0 that is finite on the boundary but not inside
+        hole = ManufacturedCase(lambda x, y: np.where((abs(x - 0.5) < 0.1) & (abs(y - 0.5) < 0.1), np.inf, x),
+                                sine.grad_u0, sine.f)
+        inside = (abs(mids[..., 0] - 0.5) < 0.1) & (abs(mids[..., 1] - 0.5) < 0.1)
+        a, t = min((a, int(np.flatnonzero(inside[:, a])[0])) for a in range(3) if inside[:, a].any())
+        with pytest.raises(ValueError, match=rf"^u0 is not finite at edge {a} of triangle {t} {named(*mids[t, a])}$"):
+            Level("square", 6, i=2, case=hole)
+        # a gradient that fails only at the first Gauss point of boundary element 0
+        corner = ManufacturedCase(sine.u0, lambda x, y: (x, np.where((y == 0.0) & (x < 0.05), np.nan, y)), sine.f)
+        point = boundary_point(mesh, 0, analysis._GAUSS_T[0])
+        with pytest.raises(ValueError, match=rf"^grad_u0 is not finite at Gauss point 0 of boundary element 0 "
+                                             rf"{named(*point)}$"):
+            Level("square", 6, i=2, case=corner)
+
+    def test_a_gradient_that_is_not_a_pair_is_refused(self):
+        sine = sine_case()
+        for grad in (lambda x, y: x, lambda x, y: 0.0, lambda x, y: (x, y, x)):
+            with pytest.raises(ValueError, match=r"^grad_u0 must map coordinate arrays to a value array$"):
+                Level("square", 4, i=2, case=ManufacturedCase(sine.u0, grad, sine.f))
+
 
 class TestRunStudy:
     def test_row_contents(self):
@@ -517,6 +559,19 @@ class TestRunStudy:
             run_study("square", [4], i=2, model=model, trials=2, seed=2**64 - 1)
         with pytest.raises(ValueError, match=r"seeds \[-1, 99\)"):
             tail_study("square", 4, i=2, model=model, trials=100, seed=-1)
+
+    @pytest.mark.filterwarnings("error")  # numpy integers warned of an overflow in seed + trials
+    def test_numpy_integer_seeds_run_as_their_python_ints(self, monkeypatch):
+        model = NoiseModel.gaussian(1.0)
+        study = run_study("square", [4], i=2, model=model, trials=2, seed=np.int64(2**63 - 1))
+        assert study.rows[0].reports == run_study("square", [4], i=2, model=model, trials=2, seed=2**63 - 1).rows[0].reports
+        last = run_case("square", 4, i=2, model=model, seed=np.uint64(2**64 - 1))
+        assert last == run_case("square", 4, i=2, model=model, seed=2**64 - 1)
+        study = run_study("square", [4], i=2, trials=np.int32(2), seed=np.uint8(5), workers=np.int64(1))
+        assert study.rows[0].reports == run_study("square", [4], i=2, trials=2, seed=5).rows[0].reports
+        monkeypatch.setattr(analysis, "build_mesh", lambda *a: pytest.fail("built a mesh"))
+        with pytest.raises(ValueError, match=r"^seeds \[18446744073709551615, 18446744073709551617\) "):
+            run_study("square", [4], i=2, model=model, trials=2, seed=np.uint64(2**64 - 1))
 
     @pytest.mark.parametrize("call, error, name, value", [
         (lambda: run_case("square", 4, i=2, model=NoiseModel.gaussian(1.0), seed=1.5), ValueError, "seed", 1.5),

@@ -126,9 +126,17 @@ class TestLoad:
         assert F.sum() == pytest.approx(0.5, abs=1e-14)
 
     def test_non_finite_names_vertex(self, square8):
+        # the vertex is printed as plain floats, not as numpy reprs
         with np.errstate(divide="ignore"):
-            with pytest.raises(ValueError, match="vertex"):
+            with pytest.raises(ValueError, match=r"^f is not finite at vertex 0 \(0\.0, 0\.0\)$"):
                 assemble_load(square8, lambda x, y: 1.0 / (x + y))
+        with pytest.raises(ValueError, match=r"^f is not finite at vertex 4 \(0\.5, 0\.0\)$"):
+            assemble_load(square8, lambda x, y: np.where(x > 0.4, np.nan, x))
+
+    @pytest.mark.parametrize("f", [lambda x, y: x[:-1], lambda x, y: (x, y), lambda x, y: np.ones((1, len(x)))])
+    def test_another_shape_is_refused(self, square8, f):
+        with pytest.raises(ValueError, match=r"^f must map coordinate arrays to a value array$"):
+            assemble_load(square8, f)
 
 
 def at_params(mesh, mu, e, t):

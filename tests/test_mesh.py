@@ -299,6 +299,53 @@ def test_element_outside_the_loop_or_not_an_integer_is_named(function, e, named)
         function(build_square_mesh(2), e, 0.5)
 
 
+@pytest.mark.parametrize("function", [boundary_point, boundary_normal])
+@pytest.mark.parametrize("t", [math.nan, [0.25, math.nan, 0.75]])
+def test_nan_parameter_is_refused(function, t):
+    # NaN fails both comparisons of the [0, 1] check, so it was let through
+    with pytest.raises(ValueError, match=r"^parameter t must lie in \[0, 1\]$"):
+        function(build_square_mesh(2), 0, t)
+
+
+class TestEvaluate:
+    """The one rule by which f, g0, u0 and grad_u0 are read at points."""
+
+    def evaluate(self, fn, pair=False, shape=(2, 3)):
+        x, y = np.arange(6.0).reshape(shape), -np.arange(6.0).reshape(shape)
+        return obsfem.mesh._evaluate("fn", fn, x, y, lambda *index: f"point {index}", pair=pair)
+
+    def test_arrays_pass_through_and_scalars_are_broadcast(self):
+        x = np.arange(6.0).reshape(2, 3)
+        assert np.array_equal(self.evaluate(lambda x, y: x * 2), 2 * x)
+        assert np.array_equal(self.evaluate(lambda x, y: 1), np.ones((2, 3)))
+        gx, gy = self.evaluate(lambda x, y: (0.0, x), pair=True)
+        assert np.array_equal(gx, np.zeros((2, 3))) and np.array_equal(gy, x)
+        gx, gy = self.evaluate(lambda x, y: np.stack([x, y]), pair=True)  # an array of two rows is a pair too
+        assert np.array_equal(gx, x) and np.array_equal(gy, -x)
+
+    def test_one_call(self):
+        calls = []
+        self.evaluate(lambda x, y: calls.append(1) or (x, y), pair=True)
+        assert calls == [1]
+
+    @pytest.mark.parametrize("fn, pair", [
+        (lambda x, y: x.ravel(), False), (lambda x, y: x[:1], False), (lambda x, y: [1.0], False),
+        (lambda x, y: (x, y), False), (lambda x, y: 0.0, True), (lambda x, y: (x, y, x), True),
+        (lambda x, y: (x,), True), (lambda x, y: (x, y[0]), True)])
+    def test_another_shape_is_refused(self, fn, pair):
+        with pytest.raises(ValueError, match=r"^fn must map coordinate arrays to a value array$"):
+            self.evaluate(fn, pair=pair)
+
+    @pytest.mark.parametrize("fn, pair", [
+        (lambda x, y: np.where(x >= 4, np.nan, x), False),
+        (lambda x, y: (x, np.where(x >= 4, -np.inf, y)), True),
+        (lambda x, y: (np.where(x == 5, np.nan, x), np.where(x == 4, np.inf, y)), True)])
+    def test_the_first_point_that_is_not_finite_is_named_in_plain_floats(self, fn, pair):
+        # x = 4 is entry (1, 1), the first in row-major order where either component fails
+        with pytest.raises(ValueError, match=r"^fn is not finite at point \(1, 1\) \(4\.0, -4\.0\)$"):
+            self.evaluate(fn, pair=pair)
+
+
 class TestBoundaryNormal:
     @pytest.mark.parametrize("domain, k", [("square", 2), ("square", 10), ("square", 33),
                                            ("disk", 2), ("disk", 10), ("disk", 80)])

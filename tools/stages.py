@@ -9,8 +9,10 @@ process, every stage that `Level` and `Level.trials` run:
 - `assemble_stiffness` and `assemble_load`;
 - the build sweep, which reduces B and the clean data vector G0;
 - the error quadrature (`ErrorQuadrature`);
+- one call of `solver.dissection_order`, the factorization's LU order,
+  on its own (`order_s`);
 - the first access of the clean system's `factorization` (kernel basis,
-  dissection order and the sparse LU);
+  dissection order and the sparse LU), as a whole;
 - per seed: the noise sweep, `solve_saddle` and `compute_errors`.
 
 Nothing is patched.  Before timing, the reports of the staged calls are
@@ -59,7 +61,7 @@ from obsfem.analysis import (  # noqa: E402
     sweep,
 )
 from obsfem.observations import ObservationSet  # noqa: E402
-from obsfem.solver import SaddleSystem  # noqa: E402
+from obsfem.solver import SaddleSystem, dissection_order  # noqa: E402
 from test_ledger import environment  # noqa: E402
 
 # (name, domain, k, i, noise model, seeds)
@@ -68,7 +70,8 @@ LEVELS = [
     ("tail-square-k40-i3", "square", 40, 3, NoiseModel.gaussian(2.0), range(0, 20)),
     ("square-k40-i4", "square", 40, 4, NoiseModel.gaussian(math.sqrt(2.0)), range(7, 17)),
 ]
-BUILD_STAGES = ("mesh_s", "placement_s", "stiffness_s", "load_s", "build_sweep_s", "quadrature_s", "factorization_s")
+BUILD_STAGES = ("mesh_s", "placement_s", "stiffness_s", "load_s", "build_sweep_s", "quadrature_s", "order_s",
+                "factorization_s")
 SEED_STAGES = ("noise_sweep_s", "solve_s", "errors_s")
 
 
@@ -91,6 +94,7 @@ def staged_level(domain: str, k: int, i: int, model: NoiseModel, seeds: range) -
     left, right = timed("build_sweep_s", sweep, pl, [*TRACE_HATS, ObservationSet(pl, case.u0, None, 0).values])
     clean = SaddleSystem(A, _coupling(pl, left, right), F, left[2] + np.roll(right[2], 1), mesh.vertices)
     quadrature = timed("quadrature_s", ErrorQuadrature, mesh, case)
+    timed("order_s", dissection_order, mesh.vertices, A)  # again inside the factorization, which caches its own
     timed("factorization_s", lambda: clean.factorization)
     reports = []
     for seed in seeds:
