@@ -126,6 +126,7 @@ class ErrorQuadrature:
         self.hat_grads /= 2.0 * mesh.areas
         self.lengths = mesh.boundary.length
         elements = np.arange(len(self.lengths))
+        self.successor = np.roll(elements, -1)
         pts = boundary_point(mesh, elements[:, None], _GAUSS_T)  # 3 Gauss points per element
         gx, gy = _evaluate("grad_u0", case.grad_u0, pts[..., 0], pts[..., 1],
                            lambda e, g: f"Gauss point {g} of boundary element {e}", pair=True)
@@ -170,7 +171,7 @@ def compute_errors(quadrature: ErrorQuadrature, solution: SaddleSolution,
     l2_sq, semi_sq = float(terms[0].sum()), float(terms[1].sum())
 
     approx = lam[:, None] * _GAUSS_HATS[0]
-    approx += np.roll(lam, -1)[:, None] * _GAUSS_HATS[1]  # each element's second dof is the next one's first
+    approx += lam[q.successor][:, None] * _GAUSS_HATS[1]
     np.subtract(q.lambda_exact, approx, out=approx)
     approx *= approx
     lam_l2_e = q.lengths * (approx @ _GAUSS_W)

@@ -241,8 +241,7 @@ class Placement:
         return _run_points(self.mesh, w.owners, w.counts, w.t)
 
     def evaluate(self, g0: Callable, w: Window) -> np.ndarray:
-        """g0 at the window's sites in one call of g0, checked by :func:`mesh._evaluate`;
-        a sweep reads at most a window of 2^16 sites at a time."""
+        """g0 at the window's sites (at most 2^16 in a sweep) from one call, read by :func:`mesh._evaluate`."""
         x, y = self.positions(w).T  # contiguous rows
         return _evaluate("g0", g0, x, y, lambda j: f"site {w.lo + j}")
 
